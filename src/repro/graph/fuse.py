@@ -26,6 +26,10 @@ An intermediate edge may be fused over only when it has **exactly one
 consumer** and is **not a graph output** — otherwise the edge's value must
 materialise in GM and the region is cut at that point.  ``off`` disables
 the pass entirely (byte-identical lowering to the pre-fusion runner).
+
+:func:`lowering_units` memoizes the pass on the graph, per mode, together
+with each unit's name-free runner cache key, so a served graph is fused
+and keyed once, not once per request.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ..errors import ConfigError
 from .ir import Graph, Node
 from .op import get_op
 
-__all__ = ["FUSION_MODES", "FusedNode", "fuse_graph"]
+__all__ = ["FUSION_MODES", "FusedNode", "fuse_graph", "lowering_units"]
 
 FUSION_MODES = ("off", "conservative", "aggressive")
 
@@ -200,3 +204,34 @@ def fuse_graph(graph: Graph, mode: str = "conservative"):
             )
         )
     return result
+
+
+def _unit_key(unit: "Node | FusedNode", specs) -> tuple:
+    """The runner's cache key of one lowering unit.  A node keys on
+    ``(kind, shape_class)``; a fused region on its fn chain(s) plus the
+    member shape classes, name-free, so two regions with equal keys
+    replay the same captured program."""
+    if isinstance(unit, Node):
+        op = get_op(unit.kind)
+        in_specs = [specs[e] for e in unit.inputs]
+        return (unit.kind, op.shape_class(in_specs, unit.params))
+    in_spec = specs[unit.inputs[0]]
+    if unit.kind == "fused_elementwise":
+        op = get_op("fused_elementwise")
+        params = op.resolve_params({"fns": unit.pre_fns})
+        return ("fused_elementwise", op.shape_class([in_spec], params))
+    scan = unit.scan_member
+    scan_sc = get_op("scan").shape_class([specs[scan.inputs[0]]], scan.params)
+    return ("fused_scan", (unit.pre_fns, scan_sc, unit.post_fns))
+
+
+def lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
+    """``(unit, cache key)`` pairs of the validated ``graph`` fused under
+    ``mode``, in topological order — memoized on the graph until it next
+    changes."""
+    return graph.memoized(("units", mode), _lowering_units, graph, mode)
+
+
+def _lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
+    specs = graph.valid_specs()
+    return tuple((unit, _unit_key(unit, specs)) for unit in fuse_graph(graph, mode))

@@ -40,7 +40,7 @@ from ..ops.driver import AscendOps
 from ..ops.elementwise import ElementwiseMapKernel
 from ..ops.topp import TopPSampler
 from ..serve.plan import PlanCache
-from .fuse import FUSION_MODES, FusedNode, fuse_graph
+from .fuse import FUSION_MODES, FusedNode, lowering_units
 from .ir import Graph, Node
 from .op import ELEMENTWISE_FNS, OpNode, TensorSpec, get_op
 
@@ -202,48 +202,29 @@ class GraphRunner:
         """Validate, fuse (per :attr:`fusion`) and lower every unit;
         returns (``[(unit, LoweredNode)]`` in topological order — a unit
         is a :class:`Node` or a :class:`FusedNode` region lowered to one
-        captured program — and whether anything had to be built)."""
-        specs = graph.validate()
+        captured program — and whether anything had to be built).
+
+        Analysis, fusion and cache keys are memoized on the graph
+        (:func:`~repro.graph.fuse.lowering_units`), so lowering a graph
+        served before is one cache lookup per unit."""
         entries = []
         built = False
-        for unit in fuse_graph(graph, self.fusion):
-            if isinstance(unit, FusedNode):
-                key = self._fused_key(unit, specs)
-                low = self.cache.get(key)
-                if low is None:
-                    low = self._build_fused(unit, key, specs)
-                    self.cache.put(key, low)
-                    built = True
-                entries.append((unit, low))
-                continue
-            node = unit
-            op = get_op(node.kind)
-            in_specs = [specs[e] for e in node.inputs]
-            key = (node.kind, op.shape_class(in_specs, node.params))
+        for unit, key in lowering_units(graph, self.fusion):
             low = self.cache.get(key)
             if low is None:
-                low = self._build(op, key, node, in_specs)
+                specs = graph.valid_specs()
+                if isinstance(unit, FusedNode):
+                    low = self._build_fused(unit, key, specs)
+                else:
+                    op = get_op(unit.kind)
+                    in_specs = [specs[e] for e in unit.inputs]
+                    low = self._build(op, key, unit, in_specs)
                 self.cache.put(key, low)
                 built = True
-            entries.append((node, low))
+            entries.append((unit, low))
         return entries, built
 
     # -- fused regions -------------------------------------------------------
-
-    def _fused_key(self, unit: FusedNode, specs) -> tuple:
-        """Name-free cache key of a fused region: the fn chain(s) plus the
-        member shape classes — two regions with equal keys replay the same
-        captured program."""
-        in_spec = specs[unit.inputs[0]]
-        if unit.kind == "fused_elementwise":
-            op = get_op("fused_elementwise")
-            params = op.resolve_params({"fns": unit.pre_fns})
-            return ("fused_elementwise", op.shape_class([in_spec], params))
-        scan = unit.scan_member
-        scan_sc = get_op("scan").shape_class(
-            [specs[scan.inputs[0]]], scan.params
-        )
-        return ("fused_scan", (unit.pre_fns, scan_sc, unit.post_fns))
 
     def _build_fused(
         self, unit: FusedNode, key: tuple, specs

@@ -16,10 +16,20 @@ Everything raises :class:`~repro.errors.ConfigError` with the node name
 in the message.  The deterministic topological order it produces (Kahn
 with a FIFO ready queue over declaration order) is what the interpreter
 executes and what :meth:`Graph.signature` hashes for plan caching.
+
+Analysis is memoized on the graph: the topological order, the inferred
+edge specs, the validation verdict and the signature (plus the fusion
+units :mod:`repro.graph.fuse` derives from them) are computed once and
+reused by every later submit, lowering and oracle run.  The mutators
+:meth:`Graph.add_input`, :meth:`Graph.add_node` and
+:meth:`Graph.set_outputs` are the only ways to change a graph, and each
+drops the memo.  A failed analysis caches nothing, so an invalid graph
+raises again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,6 +41,18 @@ from .op import TensorSpec, get_op, np_dtype_of
 __all__ = ["Node", "Graph"]
 
 _VALID_NAME = "edge and node names must be non-empty strings without '.'"
+
+
+def _memoized(analysis):
+    """Method decorator: ``analysis(graph)`` runs once per graph structure
+    (see :meth:`Graph.memoized`)."""
+    key = analysis.__name__
+
+    @functools.wraps(analysis)
+    def memo(self):
+        return self.memoized(key, analysis, self)
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -60,6 +82,19 @@ class Graph:
     nodes: "list[Node]" = field(default_factory=list)
     #: edge names returned to the caller, in order
     outputs: "list[str]" = field(default_factory=list)
+    #: structural analyses by key; emptied by every mutator
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def memoized(self, key, compute, *args):
+        """``compute(*args)``, computed once until the graph next changes.
+        Values are shared with every later caller, so they must never be
+        mutated (public accessors hand out copies of mutable ones)."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute(*args)
+        return value
 
     # -- construction -------------------------------------------------------
 
@@ -72,6 +107,7 @@ class Graph:
             )
         shape = None if shape is None else tuple(int(d) for d in shape)
         self.inputs[name] = TensorSpec(dtype, shape)
+        self._memo.clear()
         return name
 
     def add_node(
@@ -93,10 +129,12 @@ class Graph:
             params=op.resolve_params(params),
         )
         self.nodes.append(node)
+        self._memo.clear()
         return node.output_edges()
 
     def set_outputs(self, outputs) -> None:
         self.outputs = list(outputs)
+        self._memo.clear()
 
     # -- structure ----------------------------------------------------------
 
@@ -123,6 +161,12 @@ class Graph:
         """Deterministic topological order (Kahn, FIFO over declaration
         order).  Raises :class:`ConfigError` naming dangling edges or the
         nodes stuck on a cycle."""
+        return [node for node, _, _ in self._steps()]
+
+    @_memoized
+    def _steps(self) -> "tuple[tuple[Node, type, tuple[str, ...]], ...]":
+        """The topological order as ``(node, op class, output edges)``
+        triples — what inference and the oracle walk."""
         prod = self.producers()
         for node in self.nodes:
             for edge in node.inputs:
@@ -154,16 +198,21 @@ class Graph:
             raise ConfigError(
                 f"graph {self.name!r}: cycle through node(s) {stuck}"
             )
-        return order
+        return tuple(
+            (node, get_op(node.kind), node.output_edges()) for node in order
+        )
 
     # -- typing -------------------------------------------------------------
 
     def infer(self) -> "dict[str, TensorSpec]":
         """Edge name -> inferred spec for every edge (inputs included).
         Runs each op's dtype/shape checks in topological order."""
+        return dict(self._specs())
+
+    @_memoized
+    def _specs(self) -> "dict[str, TensorSpec]":
         specs: "dict[str, TensorSpec]" = dict(self.inputs)
-        for node in self.toposort():
-            op = get_op(node.kind)
+        for node, op, out_edges in self._steps():
             in_specs = [specs[e] for e in node.inputs]
             try:
                 out_specs = op.infer(in_specs, node.params)
@@ -171,17 +220,23 @@ class Graph:
                 raise ConfigError(
                     f"graph {self.name!r}: node {node.name!r}: {exc}"
                 ) from None
-            for edge, spec in zip(node.output_edges(), out_specs):
+            for edge, spec in zip(out_edges, out_specs):
                 specs[edge] = spec
         return specs
 
     def validate(self) -> "dict[str, TensorSpec]":
         """Full structural + type validation; returns the edge specs."""
+        return dict(self.valid_specs())
+
+    @_memoized
+    def valid_specs(self) -> "dict[str, TensorSpec]":
+        """:meth:`validate` without the copy: the memoized edge specs of a
+        valid graph, for callers that only read them."""
         if not self.nodes:
             raise ConfigError(f"graph {self.name!r} has no nodes")
         if not self.outputs:
             raise ConfigError(f"graph {self.name!r} declares no outputs")
-        specs = self.infer()
+        specs = self._specs()
         for edge in self.outputs:
             if edge not in specs:
                 raise ConfigError(
@@ -190,15 +245,15 @@ class Graph:
                 )
         return specs
 
+    @_memoized
     def signature(self) -> tuple:
         """Hashable identity of the lowered program: per-node (kind,
         shape-class) in topological order plus the output wiring.  Two
         graphs with equal signatures replay the same captured device
         programs, so this is the batcher's coalescing key."""
-        specs = self.validate()
+        specs = self.valid_specs()
         node_sigs = []
-        for node in self.toposort():
-            op = get_op(node.kind)
+        for node, op, _ in self._steps():
             in_specs = [specs[e] for e in node.inputs]
             node_sigs.append((node.kind, op.shape_class(in_specs, node.params)))
         return (self.name, tuple(node_sigs), tuple(self.outputs))
@@ -246,12 +301,11 @@ class Graph:
         runtime parameter values (e.g. a per-request sampling ``theta``)."""
         values = self.bind(inputs)
         overrides = params_override or {}
-        for node in self.toposort():
-            op = get_op(node.kind)
+        for node, op, out_edges in self._steps():
             params = node.params
             if node.name in overrides:
                 params = op.resolve_params({**params, **overrides[node.name]})
             outs = op.oracle([values[e] for e in node.inputs], params)
-            for edge, val in zip(node.output_edges(), outs):
+            for edge, val in zip(out_edges, outs):
                 values[edge] = val
         return tuple(values[e] for e in self.outputs)

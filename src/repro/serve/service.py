@@ -470,64 +470,75 @@ class ScanService:
         for req in requests:
             self.batcher.add(req)
 
-    def _replay_with_retry(self, replay_fn):
-        """Run one launch attempt (``replay_fn`` returning its traces as a
-        list) under the retry policy.
+    def _replay_with_retry(self, launch, label: "str | None" = None):
+        """Relaunch one scan plan or one captured graph kernel under the
+        retry policy — the service's only retry loop.
 
-        Returns ``(traces, retries, faults, backoff_ns)`` on success.
-        Transient faults are retried up to ``retry.max_attempts`` total
-        attempts, each retry charging exponential backoff to simulated
-        device time.  A permanent fault, or exhausting the attempts,
-        re-raises the final :class:`~repro.errors.DeviceFault` with its
-        ``attempts`` stamped.  Every fault (served or not) is counted in
-        ``stats.fault_events``.
+        ``launch`` is a :class:`ScanPlan` (replayed through
+        :meth:`ScanPlan.replay_timing`) or a traced kernel replayed on this
+        service's device under ``label``.  Returns ``(trace, retries,
+        faults, backoff_ns)`` on success.  Transient faults are retried up
+        to ``retry.max_attempts`` total attempts, each retry charging
+        exponential backoff to simulated device time.  A permanent fault,
+        or exhausting the attempts, re-raises the final
+        :class:`~repro.errors.DeviceFault` with its ``attempts`` stamped.
+        Every fault (served or not) is counted in ``stats.fault_events``.
 
         This is the schedule-bearing half of a launch (fault draws,
         slowdown EWMA, simulated time) and always runs on the calling
-        thread; the numerics half is deferred separately.  Scan launches
-        replay one plan timeline per attempt; graph requests call this
-        once per captured kernel, so a transient fault relaunches only
-        the kernel it hit, not the whole multi-node replay (the numerics
-        are oracle-computed, so a replayed prefix has no side effects to
-        undo).
+        thread; the numerics half is deferred separately, and the caller
+        charges the host time to the ``timeline`` phase.  Graph requests
+        call this once per captured kernel, so a transient fault
+        relaunches only the kernel it hit, not the whole multi-node
+        replay (the numerics are oracle-computed, so a replayed prefix has
+        no side effects to undo).
         """
+        policy = self.retry
+        is_plan = isinstance(launch, ScanPlan)
+        device = self.ctx.device
+        backoff_ns = 0.0
+        faults = 0
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                if is_plan:
+                    trace = launch.replay_timing()
+                else:
+                    trace = device.replay(launch, label=label)
+            except DeviceFault as fault:
+                self.stats.record_fault()
+                faults += 1
+                if fault.permanent or attempt >= policy.max_attempts:
+                    fault.attempts = attempt
+                    raise
+                backoff_ns += policy.backoff_for(
+                    attempt - 1, self.ctx.config.costs.relaunch_backoff_ns
+                )
+                continue
+            total_ns = trace.total_ns
+            nominal = total_ns - trace.stretch_ns
+            if nominal > 0:
+                observed = (total_ns + backoff_ns) / nominal
+                self.observed_slowdown += _SLOWDOWN_ALPHA * (
+                    observed - self.observed_slowdown
+                )
+            return trace, attempt - 1, faults, backoff_ns
+
+    def _replay_plan(self, plan: ScanPlan, requests) -> tuple:
+        """One scan launch of ``plan``: :meth:`_replay_with_retry` timed
+        into the ``timeline`` phase.  On a terminal fault ``requests``
+        (the launch's and every later one of its group) go back on the
+        queue before the fault propagates."""
         t0 = time.perf_counter()
         try:
-            policy = self.retry
-            default_backoff = self.ctx.config.costs.relaunch_backoff_ns
-            backoff_ns = 0.0
-            faults = 0
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    traces = replay_fn()
-                except DeviceFault as fault:
-                    self.stats.record_fault()
-                    faults += 1
-                    if fault.permanent or attempt >= policy.max_attempts:
-                        fault.attempts = attempt
-                        raise
-                    backoff_ns += policy.backoff_for(attempt - 1, default_backoff)
-                    continue
-                total_ns = sum(t.total_ns for t in traces)
-                nominal = total_ns - sum(t.stretch_ns for t in traces)
-                if nominal > 0:
-                    observed = (total_ns + backoff_ns) / nominal
-                    self.observed_slowdown += _SLOWDOWN_ALPHA * (
-                        observed - self.observed_slowdown
-                    )
-                return traces, attempt - 1, faults, backoff_ns
+            return self._replay_with_retry(plan)
+        except Exception:
+            # tickets stay tracked; the unserved requests are re-queued
+            self._requeue(requests)
+            raise
         finally:
             self.stats.add_phase("timeline", time.perf_counter() - t0)
-
-    def _replay_plan(self, plan: ScanPlan):
-        """Replay ``plan``'s simulated timeline under the retry policy;
-        returns ``(trace, retries, faults, backoff_ns)``."""
-        traces, retries, faults, backoff_ns = self._replay_with_retry(
-            lambda: [plan.replay_timing()]
-        )
-        return traces[0], retries, faults, backoff_ns
 
     def _get_plan(self, group: LaunchGroup) -> "tuple[ScanPlan, bool]":
         key = group.key
@@ -599,12 +610,10 @@ class ScanService:
             exclusive=False,
         )
         hits_before = plan.timeline_hits
-        try:
-            trace, retries, faults, backoff_ns = self._replay_plan(plan)
-        except Exception:
-            # tickets stay tracked; the whole group goes back on the queue
-            self._requeue(group.requests)
-            raise
+        # a fault puts the whole group back on the queue
+        trace, retries, faults, backoff_ns = self._replay_plan(
+            plan, group.requests
+        )
         group_tuned = any(r.tuned for r in group.requests)
         per_launch_n = sum(req.n for req in group.requests)
         io = per_launch_n * plan._io_bytes_per_element()
@@ -663,12 +672,10 @@ class ScanService:
             if not hit:
                 self.stats.add_phase("trace", time.perf_counter() - t0)
             hits_before = plan.timeline_hits
-            try:
-                trace, retries, faults, backoff_ns = self._replay_plan(plan)
-            except Exception:
-                # this request and everything after it go back on the queue
-                self._requeue(group.requests[idx:])
-                raise
+            # a fault puts this request and every later one back
+            trace, retries, faults, backoff_ns = self._replay_plan(
+                plan, group.requests[idx:]
+            )
             served_ns = trace.total_ns + backoff_ns
             self.stats.record_launch(
                 LaunchRecord(
@@ -710,77 +717,70 @@ class ScanService:
         from ..graph.service import graph_oracle_job
 
         runner = self._graph_runner()
+        stats = self.stats
         tickets = []
         for idx, req in enumerate(group.requests):
             t0 = time.perf_counter()
             entries, built = runner.lower(req.graph)
+            t_replay = t_unit = time.perf_counter()
             if built:
-                self.stats.add_phase("trace", time.perf_counter() - t0)
-            node_spans: list = []
-            traces: list = []
-            retries = faults = 0
+                stats.add_phase("trace", t_replay - t0)
+            # (lowered unit, its device ns, its host s) per unit
+            spans = []
+            served_ns = 0.0
             backoff_ns = 0.0
-            hits_before = sum(
-                tk.timeline_hits for _, low in entries for tk in low.traced
-            )
+            retries = faults = launches = 0
+            timeline_hit = False
             try:
-                for node, low in entries:
-                    t_node = time.perf_counter()
-                    span = []
-                    for tk in low.traced:
-                        ktr, kretries, kfaults, kbackoff = (
-                            self._replay_with_retry(
-                                lambda tk=tk, node=node: [
-                                    self.ctx.device.replay(
-                                        tk,
-                                        label=(
-                                            f"graph {req.graph.name}"
-                                            f".{node.name}"
-                                        ),
-                                    )
-                                ]
-                            )
+                for unit, low in entries:
+                    label = f"graph {req.graph.name}.{unit.name}"
+                    unit_ns = 0.0
+                    for kernel in low.traced:
+                        hits = kernel.timeline_hits
+                        trace, kretries, kfaults, kbackoff = (
+                            self._replay_with_retry(kernel, label)
                         )
-                        span.append(ktr[0])
+                        timeline_hit |= kernel.timeline_hits > hits
+                        # kernel by kernel, left to right: the order the
+                        # served device ns has always been summed in
+                        ns = trace.total_ns
+                        served_ns += ns
+                        unit_ns += ns
                         retries += kretries
                         faults += kfaults
                         backoff_ns += kbackoff
                     low.replays += 1
-                    node_spans.append(
-                        (low, span, time.perf_counter() - t_node)
-                    )
-                    traces.extend(span)
+                    launches += low.launches
+                    now = time.perf_counter()
+                    spans.append((low, unit_ns, now - t_unit))
+                    t_unit = now
             except Exception:
                 # this request and everything after it go back on the queue
                 self._requeue(group.requests[idx:])
                 raise
-            hits_after = sum(
-                tk.timeline_hits for _, low in entries for tk in low.traced
-            )
-            for low, span, node_host_s in node_spans:
-                span_ns = sum(t.total_ns for t in span)
+            finally:
+                stats.add_phase("timeline", time.perf_counter() - t_replay)
+            for low, unit_ns, host_s in spans:
                 if low.members:
                     # fused region: attribute the span back to the member
                     # kinds by the build-time device-time weights, so the
                     # per-op breakdown matches the unfused vocabulary
                     for kind, w in low.members:
-                        self.stats.record_op(
-                            kind, span_ns * w, host_s=node_host_s * w
-                        )
+                        stats.record_op(kind, unit_ns * w, host_s=host_s * w)
                 else:
-                    self.stats.record_op(low.kind, span_ns, host_s=node_host_s)
-            served_ns = sum(t.total_ns for t in traces) + backoff_ns
-            io = sum(v.nbytes for v in req.inputs.values())
-            self.stats.record_launch(
+                    stats.record_op(low.kind, unit_ns, host_s=host_s)
+            served_ns += backoff_ns
+            tuned = any(low.tuned for _, low in entries)
+            stats.record_launch(
                 LaunchRecord(
                     kind="graph",
                     device_ns=served_ns,
                     n_elements=req.n,
-                    io_bytes=io,
+                    io_bytes=sum(v.nbytes for v in req.inputs.values()),
                     requests=1,
                     plan_hit=not built,
-                    timeline_hit=hits_after > hits_before,
-                    tuned=any(low.tuned for _, low in entries),
+                    timeline_hit=timeline_hit,
+                    tuned=tuned,
                     retries=retries,
                     faults=faults,
                     backoff_ns=backoff_ns,
@@ -790,10 +790,10 @@ class ScanService:
             ticket = self._tickets.pop(req.req_id)
             ticket.device_ns = served_ns
             ticket.plan_hit = not built
-            ticket.tuned = any(low.tuned for _, low in entries)
+            ticket.tuned = tuned
             ticket.retries += retries
             ticket.faults += faults
-            ticket.launches = len(traces)
+            ticket.launches = launches
             ticket.batch_size = len(group.requests)
             job = self.executor.submit(
                 graph_oracle_job, req.graph, req.inputs, req.params

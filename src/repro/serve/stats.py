@@ -73,6 +73,12 @@ class ServiceStats:
     deadline_misses: int = 0
     #: requests refused at admission (deadline infeasible or pool dead)
     shed_requests: int = 0
+    #: running totals over ``launches``, added in record order — the same
+    #: left-to-right sums a re-scan would compute, at O(1) per read (the
+    #: pool reads ``device_ns`` around every launch group)
+    device_ns: float = field(default=0.0, init=False)
+    n_elements: int = field(default=0, init=False)
+    coalesced_requests: int = field(default=0, init=False)
 
     def record_op(self, kind: str, device_ns: float, *, host_s: float = 0.0) -> None:
         """Charge one graph node's replay to its op kind: simulated device
@@ -116,6 +122,10 @@ class ServiceStats:
 
     def record_launch(self, record: LaunchRecord) -> None:
         self.launches.append(record)
+        self.device_ns += record.device_ns
+        self.n_elements += record.n_elements
+        if record.kind == "batched":
+            self.coalesced_requests += record.requests
 
     def record_fault(self) -> None:
         self.fault_events += 1
@@ -175,18 +185,6 @@ class ServiceStats:
     @property
     def launch_count(self) -> int:
         return len(self.launches)
-
-    @property
-    def coalesced_requests(self) -> int:
-        return sum(r.requests for r in self.launches if r.kind == "batched")
-
-    @property
-    def n_elements(self) -> int:
-        return sum(r.n_elements for r in self.launches)
-
-    @property
-    def device_ns(self) -> float:
-        return sum(r.device_ns for r in self.launches)
 
     @property
     def gelems_per_s(self) -> float:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.reference import inclusive_scan
 from repro.errors import ConfigError, DeviceFault
+from repro.graph import llm_sample
 from repro.hw import FaultPlan
 from repro.hw.config import toy_config
 from repro.serve import DEAD, DEGRADED, HEALTHY, RetryPolicy, ScanService
@@ -241,6 +242,24 @@ class TestServiceRetry:
         assert RetryPolicy().backoff_for(1, 50.0) == 100.0
 
 
+class _CountingList(list):
+    """A launch history that counts every walk over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _fold(values):
+    """Left-to-right sum from 0: the order the running totals add in."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _chaos_pool(**plans):
     fault_plans = {int(k[3:]): v for k, v in plans.items()}
     return DevicePool(3, toy_config(), fault_plans=fault_plans)
@@ -286,6 +305,52 @@ class TestPoolChaos:
         assert sum(h.fault_events for h in health) > 0
         text = svc.summary()
         assert "dead" in text and "failovers" in text
+
+    def test_running_totals_match_history_without_walking_it(self):
+        """The pool reads member ``device_ns`` around every launch group;
+        those reads are running totals, equal to a re-sum of the launch
+        history bit for bit, and nothing on the serving path walks it."""
+        pool = _chaos_pool(
+            dev0=FaultPlan(seed=_seed(5), transient_rate=0.2, mte_slowdown=1.3),
+            dev1=FaultPlan(seed=_seed(6), die_at_launch=40),
+            dev2=FaultPlan(seed=_seed(7), transient_rate=0.2, vec_slowdown=1.2),
+        )
+        svc = PoolScanService(pool=pool, retry=RetryPolicy(max_attempts=4))
+        for w in svc.workers:
+            w.stats.launches = _CountingList()
+        graph = llm_sample(64, k=8, p=0.75, s=16)
+        rng = np.random.default_rng(_seed(8))
+        submitted = 0
+        for _ in range(12):
+            submitted += len(self._submit_mix(svc, rounds=1))
+            for _ in range(2):
+                probs = (rng.permutation(64) + 1).astype(np.float16)
+                svc.submit_graph(graph, {"probs": probs})
+                submitted += 1
+            for _ in range(20):
+                try:
+                    svc.flush()
+                except DeviceFault:
+                    continue
+                if not svc.pending:
+                    break
+        assert svc.pending == 0 and not svc._tickets
+        assert sum(w.stats.requests for w in svc.workers) == submitted
+        assert svc._dead[1] and sum(svc.failovers) >= 1
+        assert sum(svc.groups_routed) > 0
+        assert sum(w.stats.fault_events for w in svc.workers) > 0
+        for w in svc.workers:
+            stats = w.stats
+            assert stats.launches.walks == 0
+            launches = list(stats.launches)
+            assert stats.device_ns == _fold(r.device_ns for r in launches)
+            assert stats.n_elements == _fold(r.n_elements for r in launches)
+            assert stats.coalesced_requests == _fold(
+                r.requests for r in launches if r.kind == "batched"
+            )
+        assert sum(svc.busy_ns) == pytest.approx(
+            sum(w.stats.device_ns for w in svc.workers), rel=1e-12
+        )
 
     def test_dead_member_excluded_from_routing(self):
         pool = _chaos_pool(dev1=FaultPlan(die_at_launch=0))
