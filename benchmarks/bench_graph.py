@@ -113,7 +113,6 @@ def bench_llm_sample_serving() -> dict:
         kind: {"launches": count, "device_us": ns / 1e3}
         for kind, (count, ns) in sorted(svc.stats.op_device_ns.items())
     }
-    svc.shutdown()
     return {
         "vocab": VOCAB,
         "k": K,
@@ -199,7 +198,6 @@ def bench_chaos_identity() -> dict:
                 "retries": sum(w.stats.total_retries for w in workers),
             }
         )
-        svc.shutdown()
     return {"transient_rate": 0.2, "points": points}
 
 

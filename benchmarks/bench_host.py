@@ -1,26 +1,19 @@
-"""Host-path raw speed: vectorized group numerics, warm-up, pool scaling.
+"""Host-path raw speed: vectorized group numerics, warm-up, pool curve.
 
-Asserts the host-path performance model (DESIGN 2.11):
+Asserts the serial host-path performance model (DESIGN 2.11):
 
 * **vectorized group numerics** — serving a 64 x 8K same-shape batch
-  through the service's one stacked NumPy pass (plus row-chunked
-  parallel numerics) beats a per-request cached-plan ``execute`` loop.
-  The >= 3x bar needs cores for the row chunks to land on, so it is
-  asserted on >= 4-CPU hosts (CI runners); single-core hosts still must
-  clear the serial vectorization win.
-* **parallel warm-up** — tuning a workload list over a 4-process pool is
-  faster than the serial sweep (asserted wherever a second CPU exists).
+  through the service's one stacked NumPy pass beats a per-request
+  cached-plan ``execute`` loop by >= 1.2x.
 * **serve-mix warm-up win** — a warmed service (plans prebuilt, store
   tuned) serves the steady-state mix >= 3x faster than a cold service
-  that pays its plan builds inline.  Plan tracing dominates the cold
-  path, so this bar holds at any core count.
-* **pool host scaling** — PoolScanService wall-clock vs member count
-  D in {1, 2, 4, 8}, serial executor vs ``parallel=4``, recorded as the
-  scaling curve; with >= 4 CPUs the parallel executor must not lose to
-  serial at D >= 4.
+  that pays its plan builds inline, with zero inline builds.  Plan
+  tracing dominates the cold path, so this bar holds at any core count.
+* **pool host curve** — PoolScanService flush wall-clock vs member count
+  D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.
 
-Results (including ``host_cpus`` — the bars above depend on it) are
-committed to ``results/BENCH_host.json``.
+Results (including ``host_cpus``) are committed to
+``results/BENCH_host.json``.
 """
 
 import os
@@ -34,7 +27,7 @@ from repro.hw.config import ASCEND_910B4, toy_config
 from repro.serve import PlanCache, ScanService
 from repro.shard import PoolScanService
 from repro.core.api import ScanContext
-from repro.tune import TuneStore, WorkloadKey, warm_service, warm_tune_store
+from repro.tune import WorkloadKey, warm_service
 
 HOST_CPUS = os.cpu_count() or 1
 
@@ -58,7 +51,7 @@ def _rows(batch: int = BATCH, row_len: int = ROW_LEN) -> "list[np.ndarray]":
     ]
 
 
-def bench_vectorized_numerics(parallel: int = 4) -> dict:
+def bench_vectorized_numerics() -> dict:
     """Per-request cached-plan execute loop vs the service's stacked pass.
 
     Both sides use the serving defaults (s=128).  The per-request loop is
@@ -66,8 +59,7 @@ def bench_vectorized_numerics(parallel: int = 4) -> dict:
     (replay + its own padded numerics pass) per request — and the 1-D
     layout pads each 8K row to 16K, where the batched layout's tiling
     keeps the row at 8K.  The service side coalesces the 64 submissions
-    into one launch and one stacked NumPy pass, row-chunked across the
-    host executor when ``parallel`` workers are available.
+    into one launch and one stacked NumPy pass.
     """
     xs = _rows()
 
@@ -82,59 +74,21 @@ def bench_vectorized_numerics(parallel: int = 4) -> dict:
     per_request()  # warm (timeline memoization)
     per_request_s = _best_of(per_request)
 
-    def service_pass(svc):
+    svc = ScanService(config=ASCEND_910B4, max_batch=BATCH)
+
+    def service_pass():
         for x in xs:
             svc.submit(x)
         svc.flush()
 
-    results = {"per_request_ms": per_request_s * 1e3}
-    for label, workers in (("serial", None), ("parallel", parallel)):
-        svc = ScanService(
-            config=ASCEND_910B4, max_batch=BATCH, parallel=workers
-        )
-        service_pass(svc)  # warm: builds the batched plan
-        seconds = _best_of(lambda: service_pass(svc))
-        results[f"vectorized_{label}_ms"] = seconds * 1e3
-        results[f"speedup_{label}"] = per_request_s / seconds
-        svc.shutdown()
-    results.update(batch=BATCH, row_len=ROW_LEN, parallel_workers=parallel)
-    return results
-
-
-_WARM_WORKLOADS = [
-    WorkloadKey("1d", 4096, "fp16"),
-    WorkloadKey("1d", 2048, "int8"),
-    WorkloadKey("1d", 1024, "fp16", exclusive=True),
-    WorkloadKey("1d", 16384, "fp16"),
-    WorkloadKey("1d", 8192, "int8"),
-    WorkloadKey("batched", 256, "fp16", batch=8),
-    WorkloadKey("batched", 1024, "int8", batch=4),
-    WorkloadKey("batched", 512, "fp16", batch=16),
-]
-
-
-def bench_parallel_warmup(workers: int = 4) -> dict:
-    """Serial vs multi-process tuned-store warm-up over one workload list."""
-    cfg = toy_config()
-
-    t0 = time.perf_counter()
-    serial_store = TuneStore(cfg)
-    warm_tune_store(_WARM_WORKLOADS, serial_store, workers=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel_store = TuneStore(cfg)
-    report = warm_tune_store(_WARM_WORKLOADS, parallel_store, workers=workers)
-    parallel_s = time.perf_counter() - t0
-
-    assert parallel_store.entries == serial_store.entries
+    service_pass()  # warm: builds the batched plan
+    seconds = _best_of(service_pass)
     return {
-        "workloads": len(_WARM_WORKLOADS),
-        "workers": report.workers,
-        "serial_ms": serial_s * 1e3,
-        "parallel_ms": parallel_s * 1e3,
-        "speedup": serial_s / parallel_s,
-        "identical_stores": True,
+        "per_request_ms": per_request_s * 1e3,
+        "vectorized_ms": seconds * 1e3,
+        "speedup": per_request_s / seconds,
+        "batch": BATCH,
+        "row_len": ROW_LEN,
     }
 
 
@@ -157,21 +111,19 @@ def _serve_mix(svc) -> None:
     svc.flush()
 
 
-def bench_serve_mix_warmup(parallel: int = 4) -> dict:
+def bench_serve_mix_warmup() -> dict:
     """Cold service (inline plan builds) vs warmed service, same mix."""
     t0 = time.perf_counter()
     cold = ScanService(config=ASCEND_910B4, max_batch=8)
     _serve_mix(cold)
     cold_s = time.perf_counter() - t0
     cold_builds = cold.cache.misses
-    cold.shutdown()
 
-    warm = ScanService(config=ASCEND_910B4, max_batch=8, parallel=parallel)
+    warm = ScanService(config=ASCEND_910B4, max_batch=8)
     built = warm_service(warm, _MIX_WORKLOADS, buckets=(8,))
     _serve_mix(warm)  # steady state from the first request
     warm_s = _best_of(lambda: _serve_mix(warm))
     inline_builds = warm.cache.misses - built
-    warm.shutdown()
 
     return {
         "mix_requests": 8 * len(_MIX_WORKLOADS),
@@ -183,8 +135,8 @@ def bench_serve_mix_warmup(parallel: int = 4) -> dict:
     }
 
 
-def bench_pool_scaling(parallel: int = 4) -> dict:
-    """Pool flush wall-clock vs member count, serial vs parallel executor."""
+def bench_pool_scaling() -> dict:
+    """Pool flush wall-clock vs member count."""
     rng = np.random.default_rng(31)
     fp16 = [
         (rng.integers(-2, 3, 32768)).astype(np.float16) for _ in range(24)
@@ -210,26 +162,18 @@ def bench_pool_scaling(parallel: int = 4) -> dict:
 
     curve = []
     for devices in (1, 2, 4, 8):
-        point = {"devices": devices}
-        for label, workers in (("serial", None), ("parallel", parallel)):
-            svc = PoolScanService(
-                devices, config=toy_config(), parallel=workers
-            )
-            warm_to_steady_state(svc)
-            point[f"{label}_ms"] = _best_of(lambda: mix(svc)) * 1e3
-            svc.shutdown()
-        point["parallel_over_serial"] = (
-            point["serial_ms"] / point["parallel_ms"]
+        svc = PoolScanService(devices, config=toy_config())
+        warm_to_steady_state(svc)
+        curve.append(
+            {"devices": devices, "ms": _best_of(lambda: mix(svc)) * 1e3}
         )
-        curve.append(point)
-    return {"parallel_workers": parallel, "curve": curve}
+    return {"curve": curve}
 
 
 def test_host_path(benchmark, results_dir):
     def run_all():
         return {
             "vectorized": bench_vectorized_numerics(),
-            "warmup": bench_parallel_warmup(),
             "serve_mix": bench_serve_mix_warmup(),
             "pool": bench_pool_scaling(),
         }
@@ -238,7 +182,6 @@ def test_host_path(benchmark, results_dir):
     report["host_cpus"] = HOST_CPUS
 
     vec = report["vectorized"]
-    warm = report["warmup"]
     mix = report["serve_mix"]
     pool = report["pool"]
 
@@ -247,17 +190,8 @@ def test_host_path(benchmark, results_dir):
         "",
         f"vectorized numerics ({vec['batch']} x {vec['row_len']} fp16):",
         f"  per-request execute loop : {vec['per_request_ms']:8.2f} ms",
-        f"  stacked, serial executor : {vec['vectorized_serial_ms']:8.2f} ms "
-        f"({vec['speedup_serial']:.2f}x)",
-        f"  stacked, {vec['parallel_workers']} workers      : "
-        f"{vec['vectorized_parallel_ms']:8.2f} ms "
-        f"({vec['speedup_parallel']:.2f}x)",
-        "",
-        f"parallel warm-up ({warm['workloads']} workloads, "
-        f"{warm['workers']} procs):",
-        f"  serial sweep   : {warm['serial_ms']:8.0f} ms",
-        f"  process pool   : {warm['parallel_ms']:8.0f} ms "
-        f"({warm['speedup']:.2f}x, stores identical)",
+        f"  one stacked pass         : {vec['vectorized_ms']:8.2f} ms "
+        f"({vec['speedup']:.2f}x)",
         "",
         f"serve mix, cold vs warmed ({mix['mix_requests']} requests):",
         f"  cold (inline builds x{mix['cold_plan_builds']}) : "
@@ -265,14 +199,10 @@ def test_host_path(benchmark, results_dir):
         f"  warmed (inline builds x{mix['warmed_inline_builds']}) : "
         f"{mix['warmed_ms']:8.1f} ms ({mix['speedup']:.1f}x)",
         "",
-        "pool host wall-clock vs D (serial / parallel executor):",
+        "pool host wall-clock vs D:",
     ]
     for point in pool["curve"]:
-        lines.append(
-            f"  D={point['devices']}: {point['serial_ms']:7.2f} ms / "
-            f"{point['parallel_ms']:7.2f} ms "
-            f"({point['parallel_over_serial']:.2f}x)"
-        )
+        lines.append(f"  D={point['devices']}: {point['ms']:7.2f} ms")
     text = "\n".join(lines)
     print()
     print(text)
@@ -281,18 +211,9 @@ def test_host_path(benchmark, results_dir):
         results_dir, "host", {"schema": 1, "benchmark": "host", **report}
     )
 
-    # -- bars (CPU-guarded: thread/process wins need cores to land on) ------
+    # -- bars ---------------------------------------------------------------
     # warm-up eliminating inline plan builds is core-count independent
     assert mix["warmed_inline_builds"] == 0
     assert mix["speedup"] >= 3.0
-    # vectorization wins serially (one stacked pass vs 64 padded passes);
-    # the full 3x additionally needs parallel numerics chunks -> cores
-    assert vec["speedup_serial"] >= 1.2
-    if HOST_CPUS >= 4:
-        assert vec["speedup_parallel"] >= 3.0
-    if HOST_CPUS >= 2:
-        assert warm["speedup"] > 1.0
-    if HOST_CPUS >= 4:
-        for point in pool["curve"]:
-            if point["devices"] >= 4:
-                assert point["parallel_ms"] <= point["serial_ms"]
+    # vectorization wins serially (one stacked pass vs 64 padded passes)
+    assert vec["speedup"] >= 1.2

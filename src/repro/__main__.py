@@ -719,12 +719,11 @@ def cmd_traffic(args) -> int:
     return 0
 
 
-def _fuzz_smoke(parallel: "int | None" = None) -> int:
+def _fuzz_smoke() -> int:
     """CI self-check for the schedule fuzzer: a short seed sweep over the
     full workload matrix holds every invariant, the pinned seed corpus
-    replays clean, a recorded decision trace replays deterministically,
-    and host-executor parallelism is invisible (same seed, serial vs
-    parallel, produces the identical decision trace)."""
+    replays clean, and a recorded decision trace replays
+    deterministically."""
     from .verify import WORKLOAD_MATRIX, replay_corpus, run_fuzz, run_seed
 
     failures = []
@@ -734,11 +733,10 @@ def _fuzz_smoke(parallel: "int | None" = None) -> int:
         if not cond:
             failures.append(msg)
 
-    mode = f" (parallel={parallel})" if parallel else ""
-    report = run_fuzz(seeds=50, parallel=parallel)
+    report = run_fuzz(seeds=50)
     check(
         report.ok and report.seeds_run == 50,
-        f"50 fuzz seeds over {len(report.per_spec)} workloads{mode}: "
+        f"50 fuzz seeds over {len(report.per_spec)} workloads: "
         f"{report.served} requests served, {report.decisions} schedule "
         f"decisions, {report.flush_faults} flush-level faults absorbed",
     )
@@ -762,19 +760,6 @@ def _fuzz_smoke(parallel: "int | None" = None) -> int:
         f"deterministically",
     )
 
-    faulty = next(s for s in WORKLOAD_MATRIX if s.transient)
-    serial = run_seed(faulty, 5, parallel=0)
-    threaded = run_seed(faulty, 5, parallel=parallel or 3)
-    check(
-        serial.ok
-        and threaded.ok
-        and serial.trace == threaded.trace
-        and serial.served == threaded.served,
-        f"parallel numerics invisible on {faulty.name}: serial and "
-        f"{parallel or 3}-worker runs share one decision trace "
-        f"({len(serial.trace)} decisions, {serial.served} served)",
-    )
-
     if failures:
         print(f"\nfuzz smoke: {len(failures)} check(s) failed")
         return 1
@@ -795,7 +780,7 @@ def cmd_fuzz(args) -> int:
     )
 
     if args.smoke:
-        return _fuzz_smoke(args.parallel)
+        return _fuzz_smoke()
 
     specs = list(WORKLOAD_MATRIX)
     if args.spec:
@@ -807,7 +792,7 @@ def cmd_fuzz(args) -> int:
 
     if args.replay is not None:
         spec = specs[0] if args.spec else WORKLOAD_MATRIX[0]
-        result = run_seed(spec, args.replay, parallel=args.parallel)
+        result = run_seed(spec, args.replay)
         print(f"seed {args.replay} on {spec.describe()}")
         print(f"  {len(result.trace)} decisions, {result.served} requests "
               f"served, {result.flush_faults} flush-level faults")
@@ -839,7 +824,6 @@ def cmd_fuzz(args) -> int:
         seeds=args.seeds,
         shrink=not args.no_shrink,
         progress=progress,
-        parallel=args.parallel,
     )
     print(report.describe())
     if args.save_failures and report.failures:
@@ -1347,11 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write failing seeds + traces as JSON repro bundles")
     pf.add_argument("--smoke", action="store_true",
                     help="CI self-check: 50-seed sweep, corpus replay, "
-                    "deterministic trace replay, parallel invisibility")
-    pf.add_argument("--parallel", type=int, default=None, metavar="N",
-                    help="host-executor workers for pool numerics on every "
-                    "seed (default: each workload's own setting; results "
-                    "must be identical at any N)")
+                    "deterministic trace replay")
     pf.set_defaults(fn=cmd_fuzz)
 
     pg = sub.add_parser(

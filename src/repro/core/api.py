@@ -331,9 +331,9 @@ class ScanPlan:
         independent halves: the schedule-facing replay (fault injection,
         memoized timeline, per-device launch accounting — this method) and
         the pure functional numerics, which can then run stacked across a
-        whole launch group (:mod:`repro.serve.numerics`) or on a host
-        executor thread.  Counts as one execution, exactly like
-        :meth:`execute`, and returns the :class:`~repro.hw.trace.Trace`.
+        whole launch group (:mod:`repro.serve.numerics`).  Counts as one
+        execution, exactly like :meth:`execute`, and returns the
+        :class:`~repro.hw.trace.Trace`.
         """
         if self.released:
             raise KernelError(

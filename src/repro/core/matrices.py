@@ -120,18 +120,15 @@ class _HostConstantStore:
     """Explicit shared read-only store of host constant matrices.
 
     This used to be a bare ``functools.lru_cache``, which has two problems
-    once warm-up runs concurrently: its hit/miss counters race under
-    threads, and — more importantly — nothing re-checks that the cached
-    arrays are *still* frozen when handed out, so one caller flipping
-    ``writeable`` back on would silently corrupt the constants every other
-    device uploads from then on.  The explicit store takes a lock around
+    once callers share it across threads: its hit/miss counters race, and
+    — more importantly — nothing re-checks that the cached arrays are
+    *still* frozen when handed out, so one caller flipping ``writeable``
+    back on would silently corrupt the constants every other device
+    uploads from then on.  The explicit store takes a lock around
     materialisation (one NumPy build per ``(s, rows, dtype)`` even when
-    several warm-up threads race to it) and re-asserts read-onlyness on
+    several threads race to it) and re-asserts read-onlyness on
     **every** access, so a corrupted entry fails loudly at the next use
     instead of poisoning later kernels.
-
-    Process-pool warm-up workers (fork) inherit a populated store; that is
-    safe precisely because entries are immutable — workers can only read.
     """
 
     def __init__(self) -> None:

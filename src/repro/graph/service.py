@@ -8,8 +8,8 @@ lowered-program signature — shaped like a
 :class:`~repro.serve.plan.PlanKey` with ``batch=None`` so graph groups
 pass through the batcher whole.  :class:`GraphTicket` extends
 :class:`~repro.serve.service.ScanTicket`: ``values`` holds the tuple of
-output arrays in ``graph.outputs`` order (oracle numerics, resolved by
-the same deferred-executor machinery as scan numerics).
+output arrays in ``graph.outputs`` order (oracle numerics, computed
+inline right after the request's replay succeeds).
 
 The canned graphs are the repo's two first-class graph workloads:
 :func:`llm_sample` (top-k → top-p nucleus sampling, the
@@ -225,10 +225,10 @@ def oracle_outputs(
 
 def graph_oracle_job(
     graph: Graph, inputs: "dict[str, np.ndarray]", params: "dict | None"
-) -> "tuple[list, float]":
-    """Deferred-executor job shape for graph numerics: returns
-    ``([outputs], seconds)`` so ``ScanService.resolve_deferred`` can
-    treat a graph request as a one-row numerics chunk."""
+) -> "tuple[tuple[np.ndarray, ...], float]":
+    """One served graph request's numerics: returns ``(outputs,
+    seconds)``, the oracle outputs and the host time they took (charged
+    to the service's ``numerics`` phase)."""
     t0 = time.perf_counter()
     outputs = graph.run_oracle(inputs, params)
-    return [outputs], time.perf_counter() - t0
+    return outputs, time.perf_counter() - t0

@@ -17,7 +17,6 @@ operator integration would use in steady state:
 """
 
 from .batcher import LaunchGroup, RequestBatcher, ScanRequest, bucket_size
-from .executor import HostExecutor, HostJob
 from .numerics import assemble_rows, group_scan_values
 from .plan import PlanCache, PlanKey
 from .resilience import DEAD, DEGRADED, HEALTHY, MemberHealth, RetryPolicy
@@ -45,8 +44,6 @@ __all__ = [
     "ServiceStats",
     "LaunchRecord",
     "HOST_PHASES",
-    "HostExecutor",
-    "HostJob",
     "assemble_rows",
     "group_scan_values",
     "RetryPolicy",

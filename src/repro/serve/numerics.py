@@ -12,16 +12,14 @@ the differential suite in ``tests/serve/test_numerics.py`` pins this
 across dtype × exclusive × ragged group shapes.
 
 Functions here are *pure* (input arrays → output arrays): they touch no
-device, no schedule controller and no shared mutable state, which is what
-lets the serve layer defer them onto a :class:`~repro.serve.executor.
-HostExecutor` thread (NumPy releases the GIL on large array kernels)
-without affecting schedule determinism.
+device, no schedule controller and no shared mutable state, so the serve
+layer's schedule depends only on the timeline replay half of a launch.
 
 Casting note: ``np.cumsum(x16, dtype=np.float32)`` (buffered cast-and-add)
 and ``np.cumsum(x16.astype(np.float32))`` perform the identical fp32
 addition sequence — the fp16→fp32 cast is exact — so the explicit up-front
 cast used here is bit-identical while keeping the accumulate loop
-unbuffered (measurably faster and GIL-friendlier).
+unbuffered (measurably faster).
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ def group_scan_values(
     Returns ``(values, host_s)`` where ``values[i]`` is the length-``n_i``
     scan of ``xs[i]`` — bit-identical to running ``plan_compute`` on each
     request separately — and ``host_s`` is the wall time the numerics
-    took (attributed to the service's ``numerics`` host phase; when the
-    pass ran on an executor thread these seconds overlap other phases).
+    took (attributed to the service's ``numerics`` host phase).
     """
     t0 = time.perf_counter()
     width = max(x.size for x in xs)

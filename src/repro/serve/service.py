@@ -10,12 +10,10 @@ per-request path), scatters results back onto the tickets, and records
 per-request host latency plus per-launch simulated throughput.
 
 Each launch is split into its two independent halves: the schedule-facing
-timeline replay (fault injection, retries, busy-time accounting — always
-on the calling thread, in deterministic order) and the pure functional
-numerics, which are deferred as jobs on a
-:class:`~repro.serve.executor.HostExecutor` and joined before ``flush``
-returns.  With ``parallel=`` workers the numerics run on pool threads —
-results and schedules stay bit-identical because the jobs are pure.
+timeline replay (fault injection, retries, busy-time accounting) and the
+pure functional numerics.  Both run serially on the calling thread, in
+deterministic order; a ticket gets its values and is finished as soon as
+the launch that serves it succeeds.
 
 This mirrors how an inference-serving integration drives the paper's
 operators: shapes recur, so tracing cost is paid once per shape class and
@@ -33,7 +31,6 @@ from ..core.api import ScanContext, ScanPlan
 from ..errors import DeviceFault, KernelError, ShapeError
 from ..hw.config import ASCEND_910B4, DeviceConfig
 from .batcher import LaunchGroup, RequestBatcher, ScanRequest
-from .executor import HostExecutor, HostJob
 from .numerics import group_scan_values
 from .plan import PlanCache
 from .resilience import RetryPolicy
@@ -145,27 +142,9 @@ class ScanService:
         tune_store=None,
         retry: "RetryPolicy | None" = None,
         controller=None,
-        parallel: "int | None" = None,
-        executor: "HostExecutor | None" = None,
         graph_fusion: str = "conservative",
     ):
         self.ctx = ctx if ctx is not None else ScanContext(config)
-        #: host executor the group numerics jobs run on — shared when the
-        #: pool front end hands one in, owned (and built from ``parallel``)
-        #: otherwise.  Parallelism here is invisible to results and
-        #: schedules: only pure NumPy passes are deferred.
-        if executor is not None:
-            self.executor = executor
-            self._owns_executor = False
-        else:
-            self.executor = HostExecutor(parallel)
-            self._owns_executor = True
-        #: pending (numerics job, rows-to-finish) pairs; joined by
-        #: :meth:`resolve_deferred` at the end of every flush (or by the
-        #: pool front end, after every member flushed, when it set
-        #: ``_defer_external`` for cross-member overlap)
-        self._deferred: "list[tuple[HostJob, list]]" = []
-        self._defer_external = False
         #: bounded-retry discipline for transient DeviceFaults
         self.retry = retry if retry is not None else RetryPolicy()
         #: EWMA of served launch time (incl. stretch + backoff) over the
@@ -421,49 +400,19 @@ class ScanService:
         """
         groups = self.batcher.drain()
         completed: list[ScanTicket] = []
-        try:
-            for gi, group in enumerate(groups):
-                try:
-                    if group.graph:
-                        completed.extend(self._serve_graph(group))
-                    elif group.batched:
-                        completed.extend(self._serve_batched(group))
-                    else:
-                        completed.extend(self._serve_singles(group))
-                except Exception:
-                    for later in groups[gi + 1 :]:
-                        self._requeue(later.requests)
-                    raise
-        except Exception:
-            # tickets whose launch already succeeded must still get their
-            # values before the fault propagates — failover (the pool's
-            # recall) keys off ``ticket.done``
-            self.resolve_deferred()
-            raise
-        if not self._defer_external:
-            self.resolve_deferred()
+        for gi, group in enumerate(groups):
+            try:
+                if group.graph:
+                    completed.extend(self._serve_graph(group))
+                elif group.batched:
+                    completed.extend(self._serve_batched(group))
+                else:
+                    completed.extend(self._serve_singles(group))
+            except Exception:
+                for later in groups[gi + 1 :]:
+                    self._requeue(later.requests)
+                raise
         return _sorted_by_submit_sequence(completed)
-
-    def resolve_deferred(self) -> None:
-        """Join every pending numerics job and finish its tickets.
-
-        Called at the end of every flush (and on the fault path before the
-        exception propagates).  Under an external owner — the pool front
-        end defers resolution across members so their numerics overlap —
-        this runs once after all members flushed.  Idempotent."""
-        deferred, self._deferred = self._deferred, []
-        for job, rows in deferred:
-            values, numerics_s = job.result()
-            self.stats.add_phase("numerics", numerics_s)
-            for local_i, ticket, req in rows:
-                ticket.values = values[local_i]
-                self._finish(ticket, req)
-
-    def shutdown(self) -> None:
-        """Join pending numerics and release owned executor threads."""
-        self.resolve_deferred()
-        if self._owns_executor:
-            self.executor.shutdown()
 
     def _requeue(self, requests: "list[ScanRequest]") -> None:
         """Put unserved requests back on the queue (tickets stay tracked)."""
@@ -485,10 +434,9 @@ class ScanService:
         Every fault (served or not) is counted in ``stats.fault_events``.
 
         This is the schedule-bearing half of a launch (fault draws,
-        slowdown EWMA, simulated time) and always runs on the calling
-        thread; the numerics half is deferred separately, and the caller
-        charges the host time to the ``timeline`` phase.  Graph requests
-        call this once per captured kernel, so a transient fault
+        slowdown EWMA, simulated time); the caller computes the numerics
+        half and charges this host time to the ``timeline`` phase.  Graph
+        requests call this once per captured kernel, so a transient fault
         relaunches only the kernel it hit, not the whole multi-node
         replay (the numerics are oracle-computed, so a replayed prefix has
         no side effects to undo).
@@ -552,63 +500,28 @@ class ScanService:
             self.stats.add_phase("trace", time.perf_counter() - t0)
         return plan, hit
 
-    def _finish(self, ticket: ScanTicket, req: ScanRequest) -> None:
+    def _finish(self, ticket: ScanTicket, req: ScanRequest, values) -> None:
+        ticket.values = values
         ticket.done = True
         ticket.host_s = time.perf_counter() - req.t_submit
         self.stats.record_request(ticket.host_s)
 
-    def _submit_numerics(
-        self,
-        xs: "list[np.ndarray]",
-        *,
-        algorithm: str,
-        in_dtype,
-        exclusive: bool,
-    ) -> "list[tuple[int, tuple[HostJob, list]]]":
-        """Start the group's stacked numerics, split into row chunks when
-        the executor is parallel.  Returns ``(chunk_lo, deferred_entry)``
-        pairs; :meth:`_defer_row` routes each served row to its chunk.
-
-        Chunking is by row index, so the split — and therefore every
-        result bit — is independent of worker count and thread timing.
-        """
-        chunks = self.executor.chunk_count(len(xs))
-        size = -(-len(xs) // chunks)
-        entries = []
-        for lo in range(0, len(xs), size):
-            job = self.executor.submit(
-                group_scan_values,
-                xs[lo : lo + size],
-                algorithm=algorithm,
-                in_dtype=in_dtype,
-                exclusive=exclusive,
-            )
-            entry = (job, [])
-            self._deferred.append(entry)
-            entries.append((lo, entry))
-        return entries
-
-    def _defer_row(
-        self, entries, i: int, ticket: ScanTicket, req: ScanRequest
-    ) -> None:
-        """Mark group row ``i`` for resolution once its chunk's job joins."""
-        for lo, entry in reversed(entries):
-            if lo <= i:
-                entry[1].append((i - lo, ticket, req))
-                return
-        raise KernelError(f"row {i} matches no numerics chunk")
+    def _group_numerics(
+        self, requests, *, algorithm: str, in_dtype, exclusive: bool
+    ) -> "list[np.ndarray]":
+        """The group's numerics in one stacked pass, timed into the
+        ``numerics`` phase."""
+        values, seconds = group_scan_values(
+            [req.x for req in requests],
+            algorithm=algorithm,
+            in_dtype=in_dtype,
+            exclusive=exclusive,
+        )
+        self.stats.add_phase("numerics", seconds)
+        return values
 
     def _serve_batched(self, group: LaunchGroup) -> "list[ScanTicket]":
         plan, hit = self._get_plan(group)
-        # numerics are pure, so they start before the replay and overlap it
-        # under a parallel executor; a terminal fault below simply leaves
-        # the job's rows unclaimed (the requests go back on the queue)
-        entries = self._submit_numerics(
-            [req.x for req in group.requests],
-            algorithm=plan.algorithm,
-            in_dtype=plan.in_dtype,
-            exclusive=False,
-        )
         hits_before = plan.timeline_hits
         # a fault puts the whole group back on the queue
         trace, retries, faults, backoff_ns = self._replay_plan(
@@ -633,8 +546,14 @@ class ScanService:
                 backoff_ns=backoff_ns,
             )
         )
+        values = self._group_numerics(
+            group.requests,
+            algorithm=plan.algorithm,
+            in_dtype=plan.in_dtype,
+            exclusive=False,
+        )
         tickets = []
-        for i, req in enumerate(group.requests):
+        for req, row in zip(group.requests, values):
             # pop only after the launch succeeded: a fault above leaves
             # every ticket of the group pending, not silently dropped
             ticket = self._tickets.pop(req.req_id)
@@ -644,7 +563,7 @@ class ScanService:
             ticket.batch_size = len(group.requests)
             ticket.retries += retries
             ticket.faults += faults
-            self._defer_row(entries, i, ticket, req)
+            self._finish(ticket, req, row)
             tickets.append(ticket)
         return tickets
 
@@ -654,8 +573,8 @@ class ScanService:
         # numerics ride one stacked pass; each request still gets its own
         # launch — its own replay, fault draws and simulated time
         key = group.key
-        entries = self._submit_numerics(
-            [req.x for req in group.requests],
+        values = self._group_numerics(
+            group.requests,
             algorithm=key.algorithm,
             in_dtype=self.ctx._as_plan_dtype(key.dtype),
             exclusive=key.exclusive,
@@ -697,15 +616,15 @@ class ScanService:
             ticket.plan_hit = hit
             ticket.retries += retries
             ticket.faults += faults
-            self._defer_row(entries, idx, ticket, req)
+            self._finish(ticket, req, values[idx])
             tickets.append(ticket)
         return tickets
 
     def _serve_graph(self, group: LaunchGroup) -> "list[ScanTicket]":
         """Serve a group of same-signature graph requests: lower once per
         shape class (cached), replay every node's captured programs per
-        request under the retry policy, defer oracle numerics, and record
-        per-op device/host breakdowns.
+        request under the retry policy, compute its oracle numerics, and
+        record per-op device/host breakdowns.
 
         Requests in a graph group share lowered programs but replay
         independently — each gets its own fault draws and simulated time,
@@ -795,10 +714,11 @@ class ScanService:
             ticket.faults += faults
             ticket.launches = launches
             ticket.batch_size = len(group.requests)
-            job = self.executor.submit(
-                graph_oracle_job, req.graph, req.inputs, req.params
+            outputs, seconds = graph_oracle_job(
+                req.graph, req.inputs, req.params
             )
-            self._deferred.append((job, [(0, ticket, req)]))
+            stats.add_phase("numerics", seconds)
+            self._finish(ticket, req, outputs)
             tickets.append(ticket)
         return tickets
 

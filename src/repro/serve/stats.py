@@ -57,9 +57,8 @@ class ServiceStats:
     #: failed (so this can exceed the sum of per-launch ``faults``)
     fault_events: int = 0
     #: accumulated host seconds per serving phase (see :data:`HOST_PHASES`).
-    #: Phases deferred onto executor threads report the seconds they ran,
-    #: which overlap other phases — the breakdown attributes work, it is
-    #: not a partition of wall-clock under ``parallel=``.
+    #: Every phase runs serially on the calling thread, so no two phases
+    #: overlap in wall-clock time.
     phase_host_s: "dict[str, float]" = field(default_factory=dict)
     #: op kind -> (replayed launches, summed simulated device ns) for
     #: graph traffic — the per-op dimension of the device-time breakdown

@@ -17,14 +17,9 @@ total logical elements over the pool **makespan** (the busiest member's
 simulated time): members run concurrently, so that is the simulated
 wall-clock of the whole mix.
 
-``parallel=`` adds *host-side* concurrency behind the same semantics:
-members share one :class:`~repro.serve.executor.HostExecutor`, every
-schedule-bearing step (drains, routing, fault draws, timeline replays,
-busy-time updates) stays serial on the calling thread in identical
-order, and only the pure stacked numerics run on pool threads — deferred
-across members and joined after the routing loop, so a D-member flush
-overlaps all members' NumPy passes.  Same seed, same oracle bits, same
-tickets, same simulated timeline, with or without workers.
+All host work — drains, routing, fault draws, timeline replays, numerics
+and busy-time updates — runs serially on the calling thread, so every
+ticket a member serves is finished before ``_dispatch`` returns.
 """
 
 from __future__ import annotations
@@ -33,10 +28,9 @@ import time
 
 import numpy as np
 
-from ..errors import DeviceFault
+from ..errors import ConfigError, DeviceFault
 from ..hw.config import ASCEND_910B4, DeviceConfig
 from ..serve.batcher import LaunchGroup, RequestBatcher, ScanRequest
-from ..serve.executor import HostExecutor
 from ..serve.resilience import (
     DEAD,
     DEGRADED,
@@ -76,6 +70,12 @@ class PoolScanService:
         parallel: "int | None" = None,
         graph_fusion: str = "conservative",
     ):
+        # serial only; ROADMAP item 6 drops the keyword
+        if parallel is not None:
+            raise ConfigError(
+                f"parallel={parallel!r}: the pool serves serially; "
+                f"pass parallel=None"
+            )
         self.pool = (
             pool
             if pool is not None
@@ -88,9 +88,6 @@ class PoolScanService:
         #: launch-group pick order (simulated member completion order),
         #: routing tie-breaks, and every member batcher's drain order
         self.controller = controller
-        #: shared host executor all members' numerics jobs run on;
-        #: ``parallel=None``/0/1 keeps everything inline on this thread
-        self.executor = HostExecutor(parallel)
         self.workers = [
             ScanService(
                 ctx,
@@ -102,7 +99,6 @@ class PoolScanService:
                 tune_store=self.tune_store,
                 retry=retry,
                 controller=controller,
-                executor=self.executor,
                 graph_fusion=graph_fusion,
             )
             for ctx in self.pool
@@ -271,11 +267,6 @@ class PoolScanService:
         queue = [(group, 0) for group in groups]
         completed: list[ScanTicket] = []
         busy_before = list(self.busy_ns)
-        # members leave their numerics jobs pending until every group is
-        # routed and replayed — with a parallel executor the whole pool's
-        # NumPy passes overlap this (serial, schedule-bearing) loop
-        for w in self.workers:
-            w._defer_external = True
         try:
             while queue:
                 # the schedule controller picks which queued group goes
@@ -298,11 +289,6 @@ class PoolScanService:
                         raise fault
                     queue.append((leftover, failovers + 1))
         finally:
-            t_resolve = time.perf_counter()
-            for w in self.workers:
-                w._defer_external = False
-                w.resolve_deferred()
-            self._member_host_s += time.perf_counter() - t_resolve
             member_s = self._member_host_s - member_s0
             self.routing_host_s += time.perf_counter() - t_flush - member_s
             # members served this flush concurrently; the round's span is
@@ -358,12 +344,6 @@ class PoolScanService:
         self.busy_ns[target] += worker.stats.device_ns - before
         self.groups_routed[target] += 1
         return completed, None, None
-
-    def shutdown(self) -> None:
-        """Join pending numerics and release the shared executor."""
-        for w in self.workers:
-            w.resolve_deferred()
-        self.executor.shutdown()
 
     def _recall(
         self,

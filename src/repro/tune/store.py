@@ -162,12 +162,10 @@ class TuneStore:
 
     @classmethod
     def from_payload(cls, payload: dict, config: DeviceConfig) -> "TuneStore":
-        """Rehydrate a store from :meth:`to_payload` output — the warm-up
-        path's shard transport (workers return payload dicts over the
-        process pool; the parent merges them).  Unlike :meth:`load`, which
-        tolerates stale files by returning an empty store, an in-memory
-        payload that does not match is a programming error and raises
-        :class:`~repro.errors.ConfigError` outright."""
+        """Rehydrate a store from :meth:`to_payload` output.  Unlike
+        :meth:`load`, which tolerates stale files by returning an empty
+        store, an in-memory payload that does not match is a programming
+        error and raises :class:`~repro.errors.ConfigError` outright."""
         store = cls(config)
         version = payload.get("version")
         if version != STORE_VERSION:

@@ -1,23 +1,18 @@
-"""Parallel fleet warm-up: pay tracing and tuning cost before serving.
+"""Fleet warm-up: pay tracing and tuning cost before serving.
 
 A cold :class:`~repro.serve.service.ScanService` pays two host costs the
 first time each shape class arrives: the tuner sweep (when a tuned store
 is attached but has no entry) and the plan build (the 49–80 ms Python
 kernel trace).  Both are pure functions of the device config and the
-workload key, so a fleet bring-up can pay them *up front* — and, because
-tuning runs on the simulator and touches no shared state, it can pay them
-on a **process pool**:
+workload key, so a fleet bring-up can pay them *up front*:
 
-* :func:`warm_tune_store` splits the untuned workloads round-robin across
-  worker processes; each worker tunes its slice into a private
-  :class:`~repro.tune.store.TuneStore` shard and ships the shard back as
-  a JSON payload; the parent merges the shards.  Merging is exact — the
-  tuner is deterministic per workload, so the merged store is
-  entry-for-entry identical to a serial sweep (the differential test in
-  ``tests/tune/test_warmup.py`` holds this).
+* :func:`warm_tune_store` tunes every workload the store lacks, each on a
+  fresh :class:`~repro.core.api.ScanContext`, so every entry is a pure
+  function of (config, workload) — independent of which workloads were
+  tuned before it (``tests/tune/test_warmup.py`` holds this).
 * :func:`warm_service` then prebuilds the plan cache of one service for
   those workloads (plans hold traced op DAGs and simulated device
-  allocations, so they are built in-process, per member).
+  allocations, so they are built per member).
 * :func:`warm_pool` does both for every member of a
   :class:`~repro.shard.PoolScanService` behind one call.
 
@@ -27,12 +22,11 @@ every launch is a plan-cache hit.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..hw.config import DeviceConfig
+from ..core.api import ScanContext
+from ..errors import ConfigError
 from .space import WorkloadKey
 from .store import TuneStore
 from .tuner import tune_workload
@@ -50,46 +44,25 @@ class WarmupReport:
     tuned: int = 0
     #: workloads skipped because the store already covered them
     skipped: int = 0
-    #: store keys added or improved by merging worker shards
-    merged: int = 0
-    #: worker processes used (1 = in-process serial)
-    workers: int = 1
     #: plans built into serve-layer caches (:func:`warm_service` only)
     plans_built: int = 0
     #: wall seconds for the whole pass
     host_s: float = 0.0
-    #: per-worker shard sizes, in worker order (serial pass: one entry)
-    shard_sizes: "list[int]" = field(default_factory=list)
 
     def describe(self) -> str:
         return (
             f"warm-up: {self.tuned} tuned / {self.skipped} cached of "
-            f"{self.requested} workloads on {self.workers} worker(s), "
+            f"{self.requested} workloads, "
             f"{self.plans_built} plans built, {self.host_s * 1e3:.0f} ms"
         )
 
 
-def _tune_shard(payload: "tuple[DeviceConfig, list[WorkloadKey]]") -> dict:
-    """Worker entry point: tune one slice of workloads into a store shard.
-
-    Module-level (picklable) and self-contained: no live objects cross the
-    process boundary — the shard travels back as a plain JSON payload.
-
-    Each workload gets a **fresh** :class:`~repro.core.api.ScanContext`.
-    Traced device times depend on GM allocation addresses, which depend on
-    what the context tuned before (cached constant matrices shift later
-    allocations), so tuning a slice on one shared context would make every
-    entry a function of the round-robin slice assignment.  A context per
-    workload makes each entry a pure function of (config, workload) — the
-    invariant that lets N merged shards equal one serial sweep exactly.
-    """
-    from ..core.api import ScanContext
-
-    config, workloads = payload
-    shard = TuneStore(config)
-    for workload in workloads:
-        tune_workload(ScanContext(config), workload, store=shard)
-    return shard.to_payload()
+def _check_serial(workers: "int | None") -> None:
+    # serial only; ROADMAP item 6 drops the keyword
+    if workers not in (None, 1):
+        raise ConfigError(
+            f"workers={workers!r}: warm-up runs serially; pass workers=1"
+        )
 
 
 def warm_tune_store(
@@ -99,45 +72,27 @@ def warm_tune_store(
     workers: "int | None" = None,
     log=None,
 ) -> WarmupReport:
-    """Tune every workload ``store`` lacks, fanning the sweeps out over
-    ``workers`` processes (default: the machine's CPU count).
+    """Tune every workload ``store`` lacks, in order, in-process.
 
-    Workloads are dealt round-robin so slow sweeps spread across workers;
-    each worker returns an independent store shard and the parent merges
-    them (strictly-better-wins, same-fingerprint-only).  ``workers <= 1``
-    — or a single pending workload — runs serially in-process, through the
-    same shard-and-merge path, so both modes produce identical stores.
+    Each workload gets a **fresh** :class:`~repro.core.api.ScanContext`.
+    Traced device times depend on GM allocation addresses, which depend on
+    what the context tuned before (cached constant matrices shift later
+    allocations), so tuning on one shared context would make every entry
+    a function of the workload order.  A context per workload makes each
+    entry a pure function of (config, workload).
     """
+    _check_serial(workers)
     say = log if log is not None else (lambda _msg: None)
     t0 = time.perf_counter()
     report = WarmupReport(requested=len(workloads))
     todo = [w for w in workloads if w.store_key not in store.entries]
     report.skipped = len(workloads) - len(todo)
-    if not todo:
-        report.host_s = time.perf_counter() - t0
-        return report
-
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(n_workers, len(todo)))
-    report.workers = n_workers
-    slices = [todo[i::n_workers] for i in range(n_workers)]
-
-    if n_workers == 1:
-        payloads = [_tune_shard((store.config, todo))]
-    else:
-        say(f"warming {len(todo)} workloads on {n_workers} processes")
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            payloads = list(
-                pool.map(_tune_shard, [(store.config, s) for s in slices])
-            )
-
-    for payload in payloads:
-        shard = TuneStore.from_payload(payload, store.config)
-        report.shard_sizes.append(len(shard))
-        report.merged += store.merge(shard)
+    for workload in todo:
+        tune_workload(ScanContext(store.config), workload, store=store)
     report.tuned = len(todo)
     report.host_s = time.perf_counter() - t0
-    say(report.describe())
+    if todo:
+        say(report.describe())
     return report
 
 
@@ -238,14 +193,15 @@ def warm_pool(
     workers: "int | None" = None,
     log=None,
 ) -> WarmupReport:
-    """Warm a whole device pool: one parallel tuning pass into the shared
-    store, then per-member plan prebuilds (plans are device state, so each
-    member traces its own — in-process, against its own simulated device).
+    """Warm a whole device pool: one tuning pass into the shared store,
+    then per-member plan prebuilds (plans are device state, so each member
+    traces its own, against its own simulated device).
     """
+    _check_serial(workers)
     t0 = time.perf_counter()
     store = pool_service.tune_store
     if store is not None:
-        report = warm_tune_store(workloads, store, workers=workers, log=log)
+        report = warm_tune_store(workloads, store, log=log)
     else:
         report = WarmupReport(requested=len(workloads))
     for member in pool_service.workers:

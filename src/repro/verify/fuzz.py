@@ -95,11 +95,6 @@ class WorkloadSpec:
     gm_budget: "int | None" = None
     #: mix in exclusive mcscan requests (1-D fallback path)
     exclusive_mix: bool = False
-    #: host-executor workers for the pool's numerics (0 = inline).  Results
-    #: must be schedule- and thread-timing independent, so a parallel cell
-    #: fuzzes exactly the same invariants as a serial one — any divergence
-    #: the executor introduces is a failing seed.
-    parallel: int = 0
     #: mix in operator-graph requests (llm_sample top-k -> top-p) with the
     #: raw scans, fuzzing the graph serving path's batching/failover
     graph_mix: bool = False
@@ -147,8 +142,6 @@ class WorkloadSpec:
             parts.append(f"gm_budget {self.gm_budget}")
         if self.exclusive_mix:
             parts.append("exclusive mix")
-        if self.parallel:
-            parts.append(f"parallel {self.parallel}")
         if self.graph_fused:
             parts.append("fused graphs")
         elif self.graph_mix:
@@ -242,14 +235,13 @@ WORKLOAD_MATRIX: "tuple[WorkloadSpec, ...]" = (
         exclusive_mix=True,
     ),
     WorkloadSpec(
-        name="parallel-mixed-d3",
+        name="transient-death-d3",
         num_devices=3,
         requests=10,
         flushes=3,
         transient=(0, 1),
         transient_rate=0.20,
         deaths=((2, 4),),
-        parallel=2,
     ),
     WorkloadSpec(
         name="graph-llm-d1",
@@ -274,7 +266,6 @@ WORKLOAD_MATRIX: "tuple[WorkloadSpec, ...]" = (
         flushes=2,
         transient=(0, 1),
         transient_rate=0.20,
-        parallel=2,
         graph_fused=True,
     ),
     WorkloadSpec(
@@ -502,7 +493,6 @@ def _run_traffic_seed(
                 violations.append(bad)
             break
 
-    svc.shutdown()
     return SeedResult(
         spec=spec.name,
         seed=seed,
@@ -518,29 +508,20 @@ def run_seed(
     seed: int,
     *,
     trace: "list[Decision] | None" = None,
-    parallel: "int | None" = None,
 ) -> SeedResult:
     """Run one fuzz seed (or replay its recorded ``trace``) and check
     every invariant.  Input data depends only on ``(FUZZ_SEED0, seed)``,
     never on schedule decisions, so a replayed trace sees identical
     requests.
-
-    ``parallel`` overrides the spec's host-executor worker count (None =
-    use the spec's).  Parallelism must be invisible — the same seed must
-    produce the same oracle bits, tickets and simulated timeline at any
-    worker count — so a parallel run is checked against exactly the same
-    invariants.
     """
     config = toy_config()
     controller = ScheduleController(seed, trace=trace)
     pool = DevicePool(spec.num_devices, config)
-    workers = parallel if parallel is not None else spec.parallel
     svc = PoolScanService(
         pool=pool,
         config=config,
         max_batch=8,
         gm_budget=spec.gm_budget,
-        parallel=workers or None,
         graph_fusion="aggressive" if spec.graph_fused else "conservative",
     )
     _warm(spec, svc)
@@ -660,7 +641,6 @@ def run_seed(
                 violations.append(bad)
             break
 
-    svc.shutdown()
     return SeedResult(
         spec=spec.name,
         seed=seed,
@@ -725,22 +705,19 @@ def run_fuzz(
     shrink: bool = True,
     max_failures: int = 5,
     progress=None,
-    parallel: "int | None" = None,
 ) -> FuzzReport:
     """Run ``seeds`` fuzz seeds round-robin over the workload matrix.
 
     Stops early after ``max_failures`` failing seeds (each failure costs
     a shrink, which replays the seed O(log + nonzero) times).
     ``progress`` is an optional ``f(done, total, failures)`` callback.
-    ``parallel`` forces a host-executor worker count on every seed
-    (None = each spec's own setting).
     """
     matrix = list(specs) if specs else list(WORKLOAD_MATRIX)
     report = FuzzReport(seeds_run=0)
     for i in range(seeds):
         spec = matrix[i % len(matrix)]
         try:
-            result = run_seed(spec, i, parallel=parallel)
+            result = run_seed(spec, i)
         except Exception as exc:  # a crashing schedule is a failing seed
             result = SeedResult(
                 spec=spec.name,

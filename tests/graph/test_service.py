@@ -59,7 +59,6 @@ class TestSingleService:
                     assert np.array_equal(g, w)
             else:
                 assert np.array_equal(t.values, want)
-        svc.shutdown()
 
     def test_ticket_result_before_flush_raises(self):
         svc = ScanService(config=toy_config())
@@ -76,7 +75,6 @@ class TestSingleService:
         assert t.nodes == 2
         assert t.launches >= 1
         assert t.algorithm == "graph"
-        svc.shutdown()
 
     def test_runtime_params_steer_the_served_draw(self):
         svc = ScanService(config=toy_config())
@@ -95,7 +93,6 @@ class TestSingleService:
             assert np.array_equal(t.result()[0], want[0])
             tokens.add(int(t.result()[0][0]))
         assert len(tokens) == 2  # theta actually reached the sampler
-        svc.shutdown()
 
     def test_plan_cache_reuses_programs_across_requests(self):
         svc = ScanService(config=toy_config())
@@ -116,7 +113,6 @@ class TestSingleService:
                          {"probs": _scores(rng, 160)})
         svc.flush()
         assert runner.cache.misses > misses  # new shape class lowers fresh
-        svc.shutdown()
 
     def test_per_op_breakdown_in_stats_and_summary(self):
         svc = ScanService(config=toy_config())
@@ -137,7 +133,6 @@ class TestSingleService:
         text = svc.stats.summary()
         assert "op breakdown" in text
         assert "top_p_sample" in text
-        svc.shutdown()
 
 
 class TestPoolChaos:
@@ -164,7 +159,6 @@ class TestPoolChaos:
             got = t.result()
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-        svc.shutdown()
 
     def test_dead_member_fails_over_without_losing_tickets(self):
         config = toy_config()
@@ -186,7 +180,6 @@ class TestPoolChaos:
             assert t.done
             for g, w in zip(t.result(), want):
                 assert np.array_equal(g, w)
-        svc.shutdown()
 
     def test_pool_shares_one_graph_runner(self):
         config = toy_config()
@@ -199,4 +192,3 @@ class TestPoolChaos:
         svc.flush()
         runners = {id(w.graph_runner) for w in svc.workers}
         assert len(runners) == 1  # lowered once, replayed anywhere
-        svc.shutdown()

@@ -97,7 +97,7 @@ class TestGroupScanBitIdentity:
 
 class TestServiceLevelBitIdentity:
     """The refactored service (stacked numerics) against the oracle and
-    against itself across batching and parallel modes."""
+    against itself across batching modes."""
 
     def _serve(self, rng, **kwargs):
         svc = ScanService(config=toy_config(), **kwargs)
@@ -110,9 +110,7 @@ class TestServiceLevelBitIdentity:
         x, _ = exact_fp16_scan_input(512, state)
         t = svc.submit(x, algorithm="mcscan", s=16, exclusive=True)
         inputs[t.req_id] = (x, "exclusive")
-        done = svc.flush()
-        svc.shutdown()
-        return inputs, done
+        return inputs, svc.flush()
 
     def _assert_oracle(self, inputs, done):
         assert len(done) == len(inputs)
@@ -141,11 +139,12 @@ class TestServiceLevelBitIdentity:
             assert a.req_id == b.req_id
             assert np.array_equal(a.result(), b.result())
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_serial_bit_identical(self, rng, workers):
-        _, serial = self._serve(rng, batching=True)
-        _, parallel = self._serve(rng, batching=True, parallel=workers)
-        for a, b in zip(serial, parallel):
+    @pytest.mark.parametrize("max_batch", [2, 4])
+    def test_repeat_serves_bit_identical(self, rng, max_batch):
+        inputs, first = self._serve(rng, max_batch=max_batch)
+        _, again = self._serve(rng, max_batch=max_batch)
+        self._assert_oracle(inputs, first)
+        for a, b in zip(first, again):
             assert a.req_id == b.req_id
             assert np.array_equal(a.result(), b.result())
             assert a.device_ns == b.device_ns

@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.reference import exclusive_scan, inclusive_scan
+from repro.core.reference import (
+    exact_fp16_scan_input,
+    exclusive_scan,
+    inclusive_scan,
+)
 from repro.errors import ShapeError
 from repro.hw.config import toy_config
+from repro.hw.faults import FaultPlan
 from repro.serve import ScanService, bucket_size
 from repro.serve.batcher import RequestBatcher
 
@@ -367,7 +372,6 @@ class TestSubmitSequenceOrdering:
         done = svc.flush()
         # and flush returns the mixed traffic in exactly submit order
         assert [t.req_id for t in done] == ids
-        svc.shutdown()
 
     def test_enqueue_rejects_duplicate_request_id(self, service):
         from repro.errors import KernelError
@@ -392,3 +396,52 @@ class TestSubmitSequenceOrdering:
         assert [x.req_id for x in out] == [0, 1, 2]
         with pytest.raises(KernelError, match="share request id"):
             _sorted_by_submit_sequence([t(1), t(0), t(1)])
+
+
+def _serve_seeded(*, faults=False, max_batch=64):
+    svc = ScanService(config=toy_config(), max_batch=max_batch)
+    if faults:
+        svc.ctx.device.fault_plan = FaultPlan(seed=11, transient_rate=0.3)
+    rng = np.random.default_rng(3)
+    inputs = {}
+    for _ in range(12):
+        x, _ = exact_fp16_scan_input(int(rng.choice((200, 256, 1000))), rng)
+        t = svc.submit(x, algorithm="scanu", s=16)
+        inputs[t.req_id] = x
+    return inputs, svc.flush(), svc.stats
+
+
+class TestSerialDeterminism:
+    """The host path is serial: the same seeded stream gives the same
+    values, simulated timeline and fault schedule on every run."""
+
+    @pytest.mark.parametrize("max_batch", [2, 4, 8])
+    def test_results_and_timeline_deterministic(self, max_batch):
+        inputs, first, s1 = _serve_seeded(max_batch=max_batch)
+        _, again, s2 = _serve_seeded(max_batch=max_batch)
+        assert [t.req_id for t in first] == [t.req_id for t in again]
+        for a, b in zip(first, again):
+            assert np.array_equal(a.result(), b.result())
+            assert a.result().dtype == b.result().dtype
+            assert a.device_ns == b.device_ns
+            assert a.batched == b.batched
+        assert s1.device_ns == s2.device_ns
+        for t in first:
+            assert np.array_equal(t.result(), inclusive_scan(inputs[t.req_id]))
+
+    def test_fault_schedule_deterministic(self):
+        _, first, s1 = _serve_seeded(faults=True)
+        _, again, s2 = _serve_seeded(faults=True)
+        assert s1.fault_events > 0
+        assert s1.fault_events == s2.fault_events
+        assert s1.total_retries == s2.total_retries
+        assert s1.total_backoff_ns == s2.total_backoff_ns
+        for a, b in zip(first, again):
+            assert a.retries == b.retries
+            assert np.array_equal(a.result(), b.result())
+
+    def test_phase_breakdown_present(self):
+        _, _, stats = _serve_seeded()
+        for phase in ("numerics", "timeline"):
+            assert stats.phase_host_s.get(phase, 0.0) > 0.0
+        assert stats.phase_line() is not None

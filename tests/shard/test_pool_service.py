@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
+from repro.errors import ConfigError
 from repro.hw.config import toy_config
+from repro.hw.faults import FaultPlan
 from repro.serve import DEAD
 from repro.shard import DevicePool, PoolScanService
 from repro.tune import TuneStore, WorkloadKey, ensure_tuned
@@ -263,3 +265,82 @@ class TestSharedTuning:
     def test_pool_devices_are_named(self):
         pool = DevicePool(3, toy_config())
         assert [d.name for d in pool.devices] == ["dev0", "dev1", "dev2"]
+
+
+def _run_pool(devices=3):
+    svc = PoolScanService(devices, config=toy_config())
+    rng = np.random.default_rng(5)
+    inputs = {}
+    for _ in range(10):
+        x, _ = exact_fp16_scan_input(4096, rng)
+        inputs[svc.submit(x).req_id] = x
+    for _ in range(6):
+        x = rng.integers(-20, 21, size=2048).astype(np.int8)
+        inputs[svc.submit(x, algorithm="scanul1", s=16).req_id] = x
+    done = svc.flush()
+    out = {
+        t.req_id: (t.result().tobytes(), t.device, t.device_ns)
+        for t in done
+    }
+    return inputs, out, svc
+
+
+class TestSerialHostPath:
+    """The pool does all host work serially: a member's tickets are
+    finished inside ``_dispatch``, and the serial-only keywords reject
+    anything else."""
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "death"])
+    def test_dispatch_returns_finished_tickets(self, rng, faulty):
+        svc = PoolScanService(3, config=toy_config(), max_batch=4)
+        if faulty:
+            svc.workers[0].ctx.device.fault_plan = FaultPlan(die_at_launch=1)
+        inputs = _submit_mix(svc, rng, fp16_reqs=10, int8_reqs=6)
+        real = svc._dispatch
+        returned = []
+
+        def checked(group, target):
+            served, leftover, fault = real(group, target)
+            # every ticket is done, with its values, when _dispatch returns
+            for ticket in served:
+                assert ticket.done
+                assert np.array_equal(
+                    ticket.result(), inclusive_scan(inputs[ticket.req_id])
+                )
+            returned.extend(served)
+            return served, leftover, fault
+
+        svc._dispatch = checked
+        done = svc.flush()
+        assert sorted(t.req_id for t in returned) == sorted(inputs)
+        assert {t.req_id for t in done} == set(inputs)
+        if faulty:
+            assert sum(svc.failovers) > 0
+
+    def test_parallel_keyword_accepts_only_none(self):
+        with pytest.raises(ConfigError):
+            PoolScanService(2, config=toy_config(), parallel=2)
+        assert len(PoolScanService(2, config=toy_config(), parallel=None)) == 2
+
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_pool_run_is_deterministic(self, devices):
+        inputs, first, svc1 = _run_pool(devices)
+        _, again, svc2 = _run_pool(devices)
+        assert first == again  # bits, routing and simulated time
+        assert svc1.busy_ns == svc2.busy_ns
+        assert svc1.makespan_ns == svc2.makespan_ns
+        for req_id, (raw, _dev, _ns) in first.items():
+            assert inclusive_scan(inputs[req_id]).tobytes() == raw
+
+    def test_pool_phase_breakdown_includes_routing(self):
+        *_, svc = _run_pool()
+        phases = svc.phase_host_s()
+        assert phases.get("routing", 0.0) > 0.0
+        assert phases.get("numerics", 0.0) > 0.0
+
+    def test_pool_summary_mentions_phases(self):
+        svc = PoolScanService(2, config=toy_config())
+        x, _ = exact_fp16_scan_input(512, np.random.default_rng(0))
+        svc.submit(x)
+        svc.flush()
+        assert "host phases" in svc.summary()

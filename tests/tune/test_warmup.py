@@ -1,8 +1,7 @@
-"""Parallel warm-up: sharded tuning merges exactly, plans prebuild fully.
+"""Warm-up: serial tuning is order-independent, plans prebuild fully.
 
-The warm-up contract has two halves: (1) N worker processes tuning
-round-robin shards and merging must produce a store entry-for-entry
-identical to one serial sweep — tuning is a pure function of
+The warm-up contract has two halves: (1) tuning a workload list produces
+the same store entries in any order — each entry is a pure function of
 (config, workload); (2) a warmed service pays zero inline plan builds in
 steady state.
 """
@@ -49,27 +48,30 @@ class TestWarmTuneStore:
             ensure_tuned(ScanContext(cfg), [workload], ref)
         assert ref.entries == serial_store.entries
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_shards_merge_to_serial_store(
-        self, serial_store, workers
-    ):
+    @pytest.mark.parametrize(
+        "order",
+        [WORKLOADS[::-1], WORKLOADS[2:] + WORKLOADS[:2]],
+        ids=["reversed", "rotated"],
+    )
+    def test_order_independent_entries(self, serial_store, order):
         store = TuneStore(serial_store.config)
-        report = warm_tune_store(WORKLOADS, store, workers=workers)
-        assert store.entries == serial_store.entries
-        assert report.workers == workers
+        report = warm_tune_store(order, store)
         assert report.tuned == len(WORKLOADS)
-        assert sum(report.shard_sizes) == len(WORKLOADS)
-        assert report.merged == len(WORKLOADS)
+        assert store.entries == serial_store.entries
 
     def test_already_covered_workloads_skip(self, serial_store):
-        report = warm_tune_store(WORKLOADS, serial_store, workers=2)
+        report = warm_tune_store(WORKLOADS, serial_store)
         assert report.tuned == 0
         assert report.skipped == len(WORKLOADS)
 
-    def test_worker_count_capped_by_todo(self):
-        store = TuneStore(toy_config())
-        report = warm_tune_store(WORKLOADS[:1], store, workers=8)
-        assert report.workers == 1  # one workload cannot use eight procs
+    def test_workers_accept_only_serial_values(self, serial_store):
+        store = TuneStore(serial_store.config)
+        with pytest.raises(ConfigError):
+            warm_tune_store(WORKLOADS, store, workers=2)
+        pool = PoolScanService(2, config=serial_store.config, tune_store=store)
+        with pytest.raises(ConfigError):
+            warm_pool(pool, WORKLOADS, workers=2)
+        assert not store.entries  # rejected before any sweep ran
 
 
 class TestFromPayload:
@@ -115,13 +117,11 @@ class TestWarmService:
         assert all(t.plan_hit for t in done)
         for t in done:
             assert np.array_equal(t.result(), inclusive_scan(inputs[t.req_id]))
-        svc.shutdown()
 
     def test_warm_is_idempotent(self, serial_store):
         svc = ScanService(config=serial_store.config, tune_store=serial_store)
         warm_service(svc, WORKLOADS, buckets=(8,))
         assert warm_service(svc, WORKLOADS, buckets=(8,)) == 0
-        svc.shutdown()
 
     def test_warming_does_not_skew_store_lookup_counters(self, serial_store):
         hits, misses = serial_store.lookup_hits, serial_store.lookup_misses
@@ -129,7 +129,6 @@ class TestWarmService:
         warm_service(svc, WORKLOADS, buckets=(8,))
         assert serial_store.lookup_hits == hits
         assert serial_store.lookup_misses == misses
-        svc.shutdown()
 
     def test_unwarmed_service_builds_inline(self, serial_store):
         """Control: without warm-up the same mix pays inline plan builds."""
@@ -138,7 +137,6 @@ class TestWarmService:
         done = svc.flush()
         assert svc.cache.misses > 0
         assert not all(t.plan_hit for t in done)
-        svc.shutdown()
 
 
 class TestWarmPool:
@@ -157,4 +155,3 @@ class TestWarmPool:
         done = pool.flush()
         assert [w.cache.misses for w in pool.workers] == misses
         assert all(t.plan_hit for t in done)
-        pool.shutdown()
