@@ -1,4 +1,5 @@
-"""Host-path raw speed: vectorized group numerics, warm-up, pool curve.
+"""Host-path raw speed: vectorized group numerics, warm-up, sort order,
+pool curve.
 
 Asserts the serial host-path performance model (DESIGN 2.11):
 
@@ -9,6 +10,9 @@ Asserts the serial host-path performance model (DESIGN 2.11):
   tuned) serves the steady-state mix >= 3x faster than a cold service
   that pays its plan builds inline, with zero inline builds.  Plan
   tracing dominates the cold path, so this bar holds at any core count.
+* **radix-keyed sort order** — ``stable_order`` (the served sort oracles'
+  order) beats the widened-key argsort it replaced by >= 3x on a
+  4,096-element fp16 row, ascending and descending, best of repeats.
 * **pool host curve** — PoolScanService flush wall-clock vs member count
   D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.
 
@@ -27,6 +31,7 @@ from repro.hw.config import ASCEND_910B4, toy_config
 from repro.serve import PlanCache, ScanService
 from repro.shard import PoolScanService
 from repro.core.api import ScanContext
+from repro.core.reference import stable_order
 from repro.tune import WorkloadKey, warm_service
 
 HOST_CPUS = os.cpu_count() or 1
@@ -170,11 +175,52 @@ def bench_pool_scaling() -> dict:
     return {"curve": curve}
 
 
+SORT_N = 4096
+SORT_CALLS = 100
+
+
+def _widened_order(x: np.ndarray, *, descending: bool) -> np.ndarray:
+    """The order ``stable_order`` replaced: fp16 keys widened to fp32,
+    negated for descending, sorted by NumPy's stable timsort."""
+    keys = x.astype(np.float32)
+    return np.argsort(-keys if descending else keys, kind="stable")
+
+
+def bench_sort_order() -> dict:
+    """``stable_order`` vs the widened-key argsort, per call, on one
+    normally distributed fp16 row (both sides checked equal first, which
+    also builds the rank tables outside the timed loops)."""
+    x = np.random.default_rng(37).standard_normal(SORT_N).astype(np.float16)
+    report = {"n": SORT_N}
+    for descending in (False, True):
+        assert np.array_equal(
+            stable_order(x, descending=descending),
+            _widened_order(x, descending=descending),
+        )
+
+        def per_call(fn) -> float:
+            def loop():
+                for _ in range(SORT_CALLS):
+                    fn(x, descending=descending)
+
+            return _best_of(loop, repeats=5) / SORT_CALLS
+
+        widened_s = per_call(_widened_order)
+        ranked_s = per_call(stable_order)
+        report["descending" if descending else "ascending"] = {
+            "widened_us": widened_s * 1e6,
+            "stable_order_us": ranked_s * 1e6,
+            "speedup": widened_s / ranked_s,
+        }
+    return report
+
+
 def test_host_path(benchmark, results_dir):
     def run_all():
         return {
             "vectorized": bench_vectorized_numerics(),
             "serve_mix": bench_serve_mix_warmup(),
+            "sort_order": bench_sort_order(),
             "pool": bench_pool_scaling(),
         }
 
@@ -183,6 +229,7 @@ def test_host_path(benchmark, results_dir):
 
     vec = report["vectorized"]
     mix = report["serve_mix"]
+    order = report["sort_order"]
     pool = report["pool"]
 
     lines = [
@@ -199,8 +246,16 @@ def test_host_path(benchmark, results_dir):
         f"  warmed (inline builds x{mix['warmed_inline_builds']}) : "
         f"{mix['warmed_ms']:8.1f} ms ({mix['speedup']:.1f}x)",
         "",
-        "pool host wall-clock vs D:",
+        f"sort order ({order['n']} fp16 keys, per call):",
     ]
+    for direction in ("ascending", "descending"):
+        row = order[direction]
+        lines.append(
+            f"  {direction:<10}: widened argsort {row['widened_us']:7.1f} us, "
+            f"stable_order {row['stable_order_us']:6.1f} us "
+            f"({row['speedup']:.1f}x)"
+        )
+    lines += ["", "pool host wall-clock vs D:"]
     for point in pool["curve"]:
         lines.append(f"  D={point['devices']}: {point['ms']:7.2f} ms")
     text = "\n".join(lines)
@@ -217,3 +272,6 @@ def test_host_path(benchmark, results_dir):
     assert mix["speedup"] >= 3.0
     # vectorization wins serially (one stacked pass vs 64 padded passes)
     assert vec["speedup"] >= 1.2
+    # radix-sorted 16-bit ranks beat the O(n log n) widened-key timsort
+    for direction in ("ascending", "descending"):
+        assert order[direction]["speedup"] >= 3.0

@@ -11,9 +11,15 @@ data: it draws the desired prefix-sum sequence first (small integers) and
 differences it, so every partial sum any tiling scheme can form is exactly
 representable in fp16 — scan results are then bit-exact regardless of
 association order.
+
+:func:`stable_order` is the one place the host decides sort order: the
+served ``radix_sort``, ``topk`` and ``top_p_sample`` numerics and the
+functional top-k kernels all order their keys through it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "exclusive_scan",
     "batched_inclusive_scan",
     "stable_split",
+    "stable_order",
     "compress",
     "exact_fp16_scan_input",
     "exact_int8_mask",
@@ -85,6 +92,42 @@ def stable_split(
     idx = np.arange(x.size)
     order = np.concatenate([idx[f], idx[~f]])
     return x[order], order
+
+
+@lru_cache(maxsize=None)
+def _rank_table(dt: np.dtype, descending: bool) -> np.ndarray:
+    """Rank of every bit pattern of ``dt`` under the widened-key order.
+
+    The keys are widened exactly (fp16 -> fp32, ints -> int64) so the
+    negation for ``descending`` never rounds, and ``np.unique`` ranks them
+    with NumPy's own comparisons: -0.0 and +0.0 share a rank and every
+    NaN sorts last, in either direction."""
+    if dt.kind not in "fiu" or dt.itemsize > 2:
+        raise DTypeError(
+            f"stable_order takes keys of 16 bits or fewer, got {dt}"
+        )
+    raw = np.dtype(f"u{dt.itemsize}")
+    bits = np.arange(1 << (8 * dt.itemsize), dtype=raw).view(dt)
+    keys = bits.astype(np.float32 if dt.kind == "f" else np.int64)
+    if descending:
+        keys = -keys
+    _, ranks = np.unique(keys, return_inverse=True, equal_nan=True)
+    table = ranks.astype(raw)
+    table.flags.writeable = False  # one shared instance per key
+    return table
+
+
+def stable_order(x: np.ndarray, *, descending: bool = False) -> np.ndarray:
+    """Stable sort order of 8- or 16-bit keys (ties keep original order).
+
+    Equal to ``np.argsort(widened, kind="stable")`` with the keys widened
+    to fp32/int64 and negated for ``descending``, but each key is first
+    mapped to its rank in a memoized per-(dtype, direction) table; NumPy
+    sorts the uint8/uint16 ranks with an O(n) radix sort instead of an
+    O(n log n) timsort."""
+    x = np.asarray(x)
+    ranks = _rank_table(x.dtype, bool(descending))
+    return np.argsort(ranks[x.view(ranks.dtype)], kind="stable")
 
 
 def compress(x: np.ndarray, mask: np.ndarray) -> np.ndarray:

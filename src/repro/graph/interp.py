@@ -516,8 +516,10 @@ class GraphRunner:
     ) -> "GraphRunResult":
         """Lower (or hit the cache), replay, and evaluate the oracle —
         the one-call interpreter used by the example, the CLI demo and the
-        differential tests.  Serving (`ScanService._serve_graph`) does the
-        same steps with batching/retry/stats around them."""
+        differential tests.  Serving does the same steps with batching,
+        retry and stats around them: the oracle at submit
+        (`ScanService._prepare_graph`), lowering and replay at flush
+        (`ScanService._serve_graph`)."""
         entries, _ = self.lower(graph)
         traces = self.replay(entries, device=device)
         outputs = graph.run_oracle(inputs, params_override)

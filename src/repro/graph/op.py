@@ -23,11 +23,13 @@ host is a subclass of :class:`OpNode` registered under its ``kind`` via
   (:meth:`~OpNode.validation_inputs`) before admitting the lowering.
 
 Tie/rounding conventions: sorting ops (radix_sort, topk, top_p_sample)
-define ties as *stable on the original index* — the device radix sort is
-a stable LSB sort on order-preserving key encodings, which matches the
-oracle's ``np.argsort(kind="stable")`` exactly.  Signed zeros and NaN are
-outside the contract (the fp16 key encoding orders ``-0.0 < +0.0`` where
-NumPy sorts them equal).
+define ties as *stable on the original index*.  The oracles order keys
+with :func:`~repro.core.reference.stable_order`, a stable radix sort of
+per-key ranks that keeps NumPy's ties: -0.0 and +0.0 are equal and NaN
+sorts last in either direction.  The device radix sort is a stable LSB
+sort on order-preserving key encodings, so the two match on every
+validation input.  Signed zeros and NaN are outside the device contract:
+the device's fp16 key encoding orders ``-0.0 < +0.0``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from ..core.reference import (
     compress as compress_oracle,
     exclusive_scan,
     inclusive_scan,
+    stable_order,
     stable_split,
 )
 from ..errors import ConfigError
@@ -256,19 +259,6 @@ def _distinct_fp16(n: int, rng: np.random.Generator) -> np.ndarray:
             f"the representable supply"
         )
     return (rng.permutation(n).astype(np.uint16) + 1).view(np.float16)
-
-
-def _stable_order(x: np.ndarray, *, descending: bool) -> np.ndarray:
-    """The device sort's order: stable on the original index.  Keys are
-    widened exactly (fp16->fp32, ints->int64) so negation never rounds."""
-    keys = (
-        x.astype(np.float32)
-        if x.dtype == np.float16
-        else x.astype(np.int64)
-    )
-    if descending:
-        keys = -keys
-    return np.argsort(keys, kind="stable")
 
 
 _SCAN_DTYPES = ("fp16", "int8")
@@ -624,7 +614,7 @@ class RadixSortOp(OpNode):
     @classmethod
     def oracle(cls, inputs, params):
         x = inputs[0]
-        order = _stable_order(x, descending=params["descending"])
+        order = stable_order(x, descending=params["descending"])
         return (x[order], order.astype(np.int32))
 
     @classmethod
@@ -688,7 +678,7 @@ class TopKOp(OpNode):
     @classmethod
     def oracle(cls, inputs, params):
         x = inputs[0]
-        order = _stable_order(x, descending=True)[: params["k"]]
+        order = stable_order(x, descending=True)[: params["k"]]
         return (x[order], order.astype(np.int32))
 
     @classmethod
@@ -766,11 +756,14 @@ class TopPSampleOp(OpNode):
     def oracle(cls, inputs, params):
         probs, ids = inputs
         n = probs.size
-        order = _stable_order(probs, descending=True)
+        order = stable_order(probs, descending=True)
         cum = np.cumsum(probs[order], dtype=np.float32)
         total = float(cum[-1])
-        if total <= 0:
-            raise ConfigError("top_p_sample probabilities sum to zero")
+        if not (np.isfinite(total) and total > 0):
+            raise ConfigError(
+                f"top_p_sample probabilities must sum to a finite positive "
+                f"total, got {total}"
+            )
         k_nucleus = min(1 + int(np.count_nonzero(cum <= params["p"] * total)), n)
         mass = float(cum[k_nucleus - 1])
         cut = params["theta"] * mass

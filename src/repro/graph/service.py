@@ -9,7 +9,7 @@ lowered-program signature — shaped like a
 pass through the batcher whole.  :class:`GraphTicket` extends
 :class:`~repro.serve.service.ScanTicket`: ``values`` holds the tuple of
 output arrays in ``graph.outputs`` order (oracle numerics, computed
-inline right after the request's replay succeeds).
+at submit and attached once the request's replay succeeds).
 
 The canned graphs are the repo's two first-class graph workloads:
 :func:`llm_sample` (top-k → top-p nucleus sampling, the
@@ -71,6 +71,8 @@ class GraphRequest:
     #: node name -> runtime parameter overrides (e.g. sampling theta)
     params: "dict | None"
     graph_key: GraphKey
+    #: oracle outputs in ``graph.outputs`` order, computed at submit
+    outputs: "tuple[np.ndarray, ...]"
     #: host clock (perf_counter) at submit, for per-request latency
     t_submit: float = field(default_factory=time.perf_counter)
 

@@ -24,6 +24,7 @@ from ..hw.memory import GlobalTensor
 from ..core.api import ScanContext
 from ..core.matrices import padded_length
 from ..core.mcscan import MCScanKernel
+from ..core.reference import stable_order
 from .compress import CompressKernel, MaskedSelectBaselineKernel
 from .elementwise import ElementwiseMapKernel, PredicateCountKernel, RangeCopyKernel
 from .radix import DecodeFp16Kernel, EncodeFp16Kernel, RadixSingleKernel
@@ -518,7 +519,7 @@ class AscendOps:
             collected_i.append(fin_i[:k_rem])
             values = np.concatenate(collected_v)
             indices = np.concatenate(collected_i)
-            order = np.argsort(-values.astype(np.float32), kind="stable")
+            order = stable_order(values, descending=True)
             values, indices = values[order], indices[order]
         finally:
             self.device.memory.release(mark)

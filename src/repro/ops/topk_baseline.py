@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.reference import stable_order
 from ..errors import KernelError, ShapeError
 from ..hw.memory import GlobalTensor
 from ..lang import intrinsics as I
@@ -87,7 +88,7 @@ class BaselineTopKKernel(Kernel):
                 cat_i = np.concatenate(
                     [idx_acc, np.arange(off, off + ln, dtype=np.int64)]
                 )
-                order = np.argsort(-cat_v.astype(np.float32), kind="stable")
+                order = stable_order(cat_v, descending=True)
                 keep = order[: self.k]
                 keep.sort()  # preserve first-occurrence order among ties
                 vals_acc, idx_acc = cat_v[keep], cat_i[keep]

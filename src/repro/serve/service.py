@@ -330,15 +330,31 @@ class ScanService:
     def _prepare_graph(
         self, graph, inputs, *, params=None, req_id: "int | None" = None
     ):
-        """Validate one graph submission and materialise its request +
-        ticket without enqueueing (the pool front end's routing seam,
-        mirroring :meth:`_prepare`)."""
-        from ..graph.service import GraphKey, GraphRequest, GraphTicket
+        """Validate one graph submission, compute its oracle numerics and
+        materialise its request + ticket without enqueueing (the pool
+        front end's routing seam, mirroring :meth:`_prepare`).
+
+        The numerics run before any id or ticket exists, so a request
+        whose oracle raises is refused here and never strands a queued
+        ticket.  ``t_submit`` is stamped first, so the ticket's latency
+        still includes them."""
+        # imported per call: graph_oracle_job is a module attribute that
+        # tracing may wrap
+        from ..graph.service import (
+            GraphKey,
+            GraphRequest,
+            GraphTicket,
+            graph_oracle_job,
+        )
 
         t0 = time.perf_counter()
         bound = graph.bind(inputs)
         signature = graph.signature()
-        self.stats.add_phase("trace", time.perf_counter() - t0)
+        t_submit = time.perf_counter()
+        self.stats.add_phase("trace", t_submit - t0)
+        params = dict(params) if params else None
+        outputs, seconds = graph_oracle_job(graph, bound, params)
+        self.stats.add_phase("numerics", seconds)
         if req_id is None:
             req_id = self._next_id
             self._next_id += 1
@@ -348,9 +364,10 @@ class ScanService:
             req_id=req_id,
             graph=graph,
             inputs=bound,
-            params=dict(params) if params else None,
+            params=params,
             graph_key=key,
-            t_submit=time.perf_counter(),
+            outputs=outputs,
+            t_submit=t_submit,
         )
         first = next(iter(bound.values()))
         ticket = GraphTicket(
@@ -623,8 +640,8 @@ class ScanService:
     def _serve_graph(self, group: LaunchGroup) -> "list[ScanTicket]":
         """Serve a group of same-signature graph requests: lower once per
         shape class (cached), replay every node's captured programs per
-        request under the retry policy, compute its oracle numerics, and
-        record per-op device/host breakdowns.
+        request under the retry policy, attach the oracle outputs computed
+        at submit, and record per-op device/host breakdowns.
 
         Requests in a graph group share lowered programs but replay
         independently — each gets its own fault draws and simulated time,
@@ -633,8 +650,6 @@ class ScanService:
         replays tens of kernels per request, and all-or-nothing retry
         would make the request's success probability vanish under
         per-launch fault rates."""
-        from ..graph.service import graph_oracle_job
-
         runner = self._graph_runner()
         stats = self.stats
         tickets = []
@@ -714,11 +729,7 @@ class ScanService:
             ticket.faults += faults
             ticket.launches = launches
             ticket.batch_size = len(group.requests)
-            outputs, seconds = graph_oracle_job(
-                req.graph, req.inputs, req.params
-            )
-            stats.add_phase("numerics", seconds)
-            self._finish(ticket, req, outputs)
+            self._finish(ticket, req, req.outputs)
             tickets.append(ticket)
         return tickets
 

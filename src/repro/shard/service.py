@@ -195,10 +195,10 @@ class PoolScanService:
         graph lowered once serves the whole pool — exactly like the
         shared tuned-plan store."""
         req_id = self._next_id
-        self._next_id += 1
         req, ticket = self.workers[0]._prepare_graph(
             graph, inputs, params=params, req_id=req_id
         )
+        self._next_id += 1
         runner = self.workers[0]._graph_runner()
         for worker in self.workers[1:]:
             if worker.graph_runner is None:

@@ -12,6 +12,7 @@ from repro.core.reference import (
     exact_int8_mask,
     exclusive_scan,
     inclusive_scan,
+    stable_order,
     stable_split,
 )
 
@@ -104,3 +105,75 @@ class TestExactData:
         assert m.dtype == np.int8
         assert set(np.unique(m)) <= {0, 1}
         assert 100 < m.sum() < 500
+
+
+def _widened_order(x: np.ndarray, *, descending: bool = False) -> np.ndarray:
+    """The sort order the oracles used before :func:`stable_order`: keys
+    widened exactly (fp16 -> fp32, ints -> int64), negated for descending,
+    then NumPy's stable timsort."""
+    keys = x.astype(np.float32) if x.dtype == np.float16 else x.astype(np.int64)
+    if descending:
+        keys = -keys
+    return np.argsort(keys, kind="stable")
+
+
+def _every_pattern_shuffled(dtype, rng) -> np.ndarray:
+    """Every bit pattern of a <=16-bit dtype plus random duplicates, in a
+    random order (ties must keep that order)."""
+    dt = np.dtype(dtype)
+    raw = np.dtype(f"u{dt.itemsize}")
+    every = np.arange(1 << (8 * dt.itemsize), dtype=raw)
+    dups = rng.choice(every, size=every.size // 2)
+    return rng.permutation(np.concatenate([every, dups])).view(dt)
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
+class TestStableOrder:
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.uint8, np.int8, np.int16, np.uint16]
+    )
+    def test_matches_widened_argsort_on_every_pattern(
+        self, dtype, descending, rng
+    ):
+        # fp16 covers +-0, +-inf, NaN payloads of both signs and subnormals
+        x = _every_pattern_shuffled(dtype, rng)
+        got = stable_order(x, descending=descending)
+        assert np.array_equal(got, _widened_order(x, descending=descending))
+
+    def test_signed_zeros_tie_and_nan_sorts_last(self, descending):
+        x = np.array([np.nan, 0.0, -0.0, 1.0, -np.nan, 0.0], np.float16)
+        order = stable_order(x, descending=descending)
+        head = [3, 1, 2, 5] if descending else [1, 2, 5, 3]
+        assert order.tolist() == head + [0, 4]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32])
+    def test_wider_keys_raise(self, dtype, descending):
+        with pytest.raises(DTypeError, match="16 bits"):
+            stable_order(np.zeros(4, dtype), descending=descending)
+
+
+def test_graph_oracles_match_widened_order_on_signed_zeros_and_nan(
+    monkeypatch,
+):
+    """radix_sort, topk and top_p_sample serve the same outputs through
+    stable_order as through the widened-key argsort, on a row whose ties
+    are +-0 and whose tail is NaN (top-7 of 8 drops the NaN before the
+    sampler sees it)."""
+    from repro.graph import llm_sample, sort_graph
+    from repro.graph import op as graph_op
+
+    x = np.array([0.0, 3.0, -0.0, np.nan, 1.0, 0.0, -0.0, 2.0], np.float16)
+    graphs = [
+        (sort_graph(x.size), {"x": x}),
+        (sort_graph(x.size, descending=True), {"x": x}),
+        (llm_sample(x.size, k=7, p=0.9, theta=0.5), {"probs": x}),
+        (llm_sample(x.size, k=7, p=1.0, theta=0.99), {"probs": x}),
+    ]
+    served = [g.run_oracle(feed) for g, feed in graphs]
+    monkeypatch.setattr(graph_op, "stable_order", _widened_order)
+    for (g, feed), got in zip(graphs, served):
+        want = g.run_oracle(feed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            # bytes, so -0.0 vs +0.0 and NaN payloads count too
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import ScanContext
+from repro.errors import ConfigError
 from repro.graph import Graph, GraphRunner
 from repro.graph.op import TensorSpec, get_op
 from repro.hw.config import toy_config
@@ -232,3 +233,17 @@ def test_multi_node_pipeline_end_to_end(runner):
     want = inclusive_scan(np.abs(x))
     assert res.outputs[0].dtype == want.dtype
     assert np.array_equal(res.outputs[0], want)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0], [-1.0, -2.0, -3.0]],
+    ids=["nan", "inf", "all-negative"],
+)
+def test_top_p_oracle_refuses_non_finite_or_non_positive_mass(row):
+    """A NaN total compares False against 0, so only an explicit
+    finiteness check refuses it (and an inf total would pick token 0)."""
+    probs = np.asarray(row, dtype=np.float16)
+    ids = np.arange(probs.size, dtype=np.int32)
+    with pytest.raises(ConfigError, match="finite positive"):
+        get_op("top_p_sample").oracle([probs, ids], {"p": 0.9, "theta": 0.5})

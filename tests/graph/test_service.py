@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.reference import inclusive_scan
-from repro.errors import DeviceFault
+from repro.errors import ConfigError, DeviceFault
 from repro.graph import llm_sample, oracle_outputs, sort_graph
 from repro.hw import FaultPlan
 from repro.hw.config import toy_config
@@ -192,3 +192,33 @@ class TestPoolChaos:
         svc.flush()
         runners = {id(w.graph_runner) for w in svc.workers}
         assert len(runners) == 1  # lowered once, replayed anywhere
+
+
+class TestOracleErrorsRefusedAtSubmit:
+    """Graph numerics run at submit: a request whose oracle raises is
+    refused before any ticket exists, so it cannot strand its neighbours'
+    tickets at flush."""
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["single", "pool"])
+    def test_bad_row_refused_and_neighbours_served(self, pool):
+        config = toy_config()
+        svc = (
+            PoolScanService(2, config=config)
+            if pool
+            else ScanService(config=config)
+        )
+        rng = np.random.default_rng(17)
+        graph = llm_sample(256, k=8, s=S)
+        good = [_scores(rng, 256), _scores(rng, 256)]
+        first = svc.submit_graph(graph, {"probs": good[0]})
+        with pytest.raises(ConfigError, match="finite positive"):
+            svc.submit_graph(graph, {"probs": np.zeros(256, np.float16)})
+        last = svc.submit_graph(graph, {"probs": good[1]})
+        assert svc.pending == 2
+        svc.flush()
+        assert svc.pending == 0 and not svc._tickets
+        for t, probs in zip((first, last), good):
+            assert t.done
+            want = oracle_outputs(graph, {"probs": probs})
+            for g, w in zip(t.result(), want):
+                assert np.array_equal(g, w)
