@@ -13,6 +13,12 @@ Asserts the serial host-path performance model (DESIGN 2.11):
 * **radix-keyed sort order** — ``stable_order`` (the served sort oracles'
   order) beats the widened-key argsort it replaced by >= 3x on a
   4,096-element fp16 row, ascending and descending, best of repeats.
+* **exact BLAS int8 Mmad** — one 128 x 128 x 128 int8 ``Mmad`` (the
+  intrinsic, op emission included) beats the int32 matmul formula it
+  replaced by >= 10x, best of repeats, with equal int32 results.
+* **cold shard-plan build** — a cold D=2 ``ShardedScanner`` scan of a 1M
+  int8 array (every shard plan and carry pass traced), recorded with the
+  warm re-scan of the same array.
 * **pool host curve** — PoolScanService flush wall-clock vs member count
   D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.
 
@@ -28,10 +34,13 @@ import numpy as np
 from bench_util import write_bench_json
 
 from repro.hw.config import ASCEND_910B4, toy_config
+from repro.hw.device import AscendDevice
+from repro.lang import Kernel, intrinsics as I
+from repro.lang.tensor import BufferKind
 from repro.serve import PlanCache, ScanService
-from repro.shard import PoolScanService
+from repro.shard import DevicePool, PoolScanService, ShardedScanner
 from repro.core.api import ScanContext
-from repro.core.reference import stable_order
+from repro.core.reference import inclusive_scan, stable_order
 from repro.tune import WorkloadKey, warm_service
 
 HOST_CPUS = os.cpu_count() or 1
@@ -215,12 +224,85 @@ def bench_sort_order() -> dict:
     return report
 
 
+MMAD_DIM = 128
+MMAD_REPEATS = 20
+
+
+def _int32_mmad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int8 ``Mmad`` formula the float64 path replaced: an int32
+    matmul, which NumPy runs without BLAS."""
+    return a.astype(np.int32) @ b.astype(np.int32)
+
+
+def bench_mmad() -> dict:
+    """The int8 ``mmad`` intrinsic vs the int32 formula, per 128^3 tile."""
+    rng = np.random.default_rng(41)
+    d = MMAD_DIM
+    a_np = rng.integers(-128, 128, (d, d)).astype(np.int8)
+    b_np = rng.integers(-128, 128, (d, d)).astype(np.int8)
+    out = {}
+
+    class MmadKernel(Kernel):
+        mode = "mix"
+
+        def run(self, ctx):
+            cpipe = ctx.make_pipe(ctx.require_cube())
+            bufs = [
+                cpipe.init_buffer(buffer=kind, depth=1, slot_bytes=d * d * size)
+                for kind, size in (
+                    (BufferKind.L0A, 1), (BufferKind.L0B, 1), (BufferKind.L0C, 4)
+                )
+            ]
+            a = bufs[0].alloc_tensor("int8", d * d)
+            b = bufs[1].alloc_tensor("int8", d * d)
+            c = bufs[2].alloc_tensor("int32", d * d)
+            a.array[:] = a_np.reshape(-1)
+            b.array[:] = b_np.reshape(-1)
+            out["mmad_s"] = _best_of(
+                lambda: I.mmad(ctx, c, a, b, d, d, d), repeats=MMAD_REPEATS
+            )
+            out["c"] = c.array.reshape(d, d).copy()
+
+    AscendDevice(ASCEND_910B4).trace_kernel(MmadKernel(1))
+    assert np.array_equal(out["c"], _int32_mmad(a_np, b_np))
+    int32_s = _best_of(lambda: _int32_mmad(a_np, b_np), repeats=MMAD_REPEATS)
+    return {
+        "shape": [d, d, d],
+        "int32_us": int32_s * 1e6,
+        "mmad_us": out["mmad_s"] * 1e6,
+        "speedup": int32_s / out["mmad_s"],
+    }
+
+
+COLD_N = 1 << 20
+
+
+def bench_cold_build() -> dict:
+    """Cold D=2 sharded int8 scan (plans traced inline) vs a warm re-scan."""
+    x = np.random.default_rng(43).integers(-128, 128, COLD_N).astype(np.int8)
+    t0 = time.perf_counter()
+    scanner = ShardedScanner(DevicePool(2), algorithm="mcscan")
+    result = scanner.scan(x)
+    cold_s = time.perf_counter() - t0
+    assert np.array_equal(result.values, inclusive_scan(x))
+    warm_s = _best_of(lambda: scanner.scan(x))
+    return {
+        "n": COLD_N,
+        "devices": 2,
+        "plans_built": scanner.plans_built,
+        "cold_ms": cold_s * 1e3,
+        "warm_ms": warm_s * 1e3,
+    }
+
+
 def test_host_path(benchmark, results_dir):
     def run_all():
         return {
             "vectorized": bench_vectorized_numerics(),
             "serve_mix": bench_serve_mix_warmup(),
             "sort_order": bench_sort_order(),
+            "mmad": bench_mmad(),
+            "cold_build": bench_cold_build(),
             "pool": bench_pool_scaling(),
         }
 
@@ -230,6 +312,8 @@ def test_host_path(benchmark, results_dir):
     vec = report["vectorized"]
     mix = report["serve_mix"]
     order = report["sort_order"]
+    mmad = report["mmad"]
+    cold = report["cold_build"]
     pool = report["pool"]
 
     lines = [
@@ -255,6 +339,18 @@ def test_host_path(benchmark, results_dir):
             f"stable_order {row['stable_order_us']:6.1f} us "
             f"({row['speedup']:.1f}x)"
         )
+    lines += [
+        "",
+        "int8 Mmad ({0} x {0} x {0}):".format(MMAD_DIM),
+        f"  int32 matmul formula     : {mmad['int32_us']:8.1f} us",
+        f"  mmad (float64 BLAS)      : {mmad['mmad_us']:8.1f} us "
+        f"({mmad['speedup']:.1f}x)",
+        "",
+        f"cold shard-plan build (D={cold['devices']}, {cold['n']:,} int8):",
+        f"  cold scan (plans built x{cold['plans_built']}) : "
+        f"{cold['cold_ms']:8.1f} ms",
+        f"  warm re-scan             : {cold['warm_ms']:8.1f} ms",
+    ]
     lines += ["", "pool host wall-clock vs D:"]
     for point in pool["curve"]:
         lines.append(f"  D={point['devices']}: {point['ms']:7.2f} ms")
@@ -275,3 +371,5 @@ def test_host_path(benchmark, results_dir):
     # radix-sorted 16-bit ranks beat the O(n log n) widened-key timsort
     for direction in ("ascending", "descending"):
         assert order[direction]["speedup"] >= 3.0
+    # float64 BLAS beats NumPy's BLAS-less int32 matmul on one cube tile
+    assert mmad["speedup"] >= 10.0

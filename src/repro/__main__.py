@@ -14,8 +14,7 @@ Subcommands:
   simulator and write the persistent tuned-plan store that the serving
   layer consults (``--smoke`` runs the CI self-check);
 * ``shard`` — shard one 1-D scan across a pool of simulated devices and
-  compare its two-stage wall clock against a single device (``--smoke``
-  runs the CI self-check);
+  compare its two-stage wall clock against a single device;
 * ``chaos`` — serve a mixed load on a fault-injected device pool
   (transient launch failures, engine slowdowns, one permanent device
   loss) and report retries, failovers and per-member health (``--smoke``
@@ -266,96 +265,10 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _shard_smoke() -> int:
-    """CI self-check for the device-pool layer: sharded scans stay
-    bit-identical to the reference oracle on non-divisible shard sizes,
-    the pool service routes a mixed load onto every member correctly,
-    and sharding a large 1-D scan beats one device on simulated wall
-    clock."""
-    from .core.reference import exact_fp16_scan_input, inclusive_scan
-    from .shard import DevicePool, PoolScanService, ShardedScanner
-
-    rng = np.random.default_rng(0)
-    failures = []
-
-    def check(cond: bool, msg: str) -> None:
-        print(f"{'PASS' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures.append(msg)
-
-    # 1. differential: D=3, non-divisible n, both supported dtypes
-    n = 3 * 16384 + 1000
-    scanner = ShardedScanner(DevicePool(3), algorithm="mcscan")
-    x16, expected = exact_fp16_scan_input(n, rng)
-    res = scanner.scan(x16)
-    check(
-        np.array_equal(res.values, inclusive_scan(x16))
-        and np.array_equal(res.values, expected),
-        f"fp16 sharded scan (D=3, n={n:,}) bit-identical to the oracle",
-    )
-    x8 = rng.integers(-20, 21, size=n).astype(np.int8)
-    check(
-        np.array_equal(scanner.scan(x8).values, inclusive_scan(x8)),
-        f"int8 sharded scan (D=3, n={n:,}) bit-identical to the oracle",
-    )
-    scanner.release()
-
-    # 2. pool serving: mixed load, every result correct, both members used
-    svc = PoolScanService(2)
-    inputs = {}
-    for _ in range(6):
-        x, _e = exact_fp16_scan_input(16384, rng)
-        inputs[svc.submit(x).req_id] = x
-    for _ in range(4):
-        x = rng.integers(-20, 21, size=8192).astype(np.int8)
-        inputs[svc.submit(x, algorithm="scanul1").req_id] = x
-    done = svc.flush()
-    check(
-        len(done) == len(inputs)
-        and all(
-            np.array_equal(t.result(), inclusive_scan(inputs[t.req_id]))
-            for t in done
-        ),
-        f"pool service served {len(done)} mixed requests correctly",
-    )
-    check(
-        sorted({t.device for t in done}) == [0, 1],
-        "both pool members actually served requests",
-    )
-    text = svc.summary()
-    check(
-        "dev0" in text and "dev1" in text and "makespan" in text,
-        "summary() reports per-device utilisation",
-    )
-
-    # 3. perf: sharding a 1M scan across 4 devices beats one device
-    x, _e = exact_fp16_scan_input(1 << 20, rng)
-    sharded = ShardedScanner(DevicePool(4), algorithm="mcscan")
-    single = ShardedScanner(DevicePool(1), algorithm="mcscan")
-    multi_res = sharded.scan(x)
-    single_res = single.scan(x)
-    check(
-        np.array_equal(multi_res.values, single_res.values)
-        and multi_res.wall_ns < single_res.wall_ns,
-        f"D=4 sharded 1M scan ({multi_res.time_us:.1f} us) beats one "
-        f"device ({single_res.time_us:.1f} us)",
-    )
-    sharded.release()
-    single.release()
-
-    if failures:
-        print(f"\nshard smoke: {len(failures)} check(s) failed")
-        return 1
-    print("\nshard smoke: all checks passed")
-    return 0
-
-
 def cmd_shard(args) -> int:
     from .shard import DevicePool, ShardedScanner
     from .tune import TuneStore
 
-    if args.smoke:
-        return _shard_smoke()
     n = _parse_size(args.n)
     rng = np.random.default_rng(args.seed)
     if args.dtype == "fp16":
@@ -1250,9 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--store",
                     help="tuned-plan store consulted for every shard plan")
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--smoke", action="store_true",
-                    help="CI self-check: bit-identical sharded results, "
-                    "pool routing correctness, D=4 beats one device")
     ph.set_defaults(fn=cmd_shard)
 
     px = sub.add_parser(

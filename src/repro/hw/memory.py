@@ -15,6 +15,7 @@ paper does around each profiled kernel invocation.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -42,14 +43,12 @@ class GlobalTensor:
         self.name = name
         self.dtype = dtype
         self.shape = tuple(int(d) for d in shape)
+        #: element count, fixed at allocation (every slice bound-checks it)
+        self.num_elements = math.prod(self.shape)
         self.base_addr = base_addr
         self._data = np.zeros(self.shape, dtype=dtype.np_dtype)
 
     # -- size helpers -------------------------------------------------------
-
-    @property
-    def num_elements(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
 
     @property
     def nbytes(self) -> int:
@@ -107,6 +106,7 @@ class GlobalTensor:
         view.name = f"{self.name}[:{length}]"
         view.dtype = self.dtype
         view.shape = (length,)
+        view.num_elements = length
         view.base_addr = self.base_addr
         view._data = self.flat[:length]
         return view

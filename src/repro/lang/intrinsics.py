@@ -57,6 +57,9 @@ __all__ = [
     "scalar_process",
 ]
 
+#: largest |a * b| over int8 operands: (-128) * (-128)
+_INT8_PRODUCT_MAX = 2**14
+
 
 # --------------------------------------------------------------------------
 # helpers
@@ -227,8 +230,24 @@ def mmad(
             f"|A|={a.length}, |B|={b.length}, |C|={c.length}"
         )
 
-    a_mat = a.array[: m * k].reshape(m, k).astype(acc.np_dtype)
-    b_mat = b.array[: k * n].reshape(k, n).astype(acc.np_dtype)
+    if acc.name == "int32":
+        # int8 x int8 -> int32 runs as float64 BLAS (NumPy has no integer
+        # BLAS: an int32 matmul of a 128^3 tile is >20x slower).  Each
+        # product is at most 2**14 in magnitude, so |sum| <= k * 2**14:
+        # below 2**31 there is no int32 wrap to reproduce and below 2**53
+        # float64 rounds nothing, so the cast back is bit-identical to an
+        # int32 matmul.  The 64 KB L0A caps k at 65,536; the bound is
+        # checked anyway.
+        if k * _INT8_PRODUCT_MAX >= 2**31:
+            raise ShapeError(
+                f"int8 mmad with k={k} can overflow the int32 accumulator "
+                f"(needs k * 2**14 < 2**31)"
+            )
+        work = np.float64
+    else:
+        work = acc.np_dtype
+    a_mat = a.array[: m * k].reshape(m, k).astype(work)
+    b_mat = b.array[: k * n].reshape(k, n).astype(work)
     c_mat = c.array[: m * n].reshape(m, n)
     prod = a_mat @ b_mat
     if accumulate:

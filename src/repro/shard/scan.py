@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.api import PLAN_1D_ALGORITHMS, ScanPlan
+from ..core.matrices import padded_length
 from ..errors import KernelError, ShapeError
 from ..hw.memory import GlobalTensor
 from ..lang import intrinsics as I
@@ -198,7 +199,10 @@ class ShardedScanner:
     Shard plans (and their carry-pass traces) are memoized per
     ``(device, padded length, dtype)``, so repeated scans of recurring
     shapes pay Python-level tracing once — the same plan-reuse discipline
-    as :class:`~repro.serve.plan.PlanCache`, held per pool member.
+    as :class:`~repro.serve.plan.PlanCache`, held per pool member.  Every
+    shard length that pads (at ``s*s``) to a memoized plan's length reuses
+    it; a tuned plan with another pad unit serves only the lengths that
+    pad to its own length, so one key may hold several plans.
     """
 
     def __init__(
@@ -220,7 +224,8 @@ class ShardedScanner:
         self.s = s
         self.tuned = tuned
         self.validate = validate
-        #: (device index, shard length, dtype name) -> (plan, carry trace)
+        #: (device index, length padded to s*s, dtype name) ->
+        #: [(plan, carry trace), ...]
         self._plans: dict = {}
         self.plans_built = 0
 
@@ -231,10 +236,11 @@ class ShardedScanner:
     ) -> "tuple[ScanPlan, object, bool]":
         ctx = self.pool[device_idx]
         dt = ctx._as_plan_dtype(dtype)
-        key = (device_idx, length, dt.name)
-        entry = self._plans.get(key)
-        if entry is not None:
-            return entry[0], entry[1], True
+        key = (device_idx, padded_length(length, self.s * self.s), dt.name)
+        entries = self._plans.setdefault(key, [])
+        for plan, carry_traced in entries:
+            if padded_length(length, plan.pad_unit) == plan.padded:
+                return plan, carry_traced, True
         plan = ctx.build_plan(
             algorithm=self.algorithm,
             n=length,
@@ -265,7 +271,7 @@ class ShardedScanner:
             CarryAddKernel(plan.y_gm, 0.0, bd),
             label=f"shard carry(n={plan.padded})",
         )
-        self._plans[key] = (plan, carry_traced)
+        entries.append((plan, carry_traced))
         self.plans_built += 1
         return plan, carry_traced, False
 
@@ -349,7 +355,8 @@ class ShardedScanner:
         """Free every memoized shard plan's GM tensors; returns the bytes
         returned across the pool."""
         freed = 0
-        for plan, _carry in self._plans.values():
-            freed += plan.release()
+        for entries in self._plans.values():
+            for plan, _carry in entries:
+                freed += plan.release()
         self._plans.clear()
         return freed

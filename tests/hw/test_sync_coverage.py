@@ -108,6 +108,31 @@ def test_copy_kernel_fully_synchronized(audit_ctx):
     _assert_covered(traced)
 
 
+def test_carry_add_kernel_fully_synchronized(audit_ctx):
+    from repro.shard.scan import CarryAddKernel
+
+    y = audit_ctx.device.alloc("carry_y", (20_000,), "fp32")
+    traced = audit_ctx.device.trace_kernel(CarryAddKernel(y, 1.5, 3))
+    _assert_covered(traced)
+
+
+def test_sharded_int8_shard_plans_fully_synchronized(rng):
+    """Every shard plan and carry pass a ShardedScanner builds for an
+    int8 scan is covered, on every pool member."""
+    from repro.shard import DevicePool, ShardedScanner
+
+    pool = DevicePool(2, toy_config())
+    for device in pool.devices:
+        device.audit_hazards = True
+    scanner = ShardedScanner(pool, algorithm="mcscan", s=32, validate=False)
+    scanner.scan(rng.integers(-128, 128, size=5000).astype(np.int8))
+    entries = [e for bucket in scanner._plans.values() for e in bucket]
+    assert len(entries) == 2
+    for plan, carry_traced in entries:
+        _assert_covered(plan.traced)
+        _assert_covered(carry_traced)
+
+
 def test_audit_disabled_raises(toy_device):
     ctx = ScanContext(device=toy_device)
     plan = ctx.build_plan(algorithm="scanu", n=1024, dtype="fp16", s=32,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DTypeError, KernelError, ShapeError
-from repro.hw.config import toy_config
+from repro.hw.config import ASCEND_910B4, BufferConfig, DeviceConfig, toy_config
 from repro.hw.device import AscendDevice
 from repro.lang import Kernel, intrinsics as I
 from repro.lang.tensor import BufferKind
@@ -201,6 +201,89 @@ class TestMmad:
 
         with pytest.raises(ShapeError):
             run_mix(dev, body)
+
+
+def _mmad_once(config, a_np, b_np, m, k, n, *, dtype, c0=None):
+    """One ``mmad`` of ``a_np`` (m x k) by ``b_np`` (k x n) on a fresh
+    device; ``c0`` pre-fills L0C and switches on accumulation."""
+    acc = {"int8": "int32", "fp16": "fp32"}[dtype]
+    out = {}
+
+    def body(ctx, cpipe):
+        item = a_np.itemsize
+        l0a = cpipe.init_buffer(buffer=BufferKind.L0A, depth=1, slot_bytes=m * k * item)
+        l0b = cpipe.init_buffer(buffer=BufferKind.L0B, depth=1, slot_bytes=k * n * item)
+        l0c = cpipe.init_buffer(buffer=BufferKind.L0C, depth=1, slot_bytes=m * n * 4)
+        a = l0a.alloc_tensor(dtype, m * k)
+        a.array[:] = a_np.reshape(-1)
+        b = l0b.alloc_tensor(dtype, k * n)
+        b.array[:] = b_np.reshape(-1)
+        c = l0c.alloc_tensor(acc, m * n)
+        c.array[:] = 0 if c0 is None else c0.reshape(-1)
+        I.mmad(ctx, c, a, b, m, k, n, accumulate=c0 is not None)
+        out["c"] = c.array.reshape(m, n).copy()
+
+    run_mix(AscendDevice(config), body)
+    return out["c"]
+
+
+class TestMmadNumerics:
+    """int8 ``Mmad`` runs as float64 BLAS cast to int32; it must equal the
+    exact integer product at the largest k L0A admits, and fp16 ``Mmad``
+    must keep its fp32 formula byte for byte."""
+
+    @pytest.mark.parametrize("config", [ASCEND_910B4, toy_config()],
+                             ids=["910b4", "toy"])
+    @pytest.mark.parametrize("operands", ["all-min", "mixed-extremes"])
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_int8_exact_at_largest_k(self, rng, config, operands, accumulate, m):
+        n = m
+        k = config.buffers.l0a_bytes // m  # the whole L0A holds A
+        assert k * n <= config.buffers.l0b_bytes
+        if operands == "all-min":
+            a_np = np.full((m, k), -128, dtype=np.int8)
+            b_np = np.full((k, n), -128, dtype=np.int8)
+        else:
+            a_np = rng.choice(np.array([127, -128], np.int8), (m, k))
+            b_np = rng.choice(np.array([127, -128], np.int8), (k, n))
+        c0 = rng.integers(-1000, 1000, (m, n)).astype(np.int32) if accumulate else None
+        got = _mmad_once(config, a_np, b_np, m, k, n, dtype="int8", c0=c0)
+        want = a_np.astype(np.int64) @ b_np.astype(np.int64)
+        if c0 is not None:
+            want = want + c0
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want.astype(np.int32))
+        if operands == "all-min":
+            assert np.all(want - (0 if c0 is None else c0) == k * 2**14)
+
+    def test_int8_bound_edge_and_oversized_k(self):
+        """k * 2**14 < 2**31 is the contract, not the L0A size: with a
+        (hypothetical) 128 KB L0A, k = 2**17 - 1 is exact and 2**17
+        raises."""
+        big = DeviceConfig(
+            buffers=BufferConfig(l0a_bytes=128 * 1024, l0b_bytes=128 * 1024)
+        )
+        k = 2**17 - 1
+        row = np.full((1, k), -128, dtype=np.int8)
+        got = _mmad_once(big, row, row.reshape(k, 1), 1, k, 1, dtype="int8")
+        assert int(got[0, 0]) == k * 2**14 < 2**31
+        k = 2**17
+        row = np.full((1, k), -128, dtype=np.int8)
+        with pytest.raises(ShapeError, match="int32 accumulator"):
+            _mmad_once(big, row, row.reshape(k, 1), 1, k, 1, dtype="int8")
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_fp16_keeps_fp32_formula(self, rng, accumulate):
+        m = k = n = 128
+        a_np = rng.standard_normal((m, k)).astype(np.float16)
+        b_np = rng.standard_normal((k, n)).astype(np.float16)
+        c0 = rng.standard_normal((m, n)).astype(np.float32) if accumulate else None
+        got = _mmad_once(toy_config(), a_np, b_np, m, k, n, dtype="fp16", c0=c0)
+        want = a_np.astype(np.float32) @ b_np.astype(np.float32)
+        if c0 is not None:
+            want = c0 + want
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElementwise:

@@ -132,6 +132,54 @@ class TestScanner:
         assert all(r.plan_hit for r in again.shards)
         assert scanner.plans_built == built
 
+    def test_lengths_in_one_pad_class_share_plans(self, rng):
+        """Tail shards of different raw lengths that pad to one plan
+        length reuse the memoized plan: no new build, no new GM."""
+        pool = DevicePool(2, toy_config())
+        scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
+        # 12 units of 256 split 6 + 6: every tail below pads to 6 * 256
+        lengths = [11 * 256 + 5, 11 * 256 + 6, 11 * 256 + 60, 12 * 256]
+        x = rng.integers(-128, 128, size=lengths[0]).astype(np.int8)
+        assert np.array_equal(scanner.scan(x).values, inclusive_scan(x))
+        built, used = scanner.plans_built, pool.gm_used_bytes()
+        for n in lengths[1:]:
+            x = rng.integers(-128, 128, size=n).astype(np.int8)
+            result = scanner.scan(x)
+            assert np.array_equal(result.values, inclusive_scan(x))
+            assert all(r.plan_hit for r in result.shards)
+            assert result.shards[-1].padded == 6 * 256
+        assert scanner.plans_built == built
+        assert pool.gm_used_bytes() == used
+
+    def test_tuned_plan_with_finer_pad_unit_serves_only_its_lengths(
+        self, rng
+    ):
+        """A tuned s=16 plan (pad unit 256) memoized under the scanner's
+        s=32 pad class (1024) must not serve a length it cannot hold."""
+        cfg = toy_config()
+        store = TuneStore(cfg)
+        store.record(
+            "1d:300:int8:i",
+            TunedEntry(
+                algorithm="mcscan", s=16, block_dim=None, layout="1d",
+                tuned_ns=1.0, default_ns=2.0,
+            ),
+        )
+        scanner = ShardedScanner(
+            DevicePool(1, cfg, tune_store=store), s=32, tuned=True
+        )
+        for n, tuned, padded, built in [
+            (300, True, 512, 1),  # tuned plan, padded at unit 256
+            (900, False, 1024, 2),  # same s=32 class, pads past 512
+            (400, True, 512, 2),  # pads to 512: reuses the tuned plan
+        ]:
+            x = rng.integers(-128, 128, size=n).astype(np.int8)
+            result = scanner.scan(x)
+            (record,) = result.shards
+            assert np.array_equal(result.values, inclusive_scan(x))
+            assert (record.tuned, record.padded) == (tuned, padded)
+            assert scanner.plans_built == built
+
     def test_rejects_bad_inputs(self, pool, rng):
         scanner = ShardedScanner(pool, s=16)
         with pytest.raises(ShapeError):
@@ -250,3 +298,14 @@ class TestAdversarialBoundaries:
         assert result.shards[0].carry_ns == 0.0
         assert all(r.carry_ns > 0 for r in result.shards[1:])
         assert result.wall_ns == result.scan_stage_ns + result.carry_stage_ns
+
+
+def test_four_devices_beat_one_on_a_1m_scan(rng):
+    """Sharding a 1M fp16 scan over D=4 full-size devices beats one
+    device on simulated wall clock, with identical values."""
+    x, _ = exact_fp16_scan_input(1 << 20, rng)
+    multi = ShardedScanner(DevicePool(4), algorithm="mcscan").scan(x)
+    single = ShardedScanner(DevicePool(1), algorithm="mcscan").scan(x)
+    assert np.array_equal(multi.values, single.values)
+    assert np.array_equal(multi.values, inclusive_scan(x))
+    assert multi.wall_ns < single.wall_ns
