@@ -12,7 +12,7 @@ Subcommands:
   DES / compiled / memoized replay-engine comparison);
 * ``tune`` — sweep plan configurations per workload shape on the
   simulator and write the persistent tuned-plan store that the serving
-  layer consults (``--smoke`` runs the CI self-check);
+  layer consults;
 * ``shard`` — shard one 1-D scan across a pool of simulated devices and
   compare its two-stage wall clock against a single device;
 * ``chaos`` — serve a mixed load on a fault-injected device pool
@@ -159,78 +159,10 @@ def cmd_serve_bench(args) -> int:
     return 0
 
 
-def _tune_smoke(ctx: ScanContext) -> int:
-    """CI self-check: tune one small shape, then prove the three claims
-    the tuner makes — the store round-trips through JSON, the service
-    serves tuned plans (and says so in its stats), and the tuned config
-    is never slower than the default on the tuned shape."""
-    import os
-    import tempfile
-
-    from .serve.service import ScanService
-    from .tune import TuneStore, WorkloadKey, tune_workload
-
-    n = 16384
-    failures = []
-
-    def check(cond: bool, msg: str) -> None:
-        print(f"{'PASS' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures.append(msg)
-
-    store = TuneStore(ctx.config)
-    result = tune_workload(ctx, WorkloadKey("1d", n, "fp16"), store=store)
-    check(
-        result.best_ns <= result.default_ns,
-        f"tuned {result.best.describe()} ({result.best_ns / 1e3:.2f} us) "
-        f"<= default ({result.default_ns / 1e3:.2f} us)",
-    )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "tuned_plans.json")
-        store.save(path)
-        loaded = TuneStore.load(path, ctx.config)
-        entry = loaded.lookup_1d(n=n, dtype="fp16")
-        check(
-            not loaded.invalidated
-            and entry is not None
-            and (entry.algorithm, entry.s, entry.block_dim)
-            == (result.best.algorithm, result.best.s, result.best.block_dim),
-            "store round-trips through JSON with a matching fingerprint",
-        )
-
-    svc = ScanService(ctx, tune_store=store)
-    x = np.ones(n, dtype=np.float16)
-    tuned_ticket = svc.scan(x)
-    default_ticket = svc.scan(x, algorithm="scanu", s=128)
-    check(
-        tuned_ticket.tuned and svc.stats.tuned_launches >= 1,
-        "service served a tuned plan (stats report tuned hits)",
-    )
-    check(
-        tuned_ticket.device_ns <= default_ticket.device_ns,
-        f"served tuned device time ({tuned_ticket.device_ns / 1e3:.2f} us) "
-        f"<= default ({default_ticket.device_ns / 1e3:.2f} us)",
-    )
-    check(
-        np.array_equal(
-            tuned_ticket.result(), np.arange(1, n + 1, dtype=np.float64)
-        ),
-        "tuned plan result matches the reference scan",
-    )
-    if failures:
-        print(f"\ntune smoke: {len(failures)} check(s) failed")
-        return 1
-    print("\ntune smoke: all checks passed")
-    return 0
-
-
 def cmd_tune(args) -> int:
     from .tune import TuneStore, WorkloadKey, format_result, tune_workload
 
     ctx = ScanContext()
-    if args.smoke:
-        return _tune_smoke(ctx)
     store = TuneStore.load(args.store, ctx.config)
     if store.invalidated:
         print(
@@ -319,7 +251,7 @@ def _chaos_smoke() -> int:
     and reports per-member health."""
     from .core.reference import exact_fp16_scan_input, inclusive_scan
     from .hw import FaultPlan
-    from .serve import DEAD, RetryPolicy, ScanService
+    from .serve import DEAD, DEGRADED, RetryPolicy, ScanService
     from .shard import DevicePool, PoolScanService
 
     rng = np.random.default_rng(0)
@@ -409,10 +341,11 @@ def _chaos_smoke() -> int:
         ),
         "post-death traffic routes around the dead member, still exact",
     )
-    text = psvc.summary()
+    members = psvc.snapshot()["members"]
     check(
-        "dead" in text and ("degraded" in text or "failover" in text),
-        "summary() reports member health",
+        members[1]["state"] == DEAD
+        and any(m["state"] == DEGRADED or m["failovers"] for m in members),
+        "snapshot() reports member health",
     )
 
     if failures:
@@ -956,14 +889,13 @@ def _graph_smoke(fusion: str = "conservative") -> int:
         f"{hand_s / graph_s:.1f}x on {requests} requests, same tokens",
     )
 
-    # 5. per-op device-time breakdown lands in the stats, and the graph
-    # cache line (hits/misses/fused count) shows up in the summary
-    text = svc.summary()
+    # 5. per-op device-time breakdown and the graph-cache counters
+    # (hits/misses/fused count) land in the snapshot
+    snap = svc.snapshot()
     check(
-        "op breakdown" in text
-        and "graph cache" in text
-        and {"topk", "top_p_sample"} <= set(svc.stats.op_device_ns),
-        "summary() reports the per-op breakdown and graph-cache stats",
+        {"topk", "top_p_sample"} <= set(snap["ops"])
+        and "graph_cache" in snap,
+        "snapshot() reports the per-op breakdown and graph-cache stats",
     )
 
     # 6. fusion: the fused lowering of an elementwise-heavy pipeline is
@@ -1145,9 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tune exclusive scans (MCScan only)")
     pu.add_argument("--verbose", action="store_true",
                     help="print every traced candidate")
-    pu.add_argument("--smoke", action="store_true",
-                    help="CI self-check: tune one small shape, assert store "
-                    "round-trip and tuned <= default")
     pu.set_defaults(fn=cmd_tune)
 
     ph = sub.add_parser(

@@ -227,10 +227,7 @@ def oracle_outputs(
 
 def graph_oracle_job(
     graph: Graph, inputs: "dict[str, np.ndarray]", params: "dict | None"
-) -> "tuple[tuple[np.ndarray, ...], float]":
-    """One served graph request's numerics: returns ``(outputs,
-    seconds)``, the oracle outputs and the host time they took (charged
-    to the service's ``numerics`` phase)."""
-    t0 = time.perf_counter()
-    outputs = graph.run_oracle(inputs, params)
-    return outputs, time.perf_counter() - t0
+) -> "tuple[np.ndarray, ...]":
+    """One served graph request's numerics: the oracle outputs, in
+    ``graph.outputs`` order."""
+    return graph.run_oracle(inputs, params)

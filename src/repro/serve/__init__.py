@@ -11,7 +11,8 @@ operator integration would use in steady state:
 * :class:`RequestBatcher` — coalesces queued same-shape 1-D requests into
   one batched-kernel launch with per-request scatter-back;
 * :class:`ScanService` — the ``submit``/``flush`` façade tying the two
-  together, with per-request latency and aggregate throughput statistics.
+  together, with per-request latency and aggregate throughput statistics
+  (``snapshot()`` as plain data, ``summary()`` rendered from it).
 
 ``python -m repro serve-bench`` exercises the layer end to end.
 """
@@ -21,7 +22,7 @@ from .numerics import assemble_rows, group_scan_values
 from .plan import PlanCache, PlanKey
 from .resilience import DEAD, DEGRADED, HEALTHY, MemberHealth, RetryPolicy
 from .service import ScanService, ScanTicket
-from .stats import HOST_PHASES, LaunchRecord, ServiceStats
+from .stats import LaunchRecord, ServiceStats, render
 from .traffic import (
     TRAFFIC_SEED0,
     Arrival,
@@ -43,7 +44,7 @@ __all__ = [
     "ScanTicket",
     "ServiceStats",
     "LaunchRecord",
-    "HOST_PHASES",
+    "render",
     "assemble_rows",
     "group_scan_values",
     "RetryPolicy",

@@ -36,6 +36,7 @@ from ..hw.compiled import assert_timelines_equal
 from ..hw.config import ASCEND_910B4, DeviceConfig
 from .plan import PlanCache
 from .service import ScanService
+from .stats import render
 
 __all__ = [
     "bench_plan_cache",
@@ -226,8 +227,8 @@ def bench_graph_cache(
     config: DeviceConfig = ASCEND_910B4,
 ) -> dict:
     """Graph-serving slice: fused-region lowering through the service,
-    reporting the GraphPlanCache counters (lowered/fused/hits/misses) the
-    service summary surfaces."""
+    reporting the GraphPlanCache counters (lowered/fused/hits/misses) from
+    the service snapshot."""
     from ..graph import llm_sample, scan_pipeline
 
     service = ScanService(config=config, graph_fusion=fusion)
@@ -243,12 +244,7 @@ def bench_graph_cache(
             probs = (rng.permutation(vocab) + 1).astype(np.float16)
             service.submit_graph(sample, {"probs": probs})
     service.flush()
-    stats = service.graph_runner.cache.stats()
-    (cache_line,) = [
-        line.strip()
-        for line in service.summary().splitlines()
-        if line.startswith("graph cache")
-    ]
+    stats = service.snapshot()["graph_cache"]
     return {
         "fusion": fusion,
         "requests": requests,
@@ -257,7 +253,7 @@ def bench_graph_cache(
         "hits": stats["hits"],
         "misses": stats["misses"],
         "replays": stats["replays"],
-        "summary_line": cache_line,
+        "summary_line": render({"graph_cache": stats}),
     }
 
 
@@ -329,15 +325,6 @@ def format_report(report: dict) -> str:
             f"{r['direct_gelems']:8.1f} GE/s {r['service_gelems']:8.1f} GE/s "
             f"{r['throughput_ratio']:6.3f}"
         )
-    phase_lines = [
-        (r["algorithm"], line.split(":", 1)[1].strip())
-        for r in report["batched"]
-        for line in r["service_summary"].splitlines()
-        if line.startswith("host phases")
-    ]
-    if phase_lines:
-        lines += ["", "per-phase host time (trace/tune/numerics/timeline):"]
-        lines += [f"{algo:>10} {detail}" for algo, detail in phase_lines]
     if report.get("replay_engines"):
         lines += [
             "",

@@ -67,7 +67,7 @@ def group_scan_values(
     Returns ``(values, host_s)`` where ``values[i]`` is the length-``n_i``
     scan of ``xs[i]`` — bit-identical to running ``plan_compute`` on each
     request separately — and ``host_s`` is the wall time the numerics
-    took (attributed to the service's ``numerics`` host phase).
+    took.
     """
     t0 = time.perf_counter()
     width = max(x.size for x in xs)

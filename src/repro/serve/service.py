@@ -34,7 +34,7 @@ from .batcher import LaunchGroup, RequestBatcher, ScanRequest
 from .numerics import group_scan_values
 from .plan import PlanCache
 from .resilience import RetryPolicy
-from .stats import LaunchRecord, ServiceStats
+from .stats import LaunchRecord, ServiceStats, render, tune_store_snapshot
 
 __all__ = ["ScanTicket", "ScanService"]
 
@@ -200,11 +200,9 @@ class ScanService:
         tuned = False
         block_dim: "int | None" = None
         if algorithm is None and s is None and self.tune_store is not None:
-            t_tune = time.perf_counter()
             entry = self.tune_store.lookup_1d(
                 n=x.size, dtype=dt.name, exclusive=exclusive
             )
-            self.stats.add_phase("tune", time.perf_counter() - t_tune)
             if entry is not None:
                 algorithm = entry.algorithm
                 s = entry.s
@@ -347,14 +345,11 @@ class ScanService:
             graph_oracle_job,
         )
 
-        t0 = time.perf_counter()
         bound = graph.bind(inputs)
         signature = graph.signature()
         t_submit = time.perf_counter()
-        self.stats.add_phase("trace", t_submit - t0)
         params = dict(params) if params else None
-        outputs, seconds = graph_oracle_job(graph, bound, params)
-        self.stats.add_phase("numerics", seconds)
+        outputs = graph_oracle_job(graph, bound, params)
         if req_id is None:
             req_id = self._next_id
             self._next_id += 1
@@ -452,11 +447,10 @@ class ScanService:
 
         This is the schedule-bearing half of a launch (fault draws,
         slowdown EWMA, simulated time); the caller computes the numerics
-        half and charges this host time to the ``timeline`` phase.  Graph
-        requests call this once per captured kernel, so a transient fault
-        relaunches only the kernel it hit, not the whole multi-node
-        replay (the numerics are oracle-computed, so a replayed prefix has
-        no side effects to undo).
+        half.  Graph requests call this once per captured kernel, so a
+        transient fault relaunches only the kernel it hit, not the whole
+        multi-node replay (the numerics are oracle-computed, so a
+        replayed prefix has no side effects to undo).
         """
         policy = self.retry
         is_plan = isinstance(launch, ScanPlan)
@@ -491,30 +485,24 @@ class ScanService:
             return trace, attempt - 1, faults, backoff_ns
 
     def _replay_plan(self, plan: ScanPlan, requests) -> tuple:
-        """One scan launch of ``plan``: :meth:`_replay_with_retry` timed
-        into the ``timeline`` phase.  On a terminal fault ``requests``
-        (the launch's and every later one of its group) go back on the
-        queue before the fault propagates."""
-        t0 = time.perf_counter()
+        """One scan launch of ``plan`` through :meth:`_replay_with_retry`.
+        On a terminal fault ``requests`` (the launch's and every later
+        one of its group) go back on the queue before the fault
+        propagates."""
         try:
             return self._replay_with_retry(plan)
         except Exception:
             # tickets stay tracked; the unserved requests are re-queued
             self._requeue(requests)
             raise
-        finally:
-            self.stats.add_phase("timeline", time.perf_counter() - t0)
 
     def _get_plan(self, group: LaunchGroup) -> "tuple[ScanPlan, bool]":
         key = group.key
-        t0 = time.perf_counter()
         hit = key in self.cache
         plan = self.cache.get_batched(
             key.algorithm, key.batch, key.padded, key.dtype, s=key.s,
             tuned=any(r.tuned for r in group.requests),
         )
-        if not hit:
-            self.stats.add_phase("trace", time.perf_counter() - t0)
         return plan, hit
 
     def _finish(self, ticket: ScanTicket, req: ScanRequest, values) -> None:
@@ -526,15 +514,13 @@ class ScanService:
     def _group_numerics(
         self, requests, *, algorithm: str, in_dtype, exclusive: bool
     ) -> "list[np.ndarray]":
-        """The group's numerics in one stacked pass, timed into the
-        ``numerics`` phase."""
-        values, seconds = group_scan_values(
+        """The group's numerics in one stacked pass."""
+        values, _ = group_scan_values(
             [req.x for req in requests],
             algorithm=algorithm,
             in_dtype=in_dtype,
             exclusive=exclusive,
         )
-        self.stats.add_phase("numerics", seconds)
         return values
 
     def _serve_batched(self, group: LaunchGroup) -> "list[ScanTicket]":
@@ -598,15 +584,12 @@ class ScanService:
         )
         tickets = []
         for idx, req in enumerate(group.requests):
-            t0 = time.perf_counter()
             hit = key in self.cache
             plan = self.cache.get_1d(
                 req.algorithm, req.n, req.plan_dtype, s=req.s,
                 exclusive=req.exclusive, block_dim=req.block_dim,
                 tuned=req.tuned,
             )
-            if not hit:
-                self.stats.add_phase("trace", time.perf_counter() - t0)
             hits_before = plan.timeline_hits
             # a fault puts this request and every later one back
             trace, retries, faults, backoff_ns = self._replay_plan(
@@ -641,7 +624,7 @@ class ScanService:
         """Serve a group of same-signature graph requests: lower once per
         shape class (cached), replay every node's captured programs per
         request under the retry policy, attach the oracle outputs computed
-        at submit, and record per-op device/host breakdowns.
+        at submit, and record the per-op device-time breakdown.
 
         Requests in a graph group share lowered programs but replay
         independently — each gets its own fault draws and simulated time,
@@ -654,12 +637,8 @@ class ScanService:
         stats = self.stats
         tickets = []
         for idx, req in enumerate(group.requests):
-            t0 = time.perf_counter()
             entries, built = runner.lower(req.graph)
-            t_replay = t_unit = time.perf_counter()
-            if built:
-                stats.add_phase("trace", t_replay - t0)
-            # (lowered unit, its device ns, its host s) per unit
+            # (lowered unit, its device ns) per unit
             spans = []
             served_ns = 0.0
             backoff_ns = 0.0
@@ -685,24 +664,20 @@ class ScanService:
                         backoff_ns += kbackoff
                     low.replays += 1
                     launches += low.launches
-                    now = time.perf_counter()
-                    spans.append((low, unit_ns, now - t_unit))
-                    t_unit = now
+                    spans.append((low, unit_ns))
             except Exception:
                 # this request and everything after it go back on the queue
                 self._requeue(group.requests[idx:])
                 raise
-            finally:
-                stats.add_phase("timeline", time.perf_counter() - t_replay)
-            for low, unit_ns, host_s in spans:
+            for low, unit_ns in spans:
                 if low.members:
                     # fused region: attribute the span back to the member
                     # kinds by the build-time device-time weights, so the
                     # per-op breakdown matches the unfused vocabulary
                     for kind, w in low.members:
-                        stats.record_op(kind, unit_ns * w, host_s=host_s * w)
+                        stats.record_op(kind, unit_ns * w)
                 else:
-                    stats.record_op(low.kind, unit_ns, host_s=host_s)
+                    stats.record_op(low.kind, unit_ns)
             served_ns += backoff_ns
             tuned = any(low.tuned for _, low in entries)
             stats.record_launch(
@@ -735,35 +710,19 @@ class ScanService:
 
     # -- reporting ----------------------------------------------------------
 
-    def summary(self) -> str:
-        cache = self.cache.stats()
-        lines = [
-            "scan service",
-            f"plan cache      : {cache['plans']} plans "
-            f"({cache['tuned_plans']} tuned), "
-            f"{cache['hits']} hits / {cache['misses']} misses, "
-            f"{cache['evictions']} evictions "
-            f"({cache['evicted_gm_bytes'] / 1e6:.1f} MB freed), "
-            f"{cache['build_host_s'] * 1e3:.1f} ms build time, "
-            f"{cache['gm_bytes'] / 1e6:.1f} MB GM pinned",
-            f"timeline cache  : {cache['timeline_hits']} hits / "
-            f"{cache['timeline_misses']} misses (memoized replays)",
-        ]
+    def snapshot(self) -> dict:
+        """Plan/graph/tune cache counters plus :meth:`ServiceStats.snapshot`,
+        as plain data (rendered by :func:`~repro.serve.stats.render`)."""
+        snap = {"plan_cache": self.cache.stats()}
         if self.graph_runner is not None:
-            g = self.graph_runner.cache.stats()
-            lines.append(
-                f"graph cache     : {g['lowered']} lowered "
-                f"({g['fused']} fused, {g['tuned']} tuned, "
-                f"fusion={self.graph_fusion}), "
-                f"{g['hits']} hits / {g['misses']} misses, "
-                f"{g['replays']} replays, "
-                f"{g['build_host_s'] * 1e3:.1f} ms build time"
-            )
+            snap["graph_cache"] = {
+                **self.graph_runner.cache.stats(),
+                "fusion": self.graph_fusion,
+            }
         if self.tune_store is not None:
-            lines.append(
-                f"tuned store     : {len(self.tune_store)} entries, "
-                f"{self.tune_store.lookup_hits} lookup hits / "
-                f"{self.tune_store.lookup_misses} misses"
-            )
-        lines.append(self.stats.summary())
-        return "\n".join(lines)
+            snap["tune_store"] = tune_store_snapshot(self.tune_store)
+        snap.update(self.stats.snapshot())
+        return snap
+
+    def summary(self) -> str:
+        return render(self.snapshot())

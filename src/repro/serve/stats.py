@@ -3,18 +3,20 @@
 Host latency (wall seconds from ``submit`` to completion) and simulated
 device time are tracked separately — the whole point of the serve layer
 is that the host side stops dominating, so the report shows both.
+
+Every report is plain data first: :meth:`ServiceStats.snapshot` (and the
+service and pool ``snapshot()`` methods built on it) returns counters
+and percentiles as dicts, and :func:`render` is the one formatter that
+turns any such snapshot into summary lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["HOST_PHASES", "LaunchRecord", "ServiceStats"]
+from .resilience import HEALTHY
 
-#: canonical host-phase order for reports: plan building (kernel tracing),
-#: tuned-store lookups, functional NumPy numerics, simulated-timeline
-#: replay (incl. retry/fault handling), and pool routing decisions
-HOST_PHASES = ("trace", "tune", "numerics", "timeline", "routing")
+__all__ = ["LaunchRecord", "ServiceStats", "render"]
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,6 @@ class ServiceStats:
     #: every DeviceFault observed, including ones whose launch ultimately
     #: failed (so this can exceed the sum of per-launch ``faults``)
     fault_events: int = 0
-    #: accumulated host seconds per serving phase (see :data:`HOST_PHASES`).
-    #: Every phase runs serially on the calling thread, so no two phases
-    #: overlap in wall-clock time.
-    phase_host_s: "dict[str, float]" = field(default_factory=dict)
     #: op kind -> (replayed launches, summed simulated device ns) for
     #: graph traffic — the per-op dimension of the device-time breakdown
     op_device_ns: "dict[str, tuple[int, float]]" = field(default_factory=dict)
@@ -79,27 +77,11 @@ class ServiceStats:
     n_elements: int = field(default=0, init=False)
     coalesced_requests: int = field(default=0, init=False)
 
-    def record_op(self, kind: str, device_ns: float, *, host_s: float = 0.0) -> None:
-        """Charge one graph node's replay to its op kind: simulated device
-        ns here, host seconds as an ``op:<kind>`` phase.  The op phases
-        are a breakdown *dimension* of the ``timeline`` phase (the node
-        replays happen inside it), not additive with the canonical
-        phases."""
+    def record_op(self, kind: str, device_ns: float) -> None:
+        """Charge one graph node's replay (simulated device ns) to its op
+        kind."""
         count, ns = self.op_device_ns.get(kind, (0, 0.0))
         self.op_device_ns[kind] = (count + 1, ns + device_ns)
-        if host_s:
-            self.add_phase(f"op:{kind}", host_s)
-
-    def op_line(self) -> "str | None":
-        """One formatted per-op device-time line, or None without graph
-        traffic."""
-        if not self.op_device_ns:
-            return None
-        parts = [
-            f"{kind} {count}x {ns / 1e3:.1f} us"
-            for kind, (count, ns) in sorted(self.op_device_ns.items())
-        ]
-        return "op breakdown    : " + ", ".join(parts)
 
     def record_request(self, host_s: float) -> None:
         self.host_latencies_s.append(host_s)
@@ -129,24 +111,6 @@ class ServiceStats:
     def record_fault(self) -> None:
         self.fault_events += 1
 
-    def add_phase(self, phase: str, seconds: float) -> None:
-        """Charge ``seconds`` of host time to one serving phase."""
-        self.phase_host_s[phase] = self.phase_host_s.get(phase, 0.0) + seconds
-
-    def phase_line(self) -> "str | None":
-        """One formatted breakdown line, or None before any phase ran."""
-        if not self.phase_host_s:
-            return None
-        parts = [
-            f"{name} {self.phase_host_s[name] * 1e3:.2f} ms"
-            for name in HOST_PHASES
-            if name in self.phase_host_s
-        ]
-        for name in sorted(self.phase_host_s):
-            if name not in HOST_PHASES:
-                parts.append(f"{name} {self.phase_host_s[name] * 1e3:.2f} ms")
-        return "host phases     : " + ", ".join(parts)
-
     # -- request-side metrics ----------------------------------------------
 
     @property
@@ -168,16 +132,6 @@ class ServiceStats:
     def sim_requests(self) -> int:
         """Served open-loop requests (simulated-latency samples)."""
         return len(self.sim_latencies_ns)
-
-    def sim_latency_percentile_ns(self, q: float) -> float:
-        """Simulated latency percentile (p50/p99/p999 of the traffic run)."""
-        return _percentile(sorted(self.sim_latencies_ns), q)
-
-    @property
-    def mean_sim_latency_ns(self) -> float:
-        if not self.sim_latencies_ns:
-            return 0.0
-        return sum(self.sim_latencies_ns) / len(self.sim_latencies_ns)
 
     # -- launch-side metrics -----------------------------------------------
 
@@ -220,11 +174,6 @@ class ServiceStats:
         return sum(1 for r in self.launches if r.tuned)
 
     @property
-    def tuned_requests(self) -> int:
-        """Requests served by tuned-plan launches."""
-        return sum(r.requests for r in self.launches if r.tuned)
-
-    @property
     def tuned_hit_rate(self) -> float:
         """Fraction of launches that used a tuned plan configuration."""
         if not self.launches:
@@ -253,44 +202,171 @@ class ServiceStats:
         """Launches that needed at least one retry."""
         return sum(1 for r in self.launches if r.retries)
 
-    def summary(self) -> str:
+    def snapshot(self) -> dict:
+        """Counters and percentiles as plain data (see :func:`render`)."""
         lat = sorted(self.host_latencies_s)
-        lines = [
-            f"requests        : {self.requests} "
-            f"({self.coalesced_requests} coalesced into batched launches)",
-            f"launches        : {self.launch_count} "
-            f"(plan hit rate {self.plan_hit_rate:.0%}, "
-            f"timeline hit rate {self.timeline_hit_rate:.0%}, "
-            f"tuned {self.tuned_hit_rate:.0%})",
-            f"host latency    : mean {self.mean_host_latency_s * 1e3:.2f} ms, "
-            f"p50 {_percentile(lat, 0.50) * 1e3:.2f} ms, "
-            f"p99 {_percentile(lat, 0.99) * 1e3:.2f} ms",
-            f"device          : {self.device_ns / 1e3:.1f} us simulated, "
-            f"{self.gelems_per_s:.1f} GElems/s, "
-            f"{self.bandwidth_gbps:.1f} GB/s",
-        ]
+        snap = {
+            "requests": self.requests,
+            "coalesced_requests": self.coalesced_requests,
+            "launches": self.launch_count,
+            "plan_hit_rate": self.plan_hit_rate,
+            "timeline_hit_rate": self.timeline_hit_rate,
+            "tuned_hit_rate": self.tuned_hit_rate,
+            "host_latency_s": {
+                "mean": self.mean_host_latency_s,
+                "p50": _percentile(lat, 0.50),
+                "p99": _percentile(lat, 0.99),
+            },
+            "device_ns": self.device_ns,
+            "gelems_per_s": self.gelems_per_s,
+            "bandwidth_gbps": self.bandwidth_gbps,
+            "ops": ops_snapshot(self.op_device_ns),
+            "fault_events": self.fault_events,
+            "retries": self.total_retries,
+            "faulted_launches": self.faulted_launches,
+            "backoff_ns": self.total_backoff_ns,
+        }
         if self.sim_latencies_ns:
             sim = sorted(self.sim_latencies_ns)
-            lines.append(
-                f"sim latency     : {self.sim_requests} requests, "
-                f"p50 {_percentile(sim, 0.50) / 1e3:.1f} us, "
-                f"p99 {_percentile(sim, 0.99) / 1e3:.1f} us, "
-                f"p999 {_percentile(sim, 0.999) / 1e3:.1f} us; "
-                f"{self.deadline_hits} in deadline / "
-                f"{self.deadline_misses} late / "
-                f"{self.shed_requests} shed"
-            )
-        phases = self.phase_line()
-        if phases is not None:
-            lines.append(phases)
-        ops = self.op_line()
-        if ops is not None:
-            lines.append(ops)
-        if self.fault_events:
-            lines.append(
-                f"resilience      : {self.fault_events} fault events, "
-                f"{self.total_retries} retries over "
-                f"{self.faulted_launches} launches, "
-                f"{self.total_backoff_ns / 1e3:.1f} us backoff"
-            )
-        return "\n".join(lines)
+            snap["sim_latency_ns"] = {
+                "requests": self.sim_requests,
+                "p50": _percentile(sim, 0.50),
+                "p99": _percentile(sim, 0.99),
+                "p999": _percentile(sim, 0.999),
+                "deadline_hits": self.deadline_hits,
+                "deadline_misses": self.deadline_misses,
+                "shed": self.shed_requests,
+            }
+        return snap
+
+    def summary(self) -> str:
+        return render(self.snapshot())
+
+
+def ops_snapshot(op_device_ns: "dict[str, tuple[int, float]]") -> dict:
+    """Per-op-kind graph replay accounting as plain data, sorted by kind."""
+    return {
+        kind: {"launches": count, "device_ns": ns}
+        for kind, (count, ns) in sorted(op_device_ns.items())
+    }
+
+
+def tune_store_snapshot(store) -> dict:
+    """Size and lookup counters of a tuned-plan store."""
+    return {
+        "entries": len(store),
+        "lookup_hits": store.lookup_hits,
+        "lookup_misses": store.lookup_misses,
+    }
+
+
+def _member_line(m: dict) -> str:
+    line = (
+        f"  dev{m['member']}          : {m['state']}, "
+        f"busy {m['busy_ns'] / 1e3:.1f} us "
+        f"({m['fraction']:.0%} of makespan), "
+        f"{m['requests']} requests / {m['groups']} groups, "
+        f"{m['plan_cache']['plans']} plans, "
+        f"{m['plan_cache']['gm_bytes'] / 1e6:.1f} MB GM"
+    )
+    if m["state"] != HEALTHY:
+        line += (
+            f" [{m['fault_events']} faults, {m['retries']} retries, "
+            f"{m['failovers']} failovers, slowdown x{m['slowdown']:.2f}]"
+        )
+    return line
+
+
+def render(snap: dict) -> str:
+    """Summary lines for a service, pool or stats snapshot.
+
+    Each section is rendered when its key is present, so the same
+    function formats a whole pool, one member, bare
+    :class:`ServiceStats`, or a single section such as
+    ``{"graph_cache": ...}``."""
+    lines = []
+    pool = snap.get("pool")
+    if pool is not None:
+        lines += [
+            f"device pool     : {pool['devices']} x {pool['config']}",
+            f"aggregate       : {pool['requests']} requests, "
+            f"{pool['elements'] / 1e6:.2f} M elements, "
+            f"makespan {pool['makespan_ns'] / 1e3:.1f} us, "
+            f"{pool['gelems_per_s']:.1f} GElems/s",
+        ]
+        lines += [_member_line(m) for m in snap["members"]]
+    cache = snap.get("plan_cache")
+    if cache is not None:
+        lines += [
+            "scan service",
+            f"plan cache      : {cache['plans']} plans "
+            f"({cache['tuned_plans']} tuned), "
+            f"{cache['hits']} hits / {cache['misses']} misses, "
+            f"{cache['evictions']} evictions "
+            f"({cache['evicted_gm_bytes'] / 1e6:.1f} MB freed), "
+            f"{cache['build_host_s'] * 1e3:.1f} ms build time, "
+            f"{cache['gm_bytes'] / 1e6:.1f} MB GM pinned",
+            f"timeline cache  : {cache['timeline_hits']} hits / "
+            f"{cache['timeline_misses']} misses (memoized replays)",
+        ]
+    g = snap.get("graph_cache")
+    if g is not None:
+        lines.append(
+            f"graph cache     : {g['lowered']} lowered "
+            f"({g['fused']} fused, {g['tuned']} tuned, "
+            f"fusion={g['fusion']}), "
+            f"{g['hits']} hits / {g['misses']} misses, "
+            f"{g['replays']} replays, "
+            f"{g['build_host_s'] * 1e3:.1f} ms build time"
+        )
+    store = snap.get("tune_store")
+    if store is not None:
+        line = (
+            f"tuned store     : {store['entries']} entries, "
+            f"{store['lookup_hits']} lookup hits / "
+            f"{store['lookup_misses']} misses"
+        )
+        if pool is not None:
+            line += f" (shared across all {pool['devices']} members)"
+        lines.append(line)
+    if "launches" in snap:
+        lat = snap["host_latency_s"]
+        lines += [
+            f"requests        : {snap['requests']} "
+            f"({snap['coalesced_requests']} coalesced into batched launches)",
+            f"launches        : {snap['launches']} "
+            f"(plan hit rate {snap['plan_hit_rate']:.0%}, "
+            f"timeline hit rate {snap['timeline_hit_rate']:.0%}, "
+            f"tuned {snap['tuned_hit_rate']:.0%})",
+            f"host latency    : mean {lat['mean'] * 1e3:.2f} ms, "
+            f"p50 {lat['p50'] * 1e3:.2f} ms, "
+            f"p99 {lat['p99'] * 1e3:.2f} ms",
+            f"device          : {snap['device_ns'] / 1e3:.1f} us simulated, "
+            f"{snap['gelems_per_s']:.1f} GElems/s, "
+            f"{snap['bandwidth_gbps']:.1f} GB/s",
+        ]
+    sim = snap.get("sim_latency_ns")
+    if sim is not None:
+        lines.append(
+            f"sim latency     : {sim['requests']} requests, "
+            f"p50 {sim['p50'] / 1e3:.1f} us, "
+            f"p99 {sim['p99'] / 1e3:.1f} us, "
+            f"p999 {sim['p999'] / 1e3:.1f} us; "
+            f"{sim['deadline_hits']} in deadline / "
+            f"{sim['deadline_misses']} late / "
+            f"{sim['shed']} shed"
+        )
+    if snap.get("ops"):
+        parts = [
+            f"{kind} {op['launches']}x {op['device_ns'] / 1e3:.1f} us"
+            for kind, op in snap["ops"].items()
+        ]
+        lines.append("op breakdown    : " + ", ".join(parts))
+    if snap.get("fault_events"):
+        lines.append(
+            f"resilience      : {snap['fault_events']} fault events, "
+            f"{snap['retries']} retries over "
+            f"{snap['faulted_launches']} launches, "
+            f"{snap['backoff_ns'] / 1e3:.1f} us backoff"
+        )
+    return "\n".join(lines)

@@ -39,8 +39,6 @@ latency plus goodput-vs-offered-load come out of the
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..errors import KernelError
@@ -137,27 +135,34 @@ class TrafficScheduler:
         self.controller = (
             controller if controller is not None else svc.controller
         )
+        #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
+        self._predictions: dict = {}
+        #: per-bucket capacity: the batcher's chunk size (largest power of
+        #: two <= max_batch), so a full bucket is exactly one batched launch
+        self._capacity = 1 << (self.svc.batcher.max_batch.bit_length() - 1)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start a fresh simulated run: clock, member frontiers, buckets
+        and request-side metrics.  Only the plan-cost memo carries over
+        (plan costs do not depend on the run)."""
+        workers = len(self.svc.workers)
         #: simulated clock (ns); advances to each event, never backwards
         self.clock_ns = 0.0
         #: per-member reservation frontier: when the member is expected to
         #: be free, counting staged-but-not-started work at predicted cost
-        self.free_at_ns = [0.0] * len(svc.workers)
+        self.free_at_ns = [0.0] * workers
         #: per-member actual frontier: completion of the last *dispatched*
         #: batch (corrects predictions once real served time is known)
-        self.done_at_ns = [0.0] * len(svc.workers)
+        self.done_at_ns = [0.0] * workers
         #: open + staged buckets, in creation order
         self.buckets: "list[_Bucket]" = []
         self._seq = 0
         #: request-side metrics (simulated latencies, deadline verdicts,
         #: shed counts) — the ServiceStats leg of the timestamp threading
         self.stats = ServiceStats()
-        #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
-        self._predictions: dict = {}
         self._served_tickets: list = []
         self._failed_tickets: list = []
-        #: per-bucket capacity: the batcher's chunk size (largest power of
-        #: two <= max_batch), so a full bucket is exactly one batched launch
-        self._capacity = 1 << (self.svc.batcher.max_batch.bit_length() - 1)
 
     # -- cost model ----------------------------------------------------------
 
@@ -176,7 +181,6 @@ class TrafficScheduler:
         hit = self._predictions.get(memo_key)
         if hit is not None:
             return hit
-        t0 = time.perf_counter()
         if batchable:
             plan = cache.get_batched(
                 req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
@@ -188,7 +192,6 @@ class TrafficScheduler:
                 exclusive=req.exclusive, block_dim=req.block_dim,
             )
             ns = plan.time_ns() * rows
-        self.svc.routing_host_s += time.perf_counter() - t0
         self._predictions[memo_key] = ns
         return ns
 
@@ -466,13 +469,14 @@ class TrafficScheduler:
         event (launch deadline of an open bucket, start time of a staged
         one); arrivals at the same tick are offered before the bucket
         event fires, so a same-tick arrival can still join a bucket that
-        filled — or was deadline-staged — at that very tick.
+        filled — or was deadline-staged — at that very tick.  Every call
+        starts from a fresh simulated clock and fresh counters, so back-to-
+        back runs on one scheduler report what fresh schedulers would.
         """
+        self._reset()
         arrivals = generate_arrivals(spec, seed)
         data_rng = np.random.default_rng((TRAFFIC_SEED0, seed, 1))
         payloads = [make_input(data_rng, a.n, spec.np_dtype) for a in arrivals]
-        self._served_tickets: list = []
-        self._failed_tickets: list = []
         launches0 = sum(w.stats.launch_count for w in self.svc.workers)
         span0 = self.svc.span_ns
         admitted = 0

@@ -24,8 +24,6 @@ ticket a member serves is finished before ``_dispatch`` returns.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..errors import ConfigError, DeviceFault
@@ -44,7 +42,7 @@ from ..serve.service import (
     ScanTicket,
     _sorted_by_submit_sequence,
 )
-from ..serve.stats import HOST_PHASES
+from ..serve.stats import ops_snapshot, render, tune_store_snapshot
 from .pool import DevicePool
 
 __all__ = ["PoolScanService"]
@@ -70,7 +68,7 @@ class PoolScanService:
         parallel: "int | None" = None,
         graph_fusion: str = "conservative",
     ):
-        # serial only; ROADMAP item 6 drops the keyword
+        # serial only; the ROADMAP "Benchmark follow-up" drops the keyword
         if parallel is not None:
             raise ConfigError(
                 f"parallel={parallel!r}: the pool serves serially; "
@@ -103,10 +101,6 @@ class PoolScanService:
             )
             for ctx in self.pool
         ]
-        #: host seconds spent on pool-level scheduling (drain, LPT sort,
-        #: group picks, routing, failover bookkeeping) — everything in
-        #: ``flush`` that is not member serving time
-        self.routing_host_s = 0.0
         # the shared batcher only needs a cache for key construction, and
         # plan keys are shape classes — device-independent by design
         self.batcher = RequestBatcher(
@@ -124,9 +118,6 @@ class PoolScanService:
         #: add up — unlike ``max(busy_ns)``, idle time a member spends
         #: waiting between rounds is part of the span
         self.span_ns = 0.0
-        #: host seconds spent inside member serving (``_dispatch``), used
-        #: to separate routing time from member time in ``phase_host_s``
-        self._member_host_s = 0.0
         #: launch groups routed to each member
         self.groups_routed = [0] * len(self.workers)
         #: launch groups recalled from each member after a terminal fault
@@ -259,8 +250,6 @@ class PoolScanService:
         re-raise — and even then all unserved requests are back in the
         pool queue with their tickets tracked.
         """
-        t_flush = time.perf_counter()
-        member_s0 = self._member_host_s
         groups = self.batcher.drain()
         # LPT: heaviest groups place first, onto the least-busy member
         groups.sort(key=lambda g: g.padded_elements, reverse=True)
@@ -289,8 +278,6 @@ class PoolScanService:
                         raise fault
                     queue.append((leftover, failovers + 1))
         finally:
-            member_s = self._member_host_s - member_s0
-            self.routing_host_s += time.perf_counter() - t_flush - member_s
             # members served this flush concurrently; the round's span is
             # the longest member delta, and rounds add up (satellite fix:
             # the pool makespan is *not* max(busy_ns) once a member idles
@@ -325,11 +312,9 @@ class PoolScanService:
             worker.enqueue(req, ticket)
             routed.append((req, ticket))
         before = worker.stats.device_ns
-        t_member = time.perf_counter()
         try:
             completed = worker.flush()
         except DeviceFault as fault:
-            self._member_host_s += time.perf_counter() - t_member
             # faulted time (incl. retries' backoff already served)
             self.busy_ns[target] += worker.stats.device_ns - before
             if fault.permanent:
@@ -340,7 +325,6 @@ class PoolScanService:
                 return completed, None, fault
             self.failovers[target] += 1
             return completed, leftover, fault
-        self._member_host_s += time.perf_counter() - t_member
         self.busy_ns[target] += worker.stats.device_ns - before
         self.groups_routed[target] += 1
         return completed, None, None
@@ -487,73 +471,47 @@ class PoolScanService:
             for i in range(len(self.workers))
         ]
 
-    def summary(self) -> str:
-        lines = [
-            f"device pool     : {len(self.workers)} x "
-            f"{self.pool.config.name}",
-            f"aggregate       : {self.total_requests} requests, "
-            f"{self.total_elements / 1e6:.2f} M elements, "
-            f"makespan {self.makespan_ns / 1e3:.1f} us, "
-            f"{self.throughput_gelems:.1f} GElems/s",
+    def snapshot(self) -> dict:
+        """Pool-level counters plus one entry per member (its health,
+        routing and busy-time fields merged over the member's
+        :meth:`ScanService.snapshot`), as plain data."""
+        fractions = self.device_utilisation()
+        members = [
+            {
+                **worker.snapshot(),
+                "member": i,
+                "state": health.state,
+                "busy_ns": self.busy_ns[i],
+                "fraction": fractions[i],
+                "groups": self.groups_routed[i],
+                "failovers": self.failovers[i],
+                "slowdown": health.slowdown,
+            }
+            for i, (worker, health) in enumerate(
+                zip(self.workers, self.member_health())
+            )
         ]
-        util = self.device_utilisation()
-        health = self.member_health()
-        for i, worker in enumerate(self.workers):
-            cache = worker.cache.stats()
-            line = (
-                f"  dev{i}          : {health[i].state}, "
-                f"busy {self.busy_ns[i] / 1e3:.1f} us "
-                f"({util[i]:.0%} of makespan), "
-                f"{worker.stats.requests} requests / "
-                f"{self.groups_routed[i]} groups, "
-                f"{cache['plans']} plans, "
-                f"{cache['gm_bytes'] / 1e6:.1f} MB GM"
-            )
-            if health[i].state != HEALTHY:
-                line += (
-                    f" [{health[i].fault_events} faults, "
-                    f"{health[i].retries} retries, "
-                    f"{health[i].failovers} failovers, "
-                    f"slowdown x{health[i].slowdown:.2f}]"
-                )
-            lines.append(line)
+        snap = {
+            "pool": {
+                "devices": len(self.workers),
+                "config": self.pool.config.name,
+                "requests": self.total_requests,
+                "elements": self.total_elements,
+                "makespan_ns": self.makespan_ns,
+                "gelems_per_s": self.throughput_gelems,
+            },
+            "members": members,
+            "ops": ops_snapshot(self.op_device_ns()),
+        }
         if self.tune_store is not None:
-            lines.append(
-                f"tuned store     : {len(self.tune_store)} entries "
-                f"(shared across all {len(self.workers)} members)"
-            )
-        phases = self.phase_host_s()
-        if phases:
-            parts = [
-                f"{name} {phases[name] * 1e3:.2f} ms"
-                for name in HOST_PHASES
-                if name in phases
-            ]
-            parts += [
-                f"{name} {phases[name] * 1e3:.2f} ms"
-                for name in sorted(phases)
-                if name not in HOST_PHASES
-            ]
-            lines.append("host phases     : " + ", ".join(parts))
-        ops = self.op_device_ns()
-        if ops:
-            parts = [
-                f"{kind} {count}x {ns / 1e3:.1f} us"
-                for kind, (count, ns) in sorted(ops.items())
-            ]
-            lines.append("op breakdown    : " + ", ".join(parts))
-        runner = self.workers[0].graph_runner
-        if runner is not None:
-            g = runner.cache.stats()
-            lines.append(
-                f"graph cache     : {g['lowered']} lowered "
-                f"({g['fused']} fused, {g['tuned']} tuned, "
-                f"fusion={self.workers[0].graph_fusion}), "
-                f"{g['hits']} hits / {g['misses']} misses, "
-                f"{g['replays']} replays, "
-                f"{g['build_host_s'] * 1e3:.1f} ms build time"
-            )
-        return "\n".join(lines)
+            snap["tune_store"] = tune_store_snapshot(self.tune_store)
+        graph_cache = members[0].get("graph_cache")
+        if graph_cache is not None:
+            snap["graph_cache"] = graph_cache
+        return snap
+
+    def summary(self) -> str:
+        return render(self.snapshot())
 
     def op_device_ns(self) -> "dict[str, tuple[int, float]]":
         """Pool-wide per-op-kind graph replay accounting (launches, ns)."""
@@ -562,16 +520,4 @@ class PoolScanService:
             for kind, (count, ns) in worker.stats.op_device_ns.items():
                 c0, n0 = totals.get(kind, (0, 0.0))
                 totals[kind] = (c0 + count, n0 + ns)
-        return totals
-
-    def phase_host_s(self) -> "dict[str, float]":
-        """Pool-wide host-phase seconds: member phases plus routing."""
-        totals: dict[str, float] = {}
-        for worker in self.workers:
-            for name, seconds in worker.stats.phase_host_s.items():
-                totals[name] = totals.get(name, 0.0) + seconds
-        if self.routing_host_s:
-            totals["routing"] = (
-                totals.get("routing", 0.0) + self.routing_host_s
-            )
         return totals

@@ -68,7 +68,7 @@ class TunedEntry:
 
 class TuneStore:
     """In-memory map of workload key → :class:`TunedEntry`, with JSON
-    persistence, device fingerprinting and merge.
+    persistence and device fingerprinting.
 
     Lookup methods mirror what :meth:`ScanContext.build_plan` needs; hit
     and miss counters feed the serve layer's stats.
@@ -91,7 +91,7 @@ class TuneStore:
 
     def record(self, store_key: str, entry: TunedEntry) -> None:
         """Insert or improve: an existing entry is only replaced by one
-        with a strictly better tuned time (merge-friendly semantics)."""
+        with a strictly better tuned time."""
         old = self.entries.get(store_key)
         if old is None or entry.tuned_ns < old.tuned_ns:
             self.entries[store_key] = entry
@@ -114,23 +114,6 @@ class TuneStore:
         self, *, batch: int, row_len: int, dtype: str
     ) -> "TunedEntry | None":
         return self._lookup(f"batched:{batch}x{row_len}:{dtype}")
-
-    def merge(self, other: "TuneStore") -> int:
-        """Fold another store's entries in (better ``tuned_ns`` wins per
-        key); returns how many keys were added or improved.  Merging
-        across device fingerprints is refused."""
-        if other.fingerprint != self.fingerprint:
-            raise ConfigError(
-                "cannot merge tune stores from different device configs "
-                f"({other.fingerprint[:12]} vs {self.fingerprint[:12]})"
-            )
-        changed = 0
-        for key, entry in other.entries.items():
-            old = self.entries.get(key)
-            if old is None or entry.tuned_ns < old.tuned_ns:
-                self.entries[key] = entry
-                changed += 1
-        return changed
 
     # -- persistence ---------------------------------------------------------
 
@@ -159,29 +142,6 @@ class TuneStore:
             f.write("\n")
         os.replace(tmp, path)
         return path
-
-    @classmethod
-    def from_payload(cls, payload: dict, config: DeviceConfig) -> "TuneStore":
-        """Rehydrate a store from :meth:`to_payload` output.  Unlike
-        :meth:`load`, which tolerates stale files by returning an empty
-        store, an in-memory payload that does not match is a programming
-        error and raises :class:`~repro.errors.ConfigError` outright."""
-        store = cls(config)
-        version = payload.get("version")
-        if version != STORE_VERSION:
-            raise ConfigError(
-                f"tune-store payload has schema version {version!r}, "
-                f"expected {STORE_VERSION}"
-            )
-        fingerprint = payload.get("fingerprint")
-        if fingerprint != store.fingerprint:
-            raise ConfigError(
-                "tune-store payload was produced on a different device "
-                f"config ({str(fingerprint)[:12]} vs {store.fingerprint[:12]})"
-            )
-        for key, raw in payload.get("entries", {}).items():
-            store.entries[key] = TunedEntry(**raw)
-        return store
 
     @classmethod
     def load(cls, path: str, config: DeviceConfig) -> "TuneStore":

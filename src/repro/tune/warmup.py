@@ -58,7 +58,7 @@ class WarmupReport:
 
 
 def _check_serial(workers: "int | None") -> None:
-    # serial only; ROADMAP item 6 drops the keyword
+    # serial only; the ROADMAP "Benchmark follow-up" drops the keyword
     if workers not in (None, 1):
         raise ConfigError(
             f"workers={workers!r}: warm-up runs serially; pass workers=1"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.core.reference import (
 from repro.errors import ShapeError
 from repro.hw.config import toy_config
 from repro.hw.faults import FaultPlan
-from repro.serve import ScanService, bucket_size
+from repro.serve import ScanService, bucket_size, render
 from repro.serve.batcher import RequestBatcher
 
 
@@ -440,8 +442,17 @@ class TestSerialDeterminism:
             assert a.retries == b.retries
             assert np.array_equal(a.result(), b.result())
 
-    def test_phase_breakdown_present(self):
-        _, _, stats = _serve_seeded()
-        for phase in ("numerics", "timeline"):
-            assert stats.phase_host_s.get(phase, 0.0) > 0.0
-        assert stats.phase_line() is not None
+    def test_snapshot_deterministic_and_rendered(self):
+        """The stats snapshot is plain data: its device-side counters
+        repeat run to run, host latencies are measured, and the summary
+        is exactly the rendered snapshot."""
+        _, _, s1 = _serve_seeded()
+        _, _, s2 = _serve_seeded()
+        snap1, snap2 = s1.snapshot(), s2.snapshot()
+        assert json.loads(json.dumps(snap1)) == snap1
+        host = lambda snap: {k: v for k, v in snap.items() if k != "host_latency_s"}
+        assert host(snap1) == host(snap2)
+        assert snap1["requests"] == 12
+        assert snap1["device_ns"] == s1.device_ns > 0
+        assert 0 < snap1["host_latency_s"]["p50"] <= snap1["host_latency_s"]["p99"]
+        assert s1.summary() == render(snap1)

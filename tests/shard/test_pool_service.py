@@ -1,5 +1,7 @@
 """Device-pool serving: routing, correctness, shared tuning, reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.reference import exact_fp16_scan_input, inclusive_scan
 from repro.errors import ConfigError
 from repro.hw.config import toy_config
 from repro.hw.faults import FaultPlan
-from repro.serve import DEAD
+from repro.serve import DEAD, render
 from repro.shard import DevicePool, PoolScanService
 from repro.tune import TuneStore, WorkloadKey, ensure_tuned
 
@@ -332,15 +334,24 @@ class TestSerialHostPath:
         for req_id, (raw, _dev, _ns) in first.items():
             assert inclusive_scan(inputs[req_id]).tobytes() == raw
 
-    def test_pool_phase_breakdown_includes_routing(self):
+    def test_pool_snapshot_has_one_entry_per_member(self):
         *_, svc = _run_pool()
-        phases = svc.phase_host_s()
-        assert phases.get("routing", 0.0) > 0.0
-        assert phases.get("numerics", 0.0) > 0.0
+        snap = svc.snapshot()
+        assert json.loads(json.dumps(snap)) == snap
+        members = snap["members"]
+        assert [m["member"] for m in members] == [0, 1, 2]
+        assert snap["pool"]["requests"] == 16
+        assert sum(m["requests"] for m in members) == 16
+        for m, worker in zip(members, svc.workers):
+            assert m["busy_ns"] == svc.busy_ns[m["member"]]
+            assert m["launches"] == worker.stats.launch_count
+            assert m["plan_cache"] == worker.cache.stats()
 
-    def test_pool_summary_mentions_phases(self):
+    def test_pool_summary_renders_snapshot(self):
         svc = PoolScanService(2, config=toy_config())
         x, _ = exact_fp16_scan_input(512, np.random.default_rng(0))
         svc.submit(x)
         svc.flush()
-        assert "host phases" in svc.summary()
+        text = svc.summary()
+        assert text == render(svc.snapshot())
+        assert "dev0" in text and "dev1" in text

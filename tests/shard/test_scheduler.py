@@ -127,6 +127,30 @@ class TestContinuousServing:
             sched._dispatch(bucket)
 
 
+class TestRunState:
+    def test_back_to_back_runs_match_fresh_schedulers(self):
+        """Each ``run()`` starts from a clean per-run state (clock, member
+        frontiers, counters): a reused scheduler reports exactly what a
+        fresh scheduler reports on the same pool history."""
+        s = spec(requests=40, rate_rps=50_000.0, slo_ns=200_000.0)
+        reused_svc, fresh_svc = pool(), pool()
+        sched = TrafficScheduler(reused_svc)
+        for seed in (1, 2):
+            reused = sched.run(s, seed, s=S)
+            fresh = TrafficScheduler(fresh_svc).run(s, seed, s=S)
+            assert reused.accounted() and fresh.accounted()
+            assert (
+                reused.served, reused.shed, reused.deadline_met,
+                reused.launches, reused.span_ns,
+            ) == (
+                fresh.served, fresh.shed, fresh.deadline_met,
+                fresh.launches, fresh.span_ns,
+            )
+            assert reused.latencies_ns == fresh.latencies_ns
+        assert reused.served == reused.offered
+        assert reused_svc.span_ns == fresh_svc.span_ns
+
+
 class TestPlacement:
     def test_cost_model_ignores_stale_busy_time(self):
         """Placement scores predicted completion from the member's *free

@@ -1,4 +1,4 @@
-"""TuneStore persistence, fingerprinting and merge tests."""
+"""TuneStore persistence and fingerprinting tests."""
 
 import json
 
@@ -94,22 +94,3 @@ class TestPersistence:
     def test_save_without_path_rejected(self):
         with pytest.raises(ConfigError):
             TuneStore(ASCEND_910B4).save()
-
-
-class TestMerge:
-    def test_merge_better_wins(self):
-        a = TuneStore(ASCEND_910B4)
-        b = TuneStore(ASCEND_910B4)
-        a.record("k1", entry(1000.0))
-        a.record("k2", entry(1000.0))
-        b.record("k1", entry(500.0))   # improves
-        b.record("k2", entry(2000.0))  # worse: ignored
-        b.record("k3", entry(700.0))   # new
-        assert a.merge(b) == 2
-        assert a.entries["k1"].tuned_ns == 500.0
-        assert a.entries["k2"].tuned_ns == 1000.0
-        assert a.entries["k3"].tuned_ns == 700.0
-
-    def test_merge_across_devices_refused(self):
-        with pytest.raises(ConfigError):
-            TuneStore(ASCEND_910B4).merge(TuneStore(toy_config()))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.hw.config import ASCEND_910B4
+from repro.serve import ScanService
 from repro.tune import (
     TuneStore,
     WorkloadKey,
@@ -131,3 +132,21 @@ class TestTunedPlans:
         assert plan.release() == 0  # idempotent
         with pytest.raises(KernelError):
             plan.execute(np.ones(4096, dtype=np.float16))
+
+
+class TestTunedServing:
+    """A service consulting the tuned store serves the tuned plan."""
+
+    def test_service_serves_tuned_plan_exact_and_never_slower(self, tuned_64k):
+        ctx, store, _, _ = tuned_64k
+        svc = ScanService(config=ctx.config, tune_store=store)
+        x = np.ones(65536, dtype=np.float16)
+        tuned = svc.scan(x)
+        default = svc.scan(x, algorithm="scanu", s=128)
+        assert tuned.tuned and not default.tuned
+        assert svc.stats.tuned_launches == 1
+        assert svc.snapshot()["tuned_hit_rate"] == 0.5
+        assert tuned.device_ns <= default.device_ns
+        np.testing.assert_array_equal(
+            tuned.result(), np.arange(1, 65537, dtype=np.float32)
+        )

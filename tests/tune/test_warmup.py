@@ -74,26 +74,6 @@ class TestWarmTuneStore:
         assert not store.entries  # rejected before any sweep ran
 
 
-class TestFromPayload:
-    def test_roundtrip(self, serial_store):
-        clone = TuneStore.from_payload(
-            serial_store.to_payload(), serial_store.config
-        )
-        assert clone.entries == serial_store.entries
-
-    def test_version_mismatch_raises(self, serial_store):
-        payload = serial_store.to_payload()
-        payload["version"] = 999
-        with pytest.raises(ConfigError):
-            TuneStore.from_payload(payload, serial_store.config)
-
-    def test_fingerprint_mismatch_raises(self, serial_store):
-        payload = serial_store.to_payload()
-        payload["fingerprint"] = "deadbeef"
-        with pytest.raises(ConfigError):
-            TuneStore.from_payload(payload, serial_store.config)
-
-
 class TestWarmService:
     def _mix(self, svc):
         rng = np.random.default_rng(9)
