@@ -14,8 +14,9 @@ Asserts the shard layer's contract on the full simulated 910B4:
   served result still matching the oracle.
 
 ``results/BENCH_shard.json`` is the committed evidence: per-(n, D) wall
-clocks with the scan/carry stage split, and per-D serve throughput with
-device utilisation.
+clocks with the scan/carry stage split and whether the device carry was
+folded into MCScan's phase II (only when every tuned shard plan is
+MCScan), and per-D serve throughput with device utilisation.
 """
 
 import numpy as np
@@ -71,6 +72,7 @@ def _latency_sweep(store, rng):
                     "wall_ns": res.wall_ns,
                     "scan_stage_ns": res.scan_stage_ns,
                     "carry_stage_ns": res.carry_stage_ns,
+                    "folded": res.folded,
                     "bandwidth_gbps": res.bandwidth_gbps,
                     "shards_tuned": sum(r.tuned for r in res.shards),
                     "bit_identical": exact,

@@ -230,12 +230,21 @@ def cmd_shard(args) -> int:
           f"elements on {res.num_devices} device(s):")
     for r in res.shards:
         cfg = " tuned" if r.tuned else ""
-        print(f"  dev{r.device}: [{r.start:>12,}, {r.end:>12,})  "
-              f"scan {r.scan_ns / 1e3:8.1f} us  "
-              f"carry {r.carry_ns / 1e3:6.1f} us{cfg}")
-    print(f"wall clock  : {res.time_us:.1f} us "
-          f"(scan stage {res.scan_stage_ns / 1e3:.1f} us + "
-          f"carry stage {res.carry_stage_ns / 1e3:.1f} us)")
+        if res.folded:
+            stages = (f"phase I {r.phase_ns[0] / 1e3:8.1f} us  "
+                      f"phase II {r.phase_ns[1] / 1e3:6.1f} us")
+        else:
+            stages = (f"scan {r.scan_ns / 1e3:8.1f} us  "
+                      f"carry {r.carry_ns / 1e3:6.1f} us")
+        print(f"  dev{r.device}: [{r.start:>12,}, {r.end:>12,})  {stages}{cfg}")
+    if res.folded:
+        phase1, phase2 = res.phase_stage_ns
+        stages = (f"phase I {phase1 / 1e3:.1f} us + phase II "
+                  f"{phase2 / 1e3:.1f} us, carry folded into phase II")
+    else:
+        stages = (f"scan stage {res.scan_stage_ns / 1e3:.1f} us + "
+                  f"carry stage {res.carry_stage_ns / 1e3:.1f} us")
+    print(f"wall clock  : {res.time_us:.1f} us ({stages})")
     print(f"bandwidth   : {res.bandwidth_gbps:.1f} GB/s on logical bytes")
     print(f"single dev  : {single.time_us:.1f} us -> "
           f"{single.wall_ns / res.wall_ns:.2f}x speedup "

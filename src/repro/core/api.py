@@ -79,6 +79,11 @@ _MULTI_CORE_1D = ("mcscan", "ssa", "rss", "lookback")
 #: so fused epilogues fall back to a separate trailing map kernel there
 FOLDABLE_SCAN_ALGORITHMS = ("scanu", "mcscan")
 
+#: device carry planted in a carry-slot plan's ``r[0]`` while it is traced:
+#: nonzero so build-time validation proves phase II adds the slot, and a
+#: small integer so ``fp32(local scan) + carry`` stays exact
+PLANTED_CARRY = 3
+
 
 @dataclass
 class ScanResult:
@@ -151,6 +156,9 @@ class ScanPlan:
     #: True if the plan's config came from a tuned-plan store entry
     tuned: bool = field(default=False)
     released: bool = field(default=False)
+    #: (phase I, phase II) programs of a device-carry MCScan plan, cut
+    #: from :attr:`traced` at its ``SyncAll``; empty for every other plan
+    phases: "tuple[TracedKernel, ...]" = field(default=())
 
     @property
     def is_batched(self) -> bool:
@@ -252,6 +260,30 @@ class ScanPlan:
             return self._execute_batched(
                 x, sync_gm=sync_gm, engine=engine, audit_timing=audit_timing
             )
+        xp, values = self._compute_padded(x)
+        if sync_gm:
+            self.x_gm.write(xp)
+            self.y_gm.write(values)
+        trace = self.ctx.device.replay(
+            self.traced, engine=engine, audit_timing=audit_timing
+        )
+        self.executions += 1
+        n = x.size
+        io = n * self._io_bytes_per_element()
+        return ScanResult(values[:n], trace, n, io)
+
+    def compute(self, x: np.ndarray) -> np.ndarray:
+        """The functional numerics of a 1-D execution alone: ``x``'s output
+        values, with no launch and nothing timed.  A device pool that
+        launches the plan's :attr:`phases` itself pairs them with this."""
+        if self.released or self.is_batched:
+            raise KernelError("compute needs an unreleased 1-D plan")
+        x = np.asarray(x)
+        return self._compute_padded(x)[1][: x.size]
+
+    def _compute_padded(self, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Check and zero-pad a 1-D input; returns (padded input, padded
+        output values)."""
         if x.ndim != 1:
             raise ShapeError(f"1-D plan expects a 1-D array, got shape {x.shape}")
         self._check_dtype(x)
@@ -269,15 +301,7 @@ class ScanPlan:
         values = plan_compute(
             xp, self.algorithm, self.in_dtype, exclusive=self.exclusive
         )
-        if sync_gm:
-            self.x_gm.write(xp)
-            self.y_gm.write(values)
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
-        self.executions += 1
-        io = n * self._io_bytes_per_element()
-        return ScanResult(values[:n], trace, n, io)
+        return xp, values
 
     def _execute_batched(
         self,
@@ -449,6 +473,7 @@ class ScanContext:
         block_dim: "int | None",
         exclusive: bool,
         post_fns: "tuple" = (),
+        carry_slot: bool = False,
     ):
         """Build a 1-D cube-scan kernel (allocates the ``r`` array for the
         multi-core variants from the device's current allocation scope).
@@ -459,7 +484,10 @@ class ScanContext:
 
         ``post_fns`` folds an elementwise epilogue into the kernel's vector
         stage (graph-level fusion); only ScanU and MCScan expose that seam,
-        so callers must pre-check :data:`FOLDABLE_SCAN_ALGORITHMS`."""
+        so callers must pre-check :data:`FOLDABLE_SCAN_ALGORITHMS`.
+
+        ``carry_slot`` gives an MCScan kernel a device-carry slot at the
+        front of ``r`` (see :mod:`repro.core.mcscan`)."""
         if post_fns and algorithm not in FOLDABLE_SCAN_ALGORITHMS:
             raise KernelError(
                 f"{algorithm} has no vector-stage epilogue seam; fold "
@@ -472,11 +500,11 @@ class ScanContext:
         n_tiles = x_gm.num_elements // (s * s)
         bd = self._mcscan_block_dim(n_tiles, block_dim)
         halves = bd * self.config.vector_cores_per_ai_core
-        r_gm = self.device.alloc("scan_r", (halves,), y_gm.dtype)
+        r_gm = self.device.alloc("scan_r", (carry_slot + halves,), y_gm.dtype)
         if algorithm == "mcscan":
             return MCScanKernel(
                 x_gm, y_gm, r_gm, consts, s, bd,
-                exclusive=exclusive, post_fns=post_fns,
+                exclusive=exclusive, post_fns=post_fns, carry_slot=carry_slot,
             )
         kernel_cls = {
             "ssa": SSAScanKernel,
@@ -707,6 +735,7 @@ class ScanContext:
         exclusive: bool = False,
         validate: bool = True,
         tuned: bool = False,
+        device_carry: bool = False,
     ) -> ScanPlan:
         """Trace a reusable 1-D scan plan for inputs padding to
         ``padded_length(n, unit)`` elements of ``dtype``.
@@ -720,6 +749,12 @@ class ScanContext:
         consulted for this workload; a hit overrides ``algorithm``, ``s``
         and ``block_dim`` with the tuned configuration and marks the plan
         :attr:`~ScanPlan.tuned`.  On a miss the explicit arguments stand.
+
+        With ``device_carry=True`` an MCScan plan (the only kernel with a
+        phase seam) gets a carry slot at the front of ``r`` and its
+        :attr:`~ScanPlan.phases`.  It is traced with :data:`PLANTED_CARRY`
+        in the slot, so validation checks the phases' output against
+        ``fp32(local scan) + carry``.  Other algorithms ignore the flag.
         """
         t0 = time.perf_counter()
         was_tuned = False
@@ -742,6 +777,7 @@ class ScanContext:
                 "exclusive scan is implemented on MCScan (as in the paper)"
             )
         dt = self._as_plan_dtype(dtype)
+        carry_slot = device_carry and algorithm == "mcscan"
 
         if algorithm == "vector":
             out_dt = dt
@@ -760,13 +796,18 @@ class ScanContext:
             resolved_bd = None
         else:
             kernel = self._cube_1d_kernel(
-                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive
+                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive,
+                carry_slot=carry_slot,
             )
             resolved_bd = getattr(kernel, "block_dim", None)
         gm_tensors = self.device.memory.tensors[owned_from:]
 
         sample = validation_input(padded, dt, seed=padded)
         x_gm.write(sample)
+        if carry_slot:
+            planted = np.zeros(kernel.r.num_elements, out_dt.np_dtype)
+            planted[0] = PLANTED_CARRY
+            kernel.r.write(planted)
         if self.warm_inputs:
             self.device.warm_l2(x_gm, y_gm)
         traced = self.device.trace_kernel(
@@ -778,6 +819,8 @@ class ScanContext:
             if tol is not None
             else None
         )
+        if expected is not None and carry_slot:
+            expected = expected + expected.dtype.type(PLANTED_CARRY)
         plan = ScanPlan(
             ctx=self,
             algorithm=algorithm,
@@ -797,6 +840,7 @@ class ScanContext:
             build_max_err=0.0,
             gm_tensors=gm_tensors,
             tuned=was_tuned,
+            phases=tuple(traced.split_phases()) if carry_slot else (),
         )
         return self._finish_plan(plan, sample, expected, t0)
 

@@ -19,6 +19,13 @@ describes ("our implementation takes advantage of the 2-to-1 ratio"):
 each block's range is split into two contiguous halves, one per vector
 core, so ``r`` has ``2 * block_dim`` entries.
 
+The same seam recurses one level up.  With ``carry_slot=True`` the ``r``
+array grows one entry at its front: phase I leaves ``r[0]`` alone and
+writes the block totals after it, and phase II adds ``r[0]`` into every
+block's prefix base.  A device pool (:mod:`repro.shard.scan`) launches
+the two phases as separate programs and writes the device's carry into
+``r[0]`` in between — a cross-device barrier in place of the ``SyncAll``.
+
 Exclusive scans shift the finished tile right by one inside UB with the
 previous partial as carry-in (writes stay tile-aligned; the overall first
 output is zero and the last inclusive value is discarded, as in the
@@ -77,6 +84,7 @@ class MCScanKernel(Kernel):
         *,
         exclusive: bool = False,
         post_fns: "tuple" = (),
+        carry_slot: bool = False,
     ):
         super().__init__(block_dim=block_dim)
         validate_tile_size(s)
@@ -112,6 +120,9 @@ class MCScanKernel(Kernel):
         #: phase I's block reductions read the raw *input*, so the fold
         #: cannot perturb the carry chain
         self.post_fns = tuple(post_fns)
+        #: ``r[0]`` holds a device carry that phase II adds into every
+        #: block's prefix; the block totals start at ``r[1]``
+        self.carry_slot = carry_slot
         self._halves_per_block: int | None = None  # set at launch
 
     def phases(self):
@@ -120,12 +131,17 @@ class MCScanKernel(Kernel):
     def _num_halves(self, ctx) -> int:
         return len(ctx.vector_cores)
 
+    def _r_first(self) -> int:
+        """Index of the first block total in ``r`` (after the carry slot)."""
+        return 1 if self.carry_slot else 0
+
     def _check_r(self, ctx) -> None:
         halves = self.block_dim * self._num_halves(ctx)
-        if self.r.num_elements < halves:
+        slots = self._r_first()
+        if self.r.num_elements < slots + halves:
             raise ShapeError(
-                f"r array needs {halves} entries "
-                f"({self.block_dim} blocks x {self._num_halves(ctx)} vector "
+                f"r array needs {slots + halves} entries ({slots} carry slot "
+                f"+ {self.block_dim} blocks x {self._num_halves(ctx)} vector "
                 f"cores), got {self.r.num_elements}"
             )
 
@@ -156,7 +172,9 @@ class MCScanKernel(Kernel):
             for t in range(h_lo, h_hi):
                 reducer.reduce_tile(self.x.slice(t * ell, ell), label=f"[{t}]")
             half_id = ctx.block_idx * halves + j
-            reducer.write_total(self.r.slice(half_id, 1), self.y.dtype)
+            reducer.write_total(
+                self.r.slice(self._r_first() + half_id, 1), self.y.dtype
+            )
 
     # -- Phase II: scan of r + propagation ------------------------------------------
 
@@ -166,7 +184,9 @@ class MCScanKernel(Kernel):
         n_tiles = self.x.num_elements // ell
         lo, hi = mcscan_partition(n_tiles, self.block_dim)[ctx.block_idx]
         halves = self._num_halves(ctx)
-        total_halves = self.block_dim * halves
+        # with a carry slot, r[0] joins every prefix: the carry is one
+        # more "block" ahead of this device's first
+        r_len = self._r_first() + self.block_dim * halves
 
         for j in range(halves):
             h_lo, h_hi = _split_half(lo, hi, j, halves)
@@ -181,13 +201,14 @@ class MCScanKernel(Kernel):
             r_buf = pipe.init_buffer(
                 buffer=BufferKind.UB,
                 depth=1,
-                slot_bytes=max(total_halves * self.r.dtype.itemsize, 64),
+                slot_bytes=max(r_len * self.r.dtype.itemsize, 64),
             )
-            r_tile = r_buf.alloc_tensor(self.r.dtype, total_halves)
-            I.data_copy(ctx, r_tile, self.r.slice(0, total_halves), label="load r")
-            if half_id > 0:
+            r_tile = r_buf.alloc_tensor(self.r.dtype, r_len)
+            I.data_copy(ctx, r_tile, self.r.slice(0, r_len), label="load r")
+            prefix = self._r_first() + half_id
+            if prefix > 0:
                 base = I.reduce_sum(
-                    ctx, r_tile.view(0, half_id), label="scan r prefix"
+                    ctx, r_tile.view(0, prefix), label="scan r prefix"
                 )
             else:
                 base = 0.0

@@ -23,7 +23,7 @@ then replays the op DAG to produce the timeline.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import KernelError, SchedulerError
 from .cache import L2Cache
@@ -298,6 +298,46 @@ class TracedKernel:
         self._compiled = None
         self._timeline = None
         self._timeline_config = None
+
+    def split_phases(self) -> "list[TracedKernel]":
+        """Cut the program at its ``SyncAll`` barriers into one launchable
+        program per kernel phase, without tracing the kernel again.
+
+        Each phase keeps its ops in issue order, renumbered from 0, with
+        the edges that stay inside the phase.  An edge into an earlier
+        phase is dropped: the caller launches the phases in order, so the
+        launch boundary orders it, exactly as the barrier did.  The access
+        log (when audited) is cut and renumbered the same way, so
+        :func:`repro.verify.check_sync_coverage` checks each phase alone.
+        """
+        ops = self.program.ops
+        cuts = [op.op_id for op in ops if op.is_barrier]
+        bounds = zip([-1] + cuts, cuts + [len(ops)])
+        phases = []
+        for k, (barrier, end) in enumerate(bounds):
+            start = barrier + 1
+            program = Program(self.program.num_engines)
+            for op in ops[start:end]:
+                deps = tuple(
+                    d - start for d in self.program.deps_of(op.op_id)
+                    if d >= start
+                )
+                program.add(replace(op, op_id=op.op_id - start, deps=deps))
+            audit = None
+            if self.audit is not None:
+                audit = [
+                    replace(a, op_id=a.op_id - start)
+                    for a in self.audit
+                    if start <= a.op_id < end
+                ]
+            phases.append(
+                TracedKernel(
+                    program=program,
+                    label=f"{self.label} phase {k + 1}",
+                    audit=audit,
+                )
+            )
+        return phases
 
 
 class AscendDevice:

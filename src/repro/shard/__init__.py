@@ -4,15 +4,18 @@ The paper's MCScan composes two levels — cube ``s``-tile scans inside a
 core, then a block-reduction array ``r`` across cores.  This package adds
 a **device** level above both, exactly the recursion LightScan applies
 across processors: partition the input over a :class:`DevicePool` of
-independently-timed simulated 910Bs, run each shard's (tuned) 1-D plan
-locally, exclusive-scan the per-device totals on the host, and propagate
-each device's carry with a lightweight ``Adds`` streaming pass — the same
-shape as MCScan's phase II, one level up.
+independently-timed simulated 910Bs, scan each shard locally, and
+exclusive-scan the per-device totals on the host.  With MCScan shard
+plans the host scan sits between the two kernel phases, in place of
+the ``SyncAll``, and each device's carry rides into phase II from the
+front of ``r``; other plans propagate the carry with a streamed ``Adds``
+pass after the scan.
 
-Two execution paths are offered:
+Three execution paths are offered:
 
 * :class:`ShardedScanner` — one large scan, latency-bound: simulated
-  wall-clock is the max over device timelines plus the carry pass;
+  wall-clock is max(phase I) + max(phase II) over the devices, or the
+  max scan launch plus the carry pass;
 * :class:`PoolScanService` — many independent requests, throughput-bound:
   a pool front end routes launch groups onto the least-loaded member
   (longest-processing-time first), with per-device plan caches sharing

@@ -3,23 +3,35 @@
 The single-device hierarchy is *tile* (cube scan of an ``s``-tile inside a
 core) then *block* (the ``r`` reduction array across cores).  Sharding
 adds *device*: partition the input contiguously over the pool, scan each
-shard with its own (tuned) 1-D plan, exclusive-scan the per-device totals
-on the host — the D-element analogue of MCScan's phase-II ``r`` prefix —
-and add each device's carry to its whole shard with a streaming
-:class:`CarryAddKernel` (an ``Adds`` pass with the same shape as MCScan's
-phase-II propagation, one level up).
+shard with its own (tuned) 1-D plan, and exclusive-scan the per-device
+totals on the host — the D-element analogue of MCScan's phase-II ``r``
+prefix.  Each device's carry is then applied one of two ways:
 
-Timing model: the scan stage runs concurrently on all members, the host
-combine is an untimed barrier (D scalar adds), and the carry stage runs
-concurrently on members 1..D-1.  Simulated wall-clock is therefore
-``max(scan stage) + max(carry stage)``.
+* **folded** (D >= 2 and every shard plan is MCScan): the shard plans
+  carry a device-carry slot at the front of ``r`` (see
+  :mod:`repro.core.mcscan`), and their traced program is cut at its
+  ``SyncAll`` into a phase I and a phase II launch.  Every member
+  launches phase I; the host scan of the totals is the cross-device
+  barrier in place of the ``SyncAll``; every member launches phase II,
+  which adds its carry into each block's prefix.  Simulated wall-clock
+  is ``max(phase I) + max(phase II)`` and there is no carry stage.
+* **scan-then-propagate** (D = 1, or a plan without a phase seam:
+  scanu, scanul1, ssa, a tuned non-MCScan entry): each member runs its
+  whole plan, then devices 1..D-1 stream :class:`CarryAddKernel` (an
+  ``Adds`` pass with the shape of MCScan's phase-II propagation, one
+  level up) over their shard.  Simulated wall-clock is
+  ``max(scan stage) + max(carry stage)``.
+
+The host combine is untimed either way (D scalar adds).
 
 Numerics: shard-local scans and the carry chain both run in the cube
-accumulator dtype (fp32 / int32), so for int8 inputs — and for fp16
-inputs whose partial sums are exactly representable, e.g.
-:func:`repro.core.reference.exact_fp16_scan_input` — the sharded result
-is bit-identical to the single-device oracle regardless of D or shard
-boundaries (integer addition is associative; rounding never enters).
+accumulator dtype (fp32 / int32), and on both paths the host adds each
+carry to the finished local scan, ``fp32(local scan) + carry``.  So for
+int8 inputs — and for fp16 inputs whose partial sums are exactly
+representable, e.g. :func:`repro.core.reference.exact_fp16_scan_input` —
+the sharded result is bit-identical to the single-device oracle
+regardless of D or shard boundaries (integer addition is associative;
+rounding never enters).
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.api import PLAN_1D_ALGORITHMS, ScanPlan
+from ..core.api import PLAN_1D_ALGORITHMS
 from ..core.matrices import padded_length
 from ..errors import KernelError, ShapeError
 from ..hw.memory import GlobalTensor
@@ -146,14 +158,18 @@ class ShardRecord:
     end: int
     #: padded length of the shard's plan
     padded: int
-    #: simulated ns of the shard's local scan launch
+    #: simulated ns of the shard's local scan: one plan launch on the
+    #: carry path, phase I + phase II on the folded path
     scan_ns: float
-    #: simulated ns of the shard's carry pass (0.0 for device 0)
+    #: simulated ns of the shard's carry pass (0.0 for device 0 and on
+    #: the folded path)
     carry_ns: float
     #: True when the shard plan came from the scanner's memo, not a build
     plan_hit: bool
     #: True when the shard plan's config came from the tuned-plan store
     tuned: bool
+    #: (phase I, phase II) launch ns on the folded path; empty otherwise
+    phase_ns: "tuple[float, ...]" = ()
 
     @property
     def n(self) -> int:
@@ -166,18 +182,30 @@ class ShardedScanResult:
 
     values: np.ndarray
     shards: "list[ShardRecord]"
-    #: max over device scan launches (they run concurrently)
+    #: the concurrent scan stage: max over device scan launches on the
+    #: carry path, max(phase I) + max(phase II) on the folded path
     scan_stage_ns: float
-    #: max over device carry launches (devices 1..D-1, concurrent)
+    #: max over device carry launches (devices 1..D-1, concurrent); 0.0
+    #: on the folded path
     carry_stage_ns: float
     n_elements: int
     #: logical input read + output written, the paper's bandwidth basis
     io_bytes: int
 
     @property
+    def folded(self) -> bool:
+        """True when the device carry rode in MCScan's phase II."""
+        return bool(self.shards[0].phase_ns)
+
+    @property
+    def phase_stage_ns(self) -> "tuple[float, ...]":
+        """(max phase I, max phase II) on the folded path; empty
+        otherwise."""
+        return tuple(max(stage) for stage in zip(*(r.phase_ns for r in self.shards)))
+
+    @property
     def wall_ns(self) -> float:
-        """Simulated wall-clock: concurrent scans, host barrier, then
-        concurrent carry passes."""
+        """Simulated wall-clock: the scan stage, then the carry stage."""
         return self.scan_stage_ns + self.carry_stage_ns
 
     @property
@@ -196,7 +224,7 @@ class ShardedScanResult:
 class ShardedScanner:
     """Reusable sharded-scan front end over a :class:`DevicePool`.
 
-    Shard plans (and their carry-pass traces) are memoized per
+    Shard plans (and any carry-pass traces) are memoized per
     ``(device, padded length, dtype)``, so repeated scans of recurring
     shapes pay Python-level tracing once — the same plan-reuse discipline
     as :class:`~repro.serve.plan.PlanCache`, held per pool member.  Every
@@ -225,7 +253,7 @@ class ShardedScanner:
         self.tuned = tuned
         self.validate = validate
         #: (device index, length padded to s*s, dtype name) ->
-        #: [(plan, carry trace), ...]
+        #: [[plan, carry trace or None until a carry pass needs it], ...]
         self._plans: dict = {}
         self.plans_built = 0
 
@@ -233,14 +261,17 @@ class ShardedScanner:
 
     def _shard_plan(
         self, device_idx: int, length: int, dtype
-    ) -> "tuple[ScanPlan, object, bool]":
+    ) -> "tuple[list, bool]":
+        """Memoized ``[plan, carry trace]`` memo entry of one shard and
+        whether it was a memo hit."""
         ctx = self.pool[device_idx]
         dt = ctx._as_plan_dtype(dtype)
         key = (device_idx, padded_length(length, self.s * self.s), dt.name)
         entries = self._plans.setdefault(key, [])
-        for plan, carry_traced in entries:
+        for entry in entries:
+            plan = entry[0]
             if padded_length(length, plan.pad_unit) == plan.padded:
-                return plan, carry_traced, True
+                return entry, True
         plan = ctx.build_plan(
             algorithm=self.algorithm,
             n=length,
@@ -248,6 +279,7 @@ class ShardedScanner:
             s=self.s,
             tuned=self.tuned,
             validate=self.validate,
+            device_carry=True,
         )
         if plan.out_dtype.name == plan.in_dtype.name:
             # a tuned-store hit handed back the vector baseline, whose
@@ -261,19 +293,28 @@ class ShardedScanner:
                 s=self.s,
                 tuned=False,
                 validate=self.validate,
+                device_carry=True,
             )
-        device = ctx.device
-        bd = min(
-            ctx.config.num_vector_cores,
-            max(1, -(-plan.padded // CARRY_TILE_ELEMENTS)),
-        )
-        carry_traced = device.trace_kernel(
-            CarryAddKernel(plan.y_gm, 0.0, bd),
-            label=f"shard carry(n={plan.padded})",
-        )
-        entries.append((plan, carry_traced))
+        entry = [plan, None]
+        entries.append(entry)
         self.plans_built += 1
-        return plan, carry_traced, False
+        return entry, False
+
+    def _carry_pass(self, device_idx: int, entry: list):
+        """The carry-pass trace of a memoized shard plan, traced the first
+        time a scan-then-propagate launch needs it."""
+        plan, carry_traced = entry
+        if carry_traced is None:
+            ctx = self.pool[device_idx]
+            bd = min(
+                ctx.config.num_vector_cores,
+                max(1, -(-plan.padded // CARRY_TILE_ELEMENTS)),
+            )
+            carry_traced = entry[1] = ctx.device.trace_kernel(
+                CarryAddKernel(plan.y_gm, 0.0, bd),
+                label=f"shard carry(n={plan.padded})",
+            )
+        return carry_traced
 
     # -- execution -----------------------------------------------------------
 
@@ -288,17 +329,29 @@ class ShardedScanner:
             raise ShapeError("sharded scan expects a non-empty array")
         dt = self.pool[0]._as_plan_dtype(x.dtype)
         ranges = shard_ranges(x.size, len(self.pool), self.s * self.s)
+        memo = [
+            self._shard_plan(d, end - start, dt)
+            for d, (start, end) in enumerate(ranges)
+        ]
+        plans = [entry[0] for entry, _hit in memo]
+        # fold the device carry into MCScan's phase II when every member
+        # has the phase seam and there is a carry to fold
+        folded = len(ranges) > 1 and all(plan.phases for plan in plans)
 
-        # stage 1: every device scans its shard concurrently
+        # stage 1: every device scans its shard concurrently — one plan
+        # launch, or phase I alone on the folded path
         shard_values: list[np.ndarray] = []
-        shard_plans: list[tuple] = []
         scan_ns: list[float] = []
         for d, (start, end) in enumerate(ranges):
-            plan, carry_traced, hit = self._shard_plan(d, end - start, dt)
-            result = plan.execute(x[start:end])
-            shard_values.append(result.values)
-            shard_plans.append((plan, carry_traced, hit))
-            scan_ns.append(result.trace.total_ns)
+            plan = plans[d]
+            if folded:
+                shard_values.append(plan.compute(x[start:end]))
+                trace = self.pool[d].device.replay(plan.phases[0])
+            else:
+                result = plan.execute(x[start:end])
+                shard_values.append(result.values)
+                trace = result.trace
+            scan_ns.append(trace.total_ns)
 
         # host barrier: exclusive-scan the D shard totals (accumulator
         # dtype, untimed — one length-D cumsum on the host, as LightScan's
@@ -311,42 +364,52 @@ class ShardedScanner:
         )
         carries = np.cumsum(totals, dtype=out_np)
 
-        # stage 2: devices 1..D-1 stream their carry over the shard; the
+        # stage 2: on the folded path every device launches phase II,
+        # which reads its carry from the front of r; otherwise devices
+        # 1..D-1 stream a carry pass over the shard.  Either way the
         # functional add happens host-side in the accumulator dtype (the
-        # traced kernel is value-independent, so it replays for timing).
-        # Each carry-add writes straight into the assembled output, so no
-        # in-place shard mutation + concatenate pass is needed.
+        # traced programs are value-independent, so they replay for
+        # timing), written straight into the assembled output.
         values = np.empty(x.size, dtype=out_np)
         start0, end0 = ranges[0]
         values[start0:end0] = shard_values[0]
-        carry_ns: list[float] = [0.0]
         for d in range(1, len(ranges)):
-            plan, carry_traced, _hit = shard_plans[d]
-            device = self.pool[d].device
-            trace = device.replay(carry_traced)
-            carry_ns.append(trace.total_ns)
             start, end = ranges[d]
             np.add(shard_values[d], carries[d - 1], out=values[start:end])
+        carry_ns = [0.0] * len(ranges)
+        phase_ns: "list[tuple[float, ...]]" = [()] * len(ranges)
+        for d, (entry, _hit) in enumerate(memo):
+            device = self.pool[d].device
+            if folded:
+                phase2_ns = device.replay(plans[d].phases[1]).total_ns
+                phase_ns[d] = (scan_ns[d], phase2_ns)
+                scan_ns[d] += phase2_ns
+            elif d > 0:
+                carry_ns[d] = device.replay(self._carry_pass(d, entry)).total_ns
         records = [
             ShardRecord(
                 device=d,
                 start=start,
                 end=end,
-                padded=shard_plans[d][0].padded,
+                padded=plans[d].padded,
                 scan_ns=scan_ns[d],
                 carry_ns=carry_ns[d],
-                plan_hit=shard_plans[d][2],
-                tuned=shard_plans[d][0].tuned,
+                plan_hit=memo[d][1],
+                tuned=plans[d].tuned,
+                phase_ns=phase_ns[d],
             )
             for d, (start, end) in enumerate(ranges)
         ]
+        scan_stage = max(scan_ns)
+        if folded:
+            scan_stage = sum(max(stage) for stage in zip(*phase_ns))
         n = x.size
         io = n * (dt.itemsize + values.dtype.itemsize)
         return ShardedScanResult(
             values=values,
             shards=records,
-            scan_stage_ns=max(scan_ns),
-            carry_stage_ns=max(carry_ns[1:], default=0.0),
+            scan_stage_ns=scan_stage,
+            carry_stage_ns=max(carry_ns),
             n_elements=n,
             io_bytes=io,
         )

@@ -141,3 +141,32 @@ class TestWarm:
         toy_device.warm_l2(x)
         toy_device.flush_l2()
         assert len(toy_device.l2) == 0
+
+
+class TestSplitPhases:
+    def test_phases_time_the_kernel_without_its_barrier(self, toy_device):
+        """Cut at its SyncAll, an MCScan program becomes two programs that
+        hold every other op and time exactly like the halves around the
+        barrier."""
+        from repro.core.api import ScanContext
+
+        ctx = ScanContext(device=toy_device)
+        plan = ctx.build_plan(
+            algorithm="mcscan", n=5000, s=16, device_carry=True
+        )
+        phases = plan.phases
+        assert [p.label for p in phases] == [
+            f"{plan.traced.label} phase 1", f"{plan.traced.label} phase 2"
+        ]
+        ops = plan.traced.ops
+        assert sum(len(p.ops) for p in phases) == len(ops) - 1
+        assert all(not op.is_barrier for p in phases for op in p.ops)
+        full = toy_device.replay(plan.traced).timeline.total_ns
+        halves = [toy_device.replay(p).timeline.total_ns for p in phases]
+        sync_ns = toy_device.config.costs.sync_all_ns
+        assert full == pytest.approx(sum(halves) + sync_ns, rel=1e-12)
+
+    def test_single_phase_kernel_is_one_phase(self, toy_device):
+        traced = toy_device.trace_kernel(_NopKernel(1))
+        (phase,) = traced.split_phases()
+        assert len(phase.ops) == len(traced.ops)

@@ -116,21 +116,60 @@ def test_carry_add_kernel_fully_synchronized(audit_ctx):
     _assert_covered(traced)
 
 
-def test_sharded_int8_shard_plans_fully_synchronized(rng):
-    """Every shard plan and carry pass a ShardedScanner builds for an
-    int8 scan is covered, on every pool member."""
+def _assert_shard_phases_covered(x: np.ndarray) -> None:
+    """Every shard plan a D=2 ShardedScanner builds for ``x`` folds the
+    device carry into phase II; the whole plan and both phase programs
+    are covered, on every pool member."""
     from repro.shard import DevicePool, ShardedScanner
 
     pool = DevicePool(2, toy_config())
     for device in pool.devices:
         device.audit_hazards = True
     scanner = ShardedScanner(pool, algorithm="mcscan", s=32, validate=False)
-    scanner.scan(rng.integers(-128, 128, size=5000).astype(np.int8))
-    entries = [e for bucket in scanner._plans.values() for e in bucket]
-    assert len(entries) == 2
-    for plan, carry_traced in entries:
+    assert scanner.scan(x).folded
+    plans = [entry[0] for bucket in scanner._plans.values() for entry in bucket]
+    assert len(plans) == 2
+    for plan in plans:
         _assert_covered(plan.traced)
-        _assert_covered(carry_traced)
+        assert len(plan.phases) == 2
+        for phase in plan.phases:
+            _assert_covered(phase)
+
+
+def test_sharded_int8_shard_plans_fully_synchronized(rng):
+    _assert_shard_phases_covered(
+        rng.integers(-128, 128, size=5000).astype(np.int8)
+    )
+
+
+def test_sharded_fp16_shard_plans_fully_synchronized(rng):
+    _assert_shard_phases_covered(
+        rng.integers(-2, 3, size=5000).astype(np.float16)
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm, exclusive",
+    [("mcscan", False), ("mcscan", True), ("scanu", False)],
+)
+def test_folded_post_fns_fully_synchronized(audit_ctx, algorithm, exclusive):
+    """A scan whose vector stage folds two elementwise maps in UB before
+    the GM store (graph-level fusion) is covered."""
+    from repro.graph import ELEMENTWISE_FNS
+    from repro.hw.datatypes import as_dtype
+
+    ctx = audit_ctx
+    s = 32
+    n = 5 * s * s
+    consts = ctx.constants(s, "fp16")
+    x = ctx.device.alloc("x", (n,), consts.dtype)
+    x.write(np.ones(n, dtype=np.float16))
+    y = ctx.device.alloc("y", (n,), as_dtype("fp32"))
+    post_fns = (ELEMENTWISE_FNS["negate"], ELEMENTWISE_FNS["relu"])
+    kernel = ctx._cube_1d_kernel(
+        algorithm, x, y, consts, s, None, exclusive, post_fns=post_fns
+    )
+    _assert_covered(ctx.device.trace_kernel(kernel))
 
 
 def test_audit_disabled_raises(toy_device):

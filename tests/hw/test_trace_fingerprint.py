@@ -61,6 +61,16 @@ def _plan(algorithm: str, dtype: str) -> str:
     return _digest(ctx.device, [plan.traced], [plan.y_gm.to_numpy()])
 
 
+def _fold_phase(k: int) -> str:
+    """Phase I or II of a device-carry MCScan plan (the sharded scan's
+    folded carry path); the output holds the planted carry."""
+    ctx = ScanContext(toy_config())
+    plan = ctx.build_plan(
+        algorithm="mcscan", n=5000, dtype="fp16", s=32, device_carry=True
+    )
+    return _digest(ctx.device, [plan.phases[k]], [plan.y_gm.to_numpy()])
+
+
 def _batched() -> str:
     ctx = ScanContext(toy_config())
     plan = ctx.build_batched_plan(
@@ -100,6 +110,10 @@ PROGRAMS = {
         f"{algorithm}-{dtype}": (lambda a=algorithm, d=dtype: _plan(a, d))
         for algorithm in ("mcscan", "scanu", "scanul1")
         for dtype in ("fp16", "int8")
+    },
+    **{
+        f"mcscan-fold-phase{k + 1}-fp16": (lambda k=k: _fold_phase(k))
+        for k in range(2)
     },
     "batched-scanu-int8": _batched,
     **{

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.api import PLANTED_CARRY, ScanContext
+from repro.core.mcscan import MCScanKernel
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
+from repro.core.replay import validation_input
 from repro.errors import ConfigError, KernelError, ShapeError
 from repro.hw.config import toy_config
+from repro.hw.datatypes import as_dtype
 from repro.shard import DevicePool, ShardedScanner, shard_ranges
 from repro.tune import TunedEntry, TuneStore
 
@@ -53,26 +57,29 @@ class TestShardRanges:
 
 
 class TestDifferential:
-    """Sharded output must be bit-identical to the core.reference oracle."""
+    """Sharded output must be bit-identical to the core.reference oracle,
+    on the folded path (D >= 2 mcscan) and the carry path (D = 1)."""
 
-    @pytest.mark.parametrize("num_devices", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_devices", range(1, 9))
     @pytest.mark.parametrize("n", [4096, 12_345, 50_000])
     def test_fp16_exact_bit_identical(self, rng, num_devices, n):
         pool = DevicePool(num_devices, toy_config())
         scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
         x, expected = exact_fp16_scan_input(n, rng)
         result = scanner.scan(x)
+        assert result.folded == (result.num_devices > 1)
         assert result.values.dtype == np.float32
         assert np.array_equal(result.values, inclusive_scan(x))
         assert np.array_equal(result.values, expected)
 
-    @pytest.mark.parametrize("num_devices", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_devices", range(1, 9))
     @pytest.mark.parametrize("n", [4096, 12_345, 50_000])
     def test_int8_bit_identical(self, rng, num_devices, n):
         pool = DevicePool(num_devices, toy_config())
         scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
         x = rng.integers(-30, 31, size=n).astype(np.int8)
         result = scanner.scan(x)
+        assert result.folded == (result.num_devices > 1)
         assert result.values.dtype == np.int32
         assert np.array_equal(result.values, inclusive_scan(x))
 
@@ -104,18 +111,33 @@ class TestScanner:
         assert sum(r.n for r in result.shards) == 30_000
         assert result.n_elements == 30_000
 
-    def test_wall_clock_is_two_stage_max(self, pool, rng):
-        scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
+    @pytest.mark.parametrize("algorithm", ["mcscan", "scanul1"])
+    def test_wall_clock_is_two_stage_max(self, pool, rng, algorithm):
+        scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
         x, _ = exact_fp16_scan_input(30_000, rng)
-        result = scanner.scan(x)
-        assert result.scan_stage_ns == max(r.scan_ns for r in result.shards)
-        assert result.carry_stage_ns == max(
-            r.carry_ns for r in result.shards[1:]
+        _assert_two_stage_wall(scanner.scan(x), folded=algorithm == "mcscan")
+
+    def test_mixed_phase_seams_fall_back_to_carry_pass(self, rng):
+        """A tuned non-MCScan shard plan has no phase seam, so the scan
+        runs scan-then-propagate — including a carry pass over the MCScan
+        plan of device 1, traced the first time it is needed."""
+        cfg = toy_config()
+        store = TuneStore(cfg)
+        store.record(
+            "1d:6400:fp16:i",
+            TunedEntry(
+                algorithm="scanul1", s=16, block_dim=None, layout="1d",
+                tuned_ns=1.0, default_ns=2.0,
+            ),
         )
-        assert result.wall_ns == result.scan_stage_ns + result.carry_stage_ns
-        # device 0 never runs a carry pass
-        assert result.shards[0].carry_ns == 0.0
-        assert all(r.carry_ns > 0 for r in result.shards[1:])
+        pool = DevicePool(2, cfg, tune_store=store)
+        scanner = ShardedScanner(pool, algorithm="mcscan", s=16, tuned=True)
+        x, _ = exact_fp16_scan_input(6400 + 6144, rng)
+        result = scanner.scan(x)
+        assert [r.n for r in result.shards] == [6400, 6144]
+        assert [r.tuned for r in result.shards] == [True, False]
+        assert np.array_equal(result.values, inclusive_scan(x))
+        _assert_two_stage_wall(result, folded=False)
 
     def test_single_device_has_no_carry_stage(self, rng):
         scanner = ShardedScanner(DevicePool(1, toy_config()), s=16)
@@ -242,7 +264,7 @@ class TestAdversarialBoundaries:
         assert np.array_equal(result.values, expected)
         assert sum(r.n for r in result.shards) == n
 
-    @pytest.mark.parametrize("num_devices", [6, 8])
+    @pytest.mark.parametrize("num_devices", range(1, 9))
     @pytest.mark.parametrize("k", [3, 7])
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_int8_exact_at_tile_multiples(self, rng, num_devices, k, delta):
@@ -253,9 +275,22 @@ class TestAdversarialBoundaries:
         scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
         x = rng.integers(-30, 31, size=n).astype(np.int8)
         result = scanner.scan(x)
+        assert result.folded == (num_devices > 1)
         assert np.array_equal(result.values, inclusive_scan(x))
         for start, end in [(r.start, r.end) for r in result.shards][:-1]:
             assert end % 256 == 0
+
+    @pytest.mark.parametrize("num_devices", range(1, 9))
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_fp16_exact_at_tile_multiples(self, rng, num_devices, k, delta):
+        n = num_devices * k * 256 + delta
+        pool = DevicePool(num_devices, toy_config())
+        scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
+        x, expected = exact_fp16_scan_input(n, rng)
+        result = scanner.scan(x)
+        assert result.folded == (num_devices > 1)
+        assert np.array_equal(result.values, expected)
 
     def test_single_element_tail_shard(self, rng):
         """shard_ranges(513, 3, 256) -> [0,256), [256,512), [512,513):
@@ -286,18 +321,88 @@ class TestAdversarialBoundaries:
         scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
         assert np.array_equal(scanner.scan(x).values, inclusive_scan(x))
 
-    def test_wide_pool_carry_chain_timing(self, rng):
-        """At D=6 the two-stage makespan law still holds: wall clock is
-        max scan time plus max carry time, and only device 0 skips the
-        carry pass."""
+    @pytest.mark.parametrize("algorithm", ["mcscan", "scanul1"])
+    def test_wide_pool_carry_chain_timing(self, rng, algorithm):
+        """At D=6 the two-stage makespan law still holds on both paths."""
         pool = DevicePool(6, toy_config())
-        scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
+        scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
         x, _ = exact_fp16_scan_input(60_000, rng)
         result = scanner.scan(x)
         assert result.num_devices == 6
+        _assert_two_stage_wall(result, folded=algorithm == "mcscan")
+
+
+class TestDeviceCarry:
+    """The folded path's device carry: an MCScan plan built with a carry
+    slot is traced with a planted carry and validated against
+    ``fp32(local scan) + carry``."""
+
+    @pytest.mark.parametrize("dtype", ["fp16", "int8"])
+    def test_build_proves_the_planted_carry(self, dtype):
+        ctx = ScanContext(toy_config())
+        plan = ctx.build_plan(
+            algorithm="mcscan", n=5000, dtype=dtype, s=16, device_carry=True
+        )
+        assert plan.validated
+        assert len(plan.phases) == 2
+        sample = validation_input(plan.padded, as_dtype(dtype), seed=plan.padded)
+        local = inclusive_scan(sample)
+        want = local + local.dtype.type(PLANTED_CARRY)
+        assert np.array_equal(plan.y_gm.to_numpy(), want)
+        # the host numerics stay the plain local scan
+        assert np.array_equal(plan.compute(sample[:4999]), local[:4999])
+
+    def test_phase_ii_ignoring_the_carry_slot_fails_validation(
+        self, monkeypatch
+    ):
+        """Planted mutation: a phase II that reads ``r`` as if it had no
+        carry slot must be refused at build."""
+        phase2 = MCScanKernel.phase2
+
+        def ignores_slot(self, ctx):
+            self.carry_slot = False
+            try:
+                phase2(self, ctx)
+            finally:
+                self.carry_slot = True
+
+        monkeypatch.setattr(MCScanKernel, "phase2", ignores_slot)
+        ctx = ScanContext(toy_config())
+        with pytest.raises(KernelError, match="validation failed"):
+            ctx.build_plan(
+                algorithm="mcscan", n=5000, dtype="int8", s=16,
+                device_carry=True,
+            )
+
+    def test_only_mcscan_plans_get_phases(self):
+        ctx = ScanContext(toy_config())
+        assert ctx.build_plan(algorithm="mcscan", n=5000, s=16).phases == ()
+        plan = ctx.build_plan(
+            algorithm="scanul1", n=5000, s=16, device_carry=True
+        )
+        assert plan.phases == ()
+
+
+def _assert_two_stage_wall(result, *, folded: bool) -> None:
+    """Folded: no carry stage, and the wall is max(phase I) + max(phase
+    II).  Carry path: the wall is max scan + max carry, and only device
+    0 skips the carry pass."""
+    assert result.folded == folded
+    assert result.wall_ns == result.scan_stage_ns + result.carry_stage_ns
+    if folded:
+        phase1 = max(r.phase_ns[0] for r in result.shards)
+        phase2 = max(r.phase_ns[1] for r in result.shards)
+        assert result.wall_ns == phase1 + phase2
+        assert result.carry_stage_ns == 0.0
+        assert all(r.carry_ns == 0.0 for r in result.shards)
+        assert all(r.scan_ns == sum(r.phase_ns) for r in result.shards)
+    else:
+        assert result.scan_stage_ns == max(r.scan_ns for r in result.shards)
+        assert result.carry_stage_ns == max(
+            r.carry_ns for r in result.shards[1:]
+        )
         assert result.shards[0].carry_ns == 0.0
         assert all(r.carry_ns > 0 for r in result.shards[1:])
-        assert result.wall_ns == result.scan_stage_ns + result.carry_stage_ns
 
 
 def test_four_devices_beat_one_on_a_1m_scan(rng):

@@ -65,8 +65,15 @@ class TestCommands:
         assert main(["shard", "-n", "256K", "--devices", "2"]) == 0
         out = capsys.readouterr().out
         assert "dev0" in out and "dev1" in out
-        assert "carry stage" in out
+        # D=2 mcscan folds the device carry into phase II
+        assert "phase I" in out and "phase II" in out
+        assert "carry stage" not in out
         assert "speedup at D=2" in out
+        # scanul1 has no phase seam: scan stage, then carry stage
+        assert main(
+            ["shard", "-n", "256K", "--devices", "2", "--algorithm", "scanul1"]
+        ) == 0
+        assert "carry stage" in capsys.readouterr().out
 
     def test_shard_rejects_vector(self):
         with pytest.raises(SystemExit):
