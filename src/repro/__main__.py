@@ -23,7 +23,7 @@ Subcommands:
   every schedule-equivalent decision (drain order, routing tie-breaks,
   fault timing) is driven by a recorded controller, invariants are
   checked per seed, and failures are shrunk to a minimal decision trace
-  (``--smoke`` runs a short CI pass plus the pinned seed corpus);
+  (``--replay-corpus`` re-runs the pinned seed corpus);
 * ``graph`` — serve operator graphs (top-k -> top-p sampling, sort)
   through the batched, fault-tolerant pool front end: graphs lower once
   to replayable device programs, every request's numerics come from the
@@ -574,54 +574,6 @@ def cmd_traffic(args) -> int:
     return 0
 
 
-def _fuzz_smoke() -> int:
-    """CI self-check for the schedule fuzzer: a short seed sweep over the
-    full workload matrix holds every invariant, the pinned seed corpus
-    replays clean, and a recorded decision trace replays
-    deterministically."""
-    from .verify import WORKLOAD_MATRIX, replay_corpus, run_fuzz, run_seed
-
-    failures = []
-
-    def check(cond: bool, msg: str) -> None:
-        print(f"{'PASS' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures.append(msg)
-
-    report = run_fuzz(seeds=50)
-    check(
-        report.ok and report.seeds_run == 50,
-        f"50 fuzz seeds over {len(report.per_spec)} workloads: "
-        f"{report.served} requests served, {report.decisions} schedule "
-        f"decisions, {report.flush_faults} flush-level faults absorbed",
-    )
-    for failure in report.failures:
-        print(failure.describe())
-
-    corpus = replay_corpus()
-    check(
-        corpus.ok,
-        f"seed corpus: {corpus.seeds_run} pinned seed(s) replay clean",
-    )
-    for failure in corpus.failures:
-        print(failure.describe())
-
-    spec = WORKLOAD_MATRIX[0]
-    first = run_seed(spec, 3)
-    again = run_seed(spec, 3, trace=first.trace)
-    check(
-        first.ok and again.ok and first.trace == again.trace,
-        f"recorded trace ({len(first.trace)} decisions) replays "
-        f"deterministically",
-    )
-
-    if failures:
-        print(f"\nfuzz smoke: {len(failures)} check(s) failed")
-        return 1
-    print("\nfuzz smoke: all checks passed")
-    return 0
-
-
 def cmd_fuzz(args) -> int:
     import json
 
@@ -633,9 +585,6 @@ def cmd_fuzz(args) -> int:
         run_seed,
         shrink_trace,
     )
-
-    if args.smoke:
-        return _fuzz_smoke()
 
     specs = list(WORKLOAD_MATRIX)
     if args.spec:
@@ -1177,9 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip trace shrinking on failures")
     pf.add_argument("--save-failures", metavar="PATH",
                     help="write failing seeds + traces as JSON repro bundles")
-    pf.add_argument("--smoke", action="store_true",
-                    help="CI self-check: 50-seed sweep, corpus replay, "
-                    "deterministic trace replay")
     pf.set_defaults(fn=cmd_fuzz)
 
     pg = sub.add_parser(

@@ -9,9 +9,10 @@ batched kernels (:class:`~repro.core.batched.BatchedScanUKernel` /
 Batch sizes are rounded up to power-of-two *buckets* (rows beyond the
 real batch are zero-padded), so the plan cache needs only ``log2``
 distinct batched plans per shape class instead of one per observed batch
-size.  Groups smaller than ``min_group`` — and requests the batched
-kernels cannot serve (``mcscan``, exclusive scans) — fall back to 1-D
-plans, one launch per request.
+size.  Chunks smaller than ``min_group`` (a small class, or the tail of
+one larger than the bucket cap) — and requests the batched kernels
+cannot serve (``mcscan``, exclusive scans) — fall back to 1-D plans, one
+launch per request.
 """
 
 from __future__ import annotations
@@ -126,33 +127,17 @@ class RequestBatcher:
         self.max_batch = max_batch
         self.min_group = min_group
         #: optional :class:`repro.verify.ScheduleController`; permutes the
-        #: pending-queue order seen by ``drain``/``take_pending`` so the
-        #: fuzzer can exercise every coalescing/failover interleaving
-        #: (results must be submission-order independent)
+        #: pending-queue order seen by ``drain`` so the fuzzer can exercise
+        #: every coalescing interleaving (results must be
+        #: submission-order independent)
         self.controller = controller
         self._pending: list[ScanRequest] = []
-        #: requests that rode a batched launch / total drained, for stats
-        self.coalesced = 0
-        self.drained = 0
 
     def __len__(self) -> int:
         return len(self._pending)
 
     def add(self, request: ScanRequest) -> None:
         self._pending.append(request)
-
-    def take_pending(self) -> "list[ScanRequest]":
-        """Remove and return every queued request (failover drain).
-
-        The device-pool serving layer uses this to recall work from a
-        member that faulted before its queue was flushed.  Under a
-        schedule controller the recall order is permuted — rerouted work
-        must serve correctly whatever order the drain observes.
-        """
-        pending, self._pending = self._pending, []
-        if self.controller is not None and len(pending) > 1:
-            pending = self.controller.permute("batcher.take_pending", pending)
-        return pending
 
     def _batchable(self, request: ScanRequest) -> bool:
         return (
@@ -164,12 +149,14 @@ class RequestBatcher:
 
         Returns groups in deterministic order (by first-submitted request),
         splitting oversized groups at the bucket cap (the largest power of
-        two <= ``max_batch``).
+        two <= ``max_batch``).  This is the only place a request is
+        grouped: a device-pool member serves the routed group as it
+        stands, so every chunk smaller than ``min_group`` — including the
+        tail of an oversized class — goes to the 1-D fallback here.
         """
         pending, self._pending = self._pending, []
         if self.controller is not None and len(pending) > 1:
             pending = self.controller.permute("batcher.drain", pending)
-        self.drained += len(pending)
         by_shape: dict[PlanKey, LaunchGroup] = {}
         order: list[LaunchGroup] = []
         for req in pending:
@@ -206,37 +193,20 @@ class RequestBatcher:
         # itself: a 48-row chunk cannot ride a 32-row bucket
         chunk_rows = 1 << (self.max_batch.bit_length() - 1)
         for group in order:
-            if (
-                group.key.batch is None
-                or len(group.requests) < self.min_group
-            ):
-                if group.key.batch is None:
-                    # already a 1-D shape class
-                    out.append(group)
-                    continue
-                # Batched class too small for a batched launch: fall back
-                # to 1-D plans.  The 1-D key must be derived *per request*
-                # — requests that share a batched shape class can still
-                # differ in 1-D key (e.g. tuned block_dim, exclusive) —
-                # so re-partition instead of keying off requests[0].
-                fallback: dict[PlanKey, LaunchGroup] = {}
-                for req in group.requests:
-                    key = self.cache.key_1d(
-                        req.algorithm,
-                        req.n,
-                        req.plan_dtype,
-                        s=group.key.s,
-                        exclusive=req.exclusive,
-                        block_dim=req.block_dim,
-                    )
-                    sub = fallback.get(key)
-                    if sub is None:
-                        sub = fallback[key] = LaunchGroup(key=key)
-                        out.append(sub)
-                    sub.requests.append(req)
+            if group.key.batch is None:
+                # already a 1-D shape class (or a graph signature)
+                out.append(group)
                 continue
-            for lo in range(0, len(group.requests), chunk_rows):
-                chunk = group.requests[lo : lo + chunk_rows]
+            rows = group.requests
+            # a class below min_group falls back whole, not chunk by chunk
+            step = chunk_rows if len(rows) >= self.min_group else len(rows)
+            for lo in range(0, len(rows), step):
+                chunk = rows[lo : lo + step]
+                if len(chunk) < self.min_group:
+                    # too small for a batched launch — a small class, or
+                    # the tail of an oversized one: fall back to 1-D plans
+                    out.extend(self._fallback(chunk, group.key.s))
+                    continue
                 bucket = bucket_size(len(chunk), max_batch=self.max_batch)
                 out.append(
                     LaunchGroup(
@@ -252,5 +222,29 @@ class RequestBatcher:
                         bucket=bucket,
                     )
                 )
-                self.coalesced += len(chunk)
         return out
+
+    def _fallback(
+        self, requests: "list[ScanRequest]", s: int
+    ) -> "list[LaunchGroup]":
+        """1-D fallback groups for batchable requests below ``min_group``.
+
+        The 1-D key must be derived *per request* — requests that share
+        a batched shape class can still differ in 1-D key (e.g. tuned
+        block_dim) — so re-partition instead of keying off requests[0].
+        """
+        groups: dict[PlanKey, LaunchGroup] = {}
+        for req in requests:
+            key = self.cache.key_1d(
+                req.algorithm,
+                req.n,
+                req.plan_dtype,
+                s=s,
+                exclusive=req.exclusive,
+                block_dim=req.block_dim,
+            )
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = LaunchGroup(key=key)
+            group.requests.append(req)
+        return list(groups.values())

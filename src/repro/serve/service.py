@@ -188,9 +188,9 @@ class ScanService:
         req_id: "int | None" = None,
     ) -> "tuple[ScanRequest, ScanTicket]":
         """Validate one submission and materialise its request + ticket
-        without enqueueing — the routing seam the device-pool front end
+        without enqueueing — the seam the device-pool front end
         (:class:`repro.shard.PoolScanService`) uses to build tickets
-        centrally and hand the request to whichever member it picks."""
+        centrally in its own queue."""
         x = np.asarray(x)
         if x.ndim != 1:
             raise ShapeError(f"submit expects a 1-D array, got shape {x.shape}")
@@ -282,27 +282,9 @@ class ScanService:
         req, ticket = self._prepare(
             x, algorithm=algorithm, s=s, exclusive=exclusive
         )
-        self.enqueue(req, ticket)
-        return ticket
-
-    def enqueue(self, req: ScanRequest, ticket: ScanTicket) -> None:
-        """Accept an already-prepared request/ticket pair (used directly by
-        the pool front end after routing; ``submit`` is prepare + enqueue).
-
-        Request ids double as the submit-sequence key ``flush`` orders
-        completed tickets by, so they must be unique within one service:
-        a colliding id would silently overwrite a tracked ticket (a lost
-        request) and break submit-order return.  Scan and graph requests
-        draw from one monotone ``_next_id`` counter precisely so this
-        holds for mixed traffic too.
-        """
-        if req.req_id in self._tickets:
-            raise KernelError(
-                f"request id {req.req_id} is already tracked; scan and "
-                f"graph submissions must draw from one id sequence"
-            )
         self._tickets[req.req_id] = ticket
         self.batcher.add(req)
+        return ticket
 
     def scan(self, x: np.ndarray, **kwargs) -> ScanTicket:
         """Convenience: submit one request and flush immediately."""
@@ -391,7 +373,8 @@ class ScanService:
         captured per-node programs.
         """
         req, ticket = self._prepare_graph(graph, inputs, params=params)
-        self.enqueue(req, ticket)
+        self._tickets[req.req_id] = ticket
+        self.batcher.add(req)
         return ticket
 
     @property
@@ -405,31 +388,41 @@ class ScanService:
 
         Exception-safe: if a launch fails terminally (a permanent
         :class:`~repro.errors.DeviceFault`, or retries exhausted), every
-        not-yet-served request — including the failing group's — is
-        re-queued with its ticket still tracked before the fault
-        propagates, so a later ``flush()`` (or the pool's failover onto
-        another member) can still serve it.  No ticket is ever lost.
+        drained request whose ticket is still tracked — the failing
+        launch's and every later one — goes back on the queue before the
+        fault propagates, so a later ``flush()`` can still serve it.  No
+        ticket is ever lost.
         """
         groups = self.batcher.drain()
         completed: list[ScanTicket] = []
-        for gi, group in enumerate(groups):
-            try:
-                if group.graph:
-                    completed.extend(self._serve_graph(group))
-                elif group.batched:
-                    completed.extend(self._serve_batched(group))
-                else:
-                    completed.extend(self._serve_singles(group))
-            except Exception:
-                for later in groups[gi + 1 :]:
-                    self._requeue(later.requests)
-                raise
+        try:
+            for group in groups:
+                completed.extend(self._serve(group, self._tickets))
+        except Exception:
+            for group in groups:
+                for req in group.requests:
+                    if req.req_id in self._tickets:
+                        self.batcher.add(req)
+            raise
         return _sorted_by_submit_sequence(completed)
 
-    def _requeue(self, requests: "list[ScanRequest]") -> None:
-        """Put unserved requests back on the queue (tickets stay tracked)."""
-        for req in requests:
-            self.batcher.add(req)
+    def _serve(
+        self, group: LaunchGroup, tickets: "dict[int, ScanTicket]"
+    ) -> "list[ScanTicket]":
+        """Launch one drained group as it stands; returns its finished
+        tickets in launch order.
+
+        Each ticket is popped from ``tickets`` — this service's own, or
+        the device pool's when the pool routes the group here — only
+        after the launch that serves it succeeded, so on a fault the
+        unserved requests are exactly those whose tickets are still in
+        ``tickets``.
+        """
+        if group.graph:
+            return self._serve_graph(group, tickets)
+        if group.batched:
+            return self._serve_batched(group, tickets)
+        return self._serve_singles(group, tickets)
 
     def _replay_with_retry(self, launch, label: "str | None" = None):
         """Relaunch one scan plan or one captured graph kernel under the
@@ -484,18 +477,6 @@ class ScanService:
                 )
             return trace, attempt - 1, faults, backoff_ns
 
-    def _replay_plan(self, plan: ScanPlan, requests) -> tuple:
-        """One scan launch of ``plan`` through :meth:`_replay_with_retry`.
-        On a terminal fault ``requests`` (the launch's and every later
-        one of its group) go back on the queue before the fault
-        propagates."""
-        try:
-            return self._replay_with_retry(plan)
-        except Exception:
-            # tickets stay tracked; the unserved requests are re-queued
-            self._requeue(requests)
-            raise
-
     def _get_plan(self, group: LaunchGroup) -> "tuple[ScanPlan, bool]":
         key = group.key
         hit = key in self.cache
@@ -523,13 +504,10 @@ class ScanService:
         )
         return values
 
-    def _serve_batched(self, group: LaunchGroup) -> "list[ScanTicket]":
+    def _serve_batched(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
         plan, hit = self._get_plan(group)
         hits_before = plan.timeline_hits
-        # a fault puts the whole group back on the queue
-        trace, retries, faults, backoff_ns = self._replay_plan(
-            plan, group.requests
-        )
+        trace, retries, faults, backoff_ns = self._replay_with_retry(plan)
         group_tuned = any(r.tuned for r in group.requests)
         per_launch_n = sum(req.n for req in group.requests)
         io = per_launch_n * plan._io_bytes_per_element()
@@ -555,11 +533,11 @@ class ScanService:
             in_dtype=plan.in_dtype,
             exclusive=False,
         )
-        tickets = []
+        served = []
         for req, row in zip(group.requests, values):
             # pop only after the launch succeeded: a fault above leaves
             # every ticket of the group pending, not silently dropped
-            ticket = self._tickets.pop(req.req_id)
+            ticket = tickets.pop(req.req_id)
             ticket.device_ns = served_ns
             ticket.plan_hit = hit
             ticket.batched = True
@@ -567,10 +545,10 @@ class ScanService:
             ticket.retries += retries
             ticket.faults += faults
             self._finish(ticket, req, row)
-            tickets.append(ticket)
-        return tickets
+            served.append(ticket)
+        return served
 
-    def _serve_singles(self, group: LaunchGroup) -> "list[ScanTicket]":
+    def _serve_singles(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
         # every request in a fallback group shares one exact 1-D plan key
         # (the batcher re-partitions per request), so the whole group's
         # numerics ride one stacked pass; each request still gets its own
@@ -582,7 +560,7 @@ class ScanService:
             in_dtype=self.ctx._as_plan_dtype(key.dtype),
             exclusive=key.exclusive,
         )
-        tickets = []
+        served = []
         for idx, req in enumerate(group.requests):
             hit = key in self.cache
             plan = self.cache.get_1d(
@@ -591,10 +569,7 @@ class ScanService:
                 tuned=req.tuned,
             )
             hits_before = plan.timeline_hits
-            # a fault puts this request and every later one back
-            trace, retries, faults, backoff_ns = self._replay_plan(
-                plan, group.requests[idx:]
-            )
+            trace, retries, faults, backoff_ns = self._replay_with_retry(plan)
             served_ns = trace.total_ns + backoff_ns
             self.stats.record_launch(
                 LaunchRecord(
@@ -611,16 +586,16 @@ class ScanService:
                     backoff_ns=backoff_ns,
                 )
             )
-            ticket = self._tickets.pop(req.req_id)
+            ticket = tickets.pop(req.req_id)
             ticket.device_ns = served_ns
             ticket.plan_hit = hit
             ticket.retries += retries
             ticket.faults += faults
             self._finish(ticket, req, values[idx])
-            tickets.append(ticket)
-        return tickets
+            served.append(ticket)
+        return served
 
-    def _serve_graph(self, group: LaunchGroup) -> "list[ScanTicket]":
+    def _serve_graph(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
         """Serve a group of same-signature graph requests: lower once per
         shape class (cached), replay every node's captured programs per
         request under the retry policy, attach the oracle outputs computed
@@ -635,8 +610,8 @@ class ScanService:
         per-launch fault rates."""
         runner = self._graph_runner()
         stats = self.stats
-        tickets = []
-        for idx, req in enumerate(group.requests):
+        served = []
+        for req in group.requests:
             entries, built = runner.lower(req.graph)
             # (lowered unit, its device ns) per unit
             spans = []
@@ -644,31 +619,26 @@ class ScanService:
             backoff_ns = 0.0
             retries = faults = launches = 0
             timeline_hit = False
-            try:
-                for unit, low in entries:
-                    label = f"graph {req.graph.name}.{unit.name}"
-                    unit_ns = 0.0
-                    for kernel in low.traced:
-                        hits = kernel.timeline_hits
-                        trace, kretries, kfaults, kbackoff = (
-                            self._replay_with_retry(kernel, label)
-                        )
-                        timeline_hit |= kernel.timeline_hits > hits
-                        # kernel by kernel, left to right: the order the
-                        # served device ns has always been summed in
-                        ns = trace.total_ns
-                        served_ns += ns
-                        unit_ns += ns
-                        retries += kretries
-                        faults += kfaults
-                        backoff_ns += kbackoff
-                    low.replays += 1
-                    launches += low.launches
-                    spans.append((low, unit_ns))
-            except Exception:
-                # this request and everything after it go back on the queue
-                self._requeue(group.requests[idx:])
-                raise
+            for unit, low in entries:
+                label = f"graph {req.graph.name}.{unit.name}"
+                unit_ns = 0.0
+                for kernel in low.traced:
+                    hits = kernel.timeline_hits
+                    trace, kretries, kfaults, kbackoff = (
+                        self._replay_with_retry(kernel, label)
+                    )
+                    timeline_hit |= kernel.timeline_hits > hits
+                    # kernel by kernel, left to right: the order the
+                    # served device ns has always been summed in
+                    ns = trace.total_ns
+                    served_ns += ns
+                    unit_ns += ns
+                    retries += kretries
+                    faults += kfaults
+                    backoff_ns += kbackoff
+                low.replays += 1
+                launches += low.launches
+                spans.append((low, unit_ns))
             for low, unit_ns in spans:
                 if low.members:
                     # fused region: attribute the span back to the member
@@ -695,8 +665,8 @@ class ScanService:
                     backoff_ns=backoff_ns,
                 )
             )
-            # pop only after the launch succeeded (see _serve_singles)
-            ticket = self._tickets.pop(req.req_id)
+            # pop only after the launch succeeded (see _serve_batched)
+            ticket = tickets.pop(req.req_id)
             ticket.device_ns = served_ns
             ticket.plan_hit = not built
             ticket.tuned = tuned
@@ -705,8 +675,8 @@ class ScanService:
             ticket.launches = launches
             ticket.batch_size = len(group.requests)
             self._finish(ticket, req, req.outputs)
-            tickets.append(ticket)
-        return tickets
+            served.append(ticket)
+        return served
 
     # -- reporting ----------------------------------------------------------
 

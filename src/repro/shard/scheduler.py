@@ -399,8 +399,8 @@ class TrafficScheduler:
                 return
             failovers += 1
             if failovers > svc._max_group_failovers:
-                # leftover tickets are back in pool custody (_recall);
-                # fail them explicitly rather than looping forever
+                # leftover tickets never left pool custody; fail them
+                # explicitly rather than looping forever
                 self._fail_requests(leftover.requests)
                 return
             group = leftover

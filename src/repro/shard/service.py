@@ -10,9 +10,15 @@ each is placed on the member with the least accumulated simulated busy
 time.  LPT keeps the makespan within 4/3 of optimal, and placing whole
 groups preserves every batching win the single-device layer earned.
 
-Each member runs its own :class:`ScanService` — per-device plan cache,
-per-device stats — while all of them share one tuned-plan store, so a
-workload tuned once serves the whole pool.  Aggregate throughput is
+Each request is queued once, in the pool.  A member is a
+:class:`ScanService` used as a plan cache plus a launch-with-retry
+executor: ``_dispatch`` hands it the routed group as it stands
+(:meth:`ScanService._serve`), and the member pops each ticket from the
+pool's ticket dict only once its launch succeeds — so after a terminal
+fault the unserved remainder is simply the group's requests whose
+tickets are still in pool custody, ready to reroute.  Members keep
+per-device plan caches and stats while all of them share one tuned-plan
+store, so a workload tuned once serves the whole pool.  Aggregate throughput is
 total logical elements over the pool **makespan** (the busiest member's
 simulated time): members run concurrently, so that is the simulated
 wall-clock of the whole mix.
@@ -83,8 +89,8 @@ class PoolScanService:
             tune_store if tune_store is not None else self.pool.tune_store
         )
         #: optional :class:`repro.verify.ScheduleController`; permutes the
-        #: launch-group pick order (simulated member completion order),
-        #: routing tie-breaks, and every member batcher's drain order
+        #: drain order, launch-group pick order (simulated member
+        #: completion order), routing tie-breaks and failover recall order
         self.controller = controller
         self.workers = [
             ScanService(
@@ -96,7 +102,6 @@ class PoolScanService:
                 gm_budget=gm_budget,
                 tune_store=self.tune_store,
                 retry=retry,
-                controller=controller,
                 graph_fusion=graph_fusion,
             )
             for ctx in self.pool
@@ -240,8 +245,8 @@ class PoolScanService:
 
         Failover: when a member's launch fails terminally (its retry
         policy exhausted, or a permanent :class:`~repro.errors.DeviceFault`),
-        the member's unserved queue is drained back into the pool and the
-        group is rerouted onto the surviving members; a permanently lost
+        the group's unserved remainder is recalled and rerouted onto the
+        surviving members; a permanently lost
         member is marked dead and excluded from all further routing.
         Tickets are never lost — work a dying member already completed is
         kept, and everything else is re-served elsewhere, bit-identical
@@ -294,66 +299,57 @@ class PoolScanService:
         """Serve one launch group synchronously on pool member ``target``.
 
         The shared serving step under ``flush`` and the open-loop
-        :class:`~repro.shard.scheduler.TrafficScheduler`: move the group's
-        tickets into the member, flush it, and account busy time.  Returns
-        ``(completed, leftover, fault)`` — ``leftover`` is the recalled
-        unserved remainder of the group after a terminal member fault
-        (None when everything launched), ready to reroute; ``fault`` is
-        the :class:`~repro.errors.DeviceFault` that caused it (None on a
-        clean serve).  A permanent fault marks the member dead.  Tickets
-        are never lost: work the member completed before faulting is
-        returned, the rest is back in pool custody inside ``leftover``.
+        :class:`~repro.shard.scheduler.TrafficScheduler`: the member
+        serves the group as it stands, popping each ticket from the
+        pool's ticket dict once its launch succeeds, and its busy time is
+        accounted.  Returns ``(completed, leftover, fault)`` —
+        ``completed`` in launch order; ``leftover`` the recalled unserved
+        remainder of the group after a terminal member fault (None when
+        everything launched), ready to reroute; ``fault`` the
+        :class:`~repro.errors.DeviceFault` that caused it (None on a clean
+        serve).  A permanent fault marks the member dead.  Tickets are
+        never lost: work the member completed before faulting is
+        returned, the rest never left pool custody.
         """
         worker = self.workers[target]
-        routed: list[tuple[ScanRequest, ScanTicket]] = []
-        for req in group.requests:
-            ticket = self._tickets.pop(req.req_id)
+        tickets = [self._tickets[req.req_id] for req in group.requests]
+        for ticket in tickets:
             ticket.device = target
-            worker.enqueue(req, ticket)
-            routed.append((req, ticket))
         before = worker.stats.device_ns
         try:
-            completed = worker.flush()
+            completed = worker._serve(group, self._tickets)
         except DeviceFault as fault:
             # faulted time (incl. retries' backoff already served)
             self.busy_ns[target] += worker.stats.device_ns - before
             if fault.permanent:
                 self._dead[target] = True
-            leftover = self._recall(worker, group, fault)
-            completed = [t for _, t in routed if t.done]
-            if not leftover.requests:
-                return completed, None, fault
+            # a fault always leaves its own launch's tickets unserved, so
+            # the recalled remainder is never empty
             self.failovers[target] += 1
-            return completed, leftover, fault
+            leftover = self._recall(group, fault)
+            return [t for t in tickets if t.done], leftover, fault
         self.busy_ns[target] += worker.stats.device_ns - before
         self.groups_routed[target] += 1
         return completed, None, None
 
-    def _recall(
-        self,
-        worker: ScanService,
-        group: LaunchGroup,
-        fault: DeviceFault,
-    ) -> LaunchGroup:
-        """Drain a faulted member's unserved queue back into pool custody.
-
-        Returns the recalled work as a launch group ready to reroute.
-        The serve layer re-queued everything unserved before the fault
-        propagated, so ``take_pending`` is the complete unserved set.
+    def _recall(self, group: LaunchGroup, fault: DeviceFault) -> LaunchGroup:
+        """The group's requests whose tickets are still in pool custody
+        after a terminal member fault, as a launch group ready to reroute.
         """
-        leftover = worker.batcher.take_pending()
+        leftover = [r for r in group.requests if r.req_id in self._tickets]
         for req in leftover:
-            ticket = worker._tickets.pop(req.req_id)
-            ticket.device = None
-            self._tickets[req.req_id] = ticket
+            self._tickets[req.req_id].device = None
         # attribute the terminal fault to the tickets whose launch it was:
         # a batched group shares one launch (all recalled tickets), while
-        # singles fault one request at a time (the first recalled one)
+        # singles fault one request at a time (the first unserved one)
         victims = leftover if group.batched else leftover[:1]
         for req in victims:
             ticket = self._tickets[req.req_id]
             ticket.faults += fault.attempts
             ticket.retries += max(0, fault.attempts - 1)
+        if self.controller is not None and len(leftover) > 1:
+            # rerouted work must serve correctly in any recall order
+            leftover = self.controller.permute("pool.recall", leftover)
         return LaunchGroup(
             key=group.key,
             requests=leftover,

@@ -8,17 +8,18 @@ Two complementary checkers live here:
 
 * **Schedule fuzzing** (:mod:`repro.verify.controller`,
   :mod:`repro.verify.invariants`, :mod:`repro.verify.fuzz`) — the
-  *inter-launch* guarantee.  PRs 4-5 added real concurrency surfaces
-  (shard carry chains, pool routing, retry re-queues, drain-and-reroute
-  failover) whose correctness must hold on **every** interleaving, not
-  just the hand-picked schedules unit tests replay.  Following the
-  AccelSync idea of randomized exploration of accelerator pipeline
-  interleavings (PAPERS.md), a seeded :class:`ScheduleController` is
-  injected at each concurrency decision point — engine pick order in the
-  DES scheduler, launch-group pick order in ``PoolScanService.flush``,
-  fault timing in ``FaultPlan``, batcher drain order — and every decision
-  is recorded, so any run is a pure function of its seed and can be
-  replayed or shrunk to a minimal decision trace.
+  *inter-launch* guarantee.  The serving stack has real concurrency
+  surfaces (shard carry chains, pool routing, retry re-queues,
+  recall-and-reroute failover) whose correctness must hold on **every**
+  interleaving, not just the hand-picked schedules unit tests replay.
+  Following the AccelSync idea of randomized exploration of accelerator
+  pipeline interleavings (PAPERS.md), a seeded
+  :class:`ScheduleController` is injected at each concurrency decision
+  point — engine pick order in the DES scheduler, launch-group pick
+  order in ``PoolScanService.flush``, fault timing in ``FaultPlan``,
+  batcher drain order, failover recall order (``pool.recall``) — and
+  every decision is recorded, so any run is a pure function of its seed
+  and can be replayed or shrunk to a minimal decision trace.
 
 ``python -m repro fuzz`` drives thousands of seeds over a workload matrix
 (dtype x size x D x fault mix) and asserts the linearizability invariants

@@ -7,10 +7,11 @@ these equivalent things happens first?" choices through one
 * the DES scheduler's engine pick order (:func:`repro.hw.scheduler.simulate`),
 * launch-group pick order and routing tie-breaks in
   :meth:`repro.shard.service.PoolScanService.flush`,
+* the order of work recalled from a faulted pool member
+  (``pool.recall``, :meth:`repro.shard.service.PoolScanService._recall`),
 * transient-fault timing in :class:`repro.hw.faults.FaultPlan`,
 * pending-queue drain order in
-  :class:`repro.serve.batcher.RequestBatcher` (``drain`` and the
-  failover ``take_pending``).
+  :meth:`repro.serve.batcher.RequestBatcher.drain`.
 
 Each call records a :class:`Decision` ``(point, n, pick)``.  A run under
 a controller is therefore a pure function of the seed, and the recorded

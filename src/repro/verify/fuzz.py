@@ -4,11 +4,11 @@ Each fuzz *seed* runs one :class:`WorkloadSpec` — a request mix over a
 device pool with a fault profile — under a
 :class:`~repro.verify.controller.ScheduleController` that decides every
 schedule-equivalent choice (batcher drain order, pool group pick order,
-routing tie-breaks, transient-fault timing, DES engine polling order).
-After the run the :class:`~repro.verify.invariants.ServeInvariantChecker`
-asserts oracle bit-identity, exactly-once ticket resolution, monotone
-simulated time and GM accounting; any violation makes the seed a
-failure.
+routing tie-breaks, failover recall order, transient-fault timing, DES
+engine polling order).  After the run the
+:class:`~repro.verify.invariants.ServeInvariantChecker` asserts oracle
+bit-identity, exactly-once ticket resolution, monotone simulated time
+and GM accounting; any violation makes the seed a failure.
 
 A failing seed carries its full decision trace, so it can be
 
@@ -393,8 +393,6 @@ def _fault_plans(spec: WorkloadSpec, seed: int, controller) -> dict:
 def _attach_controller(svc: PoolScanService, controller) -> None:
     svc.controller = controller
     svc.batcher.controller = controller
-    for worker in svc.workers:
-        worker.batcher.controller = controller
 
 
 def _warm(spec: WorkloadSpec, svc: PoolScanService) -> None:

@@ -284,7 +284,6 @@ def test_batcher_drain_clears_queue(service):
     assert len(batcher) == 1
     service.flush()
     assert len(batcher) == 0
-    assert batcher.drained == 1
 
 
 def test_timeline_hit_stats(service):
@@ -374,15 +373,6 @@ class TestSubmitSequenceOrdering:
         done = svc.flush()
         # and flush returns the mixed traffic in exactly submit order
         assert [t.req_id for t in done] == ids
-
-    def test_enqueue_rejects_duplicate_request_id(self, service):
-        from repro.errors import KernelError
-
-        req, ticket = service._prepare(_x(512), s=16)
-        service.enqueue(req, ticket)
-        req2, ticket2 = service._prepare(_x(512, 1), s=16, req_id=req.req_id)
-        with pytest.raises(KernelError, match="already tracked"):
-            service.enqueue(req2, ticket2)
 
     def test_sort_asserts_unique_submit_sequence(self):
         from repro.errors import KernelError

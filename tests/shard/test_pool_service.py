@@ -9,7 +9,7 @@ from repro.core.reference import exact_fp16_scan_input, inclusive_scan
 from repro.errors import ConfigError
 from repro.hw.config import toy_config
 from repro.hw.faults import FaultPlan
-from repro.serve import DEAD, render
+from repro.serve import DEAD, ScanService, render
 from repro.shard import DevicePool, PoolScanService
 from repro.tune import TuneStore, WorkloadKey, ensure_tuned
 
@@ -355,3 +355,37 @@ class TestSerialHostPath:
         text = svc.summary()
         assert text == render(svc.snapshot())
         assert "dev0" in text and "dev1" in text
+
+
+class TestSingleQueue:
+    """Each request is grouped once, by the drain that queued it: a pool
+    member serves the routed group as it stands, so ``ScanService`` and
+    the pool at any size launch the same things."""
+
+    def test_tail_chunk_parity_across_pool_sizes(self):
+        # 5 same-shape requests at max_batch=4: one 4-row batched launch
+        # plus the 1-row tail, which is below min_group and so goes to
+        # the 1-D fallback (a single launch) everywhere
+        rng = np.random.default_rng(8)
+        xs = [exact_fp16_scan_input(512, rng)[0] for _ in range(5)]
+        served = {}
+        for name, svc in [
+            ("service", ScanService(config=toy_config(), max_batch=4)),
+            ("pool1", PoolScanService(1, config=toy_config(), max_batch=4)),
+            ("pool2", PoolScanService(2, config=toy_config(), max_batch=4)),
+        ]:
+            tickets = [svc.submit(x, algorithm="scanu", s=16) for x in xs]
+            svc.flush()
+            workers = getattr(svc, "workers", [svc])
+            kinds = sorted(
+                (r.kind, r.requests) for w in workers for r in w.stats.launches
+            )
+            assert kinds == [("batched", 4), ("single", 1)], name
+            served[name] = [
+                (t.batched, t.batch_size, t.device_ns, t.result().tobytes())
+                for t in tickets
+            ]
+        assert served["pool1"] == served["service"]
+        assert served["pool2"] == served["service"]
+        for x, (_, _, _, values) in zip(xs, served["service"]):
+            assert values == inclusive_scan(x).tobytes()

@@ -127,6 +127,50 @@ class TestContinuousServing:
             sched._dispatch(bucket)
 
 
+class TestLaunchOrder:
+    @pytest.mark.parametrize("seed", [None, 5], ids=["plain", "controlled"])
+    def test_singles_complete_in_dispatch_order(self, monkeypatch, seed):
+        """Fallback singles finish cumulatively in the order ``_dispatch``
+        returns them, which is launch order — also when a schedule
+        controller permutes the drain away from request-id order."""
+        from repro.verify import ScheduleController
+
+        controller = None if seed is None else ScheduleController(seed)
+        # batching off: every group serves as 1-D singles
+        svc = pool(batching=False, controller=controller)
+        dispatched = []
+        real_dispatch = svc._dispatch
+
+        def spy_dispatch(group, target):
+            out = real_dispatch(group, target)
+            dispatched.append((group, out[0]))
+            return out
+
+        svc._dispatch = spy_dispatch
+        stamped = []
+        real_complete = TrafficScheduler._complete
+
+        def spy_complete(self, tickets, group, start_ns, end_ns):
+            stamped.append([id(t) for t in tickets])
+            real_complete(self, tickets, group, start_ns, end_ns)
+
+        monkeypatch.setattr(TrafficScheduler, "_complete", spy_complete)
+        rep = run_traffic(svc, spec(), 3, s=S)
+        assert rep.served == rep.offered
+        assert len(stamped) == len(dispatched)
+        multi = 0
+        for (group, completed), ids in zip(dispatched, stamped):
+            assert ids == [id(t) for t in completed]
+            assert [t.req_id for t in completed] == [
+                r.req_id for r in group.requests
+            ]
+            if len(completed) > 1:
+                multi += 1
+                done = [t.t_complete_ns for t in completed]
+                assert all(a < b for a, b in zip(done, done[1:]))
+        assert multi
+
+
 class TestRunState:
     def test_back_to_back_runs_match_fresh_schedulers(self):
         """Each ``run()`` starts from a clean per-run state (clock, member

@@ -2,8 +2,8 @@
 checker sensitivity, shrinking, and the committed seed corpus.
 
 The acceptance test for the whole harness lives here too: a deliberately
-re-introduced failover drain-order bug must be caught within 100 fuzz
-seeds and shrunk to a minimal decision trace.
+re-introduced failover recall bug must be caught within 100 fuzz seeds
+and shrunk to a minimal decision trace.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hw.config import toy_config
-from repro.serve.batcher import RequestBatcher
 from repro.shard import DevicePool, PoolScanService
 from repro.verify import (
     FUZZ_SEED0,
@@ -216,25 +215,31 @@ class TestSeedCorpus:
             load_corpus(bad)
 
 
+def _plant_recall_drop(monkeypatch) -> None:
+    """Plant a realistic off-by-one in the pool's failover recall: the
+    last recalled request silently drops out of the rerouted group while
+    its ticket stays in pool custody."""
+    original = PoolScanService._recall
+
+    def buggy(self, group, fault):
+        leftover = original(self, group, fault)
+        if self.controller is not None and len(leftover.requests) > 1:
+            leftover.requests = leftover.requests[:-1]
+        return leftover
+
+    monkeypatch.setattr(PoolScanService, "_recall", buggy)
+
+
 class TestAcceptance:
     def test_reintroduced_drain_order_bug_caught_and_shrunk(
         self, monkeypatch
     ):
-        """The ISSUE acceptance criterion: silently dropping the last
-        request recalled by the failover drain (a realistic off-by-one in
-        ``take_pending``) must be caught within 100 seeds, and the
-        failing seed must shrink to a minimal decision trace."""
-        original = RequestBatcher.take_pending
-
-        def buggy(self):
-            pending = original(self)
-            if self.controller is not None and len(pending) > 1:
-                return pending[:-1]  # drop the last recalled request
-            return pending
-
-        monkeypatch.setattr(RequestBatcher, "take_pending", buggy)
+        """Silently dropping the last request recalled after a member
+        fault must be caught within 100 seeds, and the failing seed must
+        shrink to a minimal decision trace."""
+        _plant_recall_drop(monkeypatch)
         report = run_fuzz(seeds=100, shrink=True, max_failures=1)
-        assert not report.ok, "the planted drain bug was never caught"
+        assert not report.ok, "the planted recall bug was never caught"
         failure = report.failures[0]
         assert failure.seed < 100
         assert any(
@@ -250,15 +255,7 @@ class TestAcceptance:
         assert not bad.ok
 
     def test_failure_serialises_to_json(self, monkeypatch):
-        original = RequestBatcher.take_pending
-
-        def buggy(self):
-            pending = original(self)
-            if self.controller is not None and len(pending) > 1:
-                return pending[:-1]
-            return pending
-
-        monkeypatch.setattr(RequestBatcher, "take_pending", buggy)
+        _plant_recall_drop(monkeypatch)
         report = run_fuzz(seeds=100, shrink=True, max_failures=1)
         assert report.failures
         blob = json.dumps(failure_to_json(report.failures[0]))
@@ -275,6 +272,17 @@ class TestFuzzLoop:
         assert report.seeds_run == len(WORKLOAD_MATRIX)
         assert set(report.per_spec) == set(_SPEC_BY_NAME)
         assert report.served > 0
+        assert report.decisions > 0
+
+    def test_fifty_seed_sweep_holds_every_invariant(self):
+        """50 seeds round-robin over the workload matrix: every
+        linearizability invariant holds on every seed, with real faults
+        absorbed and real schedule decisions made along the way."""
+        report = run_fuzz(seeds=50, shrink=False)
+        assert report.ok, report.describe()
+        assert report.seeds_run == 50
+        assert set(report.per_spec) == set(_SPEC_BY_NAME)
+        assert report.flush_faults > 0
         assert report.decisions > 0
 
     def test_report_describe_mentions_outcome(self):
