@@ -251,9 +251,10 @@ class PoolScanService:
         Tickets are never lost — work a dying member already completed is
         kept, and everything else is re-served elsewhere, bit-identical
         (plans are deterministic and device-independent).  Only when every
-        member is dead, or a group exceeds its reroute budget, does flush
-        re-raise — and even then all unserved requests are back in the
-        pool queue with their tickets tracked.
+        member is dead, a group exceeds its reroute budget, or a member
+        raises anything but a ``DeviceFault`` does flush re-raise — and
+        even then every unserved request is back in the pool queue with
+        its ticket tracked, as in :meth:`ScanService.flush`.
         """
         groups = self.batcher.drain()
         # LPT: heaviest groups place first, onto the least-busy member
@@ -261,6 +262,9 @@ class PoolScanService:
         queue = [(group, 0) for group in groups]
         completed: list[ScanTicket] = []
         busy_before = list(self.busy_ns)
+        # the group in hand: popped from ``queue`` and not yet served or
+        # requeued (after a member fault, its recalled remainder)
+        group = None
         try:
             while queue:
                 # the schedule controller picks which queued group goes
@@ -270,18 +274,25 @@ class PoolScanService:
                 if self.controller is not None and len(queue) > 1:
                     pick = self.controller.choose("pool.group", len(queue))
                 group, failovers = queue.pop(pick)
-                try:
-                    target = self._route_target()
-                except DeviceFault:
-                    self._restore(group, queue)
-                    raise
-                served, leftover, fault = self._dispatch(group, target)
+                target = self._route_target()
+                served, group, fault = self._dispatch(group, target)
                 completed.extend(served)
-                if leftover is not None:
+                if group is not None:
                     if failovers + 1 > self._max_group_failovers:
-                        self._restore(leftover, queue)
                         raise fault
-                    queue.append((leftover, failovers + 1))
+                    queue.append((group, failovers + 1))
+                    group = None
+        except Exception:
+            # give up on this flush: every drained request whose ticket is
+            # still tracked goes back on the pool batcher — the group in
+            # hand first, then the queue — so a later flush can serve it
+            unserved = [] if group is None else [group]
+            unserved += [later for later, _ in queue]
+            for parked in unserved:
+                for req in parked.requests:
+                    if req.req_id in self._tickets:
+                        self.batcher.add(req)
+            raise
         finally:
             # members served this flush concurrently; the round's span is
             # the longest member delta, and rounds add up (satellite fix:
@@ -357,15 +368,6 @@ class PoolScanService:
             bucket=group.bucket,
             graph=group.graph,
         )
-
-    def _restore(self, group: LaunchGroup, queue) -> None:
-        """Give up on this flush: park every unserved request back in the
-        pool batcher (tickets stay tracked) so a later flush can retry."""
-        for req in group.requests:
-            self.batcher.add(req)
-        for later, _ in queue:
-            for req in later.requests:
-                self.batcher.add(req)
 
     # -- reporting -----------------------------------------------------------
 

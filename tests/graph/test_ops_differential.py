@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.api import ScanContext
 from repro.errors import ConfigError
-from repro.graph import Graph, GraphRunner
+from repro.graph import OP_REGISTRY, Graph, GraphRunner
 from repro.graph.op import TensorSpec, get_op
 from repro.hw.config import toy_config
 from repro.ops import AscendOps
@@ -54,6 +54,11 @@ def _cases():
         for dtype in ("fp16", "int8", "int16", "fp32", "int32"):
             yield ("elementwise", {"fn": "relu"}, [TensorSpec(dtype, (n,))])
         yield ("elementwise", {"fn": "negate"}, [TensorSpec("fp16", (n,))])
+        yield (
+            "fused_elementwise",
+            {"fns": ("abs", "double", "negate")},
+            [TensorSpec("fp16", (n,))],
+        )
         for dtype in ("fp16", "uint8", "int16", "uint16"):
             pair = [TensorSpec(dtype, (n,)), TensorSpec("int8", (n,))]
             yield ("split", {"s": S}, pair)
@@ -86,6 +91,15 @@ def _case_id(case):
 
 
 CASES = list(_cases())
+
+
+def test_cases_cover_every_registered_op():
+    # test modules may register test-only ops; the zoo is the package's
+    zoo = {
+        kind for kind, cls in OP_REGISTRY.items()
+        if cls.__module__.startswith("repro.")
+    }
+    assert {kind for kind, _params, _specs in CASES} == zoo
 
 
 @pytest.mark.parametrize("case", CASES, ids=map(_case_id, CASES))

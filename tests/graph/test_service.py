@@ -133,17 +133,34 @@ class TestSingleService:
         text = svc.stats.summary()
         assert "op breakdown" in text
         assert "top_p_sample" in text
+        snap = svc.snapshot()
+        assert {"topk", "top_p_sample", "radix_sort"} <= set(snap["ops"])
+        assert "graph_cache" in snap
 
 
 class TestPoolChaos:
-    def test_pool_serves_graphs_bit_identical_under_faults(self):
+    @pytest.mark.parametrize("devices", [1, 2, 3, 4])
+    def test_pool_serves_graphs_bit_identical_under_faults(self, devices):
+        """Graph-served llm_sample under a 20% transient fault mix matches
+        the oracle token for token at every pool size; D=1 is a standalone
+        service whose aborted flushes are simply flushed again."""
         config = toy_config()
-        pool = DevicePool(3, config)
-        svc = PoolScanService(
-            pool=pool, config=config, retry=RetryPolicy(max_attempts=4)
-        )
-        for m in (0, 1):
-            pool.inject_faults(m, FaultPlan(seed=31 + m, transient_rate=0.2))
+        retry = RetryPolicy(max_attempts=4)
+        if devices == 1:
+            svc = ScanService(
+                config=config, retry=retry, graph_fusion="aggressive"
+            )
+            svc.ctx.device.fault_plan = FaultPlan(seed=31, transient_rate=0.2)
+        else:
+            pool = DevicePool(devices, config)
+            svc = PoolScanService(
+                pool=pool, config=config, retry=retry,
+                graph_fusion="aggressive",
+            )
+            for m in (0, 1):
+                pool.inject_faults(
+                    m, FaultPlan(seed=31 + m, transient_rate=0.2)
+                )
         rng = np.random.default_rng(41)
         graphs = {v: llm_sample(v, k=8, p=0.75, s=S) for v in (96, 160)}
         jobs = []
@@ -159,6 +176,8 @@ class TestPoolChaos:
             got = t.result()
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+        workers = getattr(svc, "workers", [svc])
+        assert sum(w.stats.fault_events for w in workers) > 0
 
     def test_dead_member_fails_over_without_losing_tickets(self):
         config = toy_config()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.api import ScanPlan
 from repro.core.reference import inclusive_scan
 from repro.errors import ConfigError, DeviceFault
 from repro.graph import llm_sample
@@ -303,6 +304,9 @@ class TestPoolChaos:
         assert health[1].state == DEAD
         assert health[1].failovers >= 1
         assert sum(h.fault_events for h in health) > 0
+        members = svc.snapshot()["members"]
+        assert members[1]["state"] == DEAD
+        assert any(m["state"] == DEGRADED or m["failovers"] for m in members)
         text = svc.summary()
         assert "dead" in text and "failovers" in text
 
@@ -397,6 +401,31 @@ class TestPoolChaos:
         assert svc.pending == len(inputs)
         assert len(svc._tickets) == len(inputs)
         assert svc.member_health()[0].state == DEAD
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_non_fault_exception_keeps_work_queued(self, monkeypatch, devices):
+        """An exception that is not a DeviceFault escapes flush like a
+        terminal fault does: every drained request is back in the pool
+        queue with its ticket tracked, and a later flush serves it."""
+        svc = PoolScanService(devices, config=toy_config())
+        inputs = {}
+        for i in range(3):
+            x = _x(600, seed=700 + i)
+            inputs[svc.submit(x, algorithm="scanu", s=32).req_id] = x
+
+        def broken(plan, **kwargs):
+            raise RuntimeError("replay broke")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ScanPlan, "replay_timing", broken)
+            with pytest.raises(RuntimeError, match="replay broke"):
+                svc.flush()
+        assert svc.pending == 3 and len(svc._tickets) == 3
+        done = svc.flush()
+        assert len(done) == 3
+        for t in done:
+            assert np.array_equal(t.result(), inclusive_scan(inputs[t.req_id]))
+        assert svc.pending == 0 and not svc._tickets
 
     def test_healthy_pool_reports_healthy(self):
         svc = PoolScanService(2, config=toy_config())

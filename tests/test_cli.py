@@ -79,6 +79,34 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["shard", "--algorithm", "vector"])
 
+    def test_chaos(self, capsys):
+        assert main(
+            ["chaos", "--devices", "2", "--requests", "4",
+             "--kill", "1", "--kill-at", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "served          : 4/4 requests, 4 bit-identical" in out
+        assert "DEAD" in out
+
+    def test_traffic(self, capsys):
+        assert main(
+            ["traffic", "--devices", "2", "--requests", "16", "--sizes", "1K"]
+        ) == 0
+        assert "continuous vs naive: p99" in capsys.readouterr().out
+
+    def test_graph(self, capsys):
+        assert main(
+            ["graph", "--devices", "2", "--requests", "3", "--vocab", "64",
+             "--k", "8", "--fusion", "aggressive"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "served          : 3/3 graph requests (3 bit-identical" in out
+
+    def test_smoke_mode_is_gone(self):
+        # the self-checks live in the test suite; the CLI only demos
+        with pytest.raises(SystemExit):
+            main(["chaos", "--smoke"])
+
     def test_sort(self, capsys):
         assert main(["sort", "-n", "64K"]) == 0
         assert "speedup" in capsys.readouterr().out
