@@ -17,7 +17,7 @@ Asserts the serial host-path performance model (DESIGN 2.11):
   intrinsic, op emission included) beats the int32 matmul formula it
   replaced by >= 10x, best of repeats, with equal int32 results.
 * **cold shard-plan build** — a cold D=2 ``ShardedScanner`` scan of a 1M
-  int8 array (every shard plan and carry pass traced), recorded with the
+  int8 array (both shard plans traced), recorded with the
   warm re-scan of the same array.
 * **pool host curve** — PoolScanService flush wall-clock vs member count
   D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.

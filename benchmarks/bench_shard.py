@@ -6,17 +6,19 @@ Asserts the shard layer's contract on the full simulated 910B4:
   all n) is ``np.array_equal`` to the ``core.reference`` oracle on exact
   fp16 inputs; sharding never trades correctness for speed;
 * **sharded latency** — a 16M-element 1-D scan sharded over D devices
-  beats the single-device *tuned* plan (the strongest one-device
-  baseline the repo can produce), and keeps improving from D=2 to D=8;
+  beats the single-device plan (every shard plan is MCScan, tuned where
+  the shared store's entry for its length is MCScan), and keeps
+  improving from D=2 to D=8;
 * **pool throughput** — serving one fixed mixed request load through
   :class:`PoolScanService` scales to at least 3x aggregate throughput
   at D=4 vs D=1 (LPT routing over near-equal launch groups), with every
   served result still matching the oracle.
 
 ``results/BENCH_shard.json`` is the committed evidence: per-(n, D) wall
-clocks with the scan/carry stage split and whether the device carry was
-folded into MCScan's phase II (only when every tuned shard plan is
-MCScan), and per-D serve throughput with device utilisation.
+clocks with the (max phase I, max phase II) split of the folded scans
+(the device carry rides in MCScan's phase II at every D >= 2; D=1 runs
+its plan whole), how many shard plans came from the store, and per-D
+serve throughput with device utilisation.
 """
 
 import numpy as np
@@ -70,8 +72,7 @@ def _latency_sweep(store, rng):
                     "n": n,
                     "devices": d,
                     "wall_ns": res.wall_ns,
-                    "scan_stage_ns": res.scan_stage_ns,
-                    "carry_stage_ns": res.carry_stage_ns,
+                    "phase_stage_ns": list(res.phase_stage_ns),
                     "folded": res.folded,
                     "bandwidth_gbps": res.bandwidth_gbps,
                     "shards_tuned": sum(r.tuned for r in res.shards),
@@ -129,16 +130,20 @@ def test_shard_scaling_and_pool_throughput(benchmark, results_dir):
     # every sharded result in the sweep is bit-identical to the oracle
     assert all(row["bit_identical"] for row in payload["latency"])
     assert all(row["all_correct"] for row in payload["serve"])
+    # the device carry rides in MCScan's phase II at every D >= 2
+    assert all(
+        row["folded"] == (row["devices"] > 1) for row in payload["latency"]
+    )
 
     wall = {
         (row["n"], row["devices"]): row["wall_ns"]
         for row in payload["latency"]
     }
-    # sharding a 16M scan beats the single-device tuned plan, at every D
+    # sharding a 16M scan beats the single-device plan, at every D
     n_big = SCAN_LENGTHS[-1]
     for d in POOL_SIZES[1:]:
         assert wall[(n_big, d)] < wall[(n_big, 1)]
-    # and the carry pass never swallows the win: D=8 still beats D=2
+    # and the win keeps growing: D=8 still beats D=2
     assert wall[(n_big, 8)] < wall[(n_big, 2)]
 
     # pool throughput on the fixed mix scales: >= 3x at D=4 vs D=1

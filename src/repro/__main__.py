@@ -13,8 +13,9 @@ Subcommands:
 * ``tune`` — sweep plan configurations per workload shape on the
   simulator and write the persistent tuned-plan store that the serving
   layer consults;
-* ``shard`` — shard one 1-D scan across a pool of simulated devices and
-  compare its two-stage wall clock against a single device;
+* ``shard`` — shard one 1-D MCScan across a pool of simulated devices
+  (phase I, a host scan of the shard totals, phase II) and compare its
+  wall clock against a single device;
 * ``chaos`` — serve a mixed load on a fault-injected device pool
   (transient launch failures, engine slowdowns, one permanent device
   loss) and report retries, failovers and per-member health (its checks
@@ -52,7 +53,6 @@ import sys
 import numpy as np
 
 from .core.api import (
-    PLAN_1D_ALGORITHMS,
     SCAN_ALGORITHMS,
     SCAN_STRATEGIES,
     ScanContext,
@@ -222,15 +222,13 @@ def cmd_shard(args) -> int:
         else:
             tuned = True
     scanner = ShardedScanner(
-        DevicePool(args.devices, tune_store=store),
-        algorithm=args.algorithm, s=args.s, tuned=tuned,
+        DevicePool(args.devices, tune_store=store), s=args.s, tuned=tuned
     )
     res = scanner.scan(x)
     single = ShardedScanner(
-        DevicePool(1, tune_store=store),
-        algorithm=args.algorithm, s=args.s, tuned=tuned,
+        DevicePool(1, tune_store=store), s=args.s, tuned=tuned
     ).scan(x)
-    print(f"sharded {args.algorithm}(s={args.s}) over {n:,} {args.dtype} "
+    print(f"sharded mcscan(s={args.s}) over {n:,} {args.dtype} "
           f"elements on {res.num_devices} device(s):")
     for r in res.shards:
         cfg = " tuned" if r.tuned else ""
@@ -238,16 +236,13 @@ def cmd_shard(args) -> int:
             stages = (f"phase I {r.phase_ns[0] / 1e3:8.1f} us  "
                       f"phase II {r.phase_ns[1] / 1e3:6.1f} us")
         else:
-            stages = (f"scan {r.scan_ns / 1e3:8.1f} us  "
-                      f"carry {r.carry_ns / 1e3:6.1f} us")
+            stages = f"scan {r.scan_ns / 1e3:8.1f} us"
         print(f"  dev{r.device}: [{r.start:>12,}, {r.end:>12,})  {stages}{cfg}")
+    stages = "one shard, no carry"
     if res.folded:
         phase1, phase2 = res.phase_stage_ns
         stages = (f"phase I {phase1 / 1e3:.1f} us + phase II "
                   f"{phase2 / 1e3:.1f} us, carry folded into phase II")
-    else:
-        stages = (f"scan stage {res.scan_stage_ns / 1e3:.1f} us + "
-                  f"carry stage {res.carry_stage_ns / 1e3:.1f} us")
     print(f"wall clock  : {res.time_us:.1f} us ({stages})")
     print(f"bandwidth   : {res.bandwidth_gbps:.1f} GB/s on logical bytes")
     print(f"single dev  : {single.time_us:.1f} us -> "
@@ -580,8 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("-n", default="4M", help="input length (accepts K/M/G)")
     ph.add_argument("--devices", type=int, default=4,
                     help="pool size D (shards run concurrently)")
-    ph.add_argument("--algorithm", default="mcscan",
-                    choices=[a for a in PLAN_1D_ALGORITHMS if a != "vector"])
     ph.add_argument("--s", type=int, default=128, choices=(16, 32, 64, 128))
     ph.add_argument("--dtype", default="fp16", choices=("fp16", "int8"))
     ph.add_argument("--store",

@@ -233,15 +233,12 @@ class ScanPlan:
         self,
         x: np.ndarray,
         *,
-        sync_gm: bool = False,
         engine: str = "cached",
         audit_timing: "bool | None" = None,
     ) -> ScanResult:
         """Run the plan on new input values (the cache-hit path).
 
-        ``x`` must pad to this plan's padded shape.  With ``sync_gm`` the
-        device GM mirrors are also updated (slower; useful when chaining
-        device-level inspection onto a plan execution).
+        ``x`` must pad to this plan's padded shape.
 
         ``engine`` and ``audit_timing`` are forwarded to
         :meth:`~repro.hw.device.AscendDevice.replay`: the default serves
@@ -258,12 +255,9 @@ class ScanPlan:
         x = np.asarray(x)
         if self.is_batched:
             return self._execute_batched(
-                x, sync_gm=sync_gm, engine=engine, audit_timing=audit_timing
+                x, engine=engine, audit_timing=audit_timing
             )
-        xp, values = self._compute_padded(x)
-        if sync_gm:
-            self.x_gm.write(xp)
-            self.y_gm.write(values)
+        values = self._compute_padded(x)
         trace = self.ctx.device.replay(
             self.traced, engine=engine, audit_timing=audit_timing
         )
@@ -279,11 +273,11 @@ class ScanPlan:
         if self.released or self.is_batched:
             raise KernelError("compute needs an unreleased 1-D plan")
         x = np.asarray(x)
-        return self._compute_padded(x)[1][: x.size]
+        return self._compute_padded(x)[: x.size]
 
-    def _compute_padded(self, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Check and zero-pad a 1-D input; returns (padded input, padded
-        output values)."""
+    def _compute_padded(self, x: np.ndarray) -> np.ndarray:
+        """Check and zero-pad a 1-D input; returns the padded output
+        values."""
         if x.ndim != 1:
             raise ShapeError(f"1-D plan expects a 1-D array, got shape {x.shape}")
         self._check_dtype(x)
@@ -298,16 +292,14 @@ class ScanPlan:
         else:
             xp = np.zeros(self.padded, dtype=self.in_dtype.np_dtype)
             xp[:n] = x
-        values = plan_compute(
+        return plan_compute(
             xp, self.algorithm, self.in_dtype, exclusive=self.exclusive
         )
-        return xp, values
 
     def _execute_batched(
         self,
         x: np.ndarray,
         *,
-        sync_gm: bool,
         engine: str = "cached",
         audit_timing: "bool | None" = None,
     ) -> ScanResult:
@@ -332,9 +324,6 @@ class ScanPlan:
             xp = np.zeros((self.batch, self.padded), dtype=self.in_dtype.np_dtype)
             xp[:rows, :row_len] = x
         values = plan_compute_batched(xp, self.algorithm, self.in_dtype)
-        if sync_gm:
-            self.x_gm.write(xp)
-            self.y_gm.write(values)
         trace = self.ctx.device.replay(
             self.traced, engine=engine, audit_timing=audit_timing
         )

@@ -67,10 +67,6 @@ class FusedNode:
         return tuple(m.name for m in self.members)
 
     @property
-    def member_kinds(self) -> "tuple[str, ...]":
-        return tuple(m.kind for m in self.members)
-
-    @property
     def scan_index(self) -> "int | None":
         for i, m in enumerate(self.members):
             if m.kind == "scan":

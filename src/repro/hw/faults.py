@@ -154,11 +154,6 @@ class FaultPlan:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def degrades_timing(self) -> bool:
-        """True when the plan slows the device down (even without faults)."""
-        return self.mte_slowdown > 1.0 or self.vec_slowdown > 1.0
-
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
         if self.transient_rate:

@@ -136,12 +136,9 @@ class ScanService:
         config: DeviceConfig = ASCEND_910B4,
         max_batch: int = 64,
         min_group: int = 2,
-        batching: bool = True,
-        validate_plans: bool = True,
         gm_budget: "int | None" = None,
         tune_store=None,
         retry: "RetryPolicy | None" = None,
-        controller=None,
         graph_fusion: str = "conservative",
     ):
         self.ctx = ctx if ctx is not None else ScanContext(config)
@@ -157,15 +154,9 @@ class ScanService:
         self.tune_store = tune_store
         if tune_store is not None:
             self.ctx.tune_store = tune_store
-        self.cache = PlanCache(
-            self.ctx, validate=validate_plans, gm_budget=gm_budget
-        )
+        self.cache = PlanCache(self.ctx, gm_budget=gm_budget)
         self.batcher = RequestBatcher(
-            self.cache,
-            max_batch=max_batch,
-            # min_group above any queue length disables coalescing entirely
-            min_group=min_group if batching else (1 << 62),
-            controller=controller,
+            self.cache, max_batch=max_batch, min_group=min_group
         )
         self.stats = ServiceStats()
         self._tickets: dict[int, ScanTicket] = {}

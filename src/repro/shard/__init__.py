@@ -5,17 +5,15 @@ core, then a block-reduction array ``r`` across cores.  This package adds
 a **device** level above both, exactly the recursion LightScan applies
 across processors: partition the input over a :class:`DevicePool` of
 independently-timed simulated 910Bs, scan each shard locally, and
-exclusive-scan the per-device totals on the host.  With MCScan shard
-plans the host scan sits between the two kernel phases, in place of
+exclusive-scan the per-device totals on the host.  Every shard plan is
+MCScan: the host scan sits between its two kernel phases, in place of
 the ``SyncAll``, and each device's carry rides into phase II from the
-front of ``r``; other plans propagate the carry with a streamed ``Adds``
-pass after the scan.
+front of ``r``.
 
 Three execution paths are offered:
 
 * :class:`ShardedScanner` — one large scan, latency-bound: simulated
-  wall-clock is max(phase I) + max(phase II) over the devices, or the
-  max scan launch plus the carry pass;
+  wall-clock is max(phase I) + max(phase II) over the devices;
 * :class:`PoolScanService` — many independent requests, throughput-bound:
   a pool front end routes launch groups onto the least-loaded member
   (longest-processing-time first), with per-device plan caches sharing
@@ -26,18 +24,11 @@ Three execution paths are offered:
 """
 
 from .pool import DevicePool
-from .scan import (
-    CarryAddKernel,
-    ShardedScanner,
-    ShardedScanResult,
-    ShardRecord,
-    shard_ranges,
-)
+from .scan import ShardedScanner, ShardedScanResult, ShardRecord, shard_ranges
 from .scheduler import TrafficScheduler, run_traffic
 from .service import PoolScanService
 
 __all__ = [
-    "CarryAddKernel",
     "DevicePool",
     "PoolScanService",
     "ShardRecord",

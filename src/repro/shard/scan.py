@@ -3,62 +3,47 @@
 The single-device hierarchy is *tile* (cube scan of an ``s``-tile inside a
 core) then *block* (the ``r`` reduction array across cores).  Sharding
 adds *device*: partition the input contiguously over the pool, scan each
-shard with its own (tuned) 1-D plan, and exclusive-scan the per-device
-totals on the host — the D-element analogue of MCScan's phase-II ``r``
-prefix.  Each device's carry is then applied one of two ways:
+shard with its own (optionally tuned) MCScan plan, and exclusive-scan the
+per-device totals on the host — the D-element analogue of MCScan's
+phase-II ``r`` prefix.
 
-* **folded** (D >= 2 and every shard plan is MCScan): the shard plans
-  carry a device-carry slot at the front of ``r`` (see
-  :mod:`repro.core.mcscan`), and their traced program is cut at its
-  ``SyncAll`` into a phase I and a phase II launch.  Every member
-  launches phase I; the host scan of the totals is the cross-device
-  barrier in place of the ``SyncAll``; every member launches phase II,
-  which adds its carry into each block's prefix.  Simulated wall-clock
-  is ``max(phase I) + max(phase II)`` and there is no carry stage.
-* **scan-then-propagate** (D = 1, or a plan without a phase seam:
-  scanu, scanul1, ssa, a tuned non-MCScan entry): each member runs its
-  whole plan, then devices 1..D-1 stream :class:`CarryAddKernel` (an
-  ``Adds`` pass with the shape of MCScan's phase-II propagation, one
-  level up) over their shard.  Simulated wall-clock is
-  ``max(scan stage) + max(carry stage)``.
-
-The host combine is untimed either way (D scalar adds).
+Every shard plan carries a device-carry slot at the front of ``r`` (see
+:mod:`repro.core.mcscan`), and its traced program is cut at its
+``SyncAll`` into a phase I and a phase II launch.  With two or more
+shards, every member launches phase I; the host scan of the totals is
+the cross-device barrier in place of the ``SyncAll``; every member
+launches phase II, which adds its carry into each block's prefix.
+Simulated wall-clock is ``max(phase I) + max(phase II)``, and the host
+combine is untimed (D scalar adds).  A single shard has no carry and
+runs its plan whole.
 
 Numerics: shard-local scans and the carry chain both run in the cube
-accumulator dtype (fp32 / int32), and on both paths the host adds each
-carry to the finished local scan, ``fp32(local scan) + carry``.  So for
-int8 inputs — and for fp16 inputs whose partial sums are exactly
-representable, e.g. :func:`repro.core.reference.exact_fp16_scan_input` —
-the sharded result is bit-identical to the single-device oracle
-regardless of D or shard boundaries (integer addition is associative;
-rounding never enters).
+accumulator dtype (fp32 / int32), and the host adds each carry to the
+finished local scan, ``fp32(local scan) + carry``.  So for int8 inputs —
+and for fp16 inputs whose partial sums are exactly representable, e.g.
+:func:`repro.core.reference.exact_fp16_scan_input` — the sharded result
+is bit-identical to the single-device oracle regardless of D or shard
+boundaries (integer addition is associative; rounding never enters).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..core.api import PLAN_1D_ALGORITHMS
+from ..core.api import ScanPlan
 from ..core.matrices import padded_length
 from ..errors import KernelError, ShapeError
-from ..hw.memory import GlobalTensor
-from ..lang import intrinsics as I
-from ..lang.kernel import Kernel
-from ..lang.tensor import BufferKind
 from .pool import DevicePool
 
 __all__ = [
     "shard_ranges",
-    "CarryAddKernel",
     "ShardRecord",
     "ShardedScanResult",
     "ShardedScanner",
 ]
-
-#: UB tile of the carry pass: 8K elements (32 KB of fp32) double-buffered
-CARRY_TILE_ELEMENTS = 8192
 
 
 def shard_ranges(
@@ -95,60 +80,6 @@ def shard_ranges(
     return ranges
 
 
-class CarryAddKernel(Kernel):
-    """In-place ``y += carry`` over one device's shard output.
-
-    Vector-only streaming pass: each participating vector core pulls
-    tile-aligned chunks of ``y`` through a double-buffered UB queue, adds
-    the scalar carry, and writes back — byte-for-byte the access pattern
-    of MCScan's phase-II ``Adds`` propagation, applied to a whole shard.
-    The op DAG is value-independent, so the scanner traces it once per
-    plan with ``carry=0.0`` (a functional no-op) and replays it for
-    timing; the real carry is applied host-side in the accumulator dtype.
-    """
-
-    mode = "vec"
-
-    def __init__(
-        self,
-        y: GlobalTensor,
-        carry: float,
-        block_dim: int,
-        tile_elements: int = CARRY_TILE_ELEMENTS,
-    ):
-        super().__init__(block_dim=block_dim)
-        self.y = y
-        self.carry = carry
-        self.tile_elements = tile_elements
-
-    def run(self, ctx) -> None:
-        n = self.y.num_elements
-        n_tiles = -(-n // self.tile_elements)
-        tiles_per_block = -(-n_tiles // self.block_dim)
-        per_block = tiles_per_block * self.tile_elements
-        start = ctx.block_idx * per_block
-        end = min(start + per_block, n)
-        if start >= end:
-            return
-        pipe = ctx.make_pipe(ctx.vec_core(0))
-        ub = pipe.init_buffer(
-            buffer=BufferKind.UB,
-            depth=2,
-            slot_bytes=self.tile_elements * self.y.dtype.itemsize,
-        )
-        off = start
-        while off < end:
-            ln = min(self.tile_elements, end - off)
-            tile = ub.alloc_tensor(self.y.dtype, ln)
-            I.data_copy(ctx, tile, self.y.slice(off, ln), label="carry in")
-            ub.enque(tile)
-            tile = ub.deque()
-            I.adds(ctx, tile, tile, self.carry, label="carry Adds")
-            I.data_copy(ctx, self.y.slice(off, ln), tile, label="carry out")
-            ub.free_tensor(tile)
-            off += ln
-
-
 @dataclass(frozen=True)
 class ShardRecord:
     """One device's part of a sharded scan."""
@@ -158,55 +89,60 @@ class ShardRecord:
     end: int
     #: padded length of the shard's plan
     padded: int
-    #: simulated ns of the shard's local scan: one plan launch on the
-    #: carry path, phase I + phase II on the folded path
+    #: simulated ns of the shard's scan: phase I + phase II, or the one
+    #: plan launch of a single shard
     scan_ns: float
-    #: simulated ns of the shard's carry pass (0.0 for device 0 and on
-    #: the folded path)
-    carry_ns: float
     #: True when the shard plan came from the scanner's memo, not a build
     plan_hit: bool
     #: True when the shard plan's config came from the tuned-plan store
     tuned: bool
-    #: (phase I, phase II) launch ns on the folded path; empty otherwise
+    #: (phase I, phase II) launch ns; empty for a single shard
     phase_ns: "tuple[float, ...]" = ()
 
     @property
     def n(self) -> int:
         return self.end - self.start
 
+    @property
+    def carry_ns(self) -> float:
+        """Always 0.0: the carry rides in phase II.  Kept only while
+        ``perfbench/workloads.py`` still reads it."""
+        return 0.0
+
 
 @dataclass
 class ShardedScanResult:
-    """Numerical output plus the two-stage timing of one sharded scan."""
+    """Numerical output plus the phase timing of one sharded scan."""
 
     values: np.ndarray
     shards: "list[ShardRecord]"
-    #: the concurrent scan stage: max over device scan launches on the
-    #: carry path, max(phase I) + max(phase II) on the folded path
+    #: max(phase I) + max(phase II), or the one launch of a single shard
     scan_stage_ns: float
-    #: max over device carry launches (devices 1..D-1, concurrent); 0.0
-    #: on the folded path
-    carry_stage_ns: float
     n_elements: int
     #: logical input read + output written, the paper's bandwidth basis
     io_bytes: int
 
     @property
+    def carry_stage_ns(self) -> float:
+        """Always 0.0: there is no carry pass.  Kept only while
+        ``perfbench/workloads.py`` still reads it."""
+        return 0.0
+
+    @property
     def folded(self) -> bool:
-        """True when the device carry rode in MCScan's phase II."""
+        """True when the device carry rode in MCScan's phase II (two or
+        more shards)."""
         return bool(self.shards[0].phase_ns)
 
     @property
     def phase_stage_ns(self) -> "tuple[float, ...]":
-        """(max phase I, max phase II) on the folded path; empty
-        otherwise."""
+        """(max phase I, max phase II) when folded; empty otherwise."""
         return tuple(max(stage) for stage in zip(*(r.phase_ns for r in self.shards)))
 
     @property
     def wall_ns(self) -> float:
-        """Simulated wall-clock: the scan stage, then the carry stage."""
-        return self.scan_stage_ns + self.carry_stage_ns
+        """Simulated wall-clock of the scan."""
+        return self.scan_stage_ns
 
     @property
     def time_us(self) -> float:
@@ -224,13 +160,13 @@ class ShardedScanResult:
 class ShardedScanner:
     """Reusable sharded-scan front end over a :class:`DevicePool`.
 
-    Shard plans (and any carry-pass traces) are memoized per
-    ``(device, padded length, dtype)``, so repeated scans of recurring
-    shapes pay Python-level tracing once — the same plan-reuse discipline
-    as :class:`~repro.serve.plan.PlanCache`, held per pool member.  Every
-    shard length that pads (at ``s*s``) to a memoized plan's length reuses
-    it; a tuned plan with another pad unit serves only the lengths that
-    pad to its own length, so one key may hold several plans.
+    Shard plans are memoized per ``(device, padded length, dtype)``, so
+    repeated scans of recurring shapes pay Python-level tracing once — the
+    same plan-reuse discipline as :class:`~repro.serve.plan.PlanCache`,
+    held per pool member.  Every shard length that pads (at ``s*s``) to a
+    memoized plan's length reuses it; a tuned plan with another pad unit
+    serves only the lengths that pad to its own length, so one key may
+    hold several plans.
     """
 
     def __init__(
@@ -242,81 +178,51 @@ class ShardedScanner:
         tuned: bool = False,
         validate: bool = True,
     ):
-        if algorithm not in PLAN_1D_ALGORITHMS or algorithm == "vector":
+        # only MCScan has the phase seam the device carry rides in;
+        # ``algorithm`` stays while perfbench/workloads.py still passes it
+        if algorithm != "mcscan":
             raise KernelError(
-                f"sharded scan needs a cube 1-D algorithm (accumulator-dtype "
-                f"output), got {algorithm!r}"
+                f"sharded scan folds the device carry into MCScan's phase "
+                f"II and runs MCScan only, got {algorithm!r}"
             )
         self.pool = pool
-        self.algorithm = algorithm
         self.s = s
         self.tuned = tuned
         self.validate = validate
-        #: (device index, length padded to s*s, dtype name) ->
-        #: [[plan, carry trace or None until a carry pass needs it], ...]
+        #: (device index, length padded to s*s, dtype name) -> [plan, ...]
         self._plans: dict = {}
         self.plans_built = 0
 
-    # -- plan/carry memo -----------------------------------------------------
-
     def _shard_plan(
         self, device_idx: int, length: int, dtype
-    ) -> "tuple[list, bool]":
-        """Memoized ``[plan, carry trace]`` memo entry of one shard and
-        whether it was a memo hit."""
+    ) -> "tuple[ScanPlan, bool]":
+        """Memoized MCScan plan of one shard and whether it was a memo
+        hit."""
         ctx = self.pool[device_idx]
         dt = ctx._as_plan_dtype(dtype)
         key = (device_idx, padded_length(length, self.s * self.s), dt.name)
-        entries = self._plans.setdefault(key, [])
-        for entry in entries:
-            plan = entry[0]
+        plans = self._plans.setdefault(key, [])
+        for plan in plans:
             if padded_length(length, plan.pad_unit) == plan.padded:
-                return entry, True
-        plan = ctx.build_plan(
-            algorithm=self.algorithm,
+                return plan, True
+        build = partial(
+            ctx.build_plan,
+            algorithm="mcscan",
             n=length,
             dtype=dt,
             s=self.s,
-            tuned=self.tuned,
             validate=self.validate,
             device_carry=True,
         )
-        if plan.out_dtype.name == plan.in_dtype.name:
-            # a tuned-store hit handed back the vector baseline, whose
-            # input-dtype output cannot carry-chain exactly; fall back to
-            # the scanner's explicit cube algorithm for this shard
+        plan = build(tuned=self.tuned)
+        if plan.algorithm != "mcscan":
+            # a tuned entry for another algorithm has no phase seam to
+            # fold the carry into: the shard gets the untuned MCScan plan
             plan.release()
-            plan = ctx.build_plan(
-                algorithm=self.algorithm,
-                n=length,
-                dtype=dt,
-                s=self.s,
-                tuned=False,
-                validate=self.validate,
-                device_carry=True,
-            )
-        entry = [plan, None]
-        entries.append(entry)
+            plan = build(tuned=False)
+        plans.append(plan)
         self.plans_built += 1
-        return entry, False
-
-    def _carry_pass(self, device_idx: int, entry: list):
-        """The carry-pass trace of a memoized shard plan, traced the first
-        time a scan-then-propagate launch needs it."""
-        plan, carry_traced = entry
-        if carry_traced is None:
-            ctx = self.pool[device_idx]
-            bd = min(
-                ctx.config.num_vector_cores,
-                max(1, -(-plan.padded // CARRY_TILE_ELEMENTS)),
-            )
-            carry_traced = entry[1] = ctx.device.trace_kernel(
-                CarryAddKernel(plan.y_gm, 0.0, bd),
-                label=f"shard carry(n={plan.padded})",
-            )
-        return carry_traced
-
-    # -- execution -----------------------------------------------------------
+        return plan, False
 
     def scan(self, x: np.ndarray) -> ShardedScanResult:
         """Inclusive scan of ``x`` sharded across the whole pool."""
@@ -333,59 +239,47 @@ class ShardedScanner:
             self._shard_plan(d, end - start, dt)
             for d, (start, end) in enumerate(ranges)
         ]
-        plans = [entry[0] for entry, _hit in memo]
-        # fold the device carry into MCScan's phase II when every member
-        # has the phase seam and there is a carry to fold
-        folded = len(ranges) > 1 and all(plan.phases for plan in plans)
+        plans = [plan for plan, _hit in memo]
+        devices = [self.pool[d].device for d in range(len(ranges))]
+        folded = len(ranges) > 1
 
-        # stage 1: every device scans its shard concurrently — one plan
-        # launch, or phase I alone on the folded path
+        # every device launches phase I of its shard concurrently; a
+        # single shard has no carry, so it launches its whole plan.  The
+        # functional numerics run host-side (the traced programs are
+        # value-independent, so they replay for timing)
         shard_values: list[np.ndarray] = []
         scan_ns: list[float] = []
-        for d, (start, end) in enumerate(ranges):
-            plan = plans[d]
-            if folded:
-                shard_values.append(plan.compute(x[start:end]))
-                trace = self.pool[d].device.replay(plan.phases[0])
-            else:
-                result = plan.execute(x[start:end])
-                shard_values.append(result.values)
-                trace = result.trace
-            scan_ns.append(trace.total_ns)
+        for plan, device, (start, end) in zip(plans, devices, ranges):
+            shard_values.append(plan.compute(x[start:end]))
+            launch = plan.phases[0] if folded else plan.traced
+            scan_ns.append(device.replay(launch).total_ns)
 
-        # host barrier: exclusive-scan the D shard totals (accumulator
-        # dtype, untimed — one length-D cumsum on the host, as LightScan's
-        # inter-processor combine is negligible next to the shards).  The
-        # cumsum adds the totals in the same left-to-right order as the
-        # old scalar chain, so the carries are bit-identical.
+        # host barrier in place of the SyncAll: exclusive-scan the D shard
+        # totals (accumulator dtype, untimed — one length-D cumsum, as
+        # LightScan's inter-processor combine is negligible next to the
+        # shards), then add each carry to its finished local scan,
+        # written straight into the assembled output
         out_np = shard_values[0].dtype
         totals = np.array(
             [vals[-1] for vals in shard_values[:-1]], dtype=out_np
         )
         carries = np.cumsum(totals, dtype=out_np)
-
-        # stage 2: on the folded path every device launches phase II,
-        # which reads its carry from the front of r; otherwise devices
-        # 1..D-1 stream a carry pass over the shard.  Either way the
-        # functional add happens host-side in the accumulator dtype (the
-        # traced programs are value-independent, so they replay for
-        # timing), written straight into the assembled output.
         values = np.empty(x.size, dtype=out_np)
         start0, end0 = ranges[0]
         values[start0:end0] = shard_values[0]
         for d in range(1, len(ranges)):
             start, end = ranges[d]
             np.add(shard_values[d], carries[d - 1], out=values[start:end])
-        carry_ns = [0.0] * len(ranges)
+
+        # every device launches phase II, which reads its carry from the
+        # front of r
         phase_ns: "list[tuple[float, ...]]" = [()] * len(ranges)
-        for d, (entry, _hit) in enumerate(memo):
-            device = self.pool[d].device
-            if folded:
-                phase2_ns = device.replay(plans[d].phases[1]).total_ns
-                phase_ns[d] = (scan_ns[d], phase2_ns)
-                scan_ns[d] += phase2_ns
-            elif d > 0:
-                carry_ns[d] = device.replay(self._carry_pass(d, entry)).total_ns
+        if folded:
+            phase_ns = [
+                (phase1, device.replay(plan.phases[1]).total_ns)
+                for phase1, plan, device in zip(scan_ns, plans, devices)
+            ]
+            scan_ns = [phase1 + phase2 for phase1, phase2 in phase_ns]
         records = [
             ShardRecord(
                 device=d,
@@ -393,14 +287,13 @@ class ShardedScanner:
                 end=end,
                 padded=plans[d].padded,
                 scan_ns=scan_ns[d],
-                carry_ns=carry_ns[d],
                 plan_hit=memo[d][1],
                 tuned=plans[d].tuned,
                 phase_ns=phase_ns[d],
             )
             for d, (start, end) in enumerate(ranges)
         ]
-        scan_stage = max(scan_ns)
+        scan_stage = scan_ns[0]
         if folded:
             scan_stage = sum(max(stage) for stage in zip(*phase_ns))
         n = x.size
@@ -409,7 +302,6 @@ class ShardedScanner:
             values=values,
             shards=records,
             scan_stage_ns=scan_stage,
-            carry_stage_ns=max(carry_ns),
             n_elements=n,
             io_bytes=io,
         )
@@ -418,8 +310,8 @@ class ShardedScanner:
         """Free every memoized shard plan's GM tensors; returns the bytes
         returned across the pool."""
         freed = 0
-        for entries in self._plans.values():
-            for plan, _carry in entries:
+        for plans in self._plans.values():
+            for plan in plans:
                 freed += plan.release()
         self._plans.clear()
         return freed

@@ -64,33 +64,25 @@ class _Bucket:
     """One open or staged batch of same-shape-class requests."""
 
     __slots__ = (
-        "seq",
         "key",
-        "batchable",
         "requests",
         "tickets",
         "capacity",
-        "opened_ns",
         "launch_by_ns",
         "staged",
         "target",
         "start_ns",
-        "predicted_ns",
     )
 
-    def __init__(self, seq, key, batchable, capacity, opened_ns):
-        self.seq = seq
+    def __init__(self, key, capacity):
         self.key = key
-        self.batchable = batchable
         self.requests: "list[ScanRequest]" = []
         self.tickets: list = []
         self.capacity = capacity
-        self.opened_ns = opened_ns
         self.launch_by_ns = float("inf")
         self.staged = False
         self.target = -1
         self.start_ns = 0.0
-        self.predicted_ns = 0.0
 
     @property
     def deadline_ns(self) -> float:
@@ -135,7 +127,8 @@ class TrafficScheduler:
         self.controller = (
             controller if controller is not None else svc.controller
         )
-        #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
+        #: memoized per-launch ``ScanPlan.time_ns`` probes per (shape key,
+        #: rows of a batched launch, or 1)
         self._predictions: dict = {}
         #: per-bucket capacity: the batcher's chunk size (largest power of
         #: two <= max_batch), so a full bucket is exactly one batched launch
@@ -157,7 +150,6 @@ class TrafficScheduler:
         self.done_at_ns = [0.0] * workers
         #: open + staged buckets, in creation order
         self.buckets: "list[_Bucket]" = []
-        self._seq = 0
         #: request-side metrics (simulated latencies, deadline verdicts,
         #: shed counts) — the ServiceStats leg of the timestamp threading
         self.stats = ServiceStats()
@@ -178,22 +170,19 @@ class TrafficScheduler:
         bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
         memo_key = (req.algorithm, req.n, req.plan_dtype, req.s, req.exclusive,
                     req.block_dim, rows if batchable else 1, batchable)
-        hit = self._predictions.get(memo_key)
-        if hit is not None:
-            return hit
-        if batchable:
-            plan = cache.get_batched(
-                req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
-            )
-            ns = plan.time_ns()
-        else:
-            plan = cache.get_1d(
-                req.algorithm, req.n, req.plan_dtype, s=req.s,
-                exclusive=req.exclusive, block_dim=req.block_dim,
-            )
-            ns = plan.time_ns() * rows
-        self._predictions[memo_key] = ns
-        return ns
+        launch_ns = self._predictions.get(memo_key)
+        if launch_ns is None:
+            if batchable:
+                plan = cache.get_batched(
+                    req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
+                )
+            else:
+                plan = cache.get_1d(
+                    req.algorithm, req.n, req.plan_dtype, s=req.s,
+                    exclusive=req.exclusive, block_dim=req.block_dim,
+                )
+            launch_ns = self._predictions[memo_key] = plan.time_ns()
+        return launch_ns if batchable else launch_ns * rows
 
     def _place(self, predicted_ns: float) -> "int | None":
         """Member minimising predicted completion; None when the whole
@@ -296,14 +285,7 @@ class TrafficScheduler:
         return candidates[0]
 
     def _open_bucket(self, req: ScanRequest, *, capacity: int) -> _Bucket:
-        bucket = _Bucket(
-            seq=self._seq,
-            key=self._shape_key(req),
-            batchable=capacity > 1,
-            capacity=capacity,
-            opened_ns=self.clock_ns,
-        )
-        self._seq += 1
+        bucket = _Bucket(key=self._shape_key(req), capacity=capacity)
         self.buckets.append(bucket)
         return bucket
 
@@ -334,7 +316,6 @@ class TrafficScheduler:
         bucket.staged = True
         bucket.target = target
         bucket.start_ns = max(self.clock_ns, self.free_at_ns[target])
-        bucket.predicted_ns = predicted
         # reserve the slot so later placements see this queue depth; the
         # dispatch corrects the reservation with actual served time
         self.free_at_ns[target] = bucket.start_ns + predicted

@@ -66,8 +66,6 @@ class PoolScanService:
         tune_store=None,
         max_batch: int = 64,
         min_group: int = 2,
-        batching: bool = True,
-        validate_plans: bool = True,
         gm_budget: "int | None" = None,
         retry: "RetryPolicy | None" = None,
         controller=None,
@@ -97,8 +95,6 @@ class PoolScanService:
                 ctx,
                 max_batch=max_batch,
                 min_group=min_group,
-                batching=batching,
-                validate_plans=validate_plans,
                 gm_budget=gm_budget,
                 tune_store=self.tune_store,
                 retry=retry,
@@ -111,7 +107,7 @@ class PoolScanService:
         self.batcher = RequestBatcher(
             self.workers[0].cache,
             max_batch=max_batch,
-            min_group=min_group if batching else (1 << 62),
+            min_group=min_group,
             controller=controller,
         )
         #: accumulated simulated busy ns per member (the routing load)

@@ -108,14 +108,6 @@ def test_copy_kernel_fully_synchronized(audit_ctx):
     _assert_covered(traced)
 
 
-def test_carry_add_kernel_fully_synchronized(audit_ctx):
-    from repro.shard.scan import CarryAddKernel
-
-    y = audit_ctx.device.alloc("carry_y", (20_000,), "fp32")
-    traced = audit_ctx.device.trace_kernel(CarryAddKernel(y, 1.5, 3))
-    _assert_covered(traced)
-
-
 def _assert_shard_phases_covered(x: np.ndarray) -> None:
     """Every shard plan a D=2 ShardedScanner builds for ``x`` folds the
     device carry into phase II; the whole plan and both phase programs
@@ -127,7 +119,7 @@ def _assert_shard_phases_covered(x: np.ndarray) -> None:
         device.audit_hazards = True
     scanner = ShardedScanner(pool, algorithm="mcscan", s=32, validate=False)
     assert scanner.scan(x).folded
-    plans = [entry[0] for bucket in scanner._plans.values() for entry in bucket]
+    plans = [plan for bucket in scanner._plans.values() for plan in bucket]
     assert len(plans) == 2
     for plan in plans:
         _assert_covered(plan.traced)

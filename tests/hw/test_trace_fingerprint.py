@@ -28,7 +28,6 @@ import pytest
 from repro.core.api import ScanContext
 from repro.hw.config import toy_config
 from repro.ops.driver import AscendOps
-from repro.shard.scan import CarryAddKernel
 
 DIGESTS = pathlib.Path(__file__).with_name("trace_fingerprints.json")
 
@@ -97,14 +96,6 @@ def _op(name: str) -> str:
     return _digest(ops.device, list(captured), outputs)
 
 
-def _carry_add() -> str:
-    ctx = ScanContext(toy_config())
-    y = ctx.device.alloc("carry_y", (20_000,), "fp32")
-    y.write(np.arange(20_000, dtype=np.float32))
-    traced = ctx.device.trace_kernel(CarryAddKernel(y, 1.5, 3))
-    return _digest(ctx.device, [traced], [y.to_numpy()])
-
-
 PROGRAMS = {
     **{
         f"{algorithm}-{dtype}": (lambda a=algorithm, d=dtype: _plan(a, d))
@@ -120,7 +111,6 @@ PROGRAMS = {
         f"{name}-uint8": (lambda n=name: _op(n))
         for name in ("split", "compress", "radix_sort")
     },
-    "carry-add-fp32": _carry_add,
 }
 
 

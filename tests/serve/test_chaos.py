@@ -98,10 +98,10 @@ class TestFaultPlan:
         assert plan.launches == 4
 
     def test_slowdown_stretches_replayed_trace(self):
-        healthy = ScanService(config=toy_config(), batching=False)
+        healthy = ScanService(config=toy_config(), min_group=65)
         t0 = healthy.scan(_x(600), algorithm="scanu", s=32)
 
-        slow = ScanService(config=toy_config(), batching=False)
+        slow = ScanService(config=toy_config(), min_group=65)
         slow.ctx.device.fault_plan = FaultPlan(mte_slowdown=2.0)
         t1 = slow.scan(_x(600), algorithm="scanu", s=32)
 
@@ -122,7 +122,7 @@ class TestServiceRetry:
     def test_transient_faults_retried_to_exact_result(self):
         svc = ScanService(
             config=toy_config(),
-            batching=False,
+            min_group=65,
             retry=RetryPolicy(max_attempts=4),
         )
         svc.ctx.device.fault_plan = FaultPlan(seed=_seed(3), transient_rate=0.4)
@@ -142,7 +142,7 @@ class TestServiceRetry:
         base = toy_config().costs.relaunch_backoff_ns
         svc = ScanService(
             config=toy_config(),
-            batching=False,
+            min_group=65,
             retry=RetryPolicy(max_attempts=6),
         )
         svc.ctx.device.fault_plan = FaultPlan(seed=_seed(3), transient_rate=0.4)

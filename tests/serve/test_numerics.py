@@ -123,18 +123,18 @@ class TestServiceLevelBitIdentity:
             assert np.array_equal(ticket.result(), want)
 
     def test_batched_service_matches_oracle(self, rng):
-        inputs, done = self._serve(rng, batching=True)
+        inputs, done = self._serve(rng)
         self._assert_oracle(inputs, done)
         assert any(t.batched for t in done)
 
     def test_unbatched_service_matches_oracle(self, rng):
-        inputs, done = self._serve(rng, batching=False)
+        inputs, done = self._serve(rng, min_group=65)
         self._assert_oracle(inputs, done)
         assert not any(t.batched for t in done)
 
     def test_batching_modes_are_bit_identical(self, rng):
-        _, batched = self._serve(rng, batching=True)
-        _, single = self._serve(rng, batching=False)
+        _, batched = self._serve(rng)
+        _, single = self._serve(rng, min_group=65)
         for a, b in zip(batched, single):
             assert a.req_id == b.req_id
             assert np.array_equal(a.result(), b.result())

@@ -135,7 +135,8 @@ def test_min_group_and_batching_toggle():
     svc.flush()
     assert not any(t.batched for t in ts)  # below min_group
 
-    svc2 = ScanService(config=toy_config(), batching=False)
+    # min_group above the 64-row bucket cap: nothing coalesces
+    svc2 = ScanService(config=toy_config(), min_group=65)
     ts2 = [svc2.submit(_x(600, i), algorithm="scanu", s=32) for i in range(4)]
     svc2.flush()
     assert not any(t.batched for t in ts2)
@@ -317,7 +318,7 @@ class TestTunedServing:
                 tuned_ns=1.0, default_ns=2.0,
             ),
         )
-        return ScanService(config=config, tune_store=store, batching=False)
+        return ScanService(config=config, tune_store=store, min_group=65)
 
     def test_store_hit_supplies_config(self, tuned_service):
         x = _x(1024)

@@ -61,7 +61,7 @@ class TestRoutingAndCorrectness:
         assert len(inputs) == 6
 
     def test_lpt_prefers_least_loaded(self, rng):
-        svc = PoolScanService(2, config=toy_config(), batching=False)
+        svc = PoolScanService(2, config=toy_config(), min_group=65)
         # one heavy group and several light ones: LPT places the heavy one
         # first, lights fill the other member
         heavy, _ = exact_fp16_scan_input(65_536, rng)
@@ -147,7 +147,7 @@ class TestFlushInvariants:
             assert r["busy_ns"] == svc.busy_ns[r["member"]]
 
     def test_utilisation_sums_and_bounds_under_skewed_mix(self, rng):
-        svc = PoolScanService(3, config=toy_config(), batching=False)
+        svc = PoolScanService(3, config=toy_config(), min_group=65)
         heavy, _ = exact_fp16_scan_input(65_536, rng)
         svc.submit(heavy, algorithm="mcscan", s=16)
         for _ in range(5):

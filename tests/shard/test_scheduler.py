@@ -136,8 +136,9 @@ class TestLaunchOrder:
         from repro.verify import ScheduleController
 
         controller = None if seed is None else ScheduleController(seed)
-        # batching off: every group serves as 1-D singles
-        svc = pool(batching=False, controller=controller)
+        # min_group above the 8-row bucket: every group serves as 1-D
+        # singles
+        svc = pool(min_group=9, controller=controller)
         dispatched = []
         real_dispatch = svc._dispatch
 
@@ -277,6 +278,22 @@ class TestAdmissionEdgeCases:
             _x(16384), s=S,
         )
         assert t is None and sched.stats.shed_requests == 1
+
+    def test_multi_row_probe_keeps_the_solo_cost(self):
+        """Below ``min_group`` a k-row prediction is k one-row launches;
+        it must not overwrite the memoized one-row cost that admission
+        probes, or a feasible solo request is shed."""
+        svc = pool(min_group=9)
+        req, _ = svc.workers[0]._prepare(_x(256), s=S, req_id=-1)
+        solo = TrafficScheduler(svc)._predict_ns(req, 1)
+        sched = TrafficScheduler(svc)
+        assert sched._predict_ns(req, 3) == solo * 3
+        assert sched._predict_ns(req, 1) == solo
+        t = sched.offer(
+            Arrival(index=0, t_ns=0.0, n=256, deadline_ns=1.5 * solo),
+            _x(256), s=S,
+        )
+        assert t is not None and sched.stats.shed_requests == 0
 
     def test_burst_larger_than_max_batch_in_one_tick(self):
         """A single arrival tick bigger than the bucket capacity chunks

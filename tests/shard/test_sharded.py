@@ -58,7 +58,7 @@ class TestShardRanges:
 
 class TestDifferential:
     """Sharded output must be bit-identical to the core.reference oracle,
-    on the folded path (D >= 2 mcscan) and the carry path (D = 1)."""
+    on the folded path (D >= 2) and for a single shard (D = 1)."""
 
     @pytest.mark.parametrize("num_devices", range(1, 9))
     @pytest.mark.parametrize("n", [4096, 12_345, 50_000])
@@ -86,18 +86,21 @@ class TestDifferential:
     def test_non_divisible_shard_sizes(self, rng):
         # n chosen so the tail shard is unpadded and shards are uneven
         pool = DevicePool(3, toy_config())
-        scanner = ShardedScanner(pool, algorithm="scanul1", s=16)
+        scanner = ShardedScanner(pool, algorithm="mcscan", s=16)
         x, _ = exact_fp16_scan_input(257 * 3 + 1, rng)
         result = scanner.scan(x)
         assert np.array_equal(result.values, inclusive_scan(x))
 
     def test_other_algorithms_agree(self, rng):
+        """A store naming another algorithm for every shard changes
+        nothing: each shard runs the untuned MCScan plan, exactly."""
         x, _ = exact_fp16_scan_input(20_000, rng)
         ref = inclusive_scan(x)
         for algorithm in ("scanu", "scanul1", "ssa"):
-            pool = DevicePool(2, toy_config())
-            scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
-            assert np.array_equal(scanner.scan(x).values, ref)
+            result = _tuned_scanner(2, x.size, algorithm).scan(x)
+            assert result.folded
+            assert not any(r.tuned for r in result.shards)
+            assert np.array_equal(result.values, ref)
 
 
 class TestScanner:
@@ -112,15 +115,18 @@ class TestScanner:
         assert result.n_elements == 30_000
 
     @pytest.mark.parametrize("algorithm", ["mcscan", "scanul1"])
-    def test_wall_clock_is_two_stage_max(self, pool, rng, algorithm):
-        scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
+    def test_wall_clock_is_two_stage_max(self, rng, algorithm):
+        """Whatever the store names, the wall is max(phase I) + max(phase
+        II); only an MCScan entry is used."""
+        scanner = _tuned_scanner(3, 30_000, algorithm)
         x, _ = exact_fp16_scan_input(30_000, rng)
-        _assert_two_stage_wall(scanner.scan(x), folded=algorithm == "mcscan")
+        result = scanner.scan(x)
+        _assert_two_stage_wall(result)
+        assert all(r.tuned == (algorithm == "mcscan") for r in result.shards)
 
-    def test_mixed_phase_seams_fall_back_to_carry_pass(self, rng):
-        """A tuned non-MCScan shard plan has no phase seam, so the scan
-        runs scan-then-propagate — including a carry pass over the MCScan
-        plan of device 1, traced the first time it is needed."""
+    def test_tuned_non_mcscan_entry_is_ignored(self, rng):
+        """A tuned scanul1 entry for device 0's shard has no phase seam:
+        that shard gets the untuned MCScan plan, and the scan folds."""
         cfg = toy_config()
         store = TuneStore(cfg)
         store.record(
@@ -135,9 +141,9 @@ class TestScanner:
         x, _ = exact_fp16_scan_input(6400 + 6144, rng)
         result = scanner.scan(x)
         assert [r.n for r in result.shards] == [6400, 6144]
-        assert [r.tuned for r in result.shards] == [True, False]
+        assert [r.tuned for r in result.shards] == [False, False]
         assert np.array_equal(result.values, inclusive_scan(x))
-        _assert_two_stage_wall(result, folded=False)
+        _assert_two_stage_wall(result)
 
     def test_single_device_has_no_carry_stage(self, rng):
         scanner = ShardedScanner(DevicePool(1, toy_config()), s=16)
@@ -208,10 +214,9 @@ class TestScanner:
             scanner.scan(np.zeros((2, 8), dtype=np.float16))
         with pytest.raises(ShapeError):
             scanner.scan(np.zeros(0, dtype=np.float16))
-        with pytest.raises(KernelError):
-            ShardedScanner(pool, algorithm="vector")
-        with pytest.raises(KernelError):
-            ShardedScanner(pool, algorithm="nope")
+        for algorithm in ("vector", "scanul1", "ssa", "nope"):
+            with pytest.raises(KernelError):
+                ShardedScanner(pool, algorithm=algorithm)
 
     def test_pool_validates_device_count(self):
         with pytest.raises(ConfigError):
@@ -316,20 +321,23 @@ class TestAdversarialBoundaries:
 
     @pytest.mark.parametrize("algorithm", ["scanu", "scanul1", "ssa"])
     def test_other_algorithms_agree_at_d6(self, rng, algorithm):
+        """A store naming ``algorithm`` for every one of six shards (the
+        tail shard unpadded) is ignored, and the fold stays exact."""
         x, _ = exact_fp16_scan_input(6 * 700 + 1, rng)
-        pool = DevicePool(6, toy_config())
-        scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
-        assert np.array_equal(scanner.scan(x).values, inclusive_scan(x))
+        result = _tuned_scanner(6, x.size, algorithm).scan(x)
+        assert result.folded
+        assert not any(r.tuned for r in result.shards)
+        assert np.array_equal(result.values, inclusive_scan(x))
 
     @pytest.mark.parametrize("algorithm", ["mcscan", "scanul1"])
     def test_wide_pool_carry_chain_timing(self, rng, algorithm):
-        """At D=6 the two-stage makespan law still holds on both paths."""
-        pool = DevicePool(6, toy_config())
-        scanner = ShardedScanner(pool, algorithm=algorithm, s=16)
+        """At D=6 the two-stage makespan law still holds, whatever the
+        store names."""
+        scanner = _tuned_scanner(6, 60_000, algorithm)
         x, _ = exact_fp16_scan_input(60_000, rng)
         result = scanner.scan(x)
         assert result.num_devices == 6
-        _assert_two_stage_wall(result, folded=algorithm == "mcscan")
+        _assert_two_stage_wall(result)
 
 
 class TestDeviceCarry:
@@ -383,26 +391,30 @@ class TestDeviceCarry:
         assert plan.phases == ()
 
 
-def _assert_two_stage_wall(result, *, folded: bool) -> None:
-    """Folded: no carry stage, and the wall is max(phase I) + max(phase
-    II).  Carry path: the wall is max scan + max carry, and only device
-    0 skips the carry pass."""
-    assert result.folded == folded
-    assert result.wall_ns == result.scan_stage_ns + result.carry_stage_ns
-    if folded:
-        phase1 = max(r.phase_ns[0] for r in result.shards)
-        phase2 = max(r.phase_ns[1] for r in result.shards)
-        assert result.wall_ns == phase1 + phase2
-        assert result.carry_stage_ns == 0.0
-        assert all(r.carry_ns == 0.0 for r in result.shards)
-        assert all(r.scan_ns == sum(r.phase_ns) for r in result.shards)
-    else:
-        assert result.scan_stage_ns == max(r.scan_ns for r in result.shards)
-        assert result.carry_stage_ns == max(
-            r.carry_ns for r in result.shards[1:]
+def _tuned_scanner(num_devices: int, n: int, algorithm: str) -> ShardedScanner:
+    """A tuned s=16 scanner whose store names ``algorithm`` for every
+    shard length of an ``n``-element scan over ``num_devices``."""
+    cfg = toy_config()
+    store = TuneStore(cfg)
+    for start, end in shard_ranges(n, num_devices, 256):
+        store.record(
+            f"1d:{end - start}:fp16:i",
+            TunedEntry(
+                algorithm=algorithm, s=16, block_dim=None, layout="1d",
+                tuned_ns=1.0, default_ns=2.0,
+            ),
         )
-        assert result.shards[0].carry_ns == 0.0
-        assert all(r.carry_ns > 0 for r in result.shards[1:])
+    pool = DevicePool(num_devices, cfg, tune_store=store)
+    return ShardedScanner(pool, s=16, tuned=True)
+
+
+def _assert_two_stage_wall(result) -> None:
+    """The carry is folded: the wall is max(phase I) + max(phase II)."""
+    assert result.folded
+    phase1 = max(r.phase_ns[0] for r in result.shards)
+    phase2 = max(r.phase_ns[1] for r in result.shards)
+    assert result.wall_ns == result.scan_stage_ns == phase1 + phase2
+    assert all(r.scan_ns == sum(r.phase_ns) for r in result.shards)
 
 
 def test_four_devices_beat_one_on_a_1m_scan(rng):

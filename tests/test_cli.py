@@ -69,13 +69,9 @@ class TestCommands:
         assert "phase I" in out and "phase II" in out
         assert "carry stage" not in out
         assert "speedup at D=2" in out
-        # scanul1 has no phase seam: scan stage, then carry stage
-        assert main(
-            ["shard", "-n", "256K", "--devices", "2", "--algorithm", "scanul1"]
-        ) == 0
-        assert "carry stage" in capsys.readouterr().out
 
     def test_shard_rejects_vector(self):
+        # the sharded scan is MCScan only: there is no --algorithm flag
         with pytest.raises(SystemExit):
             main(["shard", "--algorithm", "vector"])
 
