@@ -7,25 +7,33 @@ exposes the scan variants as plain array-in / array-out calls.  Every call
 returns a :class:`ScanResult` with the numerical result *and* the execution
 trace, from which the paper's metrics (time, GB/s, GElems/s) derive.
 
-Two execution disciplines are offered:
+A :class:`ScanPlan` is the one way a scan kernel is traced: one private
+tracer per layout (1-D and batched) allocates the plan's tensors, builds
+the kernel, loads a zero-padded input, warms L2 and traces the op DAG.
+Every caller runs that tracer:
 
-* **one-shot** (:meth:`ScanContext.scan` and friends) — upload, trace the
-  kernel, schedule, read back; HBM is managed with stack discipline
-  (mark/release around each call), so a long benchmark sweep reuses device
-  memory without reallocating constants;
-* **planned** (:meth:`ScanContext.build_plan` / :meth:`ScanPlan.execute`)
-  — the expensive Python-level kernel trace (op-DAG emission plus hazard
-  analysis) runs once per shape; each subsequent execution re-runs only the
-  functional NumPy computation, and the timeline itself is memoized on the
-  traced program (the op DAG's costs are fixed at trace time, so replays
-  are deterministic — see :mod:`repro.hw.compiled`).  This is the
-  substrate of the request-serving layer in :mod:`repro.serve`.
+* **plans** (:meth:`ScanContext.build_plan` / :meth:`ScanPlan.execute`)
+  trace once per shape on a deterministic validation input, validate the
+  kernel against the functional path, and then replay: each execution
+  re-runs only the functional NumPy computation, and the timeline is
+  memoized on the traced program (the op DAG's costs are fixed at trace
+  time, so replays are deterministic — see :mod:`repro.hw.compiled`).
+  This is the substrate of the request-serving layer in :mod:`repro.serve`;
+* **one-shot scans** (:meth:`ScanContext.scan`, :meth:`~ScanContext.scan_strategy`,
+  :meth:`~ScanContext.batched_scan`) trace a scratch plan on the caller's
+  input inside a mark/release scope, launch it once and return the
+  kernel's own output, so the paper figures time exactly the program the
+  service launches and a long sweep reuses device memory;
+* the autotuner (:mod:`repro.tune.evaluate`) scores each candidate as a
+  scratch plan's :meth:`ScanPlan.time_ns`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,10 +87,34 @@ _MULTI_CORE_1D = ("mcscan", "ssa", "rss", "lookback")
 #: so fused epilogues fall back to a separate trailing map kernel there
 FOLDABLE_SCAN_ALGORITHMS = ("scanu", "mcscan")
 
+#: NumPy dtypes of the cube scans' inputs, by device dtype name
+_CUBE_INPUT_NAMES = {np.dtype(np.float16): "fp16", np.dtype(np.int8): "int8"}
+
 #: device carry planted in a carry-slot plan's ``r[0]`` while it is traced:
 #: nonzero so build-time validation proves phase II adds the slot, and a
 #: small integer so ``fp32(local scan) + carry`` stays exact
 PLANTED_CARRY = 3
+
+
+class _Layout(NamedTuple):
+    """What a plan's tracer needs before it allocates anything."""
+
+    dt: DType
+    #: shared constant matrices (None for the vector baseline)
+    consts: "ScanConstants | None"
+    pad_unit: int
+    #: padded input shape: ``(padded,)`` or ``(batch, padded row)``
+    shape: "tuple[int, ...]"
+
+
+def _zero_padded(x: np.ndarray, shape: "tuple[int, ...]") -> np.ndarray:
+    """``x`` in the leading corner of a zero array of ``shape`` (``x``
+    itself when it already has that shape)."""
+    if x.shape == shape:
+        return x
+    buf = np.zeros(shape, dtype=x.dtype)
+    buf[tuple(slice(d) for d in x.shape)] = x
+    return buf
 
 
 @dataclass
@@ -144,11 +176,11 @@ class ScanPlan:
     y_gm: GlobalTensor
     traced: TracedKernel
     #: host seconds spent building (trace + validation) — the cold cost
-    build_host_s: float
+    build_host_s: float = field(default=0.0)
     #: True if build-time validation ran and agreed; None if skipped
-    validated: "bool | None"
+    validated: "bool | None" = field(default=None)
     #: max |kernel - functional| observed at build time (float64 scale)
-    build_max_err: float
+    build_max_err: float = field(default=0.0)
     executions: int = field(default=0)
     #: GM tensors this plan owns (inputs, outputs, scratch — not the shared
     #: constant matrices); freed back to the device by :meth:`release`
@@ -287,13 +319,11 @@ class ScanPlan:
                 f"plan is for padded length {self.padded} "
                 f"(unit {self.pad_unit}); input of {n} does not pad to it"
             )
-        if n == self.padded:
-            xp = x
-        else:
-            xp = np.zeros(self.padded, dtype=self.in_dtype.np_dtype)
-            xp[:n] = x
         return plan_compute(
-            xp, self.algorithm, self.in_dtype, exclusive=self.exclusive
+            _zero_padded(x, (self.padded,)),
+            self.algorithm,
+            self.in_dtype,
+            exclusive=self.exclusive,
         )
 
     def _execute_batched(
@@ -318,12 +348,11 @@ class ScanPlan:
                 f"plan holds rows of up to {self.padded} elements, "
                 f"got rows of {row_len}"
             )
-        if rows == self.batch and row_len == self.padded:
-            xp = x
-        else:
-            xp = np.zeros((self.batch, self.padded), dtype=self.in_dtype.np_dtype)
-            xp[:rows, :row_len] = x
-        values = plan_compute_batched(xp, self.algorithm, self.in_dtype)
+        values = plan_compute_batched(
+            _zero_padded(x, (self.batch, self.padded)),
+            self.algorithm,
+            self.in_dtype,
+        )
         trace = self.ctx.device.replay(
             self.traced, engine=engine, audit_timing=audit_timing
         )
@@ -401,41 +430,27 @@ class ScanContext:
     def _upload_padded(
         self, name: str, x: np.ndarray, pad_to: int, dtype: DType
     ) -> tuple:
-        n = x.size
-        padded = padded_length(n, pad_to)
+        padded = padded_length(x.size, pad_to)
         t = self.device.alloc(name, (padded,), dtype)
-        if padded == n:
-            t.write(x)
-        else:
-            buf = np.zeros(padded, dtype=dtype.np_dtype)
-            buf[:n] = x
-            t.write(buf)
+        t.write(_zero_padded(x, (padded,)))
         return t, padded
 
-    def _input_dtype(self, x: np.ndarray) -> DType:
-        kind = np.dtype(x.dtype)
-        if kind == np.float16:
-            return as_dtype("fp16")
-        if kind == np.int8:
-            return as_dtype("int8")
-        raise KernelError(
-            f"cube scans accept fp16 or int8 inputs (paper Section 3.1), "
-            f"got {kind}"
-        )
-
     def _as_plan_dtype(self, dtype) -> DType:
-        """Accept a device dtype, its name, or a NumPy dtype for plans."""
+        """fp16 or int8, the cube scans' inputs (paper Section 3.1), from a
+        device dtype, its name, or a NumPy dtype."""
         if isinstance(dtype, DType):
-            dt = dtype
+            name = dtype.name
         elif isinstance(dtype, str) and dtype in ("fp16", "int8"):
-            dt = as_dtype(dtype)
+            name = dtype
         else:
-            return self._input_dtype(np.empty(0, dtype=dtype))
-        if dt.name not in ("fp16", "int8"):
+            kind = np.dtype(dtype)
+            name = _CUBE_INPUT_NAMES.get(kind) or kind.name
+        if name not in ("fp16", "int8"):
             raise KernelError(
-                f"scan plans accept fp16 or int8 inputs, got {dt.name}"
+                f"cube scans accept fp16 or int8 inputs (paper Section 3.1), "
+                f"got {name}"
             )
-        return dt
+        return as_dtype(name)
 
     def _mcscan_block_dim(self, n_tiles: int, block_dim: "int | None") -> int:
         limit = max(1, min(self.config.num_ai_cores, n_tiles))
@@ -502,7 +517,184 @@ class ScanContext:
         }[algorithm]
         return kernel_cls(x_gm, y_gm, r_gm, consts, s, bd)
 
-    # -- 1-D scans -----------------------------------------------------------------
+    # -- plan tracing: the one alloc-and-trace site per layout --------------------
+
+    def _layout(
+        self, algorithm: str, dt: DType, s: int, shape: "tuple[int, ...]"
+    ) -> _Layout:
+        """Resolve the layout of a plan for inputs of logical ``shape``
+        (``(n,)``, or ``(batch, row_len)`` for the batched kernels).  The
+        constants are cached on the context and must outlive any scratch
+        mark, so callers resolve the layout before taking one."""
+        if algorithm == "vector":
+            consts, pad_unit = None, CUMSUM_COLS
+        else:
+            rows = batched_tile_rows(shape[1], s) if len(shape) == 2 else None
+            consts = self.constants(s, dt, rows=rows)
+            pad_unit = consts.tile_elements
+        padded = (*shape[:-1], padded_length(shape[-1], pad_unit))
+        return _Layout(dt, consts, pad_unit, padded)
+
+    def _load(self, x_gm: GlobalTensor, layout: _Layout, x) -> np.ndarray:
+        """Write ``x`` zero-padded into ``x_gm`` and return what was
+        written.  ``x`` None draws the deterministic validation input.  It
+        is drawn here, after the plan's tensors are allocated: drawing it
+        before them changes where the host allocator places the plan's
+        buffers, which made the host passes of sharded 4M-element scans
+        20-40 % slower."""
+        if x is None:
+            size = math.prod(layout.shape)
+            x = validation_input(size, layout.dt, seed=size).reshape(layout.shape)
+        else:
+            x = _zero_padded(x, layout.shape)
+        x_gm.write(x)
+        return x
+
+    def _trace_1d(
+        self,
+        layout: _Layout,
+        x: "np.ndarray | None" = None,
+        *,
+        algorithm: str,
+        s: int,
+        block_dim: "int | None",
+        exclusive: bool,
+        carry_slot: bool = False,
+    ) -> "tuple[ScanPlan, np.ndarray]":
+        """Allocate a 1-D plan's tensors, build its kernel, load ``x`` (see
+        :meth:`_load`), warm L2 and trace.  Returns the unvalidated plan and
+        the padded input it traced on.  With ``carry_slot`` the MCScan
+        kernel is traced with :data:`PLANTED_CARRY` in its carry slot."""
+        dt, consts, pad_unit, (padded,) = layout
+        out_dt = dt if consts is None else cube_accum_dtype(dt)
+        owned_from = len(self.device.memory.tensors)
+        x_gm = self.device.alloc("plan_x", (padded,), dt)
+        y_gm = self.device.alloc("plan_y", (padded,), out_dt)
+        if consts is None:
+            kernel = CumSumKernel(x_gm, y_gm)
+            resolved_bd = None
+        else:
+            kernel = self._cube_1d_kernel(
+                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive,
+                carry_slot=carry_slot,
+            )
+            resolved_bd = getattr(kernel, "block_dim", None)
+        gm_tensors = self.device.memory.tensors[owned_from:]
+        loaded = self._load(x_gm, layout, x)
+        if carry_slot:
+            planted = np.zeros(kernel.r.num_elements, out_dt.np_dtype)
+            planted[0] = PLANTED_CARRY
+            kernel.r.write(planted)
+        if self.warm_inputs:
+            self.device.warm_l2(x_gm, y_gm)
+        traced = self.device.trace_kernel(
+            kernel, label=f"plan {algorithm}(s={s}, n={padded})"
+        )
+        plan = ScanPlan(
+            ctx=self,
+            algorithm=algorithm,
+            s=s,
+            in_dtype=dt,
+            out_dtype=out_dt,
+            padded=padded,
+            pad_unit=pad_unit,
+            batch=None,
+            block_dim=resolved_bd,
+            exclusive=exclusive,
+            x_gm=x_gm,
+            y_gm=y_gm,
+            traced=traced,
+            gm_tensors=gm_tensors,
+            phases=tuple(traced.split_phases()) if carry_slot else (),
+        )
+        return plan, loaded
+
+    def _trace_batched(
+        self,
+        layout: _Layout,
+        x: "np.ndarray | None" = None,
+        *,
+        algorithm: str,
+        s: int,
+        block_dim: "int | None",
+    ) -> "tuple[ScanPlan, np.ndarray]":
+        """The batched counterpart of :meth:`_trace_1d`: one plan row per
+        input row, each zero-padded to the plan's row length."""
+        dt, consts, pad_unit, (batch, padded) = layout
+        out_dt = dt if consts is None else cube_accum_dtype(dt)
+        owned_from = len(self.device.memory.tensors)
+        x_gm = self.device.alloc("plan_bx", (batch, padded), dt)
+        y_gm = self.device.alloc("plan_by", (batch, padded), out_dt)
+        if consts is None:
+            bd = min(self.config.num_vector_cores, batch)
+            kernel = BatchedCumSumKernel(x_gm, y_gm, bd)
+        else:
+            bd = (
+                default_batched_block_dim(self.config, algorithm, batch)
+                if block_dim is None
+                else block_dim
+            )
+            kernel = batched_kernel_cls(algorithm)(x_gm, y_gm, consts, s, bd)
+        gm_tensors = self.device.memory.tensors[owned_from:]
+        loaded = self._load(x_gm, layout, x)
+        if self.warm_inputs:
+            self.device.warm_l2(x_gm, y_gm)
+        traced = self.device.trace_kernel(
+            kernel, label=f"plan batched {algorithm}(s={s}, {batch}x{padded})"
+        )
+        plan = ScanPlan(
+            ctx=self,
+            algorithm=algorithm,
+            s=s,
+            in_dtype=dt,
+            out_dtype=out_dt,
+            padded=padded,
+            pad_unit=pad_unit,
+            batch=batch,
+            block_dim=bd,
+            exclusive=False,
+            x_gm=x_gm,
+            y_gm=y_gm,
+            traced=traced,
+            gm_tensors=gm_tensors,
+        )
+        return plan, loaded
+
+    # -- one-shot scans: a scratch plan traced on the caller's input ---------------
+
+    def _launch_once(
+        self, label: str, tracer, layout: _Layout, x: np.ndarray, **kw
+    ) -> ScanResult:
+        """Trace a plan on ``x`` inside a scratch mark, launch it once and
+        read back the kernel's own output; the mark frees every tensor the
+        plan allocated, so a long sweep reuses device memory."""
+        mark = self.device.memory.mark()
+        try:
+            plan, _ = tracer(layout, x, **kw)
+            trace = self.device.replay(plan.traced, label=label)
+            values = plan.y_gm.to_numpy()[tuple(slice(d) for d in x.shape)]
+        finally:
+            self.device.memory.release(mark)
+        io = x.size * plan._io_bytes_per_element()
+        return ScanResult(values, trace, x.size, io)
+
+    def _scan_1d(
+        self,
+        x: np.ndarray,
+        algorithm: str,
+        s: int,
+        block_dim: "int | None",
+        exclusive: bool,
+    ) -> ScanResult:
+        x = np.asarray(x)
+        if x.ndim != 1:
+            raise ShapeError(f"scan expects a 1-D array, got shape {x.shape}")
+        layout = self._layout(algorithm, self._as_plan_dtype(x.dtype), s, x.shape)
+        label = "CumSum" if algorithm == "vector" else f"{algorithm}(s={s})"
+        return self._launch_once(
+            label, self._trace_1d, layout, x,
+            algorithm=algorithm, s=s, block_dim=block_dim, exclusive=exclusive,
+        )
 
     def scan(
         self,
@@ -518,9 +710,6 @@ class ScanContext:
         Cube algorithms return the accumulator dtype (fp32 / int32); the
         vector baseline returns the input dtype.
         """
-        x = np.asarray(x)
-        if x.ndim != 1:
-            raise ShapeError(f"scan expects a 1-D array, got shape {x.shape}")
         if algorithm not in SCAN_ALGORITHMS:
             raise KernelError(
                 f"unknown algorithm {algorithm!r}; pick one of {SCAN_ALGORITHMS}"
@@ -529,42 +718,7 @@ class ScanContext:
             raise KernelError(
                 "exclusive scan is implemented on MCScan (as in the paper)"
             )
-        n = x.size
-
-        if algorithm == "vector":
-            dt = self._input_dtype(x)
-            mark = self.device.memory.mark()
-            try:
-                x_gm, padded = self._upload_padded("scan_x", x, CUMSUM_COLS, dt)
-                y_gm = self.device.alloc("scan_y", (padded,), dt)
-                if self.warm_inputs:
-                    self.device.warm_l2(x_gm, y_gm)
-                trace = self.device.launch(CumSumKernel(x_gm, y_gm), label="CumSum")
-                values = y_gm.to_numpy()[:n]
-            finally:
-                self.device.memory.release(mark)
-            io = n * dt.itemsize * 2
-            return ScanResult(values, trace, n, io)
-
-        dt = self._input_dtype(x)
-        out_dt = cube_accum_dtype(dt)
-        consts = self.constants(s, dt)
-        ell = s * s
-        mark = self.device.memory.mark()
-        try:
-            x_gm, padded = self._upload_padded("scan_x", x, ell, dt)
-            y_gm = self.device.alloc("scan_y", (padded,), out_dt)
-            if self.warm_inputs:
-                self.device.warm_l2(x_gm, y_gm)
-            kernel = self._cube_1d_kernel(
-                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive
-            )
-            trace = self.device.launch(kernel, label=f"{algorithm}(s={s})")
-            values = y_gm.to_numpy()[:n]
-        finally:
-            self.device.memory.release(mark)
-        io = n * (dt.itemsize + out_dt.itemsize)
-        return ScanResult(values, trace, n, io)
+        return self._scan_1d(x, algorithm, s, block_dim, exclusive)
 
     def scan_strategy(
         self,
@@ -581,37 +735,11 @@ class ScanContext:
         accelerator strategies it is positioned against, implemented on
         the same substrate for a head-to-head comparison.
         """
-        x = np.asarray(x)
-        if x.ndim != 1:
-            raise ShapeError(f"scan expects a 1-D array, got shape {x.shape}")
         if strategy not in SCAN_STRATEGIES:
             raise KernelError(
                 f"unknown strategy {strategy!r}; pick one of {SCAN_STRATEGIES}"
             )
-        if strategy == "mcscan":
-            return self.scan(x, algorithm="mcscan", s=s, block_dim=block_dim)
-        n = x.size
-        dt = self._input_dtype(x)
-        out_dt = cube_accum_dtype(dt)
-        consts = self.constants(s, dt)
-        ell = s * s
-        mark = self.device.memory.mark()
-        try:
-            x_gm, padded = self._upload_padded("scan_x", x, ell, dt)
-            y_gm = self.device.alloc("scan_y", (padded,), out_dt)
-            if self.warm_inputs:
-                self.device.warm_l2(x_gm, y_gm)
-            kernel = self._cube_1d_kernel(
-                strategy, x_gm, y_gm, consts, s, block_dim, False
-            )
-            trace = self.device.launch(kernel, label=f"{strategy}(s={s})")
-            values = y_gm.to_numpy()[:n]
-        finally:
-            self.device.memory.release(mark)
-        io = n * (dt.itemsize + out_dt.itemsize)
-        return ScanResult(values, trace, n, io)
-
-    # -- batched scans ----------------------------------------------------------------
+        return self._scan_1d(x, strategy, s, block_dim, False)
 
     def batched_scan(
         self,
@@ -630,66 +758,21 @@ class ScanContext:
                 f"unknown batched algorithm {algorithm!r}; "
                 f"pick one of {BATCHED_ALGORITHMS}"
             )
-        batch, row_len = x.shape
-        dt = self._input_dtype(x)
-
-        if algorithm == "vector":
-            padded = padded_length(row_len, CUMSUM_COLS)
-            mark = self.device.memory.mark()
-            try:
-                x_gm = self.device.alloc("bscan_x", (batch, padded), dt)
-                buf = np.zeros((batch, padded), dtype=dt.np_dtype)
-                buf[:, :row_len] = x
-                x_gm.write(buf)
-                y_gm = self.device.alloc("bscan_y", (batch, padded), dt)
-                if self.warm_inputs:
-                    self.device.warm_l2(x_gm, y_gm)
-                bd = min(self.config.num_vector_cores, batch)
-                trace = self.device.launch(
-                    BatchedCumSumKernel(x_gm, y_gm, bd), label="batched CumSum"
-                )
-                values = y_gm.to_numpy()[:, :row_len]
-            finally:
-                self.device.memory.release(mark)
-            io = batch * row_len * dt.itemsize * 2
-            return ScanResult(values, trace, batch * row_len, io)
-
-        out_dt = cube_accum_dtype(dt)
-        rows = batched_tile_rows(row_len, s)
-        consts = self.constants(s, dt, rows=rows)
-        tile = consts.tile_elements
-        padded = padded_length(row_len, tile)
-        mark = self.device.memory.mark()
-        try:
-            x_gm = self.device.alloc("bscan_x", (batch, padded), dt)
-            buf = np.zeros((batch, padded), dtype=dt.np_dtype)
-            buf[:, :row_len] = x
-            x_gm.write(buf)
-            y_gm = self.device.alloc("bscan_y", (batch, padded), out_dt)
-            if self.warm_inputs:
-                self.device.warm_l2(x_gm, y_gm)
-            if block_dim is None:
-                block_dim = default_batched_block_dim(self.config, algorithm, batch)
-            kernel = batched_kernel_cls(algorithm)(
-                x_gm, y_gm, consts, s, block_dim
-            )
-            trace = self.device.launch(
-                kernel, label=f"batched {algorithm}(s={s}, rows={rows})"
-            )
-            values = y_gm.to_numpy()[:, :row_len]
-        finally:
-            self.device.memory.release(mark)
-        io = batch * row_len * (dt.itemsize + out_dt.itemsize)
-        return ScanResult(values, trace, batch * row_len, io)
+        layout = self._layout(algorithm, self._as_plan_dtype(x.dtype), s, x.shape)
+        label = (
+            "batched CumSum"
+            if algorithm == "vector"
+            else f"batched {algorithm}(s={s}, rows={layout.consts.rows})"
+        )
+        return self._launch_once(
+            label, self._trace_batched, layout, x,
+            algorithm=algorithm, s=s, block_dim=block_dim,
+        )
 
     # -- plan building (serve-layer substrate) ------------------------------------------
 
     def _finish_plan(
-        self,
-        plan: ScanPlan,
-        sample: np.ndarray,
-        expected: "np.ndarray | None",
-        t0: float,
+        self, plan: ScanPlan, expected: "np.ndarray | None", t0: float
     ) -> ScanPlan:
         """Validate the freshly traced plan and stamp its build stats."""
         if expected is not None:
@@ -729,10 +812,10 @@ class ScanContext:
         """Trace a reusable 1-D scan plan for inputs padding to
         ``padded_length(n, unit)`` elements of ``dtype``.
 
-        The build uploads a deterministic exact validation input, traces the
-        kernel once (full Python-level emission), and cross-checks the
-        kernel's functional output against the canonical computation the
-        plan will use on execution (see :mod:`repro.core.replay`).
+        The build traces the kernel once (full Python-level emission) on a
+        deterministic exact validation input and cross-checks the kernel's
+        output against the canonical computation the plan will use on
+        execution (see :mod:`repro.core.replay`).
 
         With ``tuned=True`` the context's :attr:`tune_store` (if set) is
         consulted for this workload; a hit overrides ``algorithm``, ``s``
@@ -746,11 +829,10 @@ class ScanContext:
         ``fp32(local scan) + carry``.  Other algorithms ignore the flag.
         """
         t0 = time.perf_counter()
+        dt = self._as_plan_dtype(dtype)
         was_tuned = False
         if tuned and self.tune_store is not None:
-            entry = self.tune_store.lookup_1d(
-                n=n, dtype=self._as_plan_dtype(dtype).name, exclusive=exclusive
-            )
+            entry = self.tune_store.lookup_1d(n=n, dtype=dt.name, exclusive=exclusive)
             if entry is not None:
                 algorithm = entry.algorithm
                 s = entry.s
@@ -765,73 +847,22 @@ class ScanContext:
             raise KernelError(
                 "exclusive scan is implemented on MCScan (as in the paper)"
             )
-        dt = self._as_plan_dtype(dtype)
         carry_slot = device_carry and algorithm == "mcscan"
-
-        if algorithm == "vector":
-            out_dt = dt
-            consts = None
-            pad_unit = CUMSUM_COLS
-        else:
-            out_dt = cube_accum_dtype(dt)
-            consts = self.constants(s, dt)  # shared, cached: not plan-owned
-            pad_unit = s * s
-        padded = padded_length(n, pad_unit)
-        owned_from = len(self.device.memory.tensors)
-        x_gm = self.device.alloc("plan_x", (padded,), dt)
-        y_gm = self.device.alloc("plan_y", (padded,), out_dt)
-        if algorithm == "vector":
-            kernel = CumSumKernel(x_gm, y_gm)
-            resolved_bd = None
-        else:
-            kernel = self._cube_1d_kernel(
-                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive,
-                carry_slot=carry_slot,
-            )
-            resolved_bd = getattr(kernel, "block_dim", None)
-        gm_tensors = self.device.memory.tensors[owned_from:]
-
-        sample = validation_input(padded, dt, seed=padded)
-        x_gm.write(sample)
-        if carry_slot:
-            planted = np.zeros(kernel.r.num_elements, out_dt.np_dtype)
-            planted[0] = PLANTED_CARRY
-            kernel.r.write(planted)
-        if self.warm_inputs:
-            self.device.warm_l2(x_gm, y_gm)
-        traced = self.device.trace_kernel(
-            kernel, label=f"plan {algorithm}(s={s}, n={padded})"
-        )
-        tol = validation_tolerance(algorithm, dt) if validate else None
-        expected = (
-            plan_compute(sample, algorithm, dt, exclusive=exclusive)
-            if tol is not None
-            else None
-        )
-        if expected is not None and carry_slot:
-            expected = expected + expected.dtype.type(PLANTED_CARRY)
-        plan = ScanPlan(
-            ctx=self,
+        plan, sample = self._trace_1d(
+            self._layout(algorithm, dt, s, (n,)),
             algorithm=algorithm,
             s=s,
-            in_dtype=dt,
-            out_dtype=out_dt,
-            padded=padded,
-            pad_unit=pad_unit,
-            batch=None,
-            block_dim=resolved_bd,
+            block_dim=block_dim,
             exclusive=exclusive,
-            x_gm=x_gm,
-            y_gm=y_gm,
-            traced=traced,
-            build_host_s=0.0,
-            validated=None,
-            build_max_err=0.0,
-            gm_tensors=gm_tensors,
-            tuned=was_tuned,
-            phases=tuple(traced.split_phases()) if carry_slot else (),
+            carry_slot=carry_slot,
         )
-        return self._finish_plan(plan, sample, expected, t0)
+        plan.tuned = was_tuned
+        expected = None
+        if validate and validation_tolerance(algorithm, dt) is not None:
+            expected = plan_compute(sample, algorithm, dt, exclusive=exclusive)
+            if carry_slot:
+                expected = expected + expected.dtype.type(PLANTED_CARRY)
+        return self._finish_plan(plan, expected, t0)
 
     def build_batched_plan(
         self,
@@ -856,12 +887,11 @@ class ScanContext:
         (batched-layout entries only) as in :meth:`build_plan`.
         """
         t0 = time.perf_counter()
+        dt = self._as_plan_dtype(dtype)
         was_tuned = False
         if tuned and self.tune_store is not None:
             entry = self.tune_store.lookup_batched(
-                batch=batch,
-                row_len=row_len,
-                dtype=self._as_plan_dtype(dtype).name,
+                batch=batch, row_len=row_len, dtype=dt.name
             )
             if entry is not None and getattr(entry, "layout", "batched") == "batched":
                 algorithm = entry.algorithm
@@ -875,73 +905,23 @@ class ScanContext:
             )
         if batch < 1:
             raise ShapeError(f"batch must be >= 1, got {batch}")
-        dt = self._as_plan_dtype(dtype)
-
-        if algorithm == "vector":
-            out_dt = dt
-            consts = None
-            pad_unit = CUMSUM_COLS
-        else:
-            out_dt = cube_accum_dtype(dt)
-            rows = batched_tile_rows(row_len, s)
-            consts = self.constants(s, dt, rows=rows)
-            pad_unit = consts.tile_elements
-        padded = padded_length(row_len, pad_unit)
-        owned_from = len(self.device.memory.tensors)
-        x_gm = self.device.alloc("plan_bx", (batch, padded), dt)
-        y_gm = self.device.alloc("plan_by", (batch, padded), out_dt)
-        if algorithm == "vector":
-            bd = min(self.config.num_vector_cores, batch)
-            kernel = BatchedCumSumKernel(x_gm, y_gm, bd)
-        else:
-            bd = (
-                default_batched_block_dim(self.config, algorithm, batch)
-                if block_dim is None
-                else block_dim
-            )
-            kernel = batched_kernel_cls(algorithm)(x_gm, y_gm, consts, s, bd)
-        gm_tensors = self.device.memory.tensors[owned_from:]
-
-        sample = validation_input(batch * padded, dt, seed=batch * padded).reshape(
-            batch, padded
-        )
-        x_gm.write(sample)
-        if self.warm_inputs:
-            self.device.warm_l2(x_gm, y_gm)
-        traced = self.device.trace_kernel(
-            kernel, label=f"plan batched {algorithm}(s={s}, {batch}x{padded})"
-        )
-        tol = validation_tolerance(algorithm, dt) if validate else None
-        expected = (
-            plan_compute_batched(sample, algorithm, dt) if tol is not None else None
-        )
-        plan = ScanPlan(
-            ctx=self,
+        plan, sample = self._trace_batched(
+            self._layout(algorithm, dt, s, (batch, row_len)),
             algorithm=algorithm,
             s=s,
-            in_dtype=dt,
-            out_dtype=out_dt,
-            padded=padded,
-            pad_unit=pad_unit,
-            batch=batch,
-            block_dim=bd,
-            exclusive=False,
-            x_gm=x_gm,
-            y_gm=y_gm,
-            traced=traced,
-            build_host_s=0.0,
-            validated=None,
-            build_max_err=0.0,
-            gm_tensors=gm_tensors,
-            tuned=was_tuned,
+            block_dim=block_dim,
         )
-        return self._finish_plan(plan, sample, expected, t0)
+        plan.tuned = was_tuned
+        expected = None
+        if validate and validation_tolerance(algorithm, dt) is not None:
+            expected = plan_compute_batched(sample, algorithm, dt)
+        return self._finish_plan(plan, expected, t0)
 
     # -- copy (torch.clone stand-in, Figure 8) --------------------------------------------
 
     def copy(self, x: np.ndarray, *, tile_elements: int = 16384) -> ScanResult:
         x = np.asarray(x).reshape(-1)
-        dt = self._input_dtype(x)
+        dt = self._as_plan_dtype(x.dtype)
         n = x.size
         mark = self.device.memory.mark()
         try:

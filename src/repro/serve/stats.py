@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .resilience import HEALTHY
+from .traffic import percentile_ns
 
 __all__ = ["LaunchRecord", "ServiceStats", "render"]
 
@@ -40,13 +41,6 @@ class LaunchRecord:
     faults: int = 0
     #: simulated backoff charged to device time across those retries
     backoff_ns: float = 0.0
-
-
-def _percentile(sorted_vals: "list[float]", q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1, max(0, round(q * (len(sorted_vals) - 1))))
-    return sorted_vals[idx]
 
 
 @dataclass
@@ -124,7 +118,7 @@ class ServiceStats:
         return sum(self.host_latencies_s) / len(self.host_latencies_s)
 
     def host_latency_percentile_s(self, q: float) -> float:
-        return _percentile(sorted(self.host_latencies_s), q)
+        return percentile_ns(self.host_latencies_s, q)
 
     # -- simulated open-loop metrics -----------------------------------------
 
@@ -204,7 +198,6 @@ class ServiceStats:
 
     def snapshot(self) -> dict:
         """Counters and percentiles as plain data (see :func:`render`)."""
-        lat = sorted(self.host_latencies_s)
         snap = {
             "requests": self.requests,
             "coalesced_requests": self.coalesced_requests,
@@ -214,8 +207,8 @@ class ServiceStats:
             "tuned_hit_rate": self.tuned_hit_rate,
             "host_latency_s": {
                 "mean": self.mean_host_latency_s,
-                "p50": _percentile(lat, 0.50),
-                "p99": _percentile(lat, 0.99),
+                "p50": percentile_ns(self.host_latencies_s, 0.50),
+                "p99": percentile_ns(self.host_latencies_s, 0.99),
             },
             "device_ns": self.device_ns,
             "gelems_per_s": self.gelems_per_s,
@@ -227,12 +220,11 @@ class ServiceStats:
             "backoff_ns": self.total_backoff_ns,
         }
         if self.sim_latencies_ns:
-            sim = sorted(self.sim_latencies_ns)
             snap["sim_latency_ns"] = {
                 "requests": self.sim_requests,
-                "p50": _percentile(sim, 0.50),
-                "p99": _percentile(sim, 0.99),
-                "p999": _percentile(sim, 0.999),
+                "p50": percentile_ns(self.sim_latencies_ns, 0.50),
+                "p99": percentile_ns(self.sim_latencies_ns, 0.99),
+                "p999": percentile_ns(self.sim_latencies_ns, 0.999),
                 "deadline_hits": self.deadline_hits,
                 "deadline_misses": self.deadline_misses,
                 "shed": self.shed_requests,

@@ -193,7 +193,8 @@ def make_input(rng, n: int, dtype) -> np.ndarray:
 
 
 def percentile_ns(values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile over simulated latencies (0.0 if empty)."""
+    """Nearest-rank percentile of ``values`` (0.0 if empty): simulated
+    latencies here, host latencies in :mod:`repro.serve.stats`."""
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -1,13 +1,14 @@
 """Candidate cost evaluation: trace once, score on the compiled timeline.
 
-The evaluator never executes numerics during search — it emits the op DAG
-(one host-side Python trace per surviving candidate) and asks the device
-for the deterministic compiled-timeline device time via
-:meth:`~repro.hw.device.AscendDevice.time_traced`.  All device tensors
-are scratch, allocated inside a mark/release scope so a long sweep reuses
-HBM; the shared constant matrices are fetched *before* the mark (they are
-cached on the context and must outlive the scope — the same ordering the
-one-shot operators use).
+The evaluator never serves numerics during search: each candidate is a
+scratch :class:`~repro.core.api.ScanPlan`, traced on a zero input by the
+same per-layout tracer that builds served plans and one-shot scans, and
+scored by its deterministic compiled-timeline device time
+(:meth:`~repro.core.api.ScanPlan.time_ns`).  The plan's tensors are
+allocated inside a mark/release scope so a long sweep reuses HBM; its
+layout, and with it the shared constant matrices, is resolved *before*
+the mark (they are cached on the context and must outlive the scope, the
+same ordering the one-shot operators use).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.api import ScanContext
-from ..core.batched import batched_kernel_cls, default_batched_block_dim
-from ..core.matrices import batched_tile_rows, padded_length
-from ..core.vector_baseline import BatchedCumSumKernel, CumSumKernel, CUMSUM_COLS
 from ..errors import ConfigError
-from ..hw.datatypes import as_dtype, cube_accum_dtype
+from ..hw.datatypes import as_dtype
 from .space import Candidate, WorkloadKey
 
 __all__ = ["CandidateCost", "evaluate_candidate"]
@@ -36,75 +36,35 @@ class CandidateCost:
     trace_host_s: float
 
 
-def _evaluate_1d(
-    ctx: ScanContext, n: int, dtype: str, cand: Candidate, exclusive: bool
-) -> CandidateCost:
-    dt = as_dtype(dtype)
-    if cand.algorithm == "vector":
-        out_dt = dt
-        consts = None
-        unit = CUMSUM_COLS
-    else:
-        out_dt = cube_accum_dtype(dt)
-        consts = ctx.constants(cand.s, dt)  # before mark: context-cached
-        unit = cand.s * cand.s
-    padded = padded_length(n, unit)
+def _trace_cost(ctx: ScanContext, tracer, layout, **kw) -> CandidateCost:
     t0 = time.perf_counter()
     mark = ctx.device.memory.mark()
     try:
-        x_gm = ctx.device.alloc("tune_x", (padded,), dt)
-        y_gm = ctx.device.alloc("tune_y", (padded,), out_dt)
-        if ctx.warm_inputs:
-            ctx.device.warm_l2(x_gm, y_gm)
-        if cand.algorithm == "vector":
-            kernel = CumSumKernel(x_gm, y_gm)
-        else:
-            kernel = ctx._cube_1d_kernel(
-                cand.algorithm, x_gm, y_gm, consts, cand.s, cand.block_dim, exclusive
-            )
-        traced = ctx.device.trace_kernel(kernel, label=f"tune {cand.describe()}")
-        ns = ctx.device.time_traced(traced)
+        plan, _ = tracer(layout, np.zeros(layout.shape, layout.dt.np_dtype), **kw)
+        ns = plan.time_ns()
     finally:
         ctx.device.memory.release(mark)
     return CandidateCost(ns, 1, time.perf_counter() - t0)
+
+
+def _evaluate_1d(
+    ctx: ScanContext, n: int, dtype: str, cand: Candidate, exclusive: bool
+) -> CandidateCost:
+    layout = ctx._layout(cand.algorithm, as_dtype(dtype), cand.s, (n,))
+    return _trace_cost(
+        ctx, ctx._trace_1d, layout,
+        algorithm=cand.algorithm, s=cand.s, block_dim=cand.block_dim, exclusive=exclusive,
+    )
 
 
 def _evaluate_batched(
     ctx: ScanContext, batch: int, row_len: int, dtype: str, cand: Candidate
 ) -> CandidateCost:
-    dt = as_dtype(dtype)
-    if cand.algorithm == "vector":
-        out_dt = dt
-        consts = None
-        unit = CUMSUM_COLS
-    else:
-        out_dt = cube_accum_dtype(dt)
-        rows = batched_tile_rows(row_len, cand.s)
-        consts = ctx.constants(cand.s, dt, rows=rows)  # before mark
-        unit = consts.tile_elements
-    padded = padded_length(row_len, unit)
-    t0 = time.perf_counter()
-    mark = ctx.device.memory.mark()
-    try:
-        x_gm = ctx.device.alloc("tune_bx", (batch, padded), dt)
-        y_gm = ctx.device.alloc("tune_by", (batch, padded), out_dt)
-        if ctx.warm_inputs:
-            ctx.device.warm_l2(x_gm, y_gm)
-        if cand.algorithm == "vector":
-            bd = min(ctx.config.num_vector_cores, batch)
-            kernel = BatchedCumSumKernel(x_gm, y_gm, bd)
-        else:
-            bd = (
-                default_batched_block_dim(ctx.config, cand.algorithm, batch)
-                if cand.block_dim is None
-                else cand.block_dim
-            )
-            kernel = batched_kernel_cls(cand.algorithm)(x_gm, y_gm, consts, cand.s, bd)
-        traced = ctx.device.trace_kernel(kernel, label=f"tune {cand.describe()}")
-        ns = ctx.device.time_traced(traced)
-    finally:
-        ctx.device.memory.release(mark)
-    return CandidateCost(ns, 1, time.perf_counter() - t0)
+    layout = ctx._layout(cand.algorithm, as_dtype(dtype), cand.s, (batch, row_len))
+    return _trace_cost(
+        ctx, ctx._trace_batched, layout,
+        algorithm=cand.algorithm, s=cand.s, block_dim=cand.block_dim,
+    )
 
 
 def evaluate_candidate(

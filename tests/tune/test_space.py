@@ -1,5 +1,7 @@
 """Search-space enumeration and roofline-floor soundness tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -77,6 +79,21 @@ class TestEnumerate:
         )
         layouts = {c.layout for c in cands}
         assert layouts == {"batched", "1d"}
+
+    @pytest.mark.parametrize(
+        "workload",
+        [WorkloadKey("1d", 65536, "int8"), WorkloadKey("batched", 8192, "int8", batch=8)],
+        ids=["1d", "batched"],
+    )
+    def test_int8_never_offers_scanul1(self, workload):
+        # ScanUL1's C1 staging wraps on int8, so its device sums differ
+        # from the served ones; fp16 keeps it in both layouts
+        cands = enumerate_candidates(ASCEND_910B4, workload)
+        assert not any(c.algorithm == "scanul1" for c in cands)
+        fp16 = enumerate_candidates(ASCEND_910B4, replace(workload, dtype="fp16"))
+        assert {c.layout for c in fp16 if c.algorithm == "scanul1"} == {
+            c.layout for c in cands
+        }
 
     def test_block_dims_respect_core_and_tile_limits(self):
         # 65536 fp16 at s=128 is 4 tiles: the bd sweep must stay <= 4

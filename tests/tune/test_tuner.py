@@ -92,6 +92,26 @@ class TestBatched:
         assert result.outcomes[0].status == "default"
 
 
+    def test_int8_winner_is_a_validated_plan(self, scan_ctx_module):
+        # a ScanUL1 winner here (the fastest config when it was a
+        # candidate) built with validation skipped and served sums the
+        # device would not produce
+        ctx = scan_ctx_module
+        store = TuneStore(ctx.config)
+        workload = WorkloadKey("batched", 8192, "int8", batch=8)
+        result = tune_workload(ctx, workload, store=store)
+        assert result.best.algorithm != "scanul1"
+        ctx.tune_store = store
+        try:
+            plan = ctx.build_batched_plan(
+                batch=8, row_len=8192, dtype="int8", tuned=True
+            )
+        finally:
+            ctx.tune_store = None
+        assert plan.tuned and plan.validated is True
+        plan.release()
+
+
 class TestTunedPlans:
     def test_build_plan_applies_store_entry(self, tuned_64k):
         ctx, store, _, result = tuned_64k
