@@ -51,7 +51,6 @@ from .replay import (
     plan_compute,
     plan_compute_batched,
     validation_input,
-    validation_tolerance,
 )
 from .scanu import ScanUKernel
 from .strategies import LookbackScanKernel, RSSScanKernel, SSAScanKernel
@@ -858,7 +857,7 @@ class ScanContext:
         )
         plan.tuned = was_tuned
         expected = None
-        if validate and validation_tolerance(algorithm, dt) is not None:
+        if validate:
             expected = plan_compute(sample, algorithm, dt, exclusive=exclusive)
             if carry_slot:
                 expected = expected + expected.dtype.type(PLANTED_CARRY)
@@ -913,7 +912,7 @@ class ScanContext:
         )
         plan.tuned = was_tuned
         expected = None
-        if validate and validation_tolerance(algorithm, dt) is not None:
+        if validate:
             expected = plan_compute_batched(sample, algorithm, dt)
         return self._finish_plan(plan, expected, t0)
 

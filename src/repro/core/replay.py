@@ -9,15 +9,14 @@ device accumulation semantics, straight from :mod:`repro.core.reference`.
 Plan execution therefore returns canonically-accumulated results rather
 than a bit-replay of the kernel's tile-order arithmetic.  The two agree
 exactly for exactly-representable data and within dtype-dependent rounding
-otherwise; :func:`validation_tolerance` encodes the expected bound per
-(algorithm, dtype) and plan building cross-checks the traced kernel's
-output against the functional path on a deterministic validation input
-(:func:`validation_input`).
+otherwise.  Plan building cross-checks the traced kernel's output
+against the functional path bit for bit on a deterministic validation
+input (:func:`validation_input`).
 
-One combination is exempt: ScanUL1 stages its ``C1 = A @ 1_s`` intermediate
-through the narrow input dtype (the L1 staging buffer), so int8 inputs with
-large tile-row sums wrap — a documented quantisation limit of that kernel,
-not a plan-cache defect.  Validation is skipped there (``None`` tolerance).
+ScanUL1 stages its ``C1 = A @ 1_s`` intermediate through the narrow input
+dtype (the L1 staging buffer), so int8 inputs with large tile-row sums
+wrap — a documented quantisation limit of that kernel.  The serve layer's
+plan cache refuses that combination (:mod:`repro.serve.plan`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "plan_compute",
     "plan_compute_batched",
     "validation_input",
-    "validation_tolerance",
 ]
 
 #: algorithms whose output dtype is the input dtype (vector baseline) rather
@@ -85,17 +83,3 @@ def validation_input(n: int, dtype: DType, *, seed: int = 0) -> np.ndarray:
     if dtype.name == "int8":
         return rng.integers(-2, 3, n).astype(np.int8)
     raise KernelError(f"no validation input recipe for dtype {dtype.name}")
-
-
-def validation_tolerance(
-    algorithm: str, dtype: DType
-) -> "tuple[float, float] | None":
-    """(rtol, atol) for build-time validation, or None to skip it.
-
-    On the exact :func:`validation_input` data every supported kernel is
-    bit-identical to the canonical computation, so the tolerance is zero —
-    except ScanUL1 on int8, whose C1 staging wraps (see module docstring).
-    """
-    if algorithm == "scanul1" and dtype.name == "int8":
-        return None
-    return (0.0, 0.0)

@@ -42,7 +42,13 @@ from ..ops.topp import TopPSampler
 from ..serve.plan import PlanCache
 from .fuse import FUSION_MODES, FusedNode, lowering_units
 from .ir import Graph, Node
-from .op import ELEMENTWISE_FNS, OpNode, TensorSpec, get_op
+from .op import (
+    ELEMENTWISE_FNS,
+    SERVED_DIGIT_BITS,
+    OpNode,
+    TensorSpec,
+    get_op,
+)
 
 __all__ = [
     "LoweredNode",
@@ -68,7 +74,8 @@ def top_p_device_sample(
     """Device top-p pipeline (radix sort + MCScan cumsum + predicate
     counts) with the winner looked up in ``ids`` — the lowering behind the
     ``top_p_sample`` op."""
-    res = TopPSampler(ops, s=s).sample(probs, p, backend="cube", theta=theta)
+    sampler = TopPSampler(ops, s=s, digit_bits=SERVED_DIGIT_BITS)
+    res = sampler.sample(probs, p, backend="cube", theta=theta)
     token = int(ids[int(res.values[0])])
     return np.asarray([token], dtype=np.int64)
 

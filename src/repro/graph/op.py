@@ -56,7 +56,13 @@ __all__ = [
     "register_op",
     "get_op",
     "ELEMENTWISE_FNS",
+    "SERVED_DIGIT_BITS",
 ]
+
+#: radix digit width of every served ``radix_sort`` and ``top_p_sample``
+#: lowering: 16-bit keys sort in 4 digit-split passes instead of the
+#: paper's 16 one-bit splits, with the same stable order
+SERVED_DIGIT_BITS = 4
 
 #: named elementwise functions — the kernel and the oracle share the same
 #: callable, so the device map (``fn(src).astype(out_dt)`` per tile) and
@@ -594,7 +600,8 @@ class CompressOp(OpNode):
 class RadixSortOp(OpNode):
     """Stable LSB radix sort returning (values, indices), the
     ``torch.sort`` contract.  Ties keep original order (both the device's
-    stable splits and the oracle's stable argsort guarantee it)."""
+    stable splits and the oracle's stable argsort guarantee it).  The
+    lowering splits on :data:`SERVED_DIGIT_BITS`-bit digits."""
 
     kind = "radix_sort"
     num_inputs = 1
@@ -632,7 +639,10 @@ class RadixSortOp(OpNode):
     @classmethod
     def device_run(cls, ops, inputs, params):
         res = ops.radix_sort(
-            inputs[0], s=params["s"], descending=params["descending"]
+            inputs[0],
+            s=params["s"],
+            descending=params["descending"],
+            digit_bits=SERVED_DIGIT_BITS,
         )
         return (res.values, res.indices)
 
@@ -702,8 +712,10 @@ class TopKOp(OpNode):
 @register_op
 class TopPSampleOp(OpNode):
     """Llama3 nucleus sampling: radix-sort descending, MCScan cumsum, two
-    predicate-count passes (17 chained scans per sample on the cube
-    backend) — returns the sampled token id looked up in ``ids``.
+    predicate-count passes — returns the sampled token id looked up in
+    ``ids``.  The lowering sorts on :data:`SERVED_DIGIT_BITS`-bit digits,
+    so a sample chains 5 scans (4 digit splits and the cumsum) where the
+    paper's per-bit sort chains 17.
 
     ``p`` is structural (the nucleus cut); ``theta`` is the runtime draw
     in [0, 1) — neither changes the trace structure, so one captured

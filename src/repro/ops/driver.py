@@ -15,6 +15,8 @@ Operators: ``split`` / ``compress`` (+ scalar ``masked_select`` baseline),
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import KernelError, ShapeError
@@ -27,11 +29,16 @@ from ..core.mcscan import MCScanKernel
 from ..core.reference import stable_order
 from .compress import CompressKernel, MaskedSelectBaselineKernel
 from .elementwise import ElementwiseMapKernel, PredicateCountKernel, RangeCopyKernel
-from .radix import DecodeFp16Kernel, EncodeFp16Kernel, RadixSingleKernel
+from .radix import (
+    DecodeFp16Kernel,
+    EncodeFp16Kernel,
+    RadixDigitKernel,
+    RadixSingleKernel,
+)
 from .radix_select import CountMatchKernel
 from .result import OperatorResult
 from .sort_baseline import BaselineSortKernel
-from .split import SplitIndKernel
+from .split import DigitSplitKernel, SplitIndKernel, digit_gather_tile
 from .topk_baseline import BaselineTopKKernel
 from .sampling import MultinomialTwoPassKernel
 
@@ -41,7 +48,9 @@ __all__ = ["AscendOps", "MULTINOMIAL_MAX_SUPPORT"]
 MULTINOMIAL_MAX_SUPPORT = 1 << 24
 
 _NEG_INF = np.float16(-np.inf)
-_POS_INF = np.float16(np.inf)
+
+#: radix digit widths ``radix_sort`` accepts (1 is the paper's per-bit path)
+DIGIT_BITS = (1, 2, 4, 8)
 
 
 def _value_dtype(x: np.ndarray) -> DType:
@@ -56,6 +65,8 @@ def _value_dtype(x: np.ndarray) -> DType:
         # the paper's low-precision outlook: 8-bit keys halve the radix
         # sort's iterations (Section 6.3)
         return as_dtype("uint8")
+    if kind == np.int8:
+        return as_dtype("int8")
     raise KernelError(
         f"scan-based operators take 8/16-bit elements (paper Section 5), "
         f"got {kind}"
@@ -219,10 +230,19 @@ class AscendOps:
     # ------------------------------------------------------------------ radix sort
 
     def radix_sort(
-        self, x: np.ndarray, *, s: int = 128, descending: bool = False
+        self,
+        x: np.ndarray,
+        *,
+        s: int = 128,
+        descending: bool = False,
+        digit_bits: int = 1,
     ) -> OperatorResult:
-        """Stable LSB radix sort of 16-bit keys returning (values, indices),
-        matching the ``torch.sort`` contract (Section 6.3)."""
+        """Stable LSB radix sort of 8/16-bit keys returning (values,
+        indices), matching the ``torch.sort`` contract (Section 6.3).
+
+        ``digit_bits=1`` is the paper's path: one SplitInd per key bit.
+        A wider digit runs one :class:`RadixDigitKernel` +
+        :class:`DigitSplitKernel` pass per ``digit_bits`` key bits."""
         x = np.asarray(x)
         if x.ndim != 1:
             raise ShapeError("radix_sort expects a 1-D array")
@@ -231,8 +251,21 @@ class AscendOps:
         is_float = dt.name == "fp16"
         ell = s * s
         # LSB radix: one split per key bit -- 16 for fp16/u16/i16, 8 for
-        # uint8 (the "additional 2x for low-precision sorting" of Section 6.3)
+        # 8-bit keys (the "additional 2x for low-precision sorting" of
+        # Section 6.3) -- or one digit split per digit_bits bits
         bits = dt.itemsize * 8
+        if digit_bits not in DIGIT_BITS or bits % digit_bits:
+            raise KernelError(
+                f"digit_bits must be one of {DIGIT_BITS} dividing the "
+                f"{bits}-bit key, got {digit_bits}"
+            )
+        radix = 1 << digit_bits
+        if digit_bits == 1:
+            unit = ell
+        else:
+            # R·m digit flags must tile by s^2 for the MCScan, and m by
+            # the digit split's gather tile
+            unit = math.lcm(ell // math.gcd(ell, radix), digit_gather_tile(s))
         mark = self.device.memory.mark()
         try:
             traces: list = []
@@ -240,16 +273,9 @@ class AscendOps:
             signed = not is_float and np.issubdtype(
                 dt.np_dtype, np.signedinteger
             )
-            if is_float:
-                pad = _NEG_INF if descending else _POS_INF
-                x_gm = self._alloc_padded("rs_x", x, ell, dt, pad_value=pad)
-            else:
-                info = np.iinfo(dt.np_dtype)
-                pad = (info.min if signed else 0) if descending else info.max
-                x_gm = self._alloc_padded("rs_x", x, ell, dt, pad_value=pad)
+            x_gm = self._alloc_padded("rs_x", x, unit, dt)
             padded = x_gm.num_elements
             vbd = self._vec_block_dim(padded)
-            bd = self._mix_block_dim(padded // ell)
             if self.sc.warm_inputs:
                 self.device.warm_l2(x_gm)
 
@@ -261,8 +287,10 @@ class AscendOps:
                 self.device.alloc("rs_i0", (padded,), "int32"),
                 self.device.alloc("rs_i1", (padded,), "int32"),
             ]
-            flags = self.device.alloc("rs_f", (padded,), "int8")
-            scan_gm, r_gm = self._scan_workspace(padded, s, bd)
+            flat = (1 if digit_bits == 1 else radix) * padded
+            flags = self.device.alloc("rs_f", (flat,), "int8")
+            bd = self._mix_block_dim(flat // ell)
+            scan_gm, r_gm = self._scan_workspace(flat, s, bd)
 
             # pre-processing: order-preserving key encoding
             work = x_gm
@@ -302,30 +330,55 @@ class AscendOps:
                         label="encode keys",
                     )
                 )
+            # pads take the maximum key in key space: they sort after
+            # every real key (NaN encodings included) in either direction,
+            # and the stable splits keep them behind real ties
+            keys[0].flat[n:] = np.iinfo(key_dt.np_dtype).max
 
-            # 16 split iterations, LSB first
             cur = 0
-            for b in range(bits):
-                traces.append(
-                    self.device.launch(
-                        RadixSingleKernel(keys[cur], flags, b, vbd),
-                        label=f"RadixSingle bit {b}",
+            if digit_bits == 1:
+                # 16 split iterations, LSB first
+                for b in range(bits):
+                    traces.append(
+                        self.device.launch(
+                            RadixSingleKernel(keys[cur], flags, b, vbd),
+                            label=f"RadixSingle bit {b}",
+                        )
                     )
-                )
-                self._launch_split(
-                    traces,
-                    keys[cur],
-                    flags,
-                    keys[1 - cur],
-                    idx[1 - cur],
-                    idx[cur] if b > 0 else None,
-                    s,
-                    bd,
-                    scan_gm,
-                    r_gm,
-                    label=f"split bit {b}",
-                )
-                cur = 1 - cur
+                    self._launch_split(
+                        traces,
+                        keys[cur],
+                        flags,
+                        keys[1 - cur],
+                        idx[1 - cur],
+                        idx[cur] if b > 0 else None,
+                        s,
+                        bd,
+                        scan_gm,
+                        r_gm,
+                        label=f"split bit {b}",
+                    )
+                    cur = 1 - cur
+            else:
+                consts = self.sc.constants(s, "int8")
+                for shift in range(0, bits, digit_bits):
+                    traces.append(
+                        self.device.launch(
+                            RadixDigitKernel(
+                                keys[cur], flags, shift, digit_bits, vbd
+                            ),
+                            label=f"RadixDigit shift {shift}",
+                        )
+                    )
+                    kernel = DigitSplitKernel(
+                        keys[cur], flags, scan_gm, r_gm, consts, s, bd,
+                        keys[1 - cur], idx[1 - cur],
+                        in_indices=idx[cur] if shift > 0 else None,
+                    )
+                    traces.append(
+                        self.device.launch(kernel, label=f"digit split shift {shift}")
+                    )
+                    cur = 1 - cur
 
             # post-processing: decode keys back to values
             out_v = self.device.alloc("rs_out_v", (padded,), dt)

@@ -10,16 +10,22 @@ Components:
   ``b`` it produces the int8 flag array ``flag = NOT bit_b(key)`` using
   ``ShiftRight`` / ``Not`` vector instructions (flag = 1 means the key goes
   to the *front*, so zero bits first gives an ascending sort);
+* :class:`RadixDigitKernel` — the multi-bit variant: one vector pass reads
+  the ``b``-bit digit at a shift (``ShiftRight``, ``And 2^b - 1``) and
+  writes its one-hot flags *digit-major*, ``2^b`` rows of ``m`` int8 flags
+  (``2^b`` ``Compare eq v`` per tile), for one
+  :class:`~repro.ops.split.DigitSplitKernel`;
 * :class:`EncodeFp16Kernel` / :class:`DecodeFp16Kernel` — the pre/post
   processing for floats (Knuth ex. 5.2.5-8/9, also [9]): positive numbers
   get their MSB inverted, negative numbers all bits, yielding an
   order-preserving unsigned encoding;
 * the per-bit split itself is :class:`~repro.ops.split.SplitIndKernel`.
 
-The driver in :mod:`repro.ops.driver` chains ``16`` (bit-width) iterations
-with ping-pong buffers and carries the original indices through every
-split, so the operator returns (sorted values, argsort indices) like
-``torch.sort``.
+The driver in :mod:`repro.ops.driver` chains one split per key bit (16
+for 16-bit keys, 8 for 8-bit keys: the paper's path, ``digit_bits=1``) or
+one digit split per ``b``-bit digit (``16 / b`` passes), with ping-pong
+buffers, and carries the original indices through every split, so the
+operator returns (sorted values, argsort indices) like ``torch.sort``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from ..lang.tensor import BufferKind
 
 __all__ = [
     "RadixSingleKernel",
+    "RadixDigitKernel",
     "EncodeFp16Kernel",
     "DecodeFp16Kernel",
     "encode_fp16_np",
@@ -65,10 +72,14 @@ class _ElementwiseVecKernel(Kernel):
 
     mode = "vec"
 
-    def __init__(self, x: GlobalTensor, y: GlobalTensor, block_dim: int):
+    def __init__(
+        self, x: GlobalTensor, y: GlobalTensor, block_dim: int, rows: int = 1
+    ):
         super().__init__(block_dim=block_dim)
-        if y.num_elements != x.num_elements:
-            raise ShapeError("output length must match input")
+        if y.num_elements != rows * x.num_elements:
+            raise ShapeError(
+                f"output length must be {rows} x the input length"
+            )
         self.x = x
         self.y = y
 
@@ -85,18 +96,22 @@ class _ElementwiseVecKernel(Kernel):
             off += ln
 
 
+def _check_radix_operands(keys: GlobalTensor, flags: GlobalTensor) -> None:
+    if keys.dtype.name not in ("uint16", "uint8"):
+        raise KernelError(
+            f"radix keys must be uint16 or uint8, got {keys.dtype.name}"
+        )
+    if flags.dtype.name != "int8":
+        raise KernelError(f"radix flags must be int8, got {flags.dtype.name}")
+
+
 class RadixSingleKernel(_ElementwiseVecKernel):
     """Extract radix ``bit`` of uint16 keys into an int8 flag array
     (flag = 1 where the bit is zero: those elements split to the front)."""
 
     def __init__(self, keys: GlobalTensor, flags: GlobalTensor, bit: int, block_dim: int):
         super().__init__(keys, flags, block_dim)
-        if keys.dtype.name not in ("uint16", "uint8"):
-            raise KernelError(
-                f"radix keys must be uint16 or uint8, got {keys.dtype.name}"
-            )
-        if flags.dtype.name != "int8":
-            raise KernelError(f"radix flags must be int8, got {flags.dtype.name}")
+        _check_radix_operands(keys, flags)
         if not 0 <= bit < keys.dtype.itemsize * 8:
             raise KernelError(
                 f"bit must be in [0, {keys.dtype.itemsize * 8}), got {bit}"
@@ -121,6 +136,53 @@ class RadixSingleKernel(_ElementwiseVecKernel):
             I.data_copy(ctx, self.y.slice(off, ln), flags, label="store flags")
             q_out.free_tensor(flags)
             q_bits.free_tensor(bits)
+            q_in.free_tensor(keys)
+
+
+class RadixDigitKernel(_ElementwiseVecKernel):
+    """One-hot the ``digit_bits``-wide digit at ``shift`` of uint16/uint8
+    keys into digit-major int8 flags: row ``v`` (flags ``[v·m, (v+1)·m)``
+    for ``m`` keys) is 1 where the key's digit equals ``v``."""
+
+    def __init__(
+        self,
+        keys: GlobalTensor,
+        flags: GlobalTensor,
+        shift: int,
+        digit_bits: int,
+        block_dim: int,
+    ):
+        super().__init__(keys, flags, block_dim, rows=1 << digit_bits)
+        _check_radix_operands(keys, flags)
+        if not 0 <= shift <= keys.dtype.itemsize * 8 - digit_bits:
+            raise KernelError(
+                f"a {digit_bits}-bit digit at shift {shift} exceeds the "
+                f"{keys.dtype.itemsize * 8}-bit key"
+            )
+        self.shift = shift
+        self.radix = 1 << digit_bits
+
+    def run(self, ctx) -> None:
+        m = self.x.num_elements
+        esz = self.x.dtype.itemsize
+        pipe = ctx.make_pipe(ctx.vec_core(0))
+        q_in = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE * esz)
+        q_dig = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE * esz)
+        q_out = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE)
+        for off, ln in self._tiles(ctx):
+            keys = q_in.alloc_tensor(self.x.dtype, ln)
+            I.data_copy(ctx, keys, self.x.slice(off, ln), label="load keys")
+            digits = q_dig.alloc_tensor(self.x.dtype, ln)
+            I.shift_right(ctx, digits, keys, self.shift, label=f"shift {self.shift}")
+            I.bit_and(ctx, digits, digits, self.radix - 1, label="mask digit")
+            for v in range(self.radix):
+                flags = q_out.alloc_tensor("int8", ln)
+                I.compare_scalar(ctx, flags, digits, "eq", v, label=f"digit {v}")
+                I.data_copy(
+                    ctx, self.y.slice(v * m + off, ln), flags, label=f"store row {v}"
+                )
+                q_out.free_tensor(flags)
+            q_dig.free_tensor(digits)
             q_in.free_tensor(keys)
 
 

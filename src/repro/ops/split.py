@@ -13,6 +13,14 @@ the gather.  Stability gives each tile's true elements a *contiguous*
 output range ``[scan[tile_start], scan[tile_start] + count)`` (and
 similarly for false elements after all trues), so GatherMask compaction
 plus one contiguous store per side suffices — no scatter needed.
+
+:class:`DigitSplitKernel` is the multi-way form for a ``b``-bit radix
+digit.  Its flags are ``R = 2^b`` one-hot rows of ``m`` int8, stored
+digit-major, and phases 1-2 are one exclusive MCScan over the flat
+``R·m`` array.  The scan at ``v·m + i`` is then the count of all digits
+below ``v`` plus the count of digit ``v`` before ``i``: element ``i``'s
+stable destination.  So no histogram and no base pass are needed, and the
+gather writes each (tile, digit) run with one contiguous store.
 """
 
 from __future__ import annotations
@@ -25,12 +33,37 @@ from ..lang.tensor import BufferKind
 from ..core.matrices import ScanConstants
 from ..core.mcscan import MCScanKernel, mcscan_partition, _split_half
 
-__all__ = ["SplitIndKernel", "GATHER_TILE"]
+__all__ = [
+    "SplitIndKernel",
+    "DigitSplitKernel",
+    "GATHER_TILE",
+    "digit_gather_tile",
+]
 
 #: elements per gather tile; sized so all eight UB operands of the gather
 #: phase (values, flags, inverted flags, indices, and the four gather
 #: outputs) fit in the 192 KB UB
 GATHER_TILE = 4096
+
+
+def _check_operands(x, flags, out_values, out_indices, in_indices) -> None:
+    if flags.dtype.name != "int8":
+        raise KernelError(
+            f"split flags are stored in int8 (paper Section 5), "
+            f"got {flags.dtype.name}"
+        )
+    if x.dtype.itemsize not in (1, 2):
+        raise KernelError(
+            f"SplitInd takes 8/16-bit elements (the paper's operator is "
+            f"16-bit; 8-bit support implements its low-precision "
+            f"outlook), got {x.dtype.name}"
+        )
+    if out_values.dtype.name != x.dtype.name:
+        raise KernelError("output values dtype must match input")
+    if out_indices.dtype.name != "int32":
+        raise KernelError("output indices must be int32")
+    if in_indices is not None and in_indices.dtype.name != "int32":
+        raise KernelError("input indices must be int32")
 
 
 class SplitIndKernel(Kernel):
@@ -57,23 +90,7 @@ class SplitIndKernel(Kernel):
             raise ShapeError("values, flags and scan arrays must share a length")
         if out_values.num_elements != n or out_indices.num_elements != n:
             raise ShapeError("split outputs must match the input length")
-        if flags.dtype.name != "int8":
-            raise KernelError(
-                f"split flags are stored in int8 (paper Section 5), "
-                f"got {flags.dtype.name}"
-            )
-        if x.dtype.itemsize not in (1, 2):
-            raise KernelError(
-                f"SplitInd takes 8/16-bit elements (the paper's operator is "
-                f"16-bit; 8-bit support implements its low-precision "
-                f"outlook), got {x.dtype.name}"
-            )
-        if out_values.dtype.name != x.dtype.name:
-            raise KernelError("output values dtype must match input")
-        if out_indices.dtype.name != "int32":
-            raise KernelError("output indices must be int32")
-        if in_indices is not None and in_indices.dtype.name != "int32":
-            raise KernelError("input indices must be int32")
+        _check_operands(x, flags, out_values, out_indices, in_indices)
         self.x = x
         self.flags = flags
         self.out_values = out_values
@@ -202,3 +219,138 @@ class SplitIndKernel(Kernel):
                 q_flags.free_tensor(flags)
                 q_vals.free_tensor(vals)
                 off += ln
+
+
+def digit_gather_tile(s: int) -> int:
+    """Elements per :class:`DigitSplitKernel` gather tile: GATHER_TILE,
+    but never more than one s x s scan tile, so small tiles keep small
+    digit rows."""
+    return min(GATHER_TILE, s * s)
+
+
+class DigitSplitKernel(Kernel):
+    """Stable ``R``-way split of (values, indices) by digit-major one-hot
+    int8 flags (``R`` rows of ``m``), written by
+    :class:`~repro.ops.radix.RadixDigitKernel`."""
+
+    mode = "mix"
+
+    def __init__(
+        self,
+        x: GlobalTensor,
+        flags: GlobalTensor,
+        scan: GlobalTensor,
+        r: GlobalTensor,
+        consts: ScanConstants,
+        s: int,
+        block_dim: int,
+        out_values: GlobalTensor,
+        out_indices: GlobalTensor,
+        in_indices: "GlobalTensor | None" = None,
+    ):
+        super().__init__(block_dim=block_dim)
+        m = x.num_elements
+        self.gather_tile = digit_gather_tile(s)
+        if m % self.gather_tile:
+            raise ShapeError(
+                f"digit split length {m} must be a multiple of the gather "
+                f"tile {self.gather_tile}"
+            )
+        if flags.num_elements % m or scan.num_elements != flags.num_elements:
+            raise ShapeError(
+                "digit flags and scan must hold a whole number of rows of "
+                "the input length"
+            )
+        if out_values.num_elements != m or out_indices.num_elements != m:
+            raise ShapeError("split outputs must match the input length")
+        _check_operands(x, flags, out_values, out_indices, in_indices)
+        self.x = x
+        self.flags = flags
+        self.radix = flags.num_elements // m
+        self.out_values = out_values
+        self.out_indices = out_indices
+        self.in_indices = in_indices
+        # phases 1-2: one exclusive int8 MCScan over all R flag rows
+        self.mc = MCScanKernel(
+            flags, scan, r, consts, s, block_dim, exclusive=True
+        )
+
+    def phases(self):
+        return [self.mc.phase1, self.mc.phase2, self.gather_phase]
+
+    def _row_offset(self, ctx, q_small, digit: int, off: int) -> int:
+        """Destination of the first digit-``digit`` element at or after
+        ``off``: one scalar DMA of the exclusive scan."""
+        m = self.x.num_elements
+        scan = self.mc.y
+        t = q_small.alloc_tensor(scan.dtype, 1)
+        I.data_copy(ctx, t, scan.slice(digit * m + off, 1), label="row offset")
+        base = int(t.array[0])
+        q_small.free_tensor(t)
+        return base
+
+    # -- phase 3: gather ---------------------------------------------------------
+
+    def gather_phase(self, ctx) -> None:
+        """Every (gather tile, digit) pair is one work item; the items are
+        dealt tile-major in contiguous runs over all vector cores, so a
+        core reloads values and indices only when its tile changes."""
+        m = self.x.num_elements
+        g = self.gather_tile
+        halves = len(ctx.vector_cores)
+        n_items = (m // g) * self.radix
+        lanes = mcscan_partition(n_items, self.block_dim * halves)
+        esz = self.x.dtype.itemsize
+        for j in range(halves):
+            lo, hi = lanes[ctx.block_idx * halves + j]
+            if lo >= hi:
+                continue
+            pipe = ctx.make_pipe(ctx.vec_core(j))
+            q_vals = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * esz)
+            q_idx = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * 4)
+            q_flags = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=g)
+            q_gv = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=g * esz)
+            q_gi = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=g * 4)
+            q_small = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=64)
+            vals = idx = None
+            for item in range(lo, hi):
+                tile, digit = divmod(item, self.radix)
+                off = tile * g
+                if digit == 0 or item == lo:
+                    if vals is not None:
+                        q_idx.free_tensor(idx)
+                        q_vals.free_tensor(vals)
+                    vals = q_vals.alloc_tensor(self.x.dtype, g)
+                    I.data_copy(ctx, vals, self.x.slice(off, g), label="load x")
+                    idx = q_idx.alloc_tensor("int32", g)
+                    if self.in_indices is not None:
+                        I.data_copy(
+                            ctx, idx, self.in_indices.slice(off, g), label="load idx"
+                        )
+                    else:
+                        I.create_vec_index(ctx, idx, off)
+                base = self._row_offset(ctx, q_small, digit, off)
+                flags = q_flags.alloc_tensor("int8", g)
+                I.data_copy(
+                    ctx, flags, self.flags.slice(digit * m + off, g),
+                    label=f"load row {digit}",
+                )
+                gv = q_gv.alloc_tensor(self.x.dtype, g)
+                count = I.gather_mask(ctx, gv, vals, flags, label="gather vals")
+                if count:
+                    I.data_copy(
+                        ctx, self.out_values.slice(base, count), gv.view(0, count),
+                        label="store vals",
+                    )
+                q_gv.free_tensor(gv)
+                gi = q_gi.alloc_tensor("int32", g)
+                I.gather_mask(ctx, gi, idx, flags, label="gather idx")
+                if count:
+                    I.data_copy(
+                        ctx, self.out_indices.slice(base, count), gi.view(0, count),
+                        label="store idx",
+                    )
+                q_gi.free_tensor(gi)
+                q_flags.free_tensor(flags)
+            q_idx.free_tensor(idx)
+            q_vals.free_tensor(vals)

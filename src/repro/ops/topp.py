@@ -10,7 +10,8 @@ Two backends:
 * ``"cube"`` — the paper's scan-intensive version: radix sort (16 splits,
   each an MCScan over the radix mask) + one MCScan cumsum + two
   predicate-count passes.  As Section 5 notes, this makes top-p execute
-  17 scans per batch.
+  17 scans per batch.  With ``digit_bits=4`` the sort is 4 digit splits
+  instead, so 5 scans per batch.
 * ``"baseline"`` — the stock PyTorch path: merge-sort ``torch.sort`` and
   the vector-only ``torch.cumsum`` ("the baseline top-p sampling
   implementation scales poorly, mainly because the baseline torch.cumsum
@@ -51,16 +52,27 @@ class _SortedProbs:
 class TopPSampler:
     """Llama3-style nucleus sampler on the simulated device."""
 
-    def __init__(self, ops: "AscendOps | None" = None, *, s: int = 128):
+    def __init__(
+        self,
+        ops: "AscendOps | None" = None,
+        *,
+        s: int = 128,
+        digit_bits: int = 1,
+    ):
         self.ops = ops if ops is not None else AscendOps()
         self.s = s
+        #: radix digit width of the cube backend's sort (1: the paper's
+        #: per-bit splits)
+        self.digit_bits = digit_bits
         self.device = self.ops.device
 
     # -- pipeline stages ----------------------------------------------------------
 
     def _sort_desc(self, probs: np.ndarray, backend: str) -> _SortedProbs:
         if backend == "cube":
-            res = self.ops.radix_sort(probs, s=self.s, descending=True)
+            res = self.ops.radix_sort(
+                probs, s=self.s, descending=True, digit_bits=self.digit_bits
+            )
         else:
             res = self.ops.baseline_sort(probs, descending=True)
         return _SortedProbs(res.values, res.indices, list(res.traces))

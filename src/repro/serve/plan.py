@@ -14,6 +14,10 @@ GM tensors back to the device allocator's hole list
 (:meth:`ScanPlan.release <repro.core.api.ScanPlan.release>`), so a
 long-running service with a drifting shape distribution cannot pin HBM
 without limit.  The plan just built (or just hit) is never evicted.
+
+Key construction refuses ScanUL1 on int8: the kernel stages
+``C1 = A @ 1_s`` through the int8 input dtype, so tile-row sums above
+127 wrap and the served values would not be the kernel's.
 """
 
 from __future__ import annotations
@@ -48,6 +52,14 @@ class PlanKey:
     exclusive: bool = False
     #: explicit block_dim override; None means the algorithm's heuristic
     block_dim: "int | None" = None
+
+
+def _check_servable(algorithm: str, dtype) -> None:
+    if algorithm == "scanul1" and dtype.name == "int8":
+        raise KernelError(
+            "scanul1 is not served on int8: its int8 L1 staging of "
+            "C1 = A @ 1_s wraps; use scanu or mcscan"
+        )
 
 
 def _pad_unit(algorithm: str, row_len: int, s: int, *, batched: bool) -> int:
@@ -102,6 +114,7 @@ class PlanCache:
                 f"pick one of {PLAN_1D_ALGORITHMS}"
             )
         dt = self.ctx._as_plan_dtype(dtype)
+        _check_servable(algorithm, dt)
         unit = _pad_unit(algorithm, n, s, batched=False)
         return PlanKey(
             algorithm,
@@ -122,6 +135,7 @@ class PlanCache:
                 f"pick one of {BATCHED_ALGORITHMS}"
             )
         dt = self.ctx._as_plan_dtype(dtype)
+        _check_servable(algorithm, dt)
         unit = _pad_unit(algorithm, row_len, s, batched=True)
         return PlanKey(algorithm, padded_length(row_len, unit), dt.name, batch, s)
 

@@ -31,6 +31,7 @@ from repro.core.reference import (
     exclusive_scan,
     inclusive_scan,
 )
+from repro.errors import KernelError
 from repro.serve import ScanService
 
 settings.register_profile(
@@ -78,6 +79,11 @@ def _pick_s(algorithm: str, dtype: str, s: int) -> int:
     if algorithm == "scanul1" and dtype == "int8":
         return 32
     return s
+
+
+def _refused(algorithm: str, dtype: str) -> bool:
+    """The serve layer refuses ScanUL1 on int8 (its C1 staging wraps)."""
+    return algorithm == "scanul1" and dtype == "int8"
 
 
 def _oracle(x: np.ndarray, algorithm: str) -> np.ndarray:
@@ -159,6 +165,10 @@ class TestPlanDifferential:
     )
     def test_plan_equals_oneshot(self, algorithm, n, dtype, seed):
         x = _exact_values(n, dtype, seed)
+        if _refused(algorithm, dtype):
+            with pytest.raises(KernelError, match="not served on int8"):
+                _SERVICE.cache.get_1d(algorithm, n, dtype, s=32)
+            return
         plan = _SERVICE.cache.get_1d(algorithm, n, dtype, s=32)
         planned = plan.execute(x)
         oneshot = _CTX.scan(x, algorithm=algorithm, s=32)
@@ -174,6 +184,10 @@ class TestPlanDifferential:
     )
     def test_service_matches_oracle(self, n, algorithm, dtype, seed):
         x = _exact_values(n, dtype, seed)
+        if _refused(algorithm, dtype):
+            with pytest.raises(KernelError, match="not served on int8"):
+                _SERVICE.submit(x, algorithm=algorithm, s=32)
+            return
         ticket = _SERVICE.scan(x, algorithm=algorithm, s=32)
         assert ticket.done
         assert np.array_equal(ticket.result(), _oracle(x, algorithm))
@@ -189,6 +203,10 @@ class TestPlanDifferential:
             _exact_values(n, dtype, seed + i)
             for i, n in enumerate([700] * k)  # same shape class -> coalesce
         ]
+        if _refused(algorithm, dtype):
+            with pytest.raises(KernelError, match="not served on int8"):
+                _SERVICE.submit(xs[0], algorithm=algorithm, s=32)
+            return
         tickets = [
             _SERVICE.submit(x, algorithm=algorithm, s=32) for x in xs
         ]

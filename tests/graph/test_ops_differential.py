@@ -22,7 +22,7 @@ import pytest
 from repro.core.api import ScanContext
 from repro.errors import ConfigError
 from repro.graph import OP_REGISTRY, Graph, GraphRunner
-from repro.graph.op import TensorSpec, get_op
+from repro.graph.op import SERVED_DIGIT_BITS, TensorSpec, get_op
 from repro.hw.config import toy_config
 from repro.ops import AscendOps
 
@@ -141,6 +141,43 @@ def test_interpreter_matches_graph_oracle(case, runner):
         assert np.array_equal(got, exp)
     assert res.launches >= 1
     assert res.time_ns > 0
+
+
+@pytest.mark.parametrize(
+    "kind, dtype, params, passes, launches",
+    [
+        # encode, 4 x (RadixDigit + digit split), decode
+        ("radix_sort", "fp16", {"descending": False}, 4, 10),
+        # + negate in and out
+        ("radix_sort", "fp16", {"descending": True}, 4, 12),
+        # 8-bit keys: 2 digit passes
+        ("radix_sort", "uint8", {"descending": False}, 2, 6),
+        # the descending sort, the MCScan cumsum and two counts
+        ("top_p_sample", "fp16", {"p": 0.8, "theta": 0.3}, 4, 15),
+    ],
+)
+def test_sorts_lower_to_validated_digit_passes(
+    runner, kind, dtype, params, passes, launches
+):
+    """Served sorts run SERVED_DIGIT_BITS-bit digit splits, validated
+    bit-exactly against the stable_order oracle at lowering."""
+    assert SERVED_DIGIT_BITS == 4
+    specs = [TensorSpec(dtype, (300,))]
+    if kind == "top_p_sample":
+        specs.append(TensorSpec("int32", (300,)))
+    g = Graph(name=f"digit_{kind}")
+    edges = [
+        g.add_input(f"in{i}", spec.dtype, spec.shape)
+        for i, spec in enumerate(specs)
+    ]
+    out = g.add_node("op", kind, edges, {"s": S, **params})
+    g.set_outputs(list(out))
+    ((_, low),) = runner.lower(g)[0]
+    assert low.validated is True
+    assert low.launches == launches
+    labels = [t.label for t in low.traced]
+    assert sum("digit split" in lb for lb in labels) == passes
+    assert not any("split bit" in lb for lb in labels)
 
 
 def test_lowering_is_memoized_per_shape_class(runner):

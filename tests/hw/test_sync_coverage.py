@@ -164,6 +164,52 @@ def test_folded_post_fns_fully_synchronized(audit_ctx, algorithm, exclusive):
     _assert_covered(ctx.device.trace_kernel(kernel))
 
 
+def _lowered_programs(kind: str, dtypes: "tuple[str, ...]", params: dict):
+    """The traced kernels of one node lowered by a graph runner whose
+    build device records the hazard audit."""
+    from repro.graph import Graph, GraphRunner
+
+    runner = GraphRunner(toy_config())
+    runner.device.audit_hazards = True
+    g = Graph(name=f"audit_{kind}")
+    edges = [g.add_input(f"in{i}", dt, (3000,)) for i, dt in enumerate(dtypes)]
+    g.set_outputs(list(g.add_node("op", kind, edges, params)))
+    ((_, low),) = runner.lower(g)[0]
+    assert low.validated is True
+    return low.traced
+
+
+@pytest.mark.parametrize(
+    "kind, dtypes, params",
+    [
+        ("radix_sort", ("fp16",), {"s": 32, "descending": True}),
+        ("radix_sort", ("uint8",), {"s": 32}),
+        ("top_p_sample", ("fp16", "int32"), {"s": 32, "p": 0.9}),
+        ("split", ("fp16", "int8"), {"s": 32}),
+        ("compress", ("int16", "int8"), {"s": 32}),
+        ("elementwise", ("fp16",), {"fn": "relu"}),
+    ],
+)
+def test_lowered_op_zoo_fully_synchronized(kind, dtypes, params):
+    """Every program a lowered op node replays is covered: the served
+    sorts' RadixDigit / DigitSplit passes included."""
+    for traced in _lowered_programs(kind, dtypes, params):
+        _assert_covered(traced)
+
+
+def test_per_bit_radix_sort_fully_synchronized(audit_ctx):
+    """The paper's path: RadixSingle + SplitInd once per key bit."""
+    from repro.ops import AscendOps
+
+    ops = AscendOps(scan_context=audit_ctx)
+    x = np.random.default_rng(4).integers(-9, 9, 3000).astype(np.float16)
+    with audit_ctx.device.capture_launches() as captured:
+        ops.radix_sort(x, s=32, digit_bits=1)
+    assert sum("split bit" in t.label for t in captured) == 16
+    for traced in captured:
+        _assert_covered(traced)
+
+
 def test_audit_disabled_raises(toy_device):
     ctx = ScanContext(device=toy_device)
     plan = ctx.build_plan(algorithm="scanu", n=1024, dtype="fp16", s=32,

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.errors import KernelError
+from repro.graph import GraphRunner
+from repro.graph.service import sort_graph
+from repro.hw.config import ASCEND_910B4
+from repro.lang import intrinsics
 from repro.ops.radix import decode_fp16_np, encode_fp16_np
+from repro.ops.split import DigitSplitKernel
 
 
 class TestEncoding:
@@ -135,3 +141,124 @@ class TestFigure11Shape:
         t_r = ops.radix_sort(large).time_ns
         t_b = ops.baseline_sort(large).time_ns
         assert 1.2 < t_b / t_r < 4.0  # radix wins large (paper: 1.3x-3.3x)
+
+
+def _keys(dtype, n: int, rng) -> np.ndarray:
+    """Full-range keys with duplicates; fp16 rows carry ±0, ±inf and NaN."""
+    if dtype == np.float16:
+        x = (rng.standard_normal(n) * 100).astype(np.float16)
+        specials = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], dtype=np.float16
+        )
+        x[rng.integers(0, n, min(n, 24))] = rng.choice(specials, min(n, 24))
+        return x
+    info = np.iinfo(dtype)
+    x = rng.integers(info.min, int(info.max) + 1, n).astype(dtype)
+    x[rng.integers(0, n, n // 4)] = x[0]  # heavy ties
+    return x
+
+
+class TestDigitRadixSort:
+    """The 4-bit digit split is byte-equal to the paper's per-bit path."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 16385, 70000])
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.uint16, np.int16, np.uint8, np.int8]
+    )
+    def test_byte_equal_to_per_bit_path(self, ops, dtype, n):
+        x = _keys(dtype, n, np.random.default_rng(n))
+        for descending in (False, True):
+            bit = ops.radix_sort(x, descending=descending)
+            digit = ops.radix_sort(x, descending=descending, digit_bits=4)
+            assert digit.values.tobytes() == bit.values.tobytes()
+            assert np.array_equal(digit.indices, bit.indices)
+            assert np.array_equal(np.sort(digit.indices), np.arange(n))
+
+    @pytest.mark.parametrize("digit_bits", [1, 4])
+    def test_nan_keeps_its_slot_ahead_of_the_pads(self, ops, digit_bits):
+        """The pads used to be +inf in value space, which encodes below
+        every positive NaN: the sort returned a pad index and dropped the
+        NaN.  Pads are now the maximum key."""
+        x = np.arange(100, dtype=np.float16)
+        x[17] = np.nan
+        res = ops.radix_sort(x, digit_bits=digit_bits)
+        assert np.array_equal(np.sort(res.indices), np.arange(100))
+        assert res.indices[-1] == 17 and np.isnan(res.values[-1])
+
+    @pytest.mark.parametrize(
+        "dtype, digit_bits, passes",
+        [(np.float16, 4, 4), (np.uint8, 4, 2), (np.float16, 2, 8), (np.uint8, 8, 1)],
+    )
+    def test_one_pass_per_digit(self, ops, dtype, digit_bits, passes):
+        x = _keys(dtype, 5000, np.random.default_rng(1))
+        bit = ops.radix_sort(x)
+        res = ops.radix_sort(x, digit_bits=digit_bits)
+        assert res.values.tobytes() == bit.values.tobytes()
+        assert np.array_equal(res.indices, bit.indices)
+        labels = [t.label for t in res.traces]
+        assert sum("digit split" in lb for lb in labels) == passes
+        assert sum("RadixDigit" in lb for lb in labels) == passes
+        assert not any("split bit" in lb for lb in labels)
+        assert len(res.traces) == 2 * passes + 2  # + encode, decode
+
+    def test_four_kilo_keys_need_no_padding(self, ops):
+        """m = 4096 at s = 128: R·m = 4 s² and one gather tile."""
+        x = _keys(np.float16, 4096, np.random.default_rng(2))
+        bit = ops.radix_sort(x)
+        digit = ops.radix_sort(x, digit_bits=4)
+        assert digit.time_ns < bit.time_ns / 2.5
+
+    @pytest.mark.parametrize("digit_bits", [0, 3, 16])
+    def test_rejects_digit_widths(self, ops, digit_bits):
+        with pytest.raises(KernelError, match="digit_bits"):
+            ops.radix_sort(np.ones(8, np.float16), digit_bits=digit_bits)
+        with pytest.raises(KernelError, match="digit_bits"):
+            ops.radix_sort(np.ones(8, np.uint8), digit_bits=16)
+
+
+class TestDigitSplitMutations:
+    """Planted defects in the digit split must not survive the byte-equality
+    check or the graph lowering's oracle validation."""
+
+    N = 5000
+
+    def _input(self):
+        # few distinct keys: every digit row is long and ties are common
+        rng = np.random.default_rng(3)
+        return rng.integers(0, 64, self.N).astype(np.float16)
+
+    def _assert_caught(self, ops, reference):
+        x = self._input()
+        got = ops.radix_sort(x, digit_bits=4)
+        assert not (
+            np.array_equal(got.indices, reference.indices)
+            and got.values.tobytes() == reference.values.tobytes()
+        )
+        runner = GraphRunner(ASCEND_910B4)
+        with pytest.raises(KernelError, match="validation failed"):
+            runner.lower(sort_graph(self.N))
+
+    def test_dropped_digit_offset_is_caught(self, ops, monkeypatch):
+        reference = ops.radix_sort(self._input())
+        offset = DigitSplitKernel._row_offset
+
+        def drops_digit_3(self, ctx, q_small, digit, off):
+            base = offset(self, ctx, q_small, digit, off)
+            if digit == 3:  # forget the totals of digits 0-2
+                base -= offset(self, ctx, q_small, digit, 0)
+            return base
+
+        monkeypatch.setattr(DigitSplitKernel, "_row_offset", drops_digit_3)
+        self._assert_caught(ops, reference)
+
+    def test_reversed_gather_order_is_caught(self, ops, monkeypatch):
+        reference = ops.radix_sort(self._input())
+        gather = intrinsics.gather_mask
+
+        def reversed_gather(ctx, dst, src, mask, *, label="GatherMask"):
+            count = gather(ctx, dst, src, mask, label=label)
+            dst.array[:count] = dst.array[:count][::-1].copy()
+            return count
+
+        monkeypatch.setattr(intrinsics, "gather_mask", reversed_gather)
+        self._assert_caught(ops, reference)

@@ -276,7 +276,7 @@ class TestPoolChaos:
                     inputs[svc.submit(x, algorithm="scanu", s=32).req_id] = x
             for i in range(2):
                 x = _x(900, seed=100 + 10 * r + i, dtype=np.int8)
-                t = svc.submit(x, algorithm="scanul1", s=32)
+                t = svc.submit(x, algorithm="scanu", s=32)
                 inputs[t.req_id] = x
         return inputs
 

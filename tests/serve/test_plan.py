@@ -76,9 +76,12 @@ def test_build_validates_against_oracle(cache):
     plan = cache.get_1d("scanu", 500, "fp16", s=32)
     assert plan.validated is True
     assert plan.build_max_err == 0.0
-    # scanul1 int8 is the documented exemption (int8 L1 staging of C1)
-    plan = cache.get_1d("scanul1", 500, "int8", s=32)
-    assert plan.validated is None
+    # scanul1's int8 L1 staging of C1 wraps: the serve layer refuses it
+    with pytest.raises(KernelError, match="scanul1 is not served on int8"):
+        cache.get_1d("scanul1", 500, "int8", s=32)
+    with pytest.raises(KernelError, match="scanul1 is not served on int8"):
+        cache.get_batched("scanul1", 2, 500, "int8", s=32)
+    assert len(cache) == 1
 
 
 def test_plan_execute_checks_shape_and_dtype(cache):

@@ -12,7 +12,7 @@ from repro.core.reference import (
     exclusive_scan,
     inclusive_scan,
 )
-from repro.errors import ShapeError
+from repro.errors import KernelError, ShapeError
 from repro.hw.config import toy_config
 from repro.hw.faults import FaultPlan
 from repro.serve import ScanService, bucket_size, render
@@ -77,6 +77,9 @@ def test_submit_validates_input(service):
         service.submit(_x(10), algorithm="bogus")
     with pytest.raises(Exception):
         service.submit(np.zeros(10, dtype=np.float32))
+    # scanul1's int8 staging of C1 wraps, so int8 requests are refused
+    with pytest.raises(KernelError, match="not served on int8"):
+        service.submit(np.ones(10, dtype=np.int8), algorithm="scanul1")
     assert service.pending == 0
 
 
@@ -376,7 +379,6 @@ class TestSubmitSequenceOrdering:
         assert [t.req_id for t in done] == ids
 
     def test_sort_asserts_unique_submit_sequence(self):
-        from repro.errors import KernelError
         from repro.serve.service import ScanTicket, _sorted_by_submit_sequence
 
         def t(req_id):

@@ -27,7 +27,7 @@ def _submit_mix(svc, rng, *, fp16_reqs=8, int8_reqs=4):
         inputs[ticket.req_id] = x
     for _ in range(int8_reqs):
         x = rng.integers(-20, 21, size=2048).astype(np.int8)
-        ticket = svc.submit(x, algorithm="scanul1", s=16)
+        ticket = svc.submit(x, algorithm="mcscan", s=16)
         inputs[ticket.req_id] = x
     return inputs
 
@@ -278,7 +278,7 @@ def _run_pool(devices=3):
         inputs[svc.submit(x).req_id] = x
     for _ in range(6):
         x = rng.integers(-20, 21, size=2048).astype(np.int8)
-        inputs[svc.submit(x, algorithm="scanul1", s=16).req_id] = x
+        inputs[svc.submit(x, algorithm="scanu", s=16).req_id] = x
     done = svc.flush()
     out = {
         t.req_id: (t.result().tobytes(), t.device, t.device_ns)
