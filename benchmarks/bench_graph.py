@@ -20,6 +20,11 @@ Asserts the graph runtime's serving claims (DESIGN 2.12):
   ``fusion=aggressive`` captures one program per fused region: fewer
   launches, less GM traffic, >= 1.3x less device time than the per-node
   ``fusion=off`` lowering, with every output bit-identical.
+* **balanced pool rounds** — rounds of the graph-mix trio (two each of
+  ``llm_sample``, ``sort_graph`` and ``scan_pipeline``) flushed on a D=2
+  pool of full 910B4s: placement by predicted completion keeps every
+  round's span within 1.05x of half the round's device time, with every
+  output bit-identical to the oracle.
 
 Results are committed to ``results/BENCH_graph.json``.
 """
@@ -39,6 +44,7 @@ from repro.graph import (
     oracle_outputs,
     scan_graph,
     scan_pipeline,
+    sort_graph,
 )
 from repro.hw import FaultPlan
 from repro.hw.config import toy_config
@@ -53,6 +59,12 @@ P = 0.75
 THETA = 0.4
 S = 16
 REQUESTS = 12
+
+#: the pool-balance mix: perfbench graph-mix's trio at its largest
+#: vocabulary — the pipeline carries 8x the sampler's input elements but
+#: about a tenth of its device time, so element counts are a poor proxy
+BALANCE_VOCAB, BALANCE_PIPE_N, BALANCE_SORT_N = 2048, 16384, 4096
+BALANCE_ROUNDS = 4
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -323,6 +335,55 @@ def bench_fused_vs_unfused() -> dict:
     }
 
 
+def bench_pool_balance() -> dict:
+    """D=2 rounds of the graph-mix trio, after a one-of-each warm-up
+    flush that lowers every graph."""
+    rng = np.random.default_rng(17)
+    trio = (
+        llm_sample(BALANCE_VOCAB, k=32, prep=("abs", "double")),
+        scan_pipeline(BALANCE_PIPE_N, pre=("abs",), post=("double",)),
+        sort_graph(BALANCE_SORT_N),
+    )
+
+    def inputs(graph):
+        if graph.name == "llm_sample":
+            return {"probs": _scores(rng, BALANCE_VOCAB)}
+        if graph.name == "sort":
+            x = rng.integers(-1000, 1000, BALANCE_SORT_N)
+        else:
+            x = rng.integers(-2, 3, BALANCE_PIPE_N)
+        return {"x": x.astype(np.float16)}
+
+    svc = PoolScanService(2, graph_fusion="aggressive")
+    for graph in trio:
+        svc.submit_graph(graph, inputs(graph))
+    svc.flush()
+    rounds = []
+    for _ in range(BALANCE_ROUNDS):
+        jobs = [(g, inputs(g)) for g in trio + trio]
+        busy0, span0 = list(svc.busy_ns), svc.span_ns
+        tickets = [svc.submit_graph(g, x) for g, x in jobs]
+        svc.flush()
+        loads = [b - b0 for b, b0 in zip(svc.busy_ns, busy0)]
+        span = svc.span_ns - span0
+        rounds.append(
+            {
+                "span_us": span / 1e3,
+                "device_us": sum(loads) / 1e3,
+                "member_us": [load / 1e3 for load in loads],
+                "span_vs_half": span / (sum(loads) / 2),
+                "bit_identical": all(
+                    all(
+                        np.array_equal(a, b)
+                        for a, b in zip(t.result(), oracle_outputs(g, x))
+                    )
+                    for t, (g, x) in zip(tickets, jobs)
+                ),
+            }
+        )
+    return {"devices": 2, "rounds": rounds}
+
+
 def test_graph_serving(benchmark, results_dir):
     def run_all():
         return {
@@ -330,6 +391,7 @@ def test_graph_serving(benchmark, results_dir):
             "chaos": bench_chaos_identity(),
             "tuned": bench_tuned_graph_scan(),
             "fusion": bench_fused_vs_unfused(),
+            "balance": bench_pool_balance(),
         }
 
     report = benchmark.pedantic(run_all, iterations=1, rounds=1)
@@ -337,6 +399,7 @@ def test_graph_serving(benchmark, results_dir):
     chaos = report["chaos"]
     tuned = report["tuned"]
     fusion = report["fusion"]
+    balance = report["balance"]
 
     lines = [
         "operator-graph serving bench",
@@ -375,7 +438,17 @@ def test_graph_serving(benchmark, results_dir):
         f"  device speedup    : {fusion['device_speedup']:.2f}x, "
         f"{fusion['launches_saved']} launches saved, "
         f"bit-identical={fusion['bit_identical']}",
+        "",
+        f"pool balance (D={balance['devices']}, graph-mix trio x2 per round):",
     ]
+    for i, r in enumerate(balance["rounds"]):
+        members = " / ".join(f"{us:.1f}" for us in r["member_us"])
+        lines.append(
+            f"  round {i}: span {r['span_us']:6.1f} us = "
+            f"{r['span_vs_half']:.3f}x half its {r['device_us']:.1f} us "
+            f"device time (member loads {members} us), "
+            f"bit-identical={r['bit_identical']}"
+        )
     text = "\n".join(lines)
     print()
     print(text)
@@ -397,3 +470,6 @@ def test_graph_serving(benchmark, results_dir):
     assert fusion["device_speedup"] >= 1.3
     assert fusion["aggressive"]["launches"] < fusion["off"]["launches"]
     assert fusion["aggressive"]["fused_regions"] >= 3
+    for r in balance["rounds"]:
+        assert r["bit_identical"]
+        assert r["span_vs_half"] <= 1.05

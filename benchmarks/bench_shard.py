@@ -11,7 +11,7 @@ Asserts the shard layer's contract on the full simulated 910B4:
   improving from D=2 to D=8;
 * **pool throughput** — serving one fixed mixed request load through
   :class:`PoolScanService` scales to at least 3x aggregate throughput
-  at D=4 vs D=1 (LPT routing over near-equal launch groups), with every
+  at D=4 vs D=1 (LPT placement of near-equal launch units), with every
   served result still matching the oracle.
 
 ``results/BENCH_shard.json`` is the committed evidence: per-(n, D) wall
@@ -33,7 +33,7 @@ POOL_SIZES = (1, 2, 4, 8)
 SCAN_LENGTHS = (1 << 20, 1 << 24)  # 1M and 16M elements
 
 #: the serve mix: 16 near-equal shape classes, two requests each, so the
-#: batcher forms 16 launch groups the router can spread over the pool
+#: batcher forms 16 launch groups placement can spread over the pool
 MIX_SIZES = tuple((1 << 20) + k * (1 << 14) for k in range(16))
 MIX_REPEATS = 2
 

@@ -218,7 +218,7 @@ class ScanPlan:
         """Simulated end-to-end nanoseconds of one launch of this plan
         (device timeline + launch overhead), without executing numerics.
 
-        This is the serve/shard layers' cost probe: the device-pool router
+        This is the serve/shard layers' cost probe: device-pool placement
         and the sharded-scan wall-clock model need launch times *before*
         deciding where (or whether) to run, and the timeline is memoized on
         the traced program so the probe is O(1) after the first call."""
@@ -407,6 +407,9 @@ class ScanContext:
         #: as the paper's repeated-measurement methodology produces
         self.warm_inputs = warm_inputs
         self._consts: dict[tuple[int, int, str], ScanConstants] = {}
+        #: successful ``_as_plan_dtype`` coercions by argument (the serve
+        #: path coerces several times per request)
+        self._plan_dtypes: "dict[object, DType]" = {}
         #: optional tuned-plan store consulted by ``build_plan(tuned=True)``;
         #: anything with ``lookup_1d`` / ``lookup_batched`` works (the real
         #: one is :class:`repro.tune.TuneStore` — duck-typed to keep core
@@ -437,6 +440,9 @@ class ScanContext:
     def _as_plan_dtype(self, dtype) -> DType:
         """fp16 or int8, the cube scans' inputs (paper Section 3.1), from a
         device dtype, its name, or a NumPy dtype."""
+        plan_dtype = self._plan_dtypes.get(dtype)
+        if plan_dtype is not None:
+            return plan_dtype
         if isinstance(dtype, DType):
             name = dtype.name
         elif isinstance(dtype, str) and dtype in ("fp16", "int8"):
@@ -449,7 +455,8 @@ class ScanContext:
                 f"cube scans accept fp16 or int8 inputs (paper Section 3.1), "
                 f"got {name}"
             )
-        return as_dtype(name)
+        plan_dtype = self._plan_dtypes[dtype] = as_dtype(name)
+        return plan_dtype
 
     def _mcscan_block_dim(self, n_tiles: int, block_dim: "int | None") -> int:
         limit = max(1, min(self.config.num_ai_cores, n_tiles))

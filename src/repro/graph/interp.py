@@ -144,6 +144,10 @@ class GraphPlanCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._lowered
 
+    def peek(self, key: tuple) -> "LoweredNode | None":
+        """The lowered node for ``key``, or None, without counting a hit."""
+        return self._lowered.get(key)
+
     def stats(self) -> dict:
         """Cache counters, shaped like ``PlanCache.stats`` (the scan plan
         cache): size / hits / misses / build cost, plus graph-specific
@@ -230,6 +234,20 @@ class GraphRunner:
                 built = True
             entries.append((unit, low))
         return entries, built
+
+    def replay_ns(self, graph: Graph) -> "float | None":
+        """Simulated ns of one fault-free replay of ``graph``: its lowered
+        kernels' memoized timelines summed in launch order — exactly what
+        serving it charges.  Only peeks: None until every unit is lowered,
+        and never a lowering or a counted graph-cache hit."""
+        total = 0.0
+        for _, key in lowering_units(graph, self.fusion):
+            low = self.cache.peek(key)
+            if low is None:
+                return None
+            for kernel in low.traced:
+                total += self.device.time_traced(kernel, engine="cached")
+        return total
 
     # -- fused regions -------------------------------------------------------
 

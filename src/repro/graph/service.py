@@ -50,7 +50,7 @@ class GraphKey:
     graph: str
     #: Graph.signature() — per-node (kind, shape-class) + output wiring
     signature: tuple
-    #: total input elements, the router/LPT cost proxy (per request)
+    #: total input elements (per request): the pool's cold-flush order key
     padded: int
     #: None keeps graph groups on the batcher's pass-through-whole path
     batch: "None" = None

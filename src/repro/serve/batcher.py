@@ -97,15 +97,18 @@ class LaunchGroup:
 
     @property
     def padded_elements(self) -> int:
-        """Padded element count of the *actual rows* the group carries —
-        the cost proxy the device-pool router sorts by (LPT: heaviest
-        group first) and deadline admission charges.
+        """Padded element count of the *actual rows* the group carries.
+
+        A device-pool flush orders its launch units by this count only
+        while some unit has no built plan or lowering yet (a cold flush,
+        whose serving order is its lowering order); otherwise it orders
+        by predicted device ns (``PoolScanService._launch_ns``).
 
         Batched groups are costed by the rows launched, not the bucket
         capacity: a half-full bucket moves (and pays for) its real rows,
         and charging ``key.padded * bucket`` instead over-weighted it —
-        the router would place a 5-row group in an 8-bucket ahead of a
-        genuinely heavier group whose bucket happened to be fuller.
+        a 5-row group in an 8-bucket would order ahead of a genuinely
+        heavier group whose bucket happened to be fuller.
         """
         return self.key.padded * len(self.requests)
 

@@ -230,6 +230,11 @@ class PlanCache:
     def __contains__(self, key: PlanKey) -> bool:
         return key in self._plans
 
+    def peek(self, key: PlanKey) -> "ScanPlan | None":
+        """The cached plan for ``key``, or None — without counting a hit
+        or refreshing its LRU position (the pool's cost probe)."""
+        return self._plans.get(key)
+
     @property
     def gm_bytes(self) -> int:
         """Device-memory footprint pinned by the cached plans (inputs,

@@ -5,7 +5,7 @@ reacts to a transient :class:`~repro.errors.DeviceFault`: up to
 ``max_attempts`` launches, with an exponential backoff between attempts
 that is charged to *simulated device time* (the driver teardown +
 re-issue the real stack would pay), so fault-heavy traffic shows up in
-device throughput and in the pool router's load accounting, not just in
+device throughput and in the pool's round loads, not just in
 counters.
 
 :class:`MemberHealth` is the pool's per-member health record

@@ -145,8 +145,8 @@ class ScanService:
         #: bounded-retry discipline for transient DeviceFaults
         self.retry = retry if retry is not None else RetryPolicy()
         #: EWMA of served launch time (incl. stretch + backoff) over the
-        #: healthy memoized timeline; 1.0 on an undisturbed device.  The
-        #: pool router weights its load estimate by this.
+        #: healthy memoized timeline; 1.0 on an undisturbed device.  Pool
+        #: placement weights a unit's predicted cost by this.
         self.observed_slowdown = 1.0
         #: tuned-plan store consulted when submit() is given no explicit
         #: algorithm/s (see repro.tune.TuneStore); also exposed to the
@@ -166,6 +166,8 @@ class ScanService:
         self.graph_runner = None
         #: fusion mode the runner is built with (off/conservative/aggressive)
         self.graph_fusion = graph_fusion
+        #: ``str(dtype)`` by NumPy dtype for graph tickets (``str`` costs µs)
+        self._dtype_names: "dict[np.dtype, str]" = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -337,12 +339,15 @@ class ScanService:
             outputs=outputs,
             t_submit=t_submit,
         )
-        first = next(iter(bound.values()))
+        dtype = next(iter(bound.values())).dtype
+        dtype_name = self._dtype_names.get(dtype)
+        if dtype_name is None:
+            dtype_name = self._dtype_names[dtype] = str(dtype)
         ticket = GraphTicket(
             req_id=req_id,
             n=total,
             algorithm="graph",
-            dtype=str(first.dtype),
+            dtype=dtype_name,
             s=0,
             exclusive=False,
             graph=graph.name,

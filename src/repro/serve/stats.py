@@ -64,6 +64,12 @@ class ServiceStats:
     deadline_misses: int = 0
     #: requests refused at admission (deadline infeasible or pool dead)
     shed_requests: int = 0
+    #: cost-model error over the launch units a device pool placed here
+    #: with a predicted cost: count, and the sum and max of
+    #: |served - predicted| / served
+    predicted_units: int = 0
+    cost_err_sum: float = 0.0
+    cost_err_max: float = 0.0
     #: running totals over ``launches``, added in record order — the same
     #: left-to-right sums a re-scan would compute, at O(1) per read (the
     #: pool reads ``device_ns`` around every launch group)
@@ -104,6 +110,14 @@ class ServiceStats:
 
     def record_fault(self) -> None:
         self.fault_events += 1
+
+    def record_prediction(self, predicted_ns: float, served_ns: float) -> None:
+        """Score one placed unit's predicted device ns against its served
+        ns (including slowdown stretch and retry backoff)."""
+        err = abs(served_ns - predicted_ns) / served_ns if served_ns else 0.0
+        self.predicted_units += 1
+        self.cost_err_sum += err
+        self.cost_err_max = max(self.cost_err_max, err)
 
     # -- request-side metrics ----------------------------------------------
 
@@ -219,6 +233,12 @@ class ServiceStats:
             "faulted_launches": self.faulted_launches,
             "backoff_ns": self.total_backoff_ns,
         }
+        if self.predicted_units:
+            snap["cost_model"] = {
+                "units": self.predicted_units,
+                "err_mean": self.cost_err_sum / self.predicted_units,
+                "err_max": self.cost_err_max,
+            }
         if self.sim_latencies_ns:
             snap["sim_latency_ns"] = {
                 "requests": self.sim_requests,
@@ -257,10 +277,16 @@ def _member_line(m: dict) -> str:
         f"  dev{m['member']}          : {m['state']}, "
         f"busy {m['busy_ns'] / 1e3:.1f} us "
         f"({m['fraction']:.0%} of makespan), "
-        f"{m['requests']} requests / {m['groups']} groups, "
+        f"{m['requests']} requests / {m['groups']} units, "
         f"{m['plan_cache']['plans']} plans, "
         f"{m['plan_cache']['gm_bytes'] / 1e6:.1f} MB GM"
     )
+    cost = m.get("cost_model")
+    if cost is not None:
+        line += (
+            f", cost model err mean {cost['err_mean']:.2%} / "
+            f"max {cost['err_max']:.2%} over {cost['units']} units"
+        )
     if m["state"] != HEALTHY:
         line += (
             f" [{m['fault_events']} faults, {m['retries']} retries, "

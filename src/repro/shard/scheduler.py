@@ -19,17 +19,14 @@ closed-loop whole-queue ``flush``:
   the soonest-free member) is *shed* at admission: counted, never
   enqueued, never a lost ticket.
 * **EDF + cost-model placement** — ready buckets dispatch earliest
-  deadline first, and placement minimises *predicted completion*
-  ``max(now, free_at[m]) + ScanPlan.time_ns() * observed_slowdown[m]``
-  — the plan cache's memoized cost probe, not just accumulated
-  ``busy_ns``, so a member that is idle *now* wins even if it has served
-  more total work.
+  deadline first onto the member minimising *predicted completion*
+  ``max(now, free_at[m]) + ScanPlan.time_ns() * observed_slowdown[m]``:
+  the pool's cost model and placement rule, shared with ``flush``.
 
-Serving itself reuses the pool's failover machinery
-(:meth:`PoolScanService._dispatch`): a member fault recalls the unserved
-remainder and the scheduler reroutes it along the cost-model preference
-order; with every member dead, remaining work is *failed explicitly*
-(tickets retained on the report) so the generator always drains.
+Serving reuses the pool's failover (:meth:`PoolScanService._dispatch`):
+a member fault recalls the unserved remainder and the scheduler
+re-places it; with every member dead, remaining work is *failed
+explicitly* (tickets retained on the report) so the generator drains.
 
 Everything runs on the simulated clock: per-request arrival, admission
 (staging) and completion timestamps land on the tickets, and p50/p99/p999
@@ -42,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelError
-from ..serve.batcher import ScanRequest, bucket_size
+from ..serve.batcher import ScanRequest
 from ..serve.stats import ServiceStats
 from ..serve.traffic import (
     TRAFFIC_SEED0,
@@ -106,7 +103,7 @@ class TrafficScheduler:
     launches every arrival immediately as its own group (per-arrival
     flush) — the baseline the benchmark's p99 claim is made against.
     The schedule controller (when attached) breaks exact scoring and
-    event-time ties, exactly like the pool router's ``pool.route`` point:
+    event-time ties, exactly like the flush's ``pool.route`` point:
     tied choices are interchangeable, so served values must not depend
     on the pick.
     """
@@ -127,9 +124,6 @@ class TrafficScheduler:
         self.controller = (
             controller if controller is not None else svc.controller
         )
-        #: memoized per-launch ``ScanPlan.time_ns`` probes per (shape key,
-        #: rows of a batched launch, or 1)
-        self._predictions: dict = {}
         #: per-bucket capacity: the batcher's chunk size (largest power of
         #: two <= max_batch), so a full bucket is exactly one batched launch
         self._capacity = 1 << (self.svc.batcher.max_batch.bit_length() - 1)
@@ -137,7 +131,7 @@ class TrafficScheduler:
 
     def _reset(self) -> None:
         """Start a fresh simulated run: clock, member frontiers, buckets
-        and request-side metrics.  Only the plan-cost memo carries over
+        and request-side metrics.  The pool's cost memo carries over
         (plan costs do not depend on the run)."""
         workers = len(self.svc.workers)
         #: simulated clock (ns); advances to each event, never backwards
@@ -156,49 +150,14 @@ class TrafficScheduler:
         self._served_tickets: list = []
         self._failed_tickets: list = []
 
-    # -- cost model ----------------------------------------------------------
-
-    def _predict_ns(self, req: ScanRequest, rows: int) -> float:
-        """Predicted launch time (simulated ns) of ``rows`` same-class
-        requests like ``req`` — ``ScanPlan.time_ns()``, the memoized cost
-        probe, instead of only observed busy time.  Fallback rows (below
-        ``min_group``, or unbatchable algorithms) cost one 1-D launch
-        each."""
-        cache = self.svc.workers[0].cache
-        batcher = self.svc.batcher
-        batchable = batcher._batchable(req) and rows >= batcher.min_group
-        bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
-        memo_key = (req.algorithm, req.n, req.plan_dtype, req.s, req.exclusive,
-                    req.block_dim, rows if batchable else 1, batchable)
-        launch_ns = self._predictions.get(memo_key)
-        if launch_ns is None:
-            if batchable:
-                plan = cache.get_batched(
-                    req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
-                )
-            else:
-                plan = cache.get_1d(
-                    req.algorithm, req.n, req.plan_dtype, s=req.s,
-                    exclusive=req.exclusive, block_dim=req.block_dim,
-                )
-            launch_ns = self._predictions[memo_key] = plan.time_ns()
-        return launch_ns if batchable else launch_ns * rows
+    # -- placement -----------------------------------------------------------
 
     def _place(self, predicted_ns: float) -> "int | None":
-        """Member minimising predicted completion; None when the whole
-        pool is dead.  Exact score ties go to the schedule controller."""
-        alive = self.svc._alive()
-        if not alive:
-            return None
-        score = lambda m: (
-            max(self.clock_ns, self.free_at_ns[m])
-            + predicted_ns * self.svc.workers[m].observed_slowdown
-        )
-        best = min(score(m) for m in alive)
-        tied = [m for m in alive if score(m) == best]
-        if self.controller is not None and len(tied) > 1:
-            return tied[self.controller.choose("traffic.place", len(tied))]
-        return tied[0]
+        """The pool's placement rule with each member's load its earliest
+        start; None when the whole pool is dead."""
+        starts = [max(self.clock_ns, free_at) for free_at in self.free_at_ns]
+        return self.svc._place(predicted_ns, starts,
+                               point="traffic.place", controller=self.controller)
 
     # -- admission -----------------------------------------------------------
 
@@ -218,7 +177,7 @@ class TrafficScheduler:
         probe_req, _ = self.svc.workers[0]._prepare(
             x, algorithm=algorithm, s=s, req_id=-1
         )
-        solo_ns = self._predict_ns(probe_req, 1)
+        solo_ns = self.svc._predict_ns(probe_req, 1)
         target = self._place(solo_ns)
         if target is None:
             self.stats.record_shed()
@@ -296,7 +255,7 @@ class TrafficScheduler:
             return  # joined in flight; launch slot is already committed
         # latest start that still meets the bucket's earliest deadline at
         # its *current* predicted service time (recomputed as rows join)
-        predicted = self._predict_ns(req, len(bucket.requests))
+        predicted = self.svc._predict_ns(req, len(bucket.requests))
         deadline = bucket.deadline_ns
         if deadline != float("inf"):
             bucket.launch_by_ns = max(
@@ -308,7 +267,7 @@ class TrafficScheduler:
     def _stage(self, bucket: _Bucket) -> None:
         """Commit an open bucket to a member and a start time (cost-model
         placement); it stays joinable until the start time arrives."""
-        predicted = self._predict_ns(bucket.requests[0], len(bucket.requests))
+        predicted = self.svc._predict_ns(bucket.requests[0], len(bucket.requests))
         target = self._place(predicted)
         if target is None:
             self._fail_bucket(bucket)
@@ -361,7 +320,9 @@ class TrafficScheduler:
         failovers = 0
         while True:
             if target is None or svc._dead[target]:
-                target = self._place(self._group_predict(group))
+                target = self._place(
+                    svc._predict_ns(group.requests[0], len(group.requests))
+                )
                 if target is None:
                     self._fail_requests(group.requests)
                     return
@@ -377,6 +338,7 @@ class TrafficScheduler:
             if fault is not None:
                 self.stats.record_fault()
             if leftover is None:
+                svc._served_ns(target, group, completed, svc._launch_ns(group))
                 return
             failovers += 1
             if failovers > svc._max_group_failovers:
@@ -386,12 +348,6 @@ class TrafficScheduler:
                 return
             group = leftover
             target = None  # re-place on the surviving members
-
-    def _group_predict(self, group) -> float:
-        if not group.requests:
-            return 0.0
-        rows = len(group.requests)
-        return self._predict_ns(group.requests[0], rows)
 
     def _complete(self, tickets, group, start_ns, end_ns) -> None:
         """Stamp completion times and record simulated latencies.

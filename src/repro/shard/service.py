@@ -1,31 +1,29 @@
-"""Device-pool request serving: least-loaded routing over pool members.
+"""Device-pool request serving: balanced placement over pool members.
 
 :class:`PoolScanService` is the multi-device front end to the serve
 layer: one shared :class:`~repro.serve.batcher.RequestBatcher` coalesces
 submissions exactly as a single :class:`~repro.serve.service.ScanService`
-would (launch groups are shape classes, so grouping is device-agnostic),
-then ``flush`` routes whole groups onto pool members **longest-processing-
-time first**: groups are ordered by padded element count descending and
-each is placed on the member with the least accumulated simulated busy
-time.  LPT keeps the makespan within 4/3 of optimal, and placing whole
-groups preserves every batching win the single-device layer earned.
+would (launch groups are shape classes, so grouping is device-agnostic).
+``flush`` is a barrier — its span is its busiest member — so it places
+every **launch unit** (a batched group whole, an unbatched group one
+request at a time) by **predicted completion within the round**: units
+go longest predicted device time first (LPT) onto the alive member
+minimising ``round_load + predicted × observed_slowdown``.  Predictions
+are memoized kernel timelines (:meth:`_launch_ns`), exact on a
+fault-free member; the open-loop
+:class:`~repro.shard.scheduler.TrafficScheduler` places through the same
+cost model and :meth:`_place` rule.
 
 Each request is queued once, in the pool.  A member is a
 :class:`ScanService` used as a plan cache plus a launch-with-retry
-executor: ``_dispatch`` hands it the routed group as it stands
+executor: ``_dispatch`` hands it the placed unit as it stands
 (:meth:`ScanService._serve`), and the member pops each ticket from the
 pool's ticket dict only once its launch succeeds — so after a terminal
-fault the unserved remainder is simply the group's requests whose
-tickets are still in pool custody, ready to reroute.  Members keep
-per-device plan caches and stats while all of them share one tuned-plan
-store, so a workload tuned once serves the whole pool.  Aggregate throughput is
-total logical elements over the pool **makespan** (the busiest member's
-simulated time): members run concurrently, so that is the simulated
-wall-clock of the whole mix.
-
-All host work — drains, routing, fault draws, timeline replays, numerics
-and busy-time updates — runs serially on the calling thread, so every
-ticket a member serves is finished before ``_dispatch`` returns.
+fault the unserved remainder is the unit's requests whose tickets are
+still in pool custody.  Members keep per-device plan caches and stats
+and share one tuned-plan store.  Aggregate throughput is total logical
+elements over the pool **makespan** (the sum of the rounds' spans).
+All host work runs serially on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError, DeviceFault
 from ..hw.config import ASCEND_910B4, DeviceConfig
-from ..serve.batcher import LaunchGroup, RequestBatcher, ScanRequest
+from ..serve.batcher import LaunchGroup, RequestBatcher, ScanRequest, bucket_size
 from ..serve.resilience import (
     DEAD,
     DEGRADED,
@@ -54,8 +52,18 @@ from .pool import DevicePool
 __all__ = ["PoolScanService"]
 
 
+def _launch_units(group: LaunchGroup) -> "list[LaunchGroup]":
+    """The units ``flush`` places: a batched group is one launch and stays
+    whole; an unbatched group replays each request independently, so
+    each request is a unit of its own."""
+    if group.batched or len(group.requests) == 1:
+        return [group]
+    return [LaunchGroup(key=group.key, requests=[req], graph=group.graph)
+            for req in group.requests]
+
+
 class PoolScanService:
-    """Pooled ``submit``/``flush`` façade with least-loaded group routing."""
+    """Pooled ``submit``/``flush`` façade with balanced unit placement."""
 
     def __init__(
         self,
@@ -87,8 +95,8 @@ class PoolScanService:
             tune_store if tune_store is not None else self.pool.tune_store
         )
         #: optional :class:`repro.verify.ScheduleController`; permutes the
-        #: drain order, launch-group pick order (simulated member
-        #: completion order), routing tie-breaks and failover recall order
+        #: drain order, launch-unit pick order (simulated member
+        #: completion order), placement tie-breaks and failover recall order
         self.controller = controller
         self.workers = [
             ScanService(
@@ -110,24 +118,24 @@ class PoolScanService:
             min_group=min_group,
             controller=controller,
         )
-        #: accumulated simulated busy ns per member (the routing load)
+        #: accumulated simulated busy ns per member
         self.busy_ns = [0.0] * len(self.workers)
-        #: true pool makespan: simulated wall-clock accumulated across
-        #: serving rounds.  Members run concurrently *within* a round (a
-        #: flush, or one scheduler dispatch window), so each round adds
-        #: its longest member delta; rounds are sequential, so the deltas
-        #: add up — unlike ``max(busy_ns)``, idle time a member spends
-        #: waiting between rounds is part of the span
+        #: pool makespan: each serving round (a flush, or a traffic run)
+        #: adds its longest member delta, so idle time between rounds counts
         self.span_ns = 0.0
-        #: launch groups routed to each member
+        #: launch units placed on each member and served there
         self.groups_routed = [0] * len(self.workers)
         #: launch groups recalled from each member after a terminal fault
         self.failovers = [0] * len(self.workers)
         self._dead = [False] * len(self.workers)
-        #: per-group reroute budget before flush gives up and re-raises;
-        #: generous — a group only burns one unit when a member exhausts
-        #: its whole retry policy on it
+        #: per-unit re-placement budget before flush gives up and
+        #: re-raises; generous — a unit only burns one when a member
+        #: exhausts its whole retry policy on it
         self._max_group_failovers = 3 * len(self.workers)
+        #: memoized launch costs (simulated ns): ``_predict_ns`` keys on a
+        #: request shape and row count, ``_launch_ns`` on a group's
+        #: plan or graph key
+        self._predictions: dict = {}
         self._tickets: dict[int, ScanTicket] = {}
         self._next_id = 0
 
@@ -178,14 +186,9 @@ class PoolScanService:
 
     def submit_graph(self, graph, inputs, *, params=None) -> ScanTicket:
         """Enqueue one operator-graph request on the pool (see
-        :meth:`ScanService.submit_graph`); the serving member is chosen at
-        ``flush`` time.
-
-        All members share one :class:`~repro.graph.interp.GraphRunner`:
-        lowered programs are captured on its build device and replay on
-        any member (timelines are memoized per config identity), so a
-        graph lowered once serves the whole pool — exactly like the
-        shared tuned-plan store."""
+        :meth:`ScanService.submit_graph`).  All members share one
+        :class:`~repro.graph.interp.GraphRunner`, so a graph lowered once
+        replays on every member (timelines are memoized per config)."""
         req_id = self._next_id
         req, ticket = self.workers[0]._prepare_graph(
             graph, inputs, params=params, req_id=req_id
@@ -209,81 +212,161 @@ class PoolScanService:
     def pending(self) -> int:
         return len(self.batcher)
 
-    # -- execution -----------------------------------------------------------
+    # -- placement and execution ---------------------------------------------
 
     def _alive(self) -> "list[int]":
         return [i for i in range(len(self.workers)) if not self._dead[i]]
 
-    def _route_target(self) -> int:
-        """Least-loaded alive member, weighting accumulated busy time by
-        each member's observed slowdown — a degraded device looks
-        proportionally busier, so new work drifts to healthy members.
+    def _predict_ns(self, req: ScanRequest, rows: int) -> float:
+        """Predicted launch ns of ``rows`` same-class requests like ``req``:
+        the memoized ``ScanPlan.time_ns()`` of open-loop admission, which
+        builds the plan on member 0 when missing.  Fallback rows (below
+        ``min_group``, or unbatchable) cost one 1-D launch each."""
+        cache = self.workers[0].cache
+        batcher = self.batcher
+        batchable = batcher._batchable(req) and rows >= batcher.min_group
+        bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
+        memo_key = (req.algorithm, req.n, req.plan_dtype, req.s, req.exclusive,
+                    req.block_dim, rows if batchable else 1, batchable)
+        launch_ns = self._predictions.get(memo_key)
+        if launch_ns is None:
+            if batchable:
+                plan = cache.get_batched(
+                    req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
+                )
+            else:
+                plan = cache.get_1d(
+                    req.algorithm, req.n, req.plan_dtype, s=req.s,
+                    exclusive=req.exclusive, block_dim=req.block_dim,
+                )
+            launch_ns = self._predictions[memo_key] = plan.time_ns()
+        return launch_ns if batchable else launch_ns * rows
 
-        Load ties (common on a fresh pool) are broken by the schedule
-        controller when one is attached: tied members are interchangeable,
-        so results must not depend on which wins."""
+    def _launch_ns(self, group: LaunchGroup) -> "float | None":
+        """Predicted device ns of one fault-free launch of ``group``'s
+        shape: its plan's memoized timeline, or the sum of a graph's
+        lowered kernels' timelines (one request).  Only peeks — never
+        builds a plan, lowers a graph or counts a cache hit — so it is
+        None until the plan or lowering exists."""
+        launch_ns = self._predictions.get(group.key)
+        if launch_ns is None:
+            if group.graph:
+                runner = self.workers[0].graph_runner
+                launch_ns = runner.replay_ns(group.requests[0].graph)
+            else:
+                plans = (w.cache.peek(group.key) for w in self.workers)
+                plan = next((p for p in plans if p is not None), None)
+                launch_ns = None if plan is None else plan.time_ns()
+            if launch_ns is not None:
+                self._predictions[group.key] = launch_ns
+        return launch_ns
+
+    def _place(
+        self, predicted_ns: float, load: "list[float]", *, point: str, controller=None
+    ) -> "int | None":
+        """Alive member minimising ``load[m] + predicted_ns × observed
+        slowdown`` (None when the pool is dead); exact ties go to the
+        schedule controller at ``point``, as tied members are equivalent."""
         alive = self._alive()
         if not alive:
-            raise DeviceFault(
-                "every pool member is dead; no device left to serve on",
-                permanent=True,
-            )
-        load = lambda i: self.busy_ns[i] * self.workers[i].observed_slowdown
-        best = min(load(i) for i in alive)
-        tied = [i for i in alive if load(i) == best]
-        if self.controller is not None and len(tied) > 1:
-            return tied[self.controller.choose("pool.route", len(tied))]
+            return None
+        workers = self.workers
+        scores = [load[m] + predicted_ns * workers[m].observed_slowdown for m in alive]
+        best = min(scores)
+        tied = [m for m, score in zip(alive, scores) if score == best]
+        if controller is not None and len(tied) > 1:
+            return tied[controller.choose(point, len(tied))]
         return tied[0]
 
+    def _served_ns(self, target, unit, served, launch_ns) -> float:
+        """Device ns a cleanly served unit took on member ``target`` (one
+        launch for a batched group, else one per request); when the
+        predicted ``launch_ns`` is given, scores the cost model."""
+        served_ns = served[0].device_ns
+        if not unit.batched and len(served) > 1:
+            served_ns = sum(t.device_ns for t in served)
+        if launch_ns is not None:
+            predicted = launch_ns if unit.batched else launch_ns * len(served)
+            self.workers[target].stats.record_prediction(predicted, served_ns)
+        return served_ns
+
     def flush(self) -> "list[ScanTicket]":
-        """Route every queued launch group and serve it; returns tickets in
+        """Place every queued launch unit and serve it; returns tickets in
         submit order.
 
-        Failover: when a member's launch fails terminally (its retry
-        policy exhausted, or a permanent :class:`~repro.errors.DeviceFault`),
-        the group's unserved remainder is recalled and rerouted onto the
-        surviving members; a permanently lost
-        member is marked dead and excluded from all further routing.
-        Tickets are never lost — work a dying member already completed is
-        kept, and everything else is re-served elsewhere, bit-identical
-        (plans are deterministic and device-independent).  Only when every
-        member is dead, a group exceeds its reroute budget, or a member
-        raises anything but a ``DeviceFault`` does flush re-raise — and
-        even then every unserved request is back in the pool queue with
-        its ticket tracked, as in :meth:`ScanService.flush`.
+        Placement is round-local LPT: a member's load is the device ns it
+        served so far this flush, summed from the units' tickets so that
+        lifetime history cannot perturb it.  Until every unit has a
+        predicted cost — a plan not yet built, a graph not yet lowered —
+        units go in padded-element order and place by that load alone:
+        a cold flush's serving order is its lowering order, and a graph's
+        lowered timeline depends on the L2 state earlier lowerings left,
+        so that order must not follow predictions that do not exist yet.
+
+        Failover: after a terminal member fault the unit's unserved
+        remainder is re-placed by the same rule (a permanently lost member
+        is dead to all later placement) and re-served bit-identical.
+        Flush re-raises only when every member is dead, a unit exceeds its
+        re-placement budget, or a member raises anything but a
+        ``DeviceFault`` — and then every unserved request is back in the
+        pool queue with its ticket tracked, as in :meth:`ScanService.flush`.
         """
-        groups = self.batcher.drain()
-        # LPT: heaviest groups place first, onto the least-busy member
-        groups.sort(key=lambda g: g.padded_elements, reverse=True)
-        queue = [(group, 0) for group in groups]
+        units, costs = [], []
+        for group in self.batcher.drain():
+            launch_ns = self._launch_ns(group)
+            for unit in _launch_units(group):
+                units.append(unit)
+                costs.append(launch_ns)
+        priced = None not in costs
+        keys = costs if priced else [u.padded_elements for u in units]
+        if not priced:
+            costs = [0.0] * len(units)
+        # LPT: longest unit first (a stable sort: drain order on ties)
+        order = sorted(range(len(units)), key=keys.__getitem__, reverse=True)
+        queue = [(units[i], costs[i], 0) for i in order]
+        load = [0.0] * len(self.workers)
         completed: list[ScanTicket] = []
         busy_before = list(self.busy_ns)
-        # the group in hand: popped from ``queue`` and not yet served or
+        # the unit in hand: popped from ``queue`` and not yet served or
         # requeued (after a member fault, its recalled remainder)
         group = None
         try:
             while queue:
-                # the schedule controller picks which queued group goes
+                # the schedule controller picks which queued unit goes
                 # next — the simulated analogue of members completing (and
-                # freeing routing capacity) in an arbitrary order
+                # freeing placement capacity) in an arbitrary order
                 pick = 0
                 if self.controller is not None and len(queue) > 1:
                     pick = self.controller.choose("pool.group", len(queue))
-                group, failovers = queue.pop(pick)
-                target = self._route_target()
-                served, group, fault = self._dispatch(group, target)
+                group, cost, failovers = queue.pop(pick)
+                target = self._place(cost, load, point="pool.route",
+                                     controller=self.controller)
+                if target is None:
+                    raise DeviceFault(
+                        "every pool member is dead; no device left to serve on",
+                        permanent=True,
+                    )
+                before = self.busy_ns[target]
+                served, leftover, fault = self._dispatch(group, target)
                 completed.extend(served)
-                if group is not None:
-                    if failovers + 1 > self._max_group_failovers:
-                        raise fault
-                    queue.append((group, failovers + 1))
+                if leftover is None:
+                    load[target] += self._served_ns(target, group, served,
+                                                    cost if priced else None)
                     group = None
+                    continue
+                # faulted: charge the member the time it burned
+                load[target] += self.busy_ns[target] - before
+                group = leftover
+                if failovers + 1 > self._max_group_failovers:
+                    raise fault
+                queue.append((group, cost, failovers + 1))
+                group = None
         except Exception:
             # give up on this flush: every drained request whose ticket is
-            # still tracked goes back on the pool batcher — the group in
+            # still tracked goes back on the pool batcher — the unit in
             # hand first, then the queue — so a later flush can serve it
             unserved = [] if group is None else [group]
-            unserved += [later for later, _ in queue]
+            unserved += [later for later, _, _ in queue]
             for parked in unserved:
                 for req in parked.requests:
                     if req.req_id in self._tickets:
@@ -291,9 +374,7 @@ class PoolScanService:
             raise
         finally:
             # members served this flush concurrently; the round's span is
-            # the longest member delta, and rounds add up (satellite fix:
-            # the pool makespan is *not* max(busy_ns) once a member idles
-            # between flushes)
+            # the longest member delta, and rounds add up
             self.span_ns += max(
                 (b - b0 for b, b0 in zip(self.busy_ns, busy_before)),
                 default=0.0,
@@ -303,21 +384,12 @@ class PoolScanService:
     def _dispatch(
         self, group: LaunchGroup, target: int
     ) -> "tuple[list[ScanTicket], LaunchGroup | None, DeviceFault | None]":
-        """Serve one launch group synchronously on pool member ``target``.
-
-        The shared serving step under ``flush`` and the open-loop
-        :class:`~repro.shard.scheduler.TrafficScheduler`: the member
-        serves the group as it stands, popping each ticket from the
-        pool's ticket dict once its launch succeeds, and its busy time is
-        accounted.  Returns ``(completed, leftover, fault)`` —
-        ``completed`` in launch order; ``leftover`` the recalled unserved
-        remainder of the group after a terminal member fault (None when
-        everything launched), ready to reroute; ``fault`` the
-        :class:`~repro.errors.DeviceFault` that caused it (None on a clean
-        serve).  A permanent fault marks the member dead.  Tickets are
-        never lost: work the member completed before faulting is
-        returned, the rest never left pool custody.
-        """
+        """Serve one launch group on pool member ``target`` — the serving
+        step under ``flush`` and the traffic scheduler — and account its
+        busy time.  Returns ``(completed, leftover, fault)``: tickets in
+        launch order; after a terminal member fault, the recalled unserved
+        remainder ready to re-place and the fault (else None, None).  A
+        permanent fault marks the member dead; tickets are never lost."""
         worker = self.workers[target]
         tickets = [self._tickets[req.req_id] for req in group.requests]
         for ticket in tickets:
@@ -401,19 +473,9 @@ class PoolScanService:
 
     @property
     def makespan_ns(self) -> float:
-        """True simulated wall-clock of everything served so far.
-
-        Members run concurrently within one serving round, so each round
-        contributes its longest member delta; rounds are sequential, so
-        deltas accumulate (``span_ns``).  This is never less than
-        ``max(busy_ns)`` — the old definition, which pinned the busiest
-        member at 100% utilisation even when it sat idle between rounds —
-        and never more than ``sum(busy_ns)`` (fully serialized rounds).
-        The open-loop traffic scheduler extends the span further with
-        genuine idle gaps between arrivals (it owns the simulated clock,
-        so it writes the run's true span back after each run — see
-        :meth:`repro.shard.scheduler.TrafficScheduler.run`).
-        """
+        """Simulated wall-clock of everything served so far (``span_ns``):
+        between ``max(busy_ns)`` and ``sum(busy_ns)``, plus the idle gaps
+        between arrivals a traffic run writes back."""
         return self.span_ns
 
     @property
@@ -431,27 +493,16 @@ class PoolScanService:
         return self.total_elements / span if span else 0.0
 
     def device_utilisation(self) -> "list[float]":
-        """Per-member busy fraction of the *true* pool makespan (1.0 =
-        busy for the whole span; low values = idle capacity the router
-        could not fill, or time spent dead).
-
-        Dividing by the accumulated span instead of ``max(busy_ns)``
-        fixes two reporting bugs: the busiest member no longer reports
-        exactly 1.0 when it idled between serving rounds, and a dead
-        member's stale busy time decays as the span keeps growing instead
-        of being frozen at its last live fraction.  Use
-        :meth:`utilisation` for the per-member report with explicit dead
-        flags."""
+        """Per-member busy fraction of the pool makespan (1.0 = busy for
+        the whole span; a member idle between rounds, or dead, decays)."""
         span = self.makespan_ns
         if not span:
             return [0.0] * len(self.workers)
         return [b / span for b in self.busy_ns]
 
     def utilisation(self) -> "list[dict]":
-        """Explicit per-member utilisation report: busy ns, busy fraction
-        of the true pool makespan, health state, and a ``dead`` flag —
-        dead members are reported as dead rather than leaving a stale
-        busy fraction to be misread as live capacity."""
+        """Per-member busy ns, busy fraction, health state and an explicit
+        ``dead`` flag."""
         fractions = self.device_utilisation()
         health = self.member_health()
         return [
@@ -466,9 +517,8 @@ class PoolScanService:
         ]
 
     def snapshot(self) -> dict:
-        """Pool-level counters plus one entry per member (its health,
-        routing and busy-time fields merged over the member's
-        :meth:`ScanService.snapshot`), as plain data."""
+        """Pool-level counters plus one entry per member (health, placement
+        and busy time over its :meth:`ScanService.snapshot`)."""
         fractions = self.device_utilisation()
         members = [
             {

@@ -374,16 +374,33 @@ class TestPoolChaos:
             assert np.array_equal(t.result(), inclusive_scan(more[t.req_id]))
 
     def test_routing_weights_busy_time_by_slowdown(self):
+        """Placement weights a unit's predicted cost by each member's
+        observed slowdown on top of its round load (lifetime busy time
+        no longer counts: see test_pool_service's skewed-history test)."""
         svc = PoolScanService(3, config=toy_config())
-        svc.busy_ns = [100.0, 100.0, 100.0]
+        svc.busy_ns = [0.0, 1e9, 1e9]
+
+        def place(load):
+            return svc._place(100.0, load, point="pool.route")
+
         svc.workers[0].observed_slowdown = 5.0
-        assert svc._route_target() in (1, 2)
+        # slowdown steers work off a member
+        assert place([0.0, 0.0, 0.0]) in (1, 2)
+        assert place([0.0, 450.0, 450.0]) == 0
+        # a slower member loses to a healthy one
         svc.workers[1].observed_slowdown = 2.0
-        assert svc._route_target() == 2
+        assert place([0.0, 0.0, 0.0]) == 2
         # a dead member never wins, however idle it looks
-        svc.busy_ns = [1000.0, 1000.0, 0.0]
         svc._dead[2] = True
-        assert svc._route_target() == 1
+        assert place([1000.0, 1000.0, 0.0]) == 1
+        # end to end: once its units are priced (plans built by a first
+        # flush), a flush keeps every unit off the slowed member
+        for seed in (700, 800):
+            for i in range(4):
+                svc.submit(_x(600, seed=seed + i), algorithm="mcscan", s=32)
+            done = svc.flush()
+            svc.workers[1].observed_slowdown = 100.0
+        assert {t.device for t in done} == {0}
 
     def test_all_members_dead_raises_but_keeps_work(self):
         pool = _chaos_pool(

@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
 from repro.errors import ConfigError
-from repro.hw.config import toy_config
+from repro.graph import GraphRunner, llm_sample, scan_pipeline, sort_graph
+from repro.graph.fuse import lowering_units
+from repro.hw.config import ASCEND_910B4, toy_config
 from repro.hw.faults import FaultPlan
 from repro.serve import DEAD, ScanService, render
 from repro.shard import DevicePool, PoolScanService
@@ -30,6 +32,46 @@ def _submit_mix(svc, rng, *, fp16_reqs=8, int8_reqs=4):
         ticket = svc.submit(x, algorithm="mcscan", s=16)
         inputs[ticket.req_id] = x
     return inputs
+
+
+#: the graph-mix trio's sizes: the pipeline carries 8x the sampler's
+#: input elements but about a tenth of its device time
+VOCAB, PIPE_N, SORT_N = 2048, 16384, 4096
+
+
+@pytest.fixture(scope="module")
+def trio():
+    return (
+        llm_sample(VOCAB, k=32, prep=("abs", "double")),
+        scan_pipeline(PIPE_N, pre=("abs",), post=("double",)),
+        sort_graph(SORT_N),
+    )
+
+
+def _trio_jobs(trio, rng, copies=2):
+    llm, pipe, sort = trio
+    jobs = []
+    for _ in range(copies):
+        jobs.append((llm, {"probs": (rng.permutation(VOCAB) + 1).astype(np.float16)}))
+        jobs.append((pipe, {"x": rng.integers(-2, 3, PIPE_N).astype(np.float16)}))
+        jobs.append((sort, {"x": rng.integers(-1000, 1000, SORT_N).astype(np.float16)}))
+    return jobs
+
+
+@pytest.fixture(scope="module")
+def lowered(trio):
+    """A graph runner that has already lowered the trio."""
+    svc = PoolScanService(2, graph_fusion="aggressive")
+    for graph, inputs in _trio_jobs(trio, np.random.default_rng(7), copies=1):
+        svc.submit_graph(graph, inputs)
+    svc.flush()
+    return svc.workers[0].graph_runner
+
+
+def _graph_pool(runner, devices=2, **kwargs):
+    svc = PoolScanService(devices, graph_fusion="aggressive", **kwargs)
+    svc.workers[0].graph_runner = runner
+    return svc
 
 
 class TestRoutingAndCorrectness:
@@ -96,6 +138,112 @@ class TestRoutingAndCorrectness:
         assert svc.device_utilisation() == [0.0, 0.0]
 
 
+class TestBalancedPlacement:
+    """Flush places launch units longest-predicted-first onto the member
+    with the least predicted completion within the round."""
+
+    def test_graph_mix_trio_gives_each_member_one_of_each(
+        self, trio, lowered, rng
+    ):
+        svc = _graph_pool(lowered)
+        tickets = [svc.submit_graph(g, x) for g, x in _trio_jobs(trio, rng)]
+        svc.flush()
+        served = {0: [], 1: []}
+        for t in tickets:
+            served[t.device].append(t.graph)
+        assert sorted(served[0]) == sorted(served[1]) == sorted(
+            g.name for g in trio
+        )
+        # a perfectly balanced round: its span is half its device time
+        assert svc.span_ns == sum(svc.busy_ns) / 2
+        assert svc.span_ns == pytest.approx(
+            sum(t.device_ns for t in tickets) / 2, rel=1e-12
+        )
+        assert svc.device_utilisation() == [1.0, 1.0]
+
+    def test_lifetime_busy_history_does_not_move_placement(
+        self, trio, lowered, rng
+    ):
+        jobs = _trio_jobs(trio, rng)
+        placements = []
+        for busy in ([0.0, 0.0], [1e9, 0.0]):
+            svc = _graph_pool(lowered)
+            svc.busy_ns = busy
+            tickets = [svc.submit_graph(g, x) for g, x in jobs]
+            svc.flush()
+            placements.append([t.device for t in tickets])
+        assert placements[0] == placements[1]
+        assert sorted(set(placements[0])) == [0, 1]
+
+    def test_lpt_orders_by_predicted_ns_not_padded_elements(
+        self, trio, lowered, rng
+    ):
+        llm, pipe, _ = trio
+        svc = _graph_pool(lowered, devices=1)
+        jobs = _trio_jobs(trio, rng, copies=1)
+        pipe_t = svc.submit_graph(pipe, jobs[1][1])
+        llm_t = svc.submit_graph(llm, jobs[0][1])
+        svc.flush()
+        assert pipe_t.n == 8 * llm_t.n
+        assert 5 * pipe_t.device_ns < llm_t.device_ns
+        # the sampler is submitted second and is 8x smaller, yet it is
+        # the longest predicted unit, so it launches first
+        launched = [r.n_elements for r in svc.workers[0].stats.launches]
+        assert launched == [llm_t.n, pipe_t.n]
+
+    def test_flush_of_lowered_graphs_only_peeks(
+        self, trio, lowered, rng, monkeypatch
+    ):
+        svc = _graph_pool(lowered)
+        lowers = []
+        original = GraphRunner.lower
+
+        def counting(runner, graph):
+            lowers.append(graph.name)
+            return original(runner, graph)
+
+        monkeypatch.setattr(GraphRunner, "lower", counting)
+        cache, plans = lowered.cache, lowered.plans
+        before = (cache.hits, cache.misses, plans.hits, plans.misses)
+        jobs = _trio_jobs(trio, rng)
+        for graph, inputs in jobs:
+            svc.submit_graph(graph, inputs)
+        svc.flush()
+        # serving looks each request's lowering up once; the cost probes
+        # add no lowering call, no counted hit and no miss
+        assert len(lowers) == len(jobs)
+        units = sum(len(lowering_units(g, "aggressive")) for g, _ in jobs)
+        assert cache.hits - before[0] == units
+        assert (cache.misses, plans.hits, plans.misses) == before[1:]
+        assert all(w.cache.hits == w.cache.misses == 0 for w in svc.workers)
+
+    def test_cost_model_error_in_snapshot(self, trio, lowered, rng):
+        jobs = _trio_jobs(trio, rng)
+        svc = _graph_pool(lowered)
+        for graph, inputs in jobs:
+            svc.submit_graph(graph, inputs)
+        svc.flush()
+        for member in svc.snapshot()["members"]:
+            assert member["cost_model"] == {
+                "units": 3, "err_mean": 0.0, "err_max": 0.0
+            }
+        assert "cost model err mean 0.00% / max 0.00% over 3 units" in (
+            svc.summary()
+        )
+        # a slowed member serves longer than its memoized timelines say
+        pool = DevicePool(
+            2, ASCEND_910B4, fault_plans={1: FaultPlan(mte_slowdown=3.0)}
+        )
+        svc = PoolScanService(pool=pool, graph_fusion="aggressive")
+        svc.workers[0].graph_runner = lowered
+        for graph, inputs in jobs:
+            svc.submit_graph(graph, inputs)
+        svc.flush()
+        healthy, slowed = (m["cost_model"] for m in svc.snapshot()["members"])
+        assert healthy["err_max"] == 0.0
+        assert 0.0 < slowed["err_mean"] <= slowed["err_max"]
+
+
 class TestFlushInvariants:
     """Satellite: flush ordering and accounting invariants that the
     failover rework must preserve."""
@@ -123,14 +271,23 @@ class TestFlushInvariants:
     def test_makespan_counts_idle_between_rounds(self, svc, rng):
         """A member that dominates round 1 and idles in round 2 must not
         report 100% utilisation: the pool span keeps growing with every
-        round (the satellite-2 fix — the old ``max(busy_ns)`` definition
-        pinned the busiest member at exactly 1.0 forever)."""
-        for _ in range(2):
-            _submit_mix(svc, rng)
-            svc.flush()
+        round (the old ``max(busy_ns)`` definition pinned the busiest
+        member at exactly 1.0 forever)."""
+        _submit_mix(svc, rng)
+        svc.flush()
+        busy_r1 = list(svc.busy_ns)
+        crit = busy_r1.index(max(busy_r1))
+        other = 1 - crit
+        assert 0.0 < busy_r1[other] < busy_r1[crit]
+        # round 2: round 1's critical member looks 1000x slower, so it
+        # idles while the other member serves the whole round
+        svc.workers[crit].observed_slowdown = 1000.0
+        _submit_mix(svc, rng)
+        svc.flush()
+        assert svc.busy_ns[crit] == busy_r1[crit]
+        assert svc.busy_ns[other] > busy_r1[other]
         util = svc.device_utilisation()
-        # both members served work in both rounds, so neither was busy for
-        # the *whole* accumulated span
+        # each member idled for part of the accumulated span
         assert max(util) < 1.0
         assert all(0.0 < u < 1.0 for u in util)
 

@@ -285,10 +285,12 @@ class TestAdmissionEdgeCases:
         probes, or a feasible solo request is shed."""
         svc = pool(min_group=9)
         req, _ = svc.workers[0]._prepare(_x(256), s=S, req_id=-1)
-        solo = TrafficScheduler(svc)._predict_ns(req, 1)
+        # the solo cost from another pool, so the k-row probe below is
+        # the first entry in this pool's cost memo
+        solo = pool(min_group=9)._predict_ns(req, 1)
         sched = TrafficScheduler(svc)
-        assert sched._predict_ns(req, 3) == solo * 3
-        assert sched._predict_ns(req, 1) == solo
+        assert svc._predict_ns(req, 3) == solo * 3
+        assert svc._predict_ns(req, 1) == solo
         t = sched.offer(
             Arrival(index=0, t_ns=0.0, n=256, deadline_ns=1.5 * solo),
             _x(256), s=S,
