@@ -99,10 +99,10 @@ class LaunchGroup:
     def padded_elements(self) -> int:
         """Padded element count of the *actual rows* the group carries.
 
-        A device-pool flush orders its launch units by this count only
-        while some unit has no built plan or lowering yet (a cold flush,
-        whose serving order is its lowering order); otherwise it orders
-        by predicted device ns (``PoolScanService._launch_ns``).
+        A device-pool flush orders its launch units by their source
+        group's count, heaviest first, which keeps its serving (and
+        lowering) order; it places them by predicted device ns
+        (``PoolScanService._launch_ns``), not by this count.
 
         Batched groups are costed by the rows launched, not the bucket
         capacity: a half-full bucket moves (and pays for) its real rows,

@@ -23,7 +23,7 @@ Key construction refuses ScanUL1 on int8: the kernel stages
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.api import (
     BATCHED_ALGORITHMS,
@@ -38,9 +38,12 @@ from ..errors import ConfigError, KernelError
 __all__ = ["PlanKey", "PlanCache"]
 
 
-@dataclass(frozen=True)
-class PlanKey:
-    """Identity of one traced plan (a shape class, not a single shape)."""
+class PlanKey(NamedTuple):
+    """Identity of one traced plan (a shape class, not a single shape).
+
+    A named tuple rather than a frozen dataclass: the batcher and the
+    pool's cost probe build and hash one per request, and a frozen
+    dataclass costs about 1.4 µs to build against 0.3 µs."""
 
     algorithm: str
     #: padded 1-D length, or padded row length for batched plans

@@ -15,9 +15,9 @@ Three execution paths are offered:
 * :class:`ShardedScanner` — one large scan, latency-bound: simulated
   wall-clock is max(phase I) + max(phase II) over the devices;
 * :class:`PoolScanService` — many independent requests, throughput-bound:
-  a pool front end places each flush's launch units longest predicted
-  device time first onto the member with the least predicted completion
-  in the round, with per-device plan caches sharing one tuned-plan store;
+  a pool front end places each flush's launch units, heaviest group
+  first, onto the member with the least predicted completion in the
+  round, with per-device plan caches sharing one tuned-plan store;
 * :class:`TrafficScheduler` — open-loop serving over the pool: continuous
   batching with deadline-driven admission and EDF + cost-model placement
   for arrival streams from :mod:`repro.serve.traffic`.

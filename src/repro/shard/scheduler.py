@@ -338,7 +338,7 @@ class TrafficScheduler:
             if fault is not None:
                 self.stats.record_fault()
             if leftover is None:
-                svc._served_ns(target, group, completed, svc._launch_ns(group))
+                svc._served_ns(target, group, completed, svc._launch_ns(group.key))
                 return
             failovers += 1
             if failovers > svc._max_group_failovers:

@@ -7,10 +7,10 @@ would (launch groups are shape classes, so grouping is device-agnostic).
 ``flush`` is a barrier — its span is its busiest member — so it places
 every **launch unit** (a batched group whole, an unbatched group one
 request at a time) by **predicted completion within the round**: units
-go longest predicted device time first (LPT) onto the alive member
-minimising ``round_load + predicted × observed_slowdown``.  Predictions
-are memoized kernel timelines (:meth:`_launch_ns`), exact on a
-fault-free member; the open-loop
+go heaviest source group first (by padded elements) onto the alive
+member minimising ``round_load + predicted × observed_slowdown``.
+Predictions are memoized kernel timelines (:meth:`_launch_ns`), exact on
+a fault-free member; the open-loop
 :class:`~repro.shard.scheduler.TrafficScheduler` places through the same
 cost model and :meth:`_place` rule.
 
@@ -132,9 +132,7 @@ class PoolScanService:
         #: re-raises; generous — a unit only burns one when a member
         #: exhausts its whole retry policy on it
         self._max_group_failovers = 3 * len(self.workers)
-        #: memoized launch costs (simulated ns): ``_predict_ns`` keys on a
-        #: request shape and row count, ``_launch_ns`` on a group's
-        #: plan or graph key
+        #: memoized launch costs (simulated ns) per plan or graph key
         self._predictions: dict = {}
         self._tickets: dict[int, ScanTicket] = {}
         self._next_id = 0
@@ -218,47 +216,51 @@ class PoolScanService:
         return [i for i in range(len(self.workers)) if not self._dead[i]]
 
     def _predict_ns(self, req: ScanRequest, rows: int) -> float:
-        """Predicted launch ns of ``rows`` same-class requests like ``req``:
-        the memoized ``ScanPlan.time_ns()`` of open-loop admission, which
-        builds the plan on member 0 when missing.  Fallback rows (below
-        ``min_group``, or unbatchable) cost one 1-D launch each."""
-        cache = self.workers[0].cache
+        """Predicted launch ns of ``rows`` same-class requests like ``req``
+        (open-loop admission): one batched launch, or — below
+        ``min_group``, or unbatchable — one 1-D launch per row.  Builds
+        the plan on member 0 when missing."""
         batcher = self.batcher
-        batchable = batcher._batchable(req) and rows >= batcher.min_group
-        bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
-        memo_key = (req.algorithm, req.n, req.plan_dtype, req.s, req.exclusive,
-                    req.block_dim, rows if batchable else 1, batchable)
-        launch_ns = self._predictions.get(memo_key)
-        if launch_ns is None:
-            if batchable:
-                plan = cache.get_batched(
-                    req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
-                )
-            else:
-                plan = cache.get_1d(
-                    req.algorithm, req.n, req.plan_dtype, s=req.s,
-                    exclusive=req.exclusive, block_dim=req.block_dim,
-                )
-            launch_ns = self._predictions[memo_key] = plan.time_ns()
-        return launch_ns if batchable else launch_ns * rows
+        if batcher._batchable(req) and rows >= batcher.min_group:
+            bucket = bucket_size(rows, max_batch=batcher.max_batch)
+            key = batcher.cache.key_batched(
+                req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
+            )
+            return self._launch_ns(key, build=True)
+        key = batcher.cache.key_1d(
+            req.algorithm, req.n, req.plan_dtype, s=req.s,
+            exclusive=req.exclusive, block_dim=req.block_dim,
+        )
+        return self._launch_ns(key, build=True) * rows
 
-    def _launch_ns(self, group: LaunchGroup) -> "float | None":
-        """Predicted device ns of one fault-free launch of ``group``'s
-        shape: its plan's memoized timeline, or the sum of a graph's
-        lowered kernels' timelines (one request).  Only peeks — never
-        builds a plan, lowers a graph or counts a cache hit — so it is
-        None until the plan or lowering exists."""
-        launch_ns = self._predictions.get(group.key)
-        if launch_ns is None:
-            if group.graph:
-                runner = self.workers[0].graph_runner
-                launch_ns = runner.replay_ns(group.requests[0].graph)
-            else:
-                plans = (w.cache.peek(group.key) for w in self.workers)
-                plan = next((p for p in plans if p is not None), None)
-                launch_ns = None if plan is None else plan.time_ns()
-            if launch_ns is not None:
-                self._predictions[group.key] = launch_ns
+    def _launch_ns(self, key, *, graph=None, build: bool = False) -> "float | None":
+        """Predicted device ns of one fault-free launch of plan ``key`` (its
+        memoized timeline), or of one replay of ``graph`` under its graph
+        key (the sum of its lowered kernels' timelines); memoized per key.
+        With ``build`` a missing plan is built on member 0.  Otherwise it
+        only peeks — never builds a plan, lowers a graph or counts a cache
+        hit — and is None until the plan or lowering exists."""
+        launch_ns = self._predictions.get(key)
+        if launch_ns is not None:
+            return launch_ns
+        if graph is not None:
+            launch_ns = self.workers[0].graph_runner.replay_ns(graph)
+        elif build:
+            # a key's padded length re-pads to itself: this builds ``key``
+            cache = self.workers[0].cache
+            launch_ns = (
+                cache.get_1d(key.algorithm, key.padded, key.dtype, s=key.s,
+                             exclusive=key.exclusive, block_dim=key.block_dim)
+                if key.batch is None
+                else cache.get_batched(key.algorithm, key.batch, key.padded,
+                                       key.dtype, s=key.s)
+            ).time_ns()
+        else:
+            plans = (w.cache.peek(key) for w in self.workers)
+            plan = next((p for p in plans if p is not None), None)
+            launch_ns = None if plan is None else plan.time_ns()
+        if launch_ns is not None:
+            self._predictions[key] = launch_ns
         return launch_ns
 
     def _place(
@@ -294,14 +296,17 @@ class PoolScanService:
         """Place every queued launch unit and serve it; returns tickets in
         submit order.
 
-        Placement is round-local LPT: a member's load is the device ns it
+        Placement is round-local: a member's load is the device ns it
         served so far this flush, summed from the units' tickets so that
-        lifetime history cannot perturb it.  Until every unit has a
-        predicted cost — a plan not yet built, a graph not yet lowered —
-        units go in padded-element order and place by that load alone:
-        a cold flush's serving order is its lowering order, and a graph's
+        lifetime history cannot perturb it.  Units go in the order of
+        their source group's padded elements (LPT by that proxy; a stable
+        sort, so a group's requests stay together in drain order).  That
+        order is also the lowering order of a cold flush, and a graph's
         lowered timeline depends on the L2 state earlier lowerings left,
-        so that order must not follow predictions that do not exist yet.
+        so it must not follow predictions.  A unit with a predicted cost (a
+        built plan, a lowered graph) places on the member minimising
+        ``load + predicted × observed slowdown``; one without places by
+        load alone, and is not scored against the cost model.
 
         Failover: after a terminal member fault the unit's unserved
         remainder is re-placed by the same rule (a permanently lost member
@@ -311,19 +316,13 @@ class PoolScanService:
         ``DeviceFault`` — and then every unserved request is back in the
         pool queue with its ticket tracked, as in :meth:`ScanService.flush`.
         """
-        units, costs = [], []
-        for group in self.batcher.drain():
-            launch_ns = self._launch_ns(group)
-            for unit in _launch_units(group):
-                units.append(unit)
-                costs.append(launch_ns)
-        priced = None not in costs
-        keys = costs if priced else [u.padded_elements for u in units]
-        if not priced:
-            costs = [0.0] * len(units)
-        # LPT: longest unit first (a stable sort: drain order on ties)
-        order = sorted(range(len(units)), key=keys.__getitem__, reverse=True)
-        queue = [(units[i], costs[i], 0) for i in order]
+        groups = self.batcher.drain()
+        groups.sort(key=lambda g: g.padded_elements, reverse=True)
+        queue = []
+        for group in groups:
+            graph = group.requests[0].graph if group.graph else None
+            cost = self._launch_ns(group.key, graph=graph)
+            queue += [(unit, cost, 0) for unit in _launch_units(group)]
         load = [0.0] * len(self.workers)
         completed: list[ScanTicket] = []
         busy_before = list(self.busy_ns)
@@ -339,7 +338,7 @@ class PoolScanService:
                 if self.controller is not None and len(queue) > 1:
                     pick = self.controller.choose("pool.group", len(queue))
                 group, cost, failovers = queue.pop(pick)
-                target = self._place(cost, load, point="pool.route",
+                target = self._place(cost or 0.0, load, point="pool.route",
                                      controller=self.controller)
                 if target is None:
                     raise DeviceFault(
@@ -350,8 +349,7 @@ class PoolScanService:
                 served, leftover, fault = self._dispatch(group, target)
                 completed.extend(served)
                 if leftover is None:
-                    load[target] += self._served_ns(target, group, served,
-                                                    cost if priced else None)
+                    load[target] += self._served_ns(target, group, served, cost)
                     group = None
                     continue
                 # faulted: charge the member the time it burned

@@ -402,6 +402,25 @@ class TestPoolChaos:
             svc.workers[1].observed_slowdown = 100.0
         assert {t.device for t in done} == {0}
 
+    def test_slowdown_steers_priced_units_beside_a_cold_shape(self):
+        """A flush that mixes priced units with a shape that has no plan
+        yet still weights the priced units by observed slowdown."""
+        svc = PoolScanService(2, config=toy_config())
+        for i in range(4):
+            svc.submit(_x(600, seed=900 + i), algorithm="mcscan", s=32)
+        svc.flush()
+        svc.workers[1].observed_slowdown = 100.0
+        warm = [
+            svc.submit(_x(600, seed=910 + i), algorithm="mcscan", s=32)
+            for i in range(4)
+        ]
+        cold = svc.submit(_x(5000, seed=920), algorithm="mcscan", s=32)
+        svc.flush()
+        assert {t.device for t in warm} == {0}
+        assert np.array_equal(cold.result(), inclusive_scan(_x(5000, seed=920)))
+        # only the priced units are scored against the cost model
+        assert svc.snapshot()["members"][0]["cost_model"]["units"] == 4
+
     def test_all_members_dead_raises_but_keeps_work(self):
         pool = _chaos_pool(
             dev0=FaultPlan(die_at_launch=0),

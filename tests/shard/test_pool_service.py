@@ -139,8 +139,8 @@ class TestRoutingAndCorrectness:
 
 
 class TestBalancedPlacement:
-    """Flush places launch units longest-predicted-first onto the member
-    with the least predicted completion within the round."""
+    """Flush places launch units, heaviest source group first, onto the
+    member with the least predicted completion within the round."""
 
     def test_graph_mix_trio_gives_each_member_one_of_each(
         self, trio, lowered, rng
@@ -175,21 +175,24 @@ class TestBalancedPlacement:
         assert placements[0] == placements[1]
         assert sorted(set(placements[0])) == [0, 1]
 
-    def test_lpt_orders_by_predicted_ns_not_padded_elements(
-        self, trio, lowered, rng
-    ):
-        llm, pipe, _ = trio
+    def test_units_go_in_source_group_padded_order(self, trio, lowered, rng):
+        """Units keep the group-at-a-time serving (and lowering) order:
+        heaviest source group by padded elements first, a group's requests
+        together — not per-request padded elements, not predicted ns."""
+        llm, pipe, sort = trio
         svc = _graph_pool(lowered, devices=1)
-        jobs = _trio_jobs(trio, rng, copies=1)
-        pipe_t = svc.submit_graph(pipe, jobs[1][1])
-        llm_t = svc.submit_graph(llm, jobs[0][1])
+        jobs = _trio_jobs(trio, rng, copies=5)
+        llm_t = svc.submit_graph(*jobs[0])
+        pipe_t = svc.submit_graph(*jobs[1])
+        sort_ts = [svc.submit_graph(g, x) for g, x in jobs if g is sort]
         svc.flush()
-        assert pipe_t.n == 8 * llm_t.n
+        # five sorts outweigh one pipeline by padded elements, and the
+        # pipeline outweighs the sampler although it is about a tenth of
+        # the sampler's device time
+        assert 5 * sort_ts[0].n > pipe_t.n == 8 * llm_t.n
         assert 5 * pipe_t.device_ns < llm_t.device_ns
-        # the sampler is submitted second and is 8x smaller, yet it is
-        # the longest predicted unit, so it launches first
         launched = [r.n_elements for r in svc.workers[0].stats.launches]
-        assert launched == [llm_t.n, pipe_t.n]
+        assert launched == [t.n for t in sort_ts] + [pipe_t.n, llm_t.n]
 
     def test_flush_of_lowered_graphs_only_peeks(
         self, trio, lowered, rng, monkeypatch
