@@ -20,6 +20,11 @@ Asserts the graph runtime's serving claims (DESIGN 2.12):
   ``fusion=aggressive`` captures one program per fused region: fewer
   launches, less GM traffic, >= 1.3x less device time than the per-node
   ``fusion=off`` lowering, with every output bit-identical.
+* **topk-fed sampler skips its sort** — in ``llm_sample`` the
+  ``top_p_sample`` reads ``topk``'s descending output, so it lowers
+  without the radix sort: the unit replays in <= 20% of the device time
+  of the same node lowered standalone (same shapes, sort kept), and the
+  device tokens of the sort-free program equal the oracle's.
 * **balanced pool rounds** — rounds of the graph-mix trio (two each of
   ``llm_sample``, ``sort_graph`` and ``scan_pipeline``) flushed on a D=2
   pool of full 910B4s: placement by predicted completion keeps every
@@ -47,7 +52,9 @@ from repro.graph import (
     sort_graph,
 )
 from repro.hw import FaultPlan
-from repro.hw.config import toy_config
+from repro.graph.interp import top_p_device_sample
+from repro.graph.op import get_op
+from repro.hw.config import ASCEND_910B4, toy_config
 from repro.ops import AscendOps, TopPSampler
 from repro.serve import RetryPolicy, ScanService
 from repro.shard import DevicePool, PoolScanService
@@ -62,7 +69,7 @@ REQUESTS = 12
 
 #: the pool-balance mix: perfbench graph-mix's trio at its largest
 #: vocabulary — the pipeline carries 8x the sampler's input elements but
-#: about a tenth of its device time, so element counts are a poor proxy
+#: about half of its device time, so element counts are a poor proxy
 BALANCE_VOCAB, BALANCE_PIPE_N, BALANCE_SORT_N = 2048, 16384, 4096
 BALANCE_ROUNDS = 4
 
@@ -335,6 +342,61 @@ def bench_fused_vs_unfused() -> dict:
     }
 
 
+def bench_sorted_sampler(requests: int = 8) -> dict:
+    """The topk-fed top_p_sample unit of llm_sample vs the same node
+    lowered standalone, on perfbench graph-mix's full 910B4 shapes."""
+    rng = np.random.default_rng(19)
+    runner = GraphRunner(ASCEND_910B4, fusion="aggressive")
+    graph = llm_sample(BALANCE_VOCAB, k=32, prep=("abs", "double"))
+    entries, _ = runner.lower(graph)
+    units = {unit.kind: (unit, low) for unit, low in entries}
+    topk = units["topk"][0]
+    sample, fed = units["top_p_sample"]
+
+    solo = Graph(name="top_p")
+    probs = solo.add_input("probs", "fp16", (32,))
+    ids = solo.add_input("ids", "int32", (32,))
+    solo.set_outputs(
+        list(solo.add_node("t", "top_p_sample", [probs, ids], sample.params))
+    )
+    ((_, standalone),) = runner.lower(solo)[0]
+
+    # device tokens of the sort-free program: topk then the presorted tail
+    exact = 0
+    for _ in range(requests):
+        row = _scores(rng, BALANCE_VOCAB)
+        theta = float(rng.integers(1, 16)) / 16.0
+        values, indices = get_op("topk").device_run(
+            runner.ops, [row], topk.params
+        )
+        token = top_p_device_sample(
+            runner.ops,
+            values,
+            indices,
+            p=sample.params["p"],
+            theta=theta,
+            s=sample.params["s"],
+            presorted=True,
+        )
+        want = oracle_outputs(
+            graph, {"probs": row}, {"sample": {"theta": theta}}
+        )[0]
+        exact += bool(np.array_equal(token, want))
+    fed_ns = fed.device_ns(runner.device)
+    standalone_ns = standalone.device_ns(runner.device)
+    return {
+        "vocab": BALANCE_VOCAB,
+        "k": 32,
+        "fed_us": fed_ns / 1e3,
+        "fed_launches": fed.launches,
+        "standalone_us": standalone_ns / 1e3,
+        "standalone_launches": standalone.launches,
+        "fed_vs_standalone": fed_ns / standalone_ns,
+        "requests": requests,
+        "tokens_match_oracle": exact,
+    }
+
+
 def bench_pool_balance() -> dict:
     """D=2 rounds of the graph-mix trio, after a one-of-each warm-up
     flush that lowers every graph."""
@@ -391,6 +453,7 @@ def test_graph_serving(benchmark, results_dir):
             "chaos": bench_chaos_identity(),
             "tuned": bench_tuned_graph_scan(),
             "fusion": bench_fused_vs_unfused(),
+            "sorted_sampler": bench_sorted_sampler(),
             "balance": bench_pool_balance(),
         }
 
@@ -399,6 +462,7 @@ def test_graph_serving(benchmark, results_dir):
     chaos = report["chaos"]
     tuned = report["tuned"]
     fusion = report["fusion"]
+    sampler = report["sorted_sampler"]
     balance = report["balance"]
 
     lines = [
@@ -439,6 +503,16 @@ def test_graph_serving(benchmark, results_dir):
         f"{fusion['launches_saved']} launches saved, "
         f"bit-identical={fusion['bit_identical']}",
         "",
+        f"topk-fed top_p_sample (vocab {sampler['vocab']}, "
+        f"k={sampler['k']}, full 910B4):",
+        f"  standalone (sorts) : {sampler['standalone_us']:8.1f} us, "
+        f"{sampler['standalone_launches']} launches",
+        f"  topk-fed (no sort) : {sampler['fed_us']:8.1f} us, "
+        f"{sampler['fed_launches']} launches "
+        f"({sampler['fed_vs_standalone']:.3f}x), device tokens "
+        f"{sampler['tokens_match_oracle']}/{sampler['requests']} "
+        f"equal the oracle",
+        "",
         f"pool balance (D={balance['devices']}, graph-mix trio x2 per round):",
     ]
     for i, r in enumerate(balance["rounds"]):
@@ -470,6 +544,8 @@ def test_graph_serving(benchmark, results_dir):
     assert fusion["device_speedup"] >= 1.3
     assert fusion["aggressive"]["launches"] < fusion["off"]["launches"]
     assert fusion["aggressive"]["fused_regions"] >= 3
+    assert sampler["fed_vs_standalone"] <= 0.20
+    assert sampler["tokens_match_oracle"] == sampler["requests"]
     for r in balance["rounds"]:
         assert r["bit_identical"]
         assert r["span_vs_half"] <= 1.05

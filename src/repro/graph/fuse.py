@@ -29,7 +29,10 @@ the pass entirely (byte-identical lowering to the pre-fusion runner).
 
 :func:`lowering_units` memoizes the pass on the graph, per mode, together
 with each unit's name-free runner cache key, so a served graph is fused
-and keyed once, not once per request.
+and keyed once, not once per request.  The key also marks a
+``top_p_sample`` that reads a ``topk`` output directly
+(:func:`sorted_by_topk`): its input is already sorted, so the runner
+lowers it without the sort, in every mode.
 """
 
 from __future__ import annotations
@@ -40,9 +43,21 @@ from ..errors import ConfigError
 from .ir import Graph, Node
 from .op import get_op
 
-__all__ = ["FUSION_MODES", "FusedNode", "fuse_graph", "lowering_units"]
+__all__ = [
+    "FUSION_MODES",
+    "SORTED_INPUT",
+    "FusedNode",
+    "fuse_graph",
+    "lowering_units",
+    "sorted_by_topk",
+]
 
 FUSION_MODES = ("off", "conservative", "aggressive")
+
+#: last element of the cache key of a ``top_p_sample`` unit lowered
+#: without its sort (see :func:`sorted_by_topk`); every fusion mode
+#: applies it, ``off`` included, since it is not fusion
+SORTED_INPUT = "sorted_input"
 
 
 @dataclass(frozen=True)
@@ -202,15 +217,34 @@ def fuse_graph(graph: Graph, mode: str = "conservative"):
     return result
 
 
-def _unit_key(unit: "Node | FusedNode", specs) -> tuple:
+def sorted_by_topk(node: Node, producers: "dict[str, Node]") -> bool:
+    """True when ``node`` is a ``top_p_sample`` whose ``probs`` and
+    ``ids`` are exactly the ``values`` and ``indices`` edges of one
+    ``topk`` node, in that order.  Its input is then already in the
+    descending order the sampler would sort it into, and a stable sort
+    of it is the identity, so the node lowers without its sort."""
+    if node.kind != "top_p_sample":
+        return False
+    source = producers.get(node.inputs[0])
+    return (
+        source is not None
+        and source.kind == "topk"
+        and node.inputs == source.output_edges()
+    )
+
+
+def _unit_key(unit: "Node | FusedNode", specs, producers) -> tuple:
     """The runner's cache key of one lowering unit.  A node keys on
-    ``(kind, shape_class)``; a fused region on its fn chain(s) plus the
+    ``(kind, shape_class)``, plus :data:`SORTED_INPUT` when it samples a
+    ``topk`` output (:func:`sorted_by_topk`), so it never shares a program
+    with a sampler that sorts; a fused region on its fn chain(s) plus the
     member shape classes, name-free, so two regions with equal keys
     replay the same captured program."""
     if isinstance(unit, Node):
         op = get_op(unit.kind)
         in_specs = [specs[e] for e in unit.inputs]
-        return (unit.kind, op.shape_class(in_specs, unit.params))
+        key = (unit.kind, op.shape_class(in_specs, unit.params))
+        return key + (SORTED_INPUT,) if sorted_by_topk(unit, producers) else key
     in_spec = specs[unit.inputs[0]]
     if unit.kind == "fused_elementwise":
         op = get_op("fused_elementwise")
@@ -230,4 +264,8 @@ def lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
 
 def _lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
     specs = graph.valid_specs()
-    return tuple((unit, _unit_key(unit, specs)) for unit in fuse_graph(graph, mode))
+    producers = graph.producers()
+    return tuple(
+        (unit, _unit_key(unit, specs, producers))
+        for unit in fuse_graph(graph, mode)
+    )

@@ -19,7 +19,10 @@ Lowered nodes are memoized in :class:`GraphPlanCache` keyed on
 ``(kind, shape_class)``: the steady-state cost of serving a graph
 request is replaying the captured kernels (O(1) memoized timelines) plus
 the host oracle numerics — no re-tracing, which is exactly what the
-hand-chained ``AscendOps`` path pays on every call.
+hand-chained ``AscendOps`` path pays on every call.  A ``top_p_sample``
+fed by ``topk`` keys apart and lowers without its sort
+(:func:`~repro.graph.fuse.sorted_by_topk`).  Every build starts from a
+cold L2, so a lowering's timeline does not depend on build order.
 
 Build-device residency: all capture-time GM traffic lands on the build
 device, so pool members' GM accounting (and the fuzz harness's GM
@@ -34,13 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.api import FOLDABLE_SCAN_ALGORITHMS, ScanContext, ScanPlan
+from ..core.reference import stable_order
 from ..errors import ConfigError, KernelError
 from ..hw.datatypes import as_dtype, cube_accum_dtype
 from ..ops.driver import AscendOps
 from ..ops.elementwise import ElementwiseMapKernel
 from ..ops.topp import TopPSampler
 from ..serve.plan import PlanCache
-from .fuse import FUSION_MODES, FusedNode, lowering_units
+from .fuse import FUSION_MODES, SORTED_INPUT, FusedNode, lowering_units
 from .ir import Graph, Node
 from .op import (
     ELEMENTWISE_FNS,
@@ -70,14 +74,31 @@ def top_p_device_sample(
     p: float,
     theta: float,
     s: int = 128,
+    presorted: bool = False,
 ) -> np.ndarray:
     """Device top-p pipeline (radix sort + MCScan cumsum + predicate
     counts) with the winner looked up in ``ids`` — the lowering behind the
-    ``top_p_sample`` op."""
+    ``top_p_sample`` op.  ``presorted`` skips the sort: ``probs`` must
+    already be non-increasing, as a ``topk`` output is."""
     sampler = TopPSampler(ops, s=s, digit_bits=SERVED_DIGIT_BITS)
+    if presorted:
+        return sampler.sample_sorted(probs, ids, p, theta).values
     res = sampler.sample(probs, p, backend="cube", theta=theta)
     token = int(ids[int(res.values[0])])
     return np.asarray([token], dtype=np.int64)
+
+
+def _presorted_top_p(ops, inputs, params) -> "tuple[np.ndarray]":
+    """``TopPSampleOp.device_run`` for a sampler fed by ``topk``."""
+    token = top_p_device_sample(
+        ops,
+        *inputs,
+        p=params["p"],
+        theta=params["theta"],
+        s=params["s"],
+        presorted=True,
+    )
+    return (token,)
 
 
 @dataclass
@@ -223,6 +244,10 @@ class GraphRunner:
         for unit, key in lowering_units(graph, self.fusion):
             low = self.cache.get(key)
             if low is None:
+                # every build starts from a cold L2, so a lowered
+                # program's timeline does not depend on what was lowered
+                # before it
+                self.device.flush_l2()
                 specs = graph.valid_specs()
                 if isinstance(unit, FusedNode):
                     low = self._build_fused(unit, key, specs)
@@ -444,8 +469,15 @@ class GraphRunner:
             return self._build_scan(key, node, in_specs)
         t0 = time.perf_counter()
         inputs = op.validation_inputs(in_specs, node.params)
+        device_run = op.device_run
+        if key[-1] == SORTED_INPUT:
+            # a sampler fed by topk lowers without its sort; it validates
+            # on the op's own recipe sorted the way the oracle sorts it
+            order = stable_order(inputs[0], descending=True)
+            inputs = [x[order] for x in inputs]
+            device_run = _presorted_top_p
         with self.device.capture_launches() as captured:
-            got = op.device_run(self.ops, inputs, node.params)
+            got = device_run(self.ops, inputs, node.params)
         if not captured:
             raise KernelError(
                 f"lowering {node.kind} captured no device launches"

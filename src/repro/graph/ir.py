@@ -248,14 +248,18 @@ class Graph:
     @_memoized
     def signature(self) -> tuple:
         """Hashable identity of the lowered program: per-node (kind,
-        shape-class) in topological order plus the output wiring.  Two
-        graphs with equal signatures replay the same captured device
-        programs, so this is the batcher's coalescing key."""
+        shape-class, input edges) in topological order plus the output
+        wiring — the input wiring decides fusion regions and whether a
+        sampler keeps its sort.  Two graphs with equal signatures replay
+        the same captured device programs, so this is the batcher's
+        coalescing key."""
         specs = self.valid_specs()
         node_sigs = []
         for node, op, _ in self._steps():
             in_specs = [specs[e] for e in node.inputs]
-            node_sigs.append((node.kind, op.shape_class(in_specs, node.params)))
+            node_sigs.append(
+                (node.kind, op.shape_class(in_specs, node.params), node.inputs)
+            )
         return (self.name, tuple(node_sigs), tuple(self.outputs))
 
     # -- execution (host oracle) --------------------------------------------

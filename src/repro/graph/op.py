@@ -715,7 +715,10 @@ class TopPSampleOp(OpNode):
     predicate-count passes — returns the sampled token id looked up in
     ``ids``.  The lowering sorts on :data:`SERVED_DIGIT_BITS`-bit digits,
     so a sample chains 5 scans (4 digit splits and the cumsum) where the
-    paper's per-bit sort chains 17.
+    paper's per-bit sort chains 17.  Fed straight by a ``topk`` node's
+    ``values`` and ``indices`` (see :func:`repro.graph.fuse.sorted_by_topk`)
+    the input is already in sort order, so the lowering drops the sort and
+    chains 1 scan: the cumsum and the two counts.
 
     ``p`` is structural (the nucleus cut); ``theta`` is the runtime draw
     in [0, 1) — neither changes the trace structure, so one captured

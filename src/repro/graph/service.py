@@ -48,7 +48,8 @@ class GraphKey:
     shared serving code peeks (``batch``/``padded``/``s``)."""
 
     graph: str
-    #: Graph.signature() — per-node (kind, shape-class) + output wiring
+    #: Graph.signature() — per-node (kind, shape-class, inputs) + output
+    #: wiring
     signature: tuple
     #: total input elements (per request): the pool's cold-flush order key
     padded: int

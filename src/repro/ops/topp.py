@@ -21,6 +21,10 @@ The two inverse-transform facts used to avoid extra passes: the exclusive
 cumulative sum equals ``cumsum[i] - probs[i]``, so the nucleus size is
 ``1 + #{cumsum <= p}``; and a ``theta`` drawn in ``[0, mass)`` lands inside
 the nucleus automatically, so the sampled position is ``#{cumsum < theta}``.
+
+:meth:`TopPSampler.sample_sorted` is that pipeline after the sort, for
+probabilities that arrive in descending order already (a top-k output):
+the cube backend then runs 1 scan and 2 counts instead of the sort too.
 """
 
 from __future__ import annotations
@@ -159,7 +163,8 @@ class TopPSampler:
         theta: "float | None" = None,
         rng: "np.random.Generator | None" = None,
     ) -> OperatorResult:
-        """Draw one token id from the top-p nucleus of ``probs``.
+        """Draw one token id from the top-p nucleus of ``probs``: the
+        descending sort, then :meth:`sample_sorted`.
 
         ``probs`` must be non-negative fp16 (they need not be normalised;
         the nucleus cut uses the normalised mass).
@@ -169,21 +174,34 @@ class TopPSampler:
             raise ShapeError("top-p expects a 1-D probability vector")
         if probs.dtype != np.float16:
             raise KernelError("top-p operates on fp16 probabilities")
-        if not 0.0 < p <= 1.0:
-            raise KernelError(f"p must be in (0, 1], got {p}")
-        if backend not in TOPP_BACKENDS:
-            raise KernelError(
-                f"unknown backend {backend!r}; pick one of {TOPP_BACKENDS}"
-            )
-        n = probs.size
+        self._check(p, backend)
         if theta is None:
             rng = rng if rng is not None else np.random.default_rng()
             theta = float(rng.random())
-
         sorted_probs = self._sort_desc(probs, backend)
-        traces = sorted_probs.traces
+        res = self.sample_sorted(
+            sorted_probs.values, sorted_probs.indices, p, theta, backend=backend
+        )
+        res.traces[:0] = sorted_probs.traces
+        return res
 
-        cum = self._cumsum(sorted_probs.values, backend, traces)
+    def sample_sorted(
+        self,
+        values: np.ndarray,
+        indices: np.ndarray,
+        p: float,
+        theta: float,
+        *,
+        backend: str = "cube",
+    ) -> OperatorResult:
+        """The pipeline after the sort: cumsum plus the two predicate
+        counts over ``values``, already in descending order, returning
+        ``indices`` at the sampled position.  A top-k output is such an
+        input, so a top-k-fed sampler skips the sort."""
+        self._check(p, backend)
+        traces: list = []
+        n = values.size
+        cum = self._cumsum(values, backend, traces)
         total = float(cum[-1])
         if total <= 0:
             raise KernelError("probabilities sum to zero")
@@ -197,7 +215,7 @@ class TopPSampler:
         cut = theta * mass
         pos = self._count(cum, "lt", cut, traces)
         pos = min(pos, k_nucleus - 1)
-        token = int(sorted_probs.indices[pos])
+        token = int(indices[pos])
 
         io = n * 2  # one logical read of the probability vector
         return OperatorResult(
@@ -213,3 +231,12 @@ class TopPSampler:
                 "backend": backend,
             },
         )
+
+    @staticmethod
+    def _check(p: float, backend: str) -> None:
+        if not 0.0 < p <= 1.0:
+            raise KernelError(f"p must be in (0, 1], got {p}")
+        if backend not in TOPP_BACKENDS:
+            raise KernelError(
+                f"unknown backend {backend!r}; pick one of {TOPP_BACKENDS}"
+            )

@@ -10,6 +10,8 @@ real hardware)."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,87 @@ def test_lowered_op_zoo_fully_synchronized(kind, dtypes, params):
     sorts' RadixDigit / DigitSplit passes included."""
     for traced in _lowered_programs(kind, dtypes, params):
         _assert_covered(traced)
+
+
+def _lowered_units(graph, fusion: str = "aggressive") -> dict:
+    """unit kind -> traced kernels of ``graph`` lowered by a runner whose
+    build device records the hazard audit."""
+    from repro.graph import GraphRunner
+
+    runner = GraphRunner(toy_config(), fusion=fusion)
+    runner.device.audit_hazards = True
+    entries, _ = runner.lower(graph)
+    assert all(low.validated is not False for _, low in entries)
+    return {unit.kind: low.traced for unit, low in entries}
+
+
+@pytest.mark.parametrize("method", ["baseline", "quickselect", "radix"])
+def test_llm_sample_units_fully_synchronized(method):
+    """Every topk method, the fused prep map and the topk-fed sampler
+    (cumsum and counts, no sort) are covered."""
+    from repro.graph import llm_sample
+
+    units = _lowered_units(
+        llm_sample(3000, k=8, method=method, s=32, prep=("abs", "double"))
+    )
+    assert set(units) == {"fused_elementwise", "topk", "top_p_sample"}
+    assert len(units["top_p_sample"]) == 3
+    for programs in units.values():
+        for traced in programs:
+            _assert_covered(traced)
+
+
+def test_multi_fn_fused_elementwise_fully_synchronized():
+    from repro.graph import Graph
+
+    g = Graph(name="chain")
+    edge = g.add_input("x", "fp16", (3000,))
+    for i, fn in enumerate(("abs", "double", "negate", "relu")):
+        (edge,) = g.add_node(f"m{i}", "elementwise", [edge], {"fn": fn})
+    g.set_outputs([edge])
+    (traced,) = _lowered_units(g, "conservative")["fused_elementwise"]
+    _assert_covered(traced)
+
+
+def _fused_scan_programs(algorithm: str) -> list:
+    from repro.graph import scan_pipeline
+
+    graph = scan_pipeline(
+        3000, pre=("abs", "negate"), post=("double",), algorithm=algorithm, s=32
+    )
+    return _lowered_units(graph)["fused_scan"]
+
+
+@pytest.mark.parametrize("algorithm", ["mcscan", "scanu", "scanul1"])
+def test_fused_scan_region_fully_synchronized(algorithm):
+    """The pre map pass, the scan with its folded post maps, and (for an
+    algorithm without the fold seam) the trailing map pass."""
+    programs = _fused_scan_programs(algorithm)
+    assert len(programs) == (2 if algorithm in ("mcscan", "scanu") else 3)
+    for traced in programs:
+        _assert_covered(traced)
+
+
+def test_dropped_queue_edge_in_fused_kernel_is_caught():
+    """Planted mutation: drop one cross-engine edge from the fused scan
+    kernel; the checker must report the race it opens."""
+    (traced,) = [
+        t for t in _fused_scan_programs("mcscan") if "fused mcscan" in t.label
+    ]
+    program = traced.program
+    assert check_accesses(program, traced.audit).ok
+    for op in program.ops:
+        for dep in program.deps_of(op.op_id):
+            if program.ops[dep].engine == op.engine:
+                continue
+            mutated = copy.copy(program)
+            mutated.op_deps = list(program.op_deps)
+            mutated.op_deps[op.op_id] = tuple(
+                d for d in program.deps_of(op.op_id) if d != dep
+            )
+            if not check_accesses(mutated, traced.audit).ok:
+                return
+    pytest.fail("no dropped edge of the fused kernel was reported")
 
 
 def test_per_bit_radix_sort_fully_synchronized(audit_ctx):

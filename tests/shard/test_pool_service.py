@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
 from repro.errors import ConfigError
-from repro.graph import GraphRunner, llm_sample, scan_pipeline, sort_graph
+from repro.graph import Graph, GraphRunner, llm_sample, scan_pipeline, sort_graph
 from repro.graph.fuse import lowering_units
 from repro.hw.config import ASCEND_910B4, toy_config
 from repro.hw.faults import FaultPlan
@@ -35,8 +35,20 @@ def _submit_mix(svc, rng, *, fp16_reqs=8, int8_reqs=4):
 
 
 #: the graph-mix trio's sizes: the pipeline carries 8x the sampler's
-#: input elements but about a tenth of its device time
+#: input elements but about half of its device time
 VOCAB, PIPE_N, SORT_N = 2048, 16384, 4096
+#: a standalone top_p_sample, which keeps its sort: 1,024 probabilities
+#: and 1,024 ids, an eighth of the pipeline's elements
+SAMPLER_N = 1024
+
+
+def _sampler_graph():
+    g = Graph(name="top_p")
+    probs = g.add_input("probs", "fp16", (SAMPLER_N,))
+    ids = g.add_input("ids", "int32", (SAMPLER_N,))
+    g.set_outputs(list(g.add_node("t", "top_p_sample", [probs, ids], {"p": 0.9})))
+    g.validate()
+    return g
 
 
 @pytest.fixture(scope="module")
@@ -179,20 +191,26 @@ class TestBalancedPlacement:
         """Units keep the group-at-a-time serving (and lowering) order:
         heaviest source group by padded elements first, a group's requests
         together — not per-request padded elements, not predicted ns."""
-        llm, pipe, sort = trio
+        _, pipe, sort = trio
         svc = _graph_pool(lowered, devices=1)
         jobs = _trio_jobs(trio, rng, copies=5)
-        llm_t = svc.submit_graph(*jobs[0])
+        sampler_t = svc.submit_graph(
+            _sampler_graph(),
+            {
+                "probs": (rng.permutation(SAMPLER_N) + 1).astype(np.float16),
+                "ids": np.arange(SAMPLER_N, dtype=np.int32),
+            },
+        )
         pipe_t = svc.submit_graph(*jobs[1])
         sort_ts = [svc.submit_graph(g, x) for g, x in jobs if g is sort]
         svc.flush()
         # five sorts outweigh one pipeline by padded elements, and the
-        # pipeline outweighs the sampler although it is about a tenth of
+        # pipeline outweighs the sampler although it is under a fifth of
         # the sampler's device time
-        assert 5 * sort_ts[0].n > pipe_t.n == 8 * llm_t.n
-        assert 5 * pipe_t.device_ns < llm_t.device_ns
+        assert 5 * sort_ts[0].n > pipe_t.n == 8 * sampler_t.n
+        assert 5 * pipe_t.device_ns < sampler_t.device_ns
         launched = [r.n_elements for r in svc.workers[0].stats.launches]
-        assert launched == [t.n for t in sort_ts] + [pipe_t.n, llm_t.n]
+        assert launched == [t.n for t in sort_ts] + [pipe_t.n, sampler_t.n]
 
     def test_flush_of_lowered_graphs_only_peeks(
         self, trio, lowered, rng, monkeypatch
