@@ -601,7 +601,10 @@ class RadixSortOp(OpNode):
     """Stable LSB radix sort returning (values, indices), the
     ``torch.sort`` contract.  Ties keep original order (both the device's
     stable splits and the oracle's stable argsort guarantee it).  The
-    lowering splits on :data:`SERVED_DIGIT_BITS`-bit digits."""
+    lowering splits on :data:`SERVED_DIGIT_BITS`-bit digits, one
+    :class:`~repro.ops.split.DigitSplitKernel` launch per digit (4 for
+    16-bit keys, 2 for 8-bit), with the keys encoded in UB: no encode,
+    decode or negate launch."""
 
     kind = "radix_sort"
     num_inputs = 1
@@ -714,8 +717,9 @@ class TopPSampleOp(OpNode):
     """Llama3 nucleus sampling: radix-sort descending, MCScan cumsum, two
     predicate-count passes — returns the sampled token id looked up in
     ``ids``.  The lowering sorts on :data:`SERVED_DIGIT_BITS`-bit digits,
-    so a sample chains 5 scans (4 digit splits and the cumsum) where the
-    paper's per-bit sort chains 17.  Fed straight by a ``topk`` node's
+    so a sample chains 5 scans in 7 launches (4 one-launch digit passes,
+    the cumsum and the two counts) where the paper's per-bit sort chains
+    17 scans.  Fed straight by a ``topk`` node's
     ``values`` and ``indices`` (see :func:`repro.graph.fuse.sorted_by_topk`)
     the input is already in sort order, so the lowering drops the sort and
     chains 1 scan: the cumsum and the two counts.

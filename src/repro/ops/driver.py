@@ -32,8 +32,10 @@ from .elementwise import ElementwiseMapKernel, PredicateCountKernel, RangeCopyKe
 from .radix import (
     DecodeFp16Kernel,
     EncodeFp16Kernel,
-    RadixDigitKernel,
     RadixSingleKernel,
+    radix_keys_np,
+    radix_pad_value,
+    radix_values_np,
 )
 from .radix_select import CountMatchKernel
 from .result import OperatorResult
@@ -240,15 +242,16 @@ class AscendOps:
         """Stable LSB radix sort of 8/16-bit keys returning (values,
         indices), matching the ``torch.sort`` contract (Section 6.3).
 
-        ``digit_bits=1`` is the paper's path: one SplitInd per key bit.
-        A wider digit runs one :class:`RadixDigitKernel` +
-        :class:`DigitSplitKernel` pass per ``digit_bits`` key bits."""
+        ``digit_bits=1`` is the paper's path: an encode launch, then one
+        RadixSingle + SplitInd per key bit over uint keys, then a decode
+        launch.  A wider digit runs one :class:`DigitSplitKernel` launch
+        per ``digit_bits`` key bits over the values themselves: each pass
+        computes the keys in UB, so no encode or decode launch is needed."""
         x = np.asarray(x)
         if x.ndim != 1:
             raise ShapeError("radix_sort expects a 1-D array")
         n = x.size
         dt = _value_dtype(x)
-        is_float = dt.name == "fp16"
         ell = s * s
         # LSB radix: one split per key bit -- 16 for fp16/u16/i16, 8 for
         # 8-bit keys (the "additional 2x for low-precision sorting" of
@@ -259,8 +262,9 @@ class AscendOps:
                 f"digit_bits must be one of {DIGIT_BITS} dividing the "
                 f"{bits}-bit key, got {digit_bits}"
             )
+        per_bit = digit_bits == 1
         radix = 1 << digit_bits
-        if digit_bits == 1:
+        if per_bit:
             unit = ell
         else:
             # R·m digit flags must tile by s^2 for the MCScan, and m by
@@ -270,155 +274,136 @@ class AscendOps:
         try:
             traces: list = []
             key_dt = as_dtype("uint16") if dt.itemsize == 2 else as_dtype("uint8")
-            signed = not is_float and np.issubdtype(
-                dt.np_dtype, np.signedinteger
-            )
-            x_gm = self._alloc_padded("rs_x", x, unit, dt)
+            # pads take the maximum key: they sort after every real key
+            # (NaN encodings included) in either direction, and the stable
+            # splits keep them behind real ties.  The digit path sorts the
+            # values themselves, so it pads with the value of that key.
+            pad = 0 if per_bit else radix_pad_value(dt.np_dtype, descending)
+            x_gm = self._alloc_padded("rs_x", x, unit, dt, pad_value=pad)
             padded = x_gm.num_elements
             vbd = self._vec_block_dim(padded)
             if self.sc.warm_inputs:
                 self.device.warm_l2(x_gm)
 
-            keys = [
-                self.device.alloc("rs_k0", (padded,), key_dt),
-                self.device.alloc("rs_k1", (padded,), key_dt),
-            ]
+            # ping-pong buffers: uint keys per bit, values per digit
+            if per_bit:
+                bufs = [
+                    self.device.alloc("rs_k0", (padded,), key_dt),
+                    self.device.alloc("rs_k1", (padded,), key_dt),
+                ]
+            else:
+                bufs = [x_gm, self.device.alloc("rs_v1", (padded,), dt)]
             idx = [
                 self.device.alloc("rs_i0", (padded,), "int32"),
                 self.device.alloc("rs_i1", (padded,), "int32"),
             ]
-            flat = (1 if digit_bits == 1 else radix) * padded
+            flat = (1 if per_bit else radix) * padded
             flags = self.device.alloc("rs_f", (flat,), "int8")
             bd = self._mix_block_dim(flat // ell)
             scan_gm, r_gm = self._scan_workspace(flat, s, bd)
 
-            # pre-processing: order-preserving key encoding
-            work = x_gm
-            if is_float and descending:
-                neg = self.device.alloc("rs_neg", (padded,), dt)
-                traces.append(
-                    self.device.launch(
-                        ElementwiseMapKernel(
-                            x_gm, neg, lambda v: -v, vbd, label="negate"
-                        ),
-                        label="negate",
-                    )
-                )
-                work = neg
-            if is_float:
-                traces.append(
-                    self.device.launch(
-                        EncodeFp16Kernel(work, keys[0], vbd), label="encode fp16"
-                    )
-                )
-            else:
-                # order-preserving integer encode: signed keys flip the
-                # sign bit (two's-complement -> biased unsigned), then
-                # descending inverts the whole key
-                key_np = key_dt.np_dtype
-                bias = key_np.type((1 << (bits - 1)) if signed else 0)
-                enc = (
-                    (lambda v: ~(v.astype(key_np) ^ bias))
-                    if descending
-                    else (lambda v: v.astype(key_np) ^ bias)
-                )
-                traces.append(
-                    self.device.launch(
-                        ElementwiseMapKernel(
-                            work, keys[0], enc, vbd, label="encode keys"
-                        ),
-                        label="encode keys",
-                    )
-                )
-            # pads take the maximum key in key space: they sort after
-            # every real key (NaN encodings included) in either direction,
-            # and the stable splits keep them behind real ties
-            keys[0].flat[n:] = np.iinfo(key_dt.np_dtype).max
+            if per_bit:
+                self._encode_keys(traces, x_gm, bufs[0], descending, vbd)
+                bufs[0].flat[n:] = np.iinfo(key_dt.np_dtype).max
 
             cur = 0
-            if digit_bits == 1:
-                # 16 split iterations, LSB first
-                for b in range(bits):
+            for shift in range(0, bits, digit_bits):
+                in_idx = idx[cur] if shift > 0 else None
+                if per_bit:
                     traces.append(
                         self.device.launch(
-                            RadixSingleKernel(keys[cur], flags, b, vbd),
-                            label=f"RadixSingle bit {b}",
+                            RadixSingleKernel(bufs[cur], flags, shift, vbd),
+                            label=f"RadixSingle bit {shift}",
                         )
                     )
                     self._launch_split(
-                        traces,
-                        keys[cur],
-                        flags,
-                        keys[1 - cur],
-                        idx[1 - cur],
-                        idx[cur] if b > 0 else None,
-                        s,
-                        bd,
-                        scan_gm,
-                        r_gm,
-                        label=f"split bit {b}",
+                        traces, bufs[cur], flags, bufs[1 - cur], idx[1 - cur],
+                        in_idx, s, bd, scan_gm, r_gm,
+                        label=f"split bit {shift}",
                     )
-                    cur = 1 - cur
-            else:
-                consts = self.sc.constants(s, "int8")
-                for shift in range(0, bits, digit_bits):
-                    traces.append(
-                        self.device.launch(
-                            RadixDigitKernel(
-                                keys[cur], flags, shift, digit_bits, vbd
-                            ),
-                            label=f"RadixDigit shift {shift}",
-                        )
-                    )
+                else:
                     kernel = DigitSplitKernel(
-                        keys[cur], flags, scan_gm, r_gm, consts, s, bd,
-                        keys[1 - cur], idx[1 - cur],
-                        in_indices=idx[cur] if shift > 0 else None,
+                        bufs[cur], flags, scan_gm, r_gm,
+                        self.sc.constants(s, "int8"), s, bd,
+                        bufs[1 - cur], idx[1 - cur], in_indices=in_idx,
+                        shift=shift, descending=descending,
                     )
                     traces.append(
                         self.device.launch(kernel, label=f"digit split shift {shift}")
                     )
-                    cur = 1 - cur
+                cur = 1 - cur
 
-            # post-processing: decode keys back to values
-            out_v = self.device.alloc("rs_out_v", (padded,), dt)
-            if is_float:
-                traces.append(
-                    self.device.launch(
-                        DecodeFp16Kernel(keys[cur], out_v, vbd), label="decode fp16"
-                    )
-                )
-                if descending:
-                    traces.append(
-                        self.device.launch(
-                            ElementwiseMapKernel(
-                                out_v, out_v, lambda v: -v, vbd, label="negate out"
-                            ),
-                            label="negate out",
-                        )
-                    )
-            else:
-                key_np = key_dt.np_dtype
-                bias = key_np.type((1 << (bits - 1)) if signed else 0)
-                fn = (
-                    (lambda v: ((~v) ^ bias).astype(dt.np_dtype))
-                    if descending
-                    else (lambda v: (v ^ bias).astype(dt.np_dtype))
-                )
-                traces.append(
-                    self.device.launch(
-                        ElementwiseMapKernel(
-                            keys[cur], out_v, fn, vbd, label="decode keys"
-                        ),
-                        label="decode keys",
-                    )
-                )
+            out_v = bufs[cur]
+            if per_bit:
+                out_v = self.device.alloc("rs_out_v", (padded,), dt)
+                self._decode_keys(traces, bufs[cur], out_v, descending, vbd)
             values = out_v.to_numpy()[:n]
             indices = idx[cur].to_numpy()[:n]
         finally:
             self.device.memory.release(mark)
         io = n * (dt.itemsize + dt.itemsize + 4)
         return OperatorResult(values, traces, n, io, indices=indices)
+
+    def _encode_keys(self, traces, x_gm, keys, descending, vbd) -> None:
+        """Per-bit pre-processing: the order-preserving key encoding."""
+        dt = x_gm.dtype
+        if dt.name == "fp16":
+            work = x_gm
+            if descending:
+                work = self.device.alloc("rs_neg", (x_gm.num_elements,), dt)
+                traces.append(
+                    self.device.launch(
+                        ElementwiseMapKernel(
+                            x_gm, work, lambda v: -v, vbd, label="negate"
+                        ),
+                        label="negate",
+                    )
+                )
+            traces.append(
+                self.device.launch(
+                    EncodeFp16Kernel(work, keys, vbd), label="encode fp16"
+                )
+            )
+            return
+        traces.append(
+            self.device.launch(
+                ElementwiseMapKernel(
+                    x_gm, keys, lambda v: radix_keys_np(v, descending), vbd,
+                    label="encode keys",
+                ),
+                label="encode keys",
+            )
+        )
+
+    def _decode_keys(self, traces, keys, out_v, descending, vbd) -> None:
+        """Per-bit post-processing: decode keys back to values."""
+        dt = out_v.dtype
+        if dt.name == "fp16":
+            traces.append(
+                self.device.launch(
+                    DecodeFp16Kernel(keys, out_v, vbd), label="decode fp16"
+                )
+            )
+            if descending:
+                traces.append(
+                    self.device.launch(
+                        ElementwiseMapKernel(
+                            out_v, out_v, lambda v: -v, vbd, label="negate out"
+                        ),
+                        label="negate out",
+                    )
+                )
+            return
+        traces.append(
+            self.device.launch(
+                ElementwiseMapKernel(
+                    keys, out_v,
+                    lambda v: radix_values_np(v, dt.np_dtype, descending), vbd,
+                    label="decode keys",
+                ),
+                label="decode keys",
+            )
+        )
 
     def baseline_sort(
         self, x: np.ndarray, *, descending: bool = False

@@ -10,11 +10,11 @@ Components:
   ``b`` it produces the int8 flag array ``flag = NOT bit_b(key)`` using
   ``ShiftRight`` / ``Not`` vector instructions (flag = 1 means the key goes
   to the *front*, so zero bits first gives an ascending sort);
-* :class:`RadixDigitKernel` — the multi-bit variant: one vector pass reads
-  the ``b``-bit digit at a shift (``ShiftRight``, ``And 2^b - 1``) and
-  writes its one-hot flags *digit-major*, ``2^b`` rows of ``m`` int8 flags
-  (``2^b`` ``Compare eq v`` per tile), for one
-  :class:`~repro.ops.split.DigitSplitKernel`;
+* :func:`radix_keys_np` / :func:`radix_values_np` — the order-preserving
+  unsigned key of every 8/16-bit value type in either direction and its
+  inverse; the multi-bit :class:`~repro.ops.split.DigitSplitKernel`
+  computes the keys in UB from the values themselves, and
+  :func:`radix_pad_value` is the value a digit sort pads with;
 * :class:`EncodeFp16Kernel` / :class:`DecodeFp16Kernel` — the pre/post
   processing for floats (Knuth ex. 5.2.5-8/9, also [9]): positive numbers
   get their MSB inverted, negative numbers all bits, yielding an
@@ -23,9 +23,10 @@ Components:
 
 The driver in :mod:`repro.ops.driver` chains one split per key bit (16
 for 16-bit keys, 8 for 8-bit keys: the paper's path, ``digit_bits=1``) or
-one digit split per ``b``-bit digit (``16 / b`` passes), with ping-pong
-buffers, and carries the original indices through every split, so the
-operator returns (sorted values, argsort indices) like ``torch.sort``.
+one digit split per ``b``-bit digit (``16 / b`` passes, each a single
+launch over the values themselves), with ping-pong buffers, and carries
+the original indices through every split, so the operator returns
+(sorted values, argsort indices) like ``torch.sort``.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ from ..lang.tensor import BufferKind
 
 __all__ = [
     "RadixSingleKernel",
-    "RadixDigitKernel",
     "EncodeFp16Kernel",
     "DecodeFp16Kernel",
     "encode_fp16_np",
     "decode_fp16_np",
+    "radix_keys_np",
+    "radix_values_np",
+    "radix_pad_value",
 ]
 
 #: elements per vector tile of the elementwise kernels
@@ -67,19 +70,54 @@ def decode_fp16_np(e: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint16).view(np.float16)
 
 
+def _sign_bias(dtype: np.dtype) -> int:
+    """The XOR that maps two's-complement order onto unsigned order."""
+    return 1 << (dtype.itemsize * 8 - 1) if dtype.kind == "i" else 0
+
+
+def radix_keys_np(values: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Order-preserving unsigned radix keys of 8/16-bit values: fp16 via
+    :func:`encode_fp16_np`, signed integers with the sign bit flipped,
+    unsigned as they are; ``descending`` inverts every key."""
+    v = np.asarray(values)
+    key_np = np.dtype(f"uint{v.dtype.itemsize * 8}")
+    if v.dtype == np.float16:
+        keys = encode_fp16_np(v)
+    elif v.dtype.kind in "iu" and v.dtype.itemsize in (1, 2):
+        keys = v.view(key_np) ^ key_np.type(_sign_bias(v.dtype))
+    else:
+        raise KernelError(f"no radix key for {v.dtype} values")
+    return ~keys if descending else keys
+
+
+def radix_values_np(keys: np.ndarray, dtype, descending: bool = False) -> np.ndarray:
+    """Inverse of :func:`radix_keys_np`: the ``dtype`` values of ``keys``."""
+    dtype = np.dtype(dtype)
+    keys = np.asarray(keys)
+    if descending:
+        keys = ~keys
+    if dtype == np.float16:
+        return decode_fp16_np(keys)
+    return (keys ^ keys.dtype.type(_sign_bias(dtype))).view(dtype)
+
+
+def radix_pad_value(dtype, descending: bool = False):
+    """The value whose radix key is all ones: it sorts after every real
+    key in the sort direction, NaN encodings included."""
+    key_np = np.dtype(f"uint{np.dtype(dtype).itemsize * 8}")
+    top = np.array([np.iinfo(key_np).max], dtype=key_np)
+    return radix_values_np(top, dtype, descending)[0]
+
+
 class _ElementwiseVecKernel(Kernel):
     """Shared scaffolding: tile loop over all vector cores."""
 
     mode = "vec"
 
-    def __init__(
-        self, x: GlobalTensor, y: GlobalTensor, block_dim: int, rows: int = 1
-    ):
+    def __init__(self, x: GlobalTensor, y: GlobalTensor, block_dim: int):
         super().__init__(block_dim=block_dim)
-        if y.num_elements != rows * x.num_elements:
-            raise ShapeError(
-                f"output length must be {rows} x the input length"
-            )
+        if y.num_elements != x.num_elements:
+            raise ShapeError("output length must match input")
         self.x = x
         self.y = y
 
@@ -136,53 +174,6 @@ class RadixSingleKernel(_ElementwiseVecKernel):
             I.data_copy(ctx, self.y.slice(off, ln), flags, label="store flags")
             q_out.free_tensor(flags)
             q_bits.free_tensor(bits)
-            q_in.free_tensor(keys)
-
-
-class RadixDigitKernel(_ElementwiseVecKernel):
-    """One-hot the ``digit_bits``-wide digit at ``shift`` of uint16/uint8
-    keys into digit-major int8 flags: row ``v`` (flags ``[v·m, (v+1)·m)``
-    for ``m`` keys) is 1 where the key's digit equals ``v``."""
-
-    def __init__(
-        self,
-        keys: GlobalTensor,
-        flags: GlobalTensor,
-        shift: int,
-        digit_bits: int,
-        block_dim: int,
-    ):
-        super().__init__(keys, flags, block_dim, rows=1 << digit_bits)
-        _check_radix_operands(keys, flags)
-        if not 0 <= shift <= keys.dtype.itemsize * 8 - digit_bits:
-            raise KernelError(
-                f"a {digit_bits}-bit digit at shift {shift} exceeds the "
-                f"{keys.dtype.itemsize * 8}-bit key"
-            )
-        self.shift = shift
-        self.radix = 1 << digit_bits
-
-    def run(self, ctx) -> None:
-        m = self.x.num_elements
-        esz = self.x.dtype.itemsize
-        pipe = ctx.make_pipe(ctx.vec_core(0))
-        q_in = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE * esz)
-        q_dig = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE * esz)
-        q_out = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=_TILE)
-        for off, ln in self._tiles(ctx):
-            keys = q_in.alloc_tensor(self.x.dtype, ln)
-            I.data_copy(ctx, keys, self.x.slice(off, ln), label="load keys")
-            digits = q_dig.alloc_tensor(self.x.dtype, ln)
-            I.shift_right(ctx, digits, keys, self.shift, label=f"shift {self.shift}")
-            I.bit_and(ctx, digits, digits, self.radix - 1, label="mask digit")
-            for v in range(self.radix):
-                flags = q_out.alloc_tensor("int8", ln)
-                I.compare_scalar(ctx, flags, digits, "eq", v, label=f"digit {v}")
-                I.data_copy(
-                    ctx, self.y.slice(v * m + off, ln), flags, label=f"store row {v}"
-                )
-                q_out.free_tensor(flags)
-            q_dig.free_tensor(digits)
             q_in.free_tensor(keys)
 
 

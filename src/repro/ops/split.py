@@ -20,18 +20,23 @@ digit-major, and phases 1-2 are one exclusive MCScan over the flat
 ``R·m`` array.  The scan at ``v·m + i`` is then the count of all digits
 below ``v`` plus the count of digit ``v`` before ``i``: element ``i``'s
 stable destination.  So no histogram and no base pass are needed, and the
-gather writes each (tile, digit) run with one contiguous store.
+gather writes each (tile, digit) run with one contiguous store.  The
+kernel writes those flags itself in a first phase: each value's
+order-preserving key is computed in UB (:func:`~repro.ops.radix.radix_keys_np`),
+so one launch serves a whole digit pass straight from the values.
 """
 
 from __future__ import annotations
 
 from ..errors import KernelError, ShapeError
+from ..hw.datatypes import as_dtype
 from ..hw.memory import GlobalTensor
 from ..lang import intrinsics as I
 from ..lang.kernel import Kernel
 from ..lang.tensor import BufferKind
 from ..core.matrices import ScanConstants
 from ..core.mcscan import MCScanKernel, mcscan_partition, _split_half
+from .radix import radix_keys_np
 
 __all__ = [
     "SplitIndKernel",
@@ -229,9 +234,12 @@ def digit_gather_tile(s: int) -> int:
 
 
 class DigitSplitKernel(Kernel):
-    """Stable ``R``-way split of (values, indices) by digit-major one-hot
-    int8 flags (``R`` rows of ``m``), written by
-    :class:`~repro.ops.radix.RadixDigitKernel`."""
+    """One LSB radix pass over 8/16-bit values: a stable ``R``-way split
+    of (values, indices) by the ``log2 R``-bit digit of each value's
+    radix key at ``shift``.
+
+    Phase 0 one-hots the digits into digit-major int8 flags (``R`` rows
+    of ``m``), phases 1-2 scan them, phase 3 gathers."""
 
     mode = "mix"
 
@@ -247,6 +255,9 @@ class DigitSplitKernel(Kernel):
         out_values: GlobalTensor,
         out_indices: GlobalTensor,
         in_indices: "GlobalTensor | None" = None,
+        *,
+        shift: int = 0,
+        descending: bool = False,
     ):
         super().__init__(block_dim=block_dim)
         m = x.num_elements
@@ -267,6 +278,27 @@ class DigitSplitKernel(Kernel):
         self.x = x
         self.flags = flags
         self.radix = flags.num_elements // m
+        key_bits = x.dtype.itemsize * 8
+        digit_bits = self.radix.bit_length() - 1
+        if self.radix != 1 << digit_bits or not (
+            0 <= shift <= key_bits - digit_bits
+        ):
+            raise KernelError(
+                f"{self.radix} digit rows at shift {shift} do not fit the "
+                f"{key_bits}-bit key"
+            )
+        self.shift = shift
+        self.descending = descending
+        self.key_dtype = as_dtype(f"uint{key_bits}")
+        # the instructions the encode and map kernels charge for the key:
+        # fp16's four-instruction encode, the signed bias XOR, and the
+        # descending inversion
+        if x.dtype.name == "fp16":
+            self.key_instructions = 4 + descending
+        else:
+            self.key_instructions = int(
+                x.dtype.np_dtype.kind == "i" or descending
+            )
         self.out_values = out_values
         self.out_indices = out_indices
         self.in_indices = in_indices
@@ -276,7 +308,82 @@ class DigitSplitKernel(Kernel):
         )
 
     def phases(self):
-        return [self.mc.phase1, self.mc.phase2, self.gather_phase]
+        return [self.digit_phase, self.mc.phase1, self.mc.phase2, self.gather_phase]
+
+    def _lanes(self, ctx):
+        """(vector core, first item, end item) of this block's non-empty
+        lanes: every (gather tile, digit) pair is one work item, dealt
+        tile-major in contiguous runs over all vector cores, so a lane
+        reloads a tile only when its tile changes."""
+        halves = len(ctx.vector_cores)
+        n_items = (self.x.num_elements // self.gather_tile) * self.radix
+        lanes = mcscan_partition(n_items, self.block_dim * halves)
+        for j in range(halves):
+            lo, hi = lanes[ctx.block_idx * halves + j]
+            if lo < hi:
+                yield j, lo, hi
+
+    # -- phase 0: digit one-hot ---------------------------------------------------
+
+    def _digits(self, ctx, q_vals, q_keys, q_dig, off: int):
+        """Load one tile of values and reduce it to the digit of each
+        value's radix key; the key never leaves UB."""
+        g = self.gather_tile
+        vals = q_vals.alloc_tensor(self.x.dtype, g)
+        I.data_copy(ctx, vals, self.x.slice(off, g), label="load x")
+        keys = vals
+        if self.key_instructions:
+            keys = q_keys.alloc_tensor(self.key_dtype, g)
+            src, dst, descending = vals.array, keys.array, self.descending
+
+            def _encode() -> None:
+                dst[...] = radix_keys_np(src, descending)
+
+            I.vector_macro(
+                ctx,
+                label="encode keys",
+                reads=(vals,),
+                writes=(keys,),
+                nbytes=self.key_instructions * vals.nbytes,
+                n_instructions=self.key_instructions,
+                apply=_encode,
+            )
+        digits = q_dig.alloc_tensor(self.key_dtype, g)
+        I.shift_right(ctx, digits, keys, self.shift, label=f"shift {self.shift}")
+        I.bit_and(ctx, digits, digits, self.radix - 1, label="mask digit")
+        if keys is not vals:
+            q_keys.free_tensor(keys)
+        q_vals.free_tensor(vals)
+        return digits
+
+    def digit_phase(self, ctx) -> None:
+        """Write flag row ``v`` of each work item: one ``Compare eq v``
+        and one row store, over digits computed once per tile run."""
+        m = self.x.num_elements
+        g = self.gather_tile
+        esz = self.x.dtype.itemsize
+        for j, lo, hi in self._lanes(ctx):
+            pipe = ctx.make_pipe(ctx.vec_core(j))
+            q_vals = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * esz)
+            q_keys = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * esz)
+            q_dig = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * esz)
+            q_flags = pipe.init_buffer(buffer=BufferKind.UB, depth=2, slot_bytes=g)
+            digits = None
+            for item in range(lo, hi):
+                tile, digit = divmod(item, self.radix)
+                off = tile * g
+                if digit == 0 or item == lo:
+                    if digits is not None:
+                        q_dig.free_tensor(digits)
+                    digits = self._digits(ctx, q_vals, q_keys, q_dig, off)
+                flags = q_flags.alloc_tensor("int8", g)
+                I.compare_scalar(ctx, flags, digits, "eq", digit, label=f"digit {digit}")
+                I.data_copy(
+                    ctx, self.flags.slice(digit * m + off, g), flags,
+                    label=f"store row {digit}",
+                )
+                q_flags.free_tensor(flags)
+            q_dig.free_tensor(digits)
 
     def _row_offset(self, ctx, q_small, digit: int, off: int) -> int:
         """Destination of the first digit-``digit`` element at or after
@@ -292,19 +399,12 @@ class DigitSplitKernel(Kernel):
     # -- phase 3: gather ---------------------------------------------------------
 
     def gather_phase(self, ctx) -> None:
-        """Every (gather tile, digit) pair is one work item; the items are
-        dealt tile-major in contiguous runs over all vector cores, so a
-        core reloads values and indices only when its tile changes."""
+        """Gather each work item's digit run: values and indices reload
+        only when the lane's tile changes."""
         m = self.x.num_elements
         g = self.gather_tile
-        halves = len(ctx.vector_cores)
-        n_items = (m // g) * self.radix
-        lanes = mcscan_partition(n_items, self.block_dim * halves)
         esz = self.x.dtype.itemsize
-        for j in range(halves):
-            lo, hi = lanes[ctx.block_idx * halves + j]
-            if lo >= hi:
-                continue
+        for j, lo, hi in self._lanes(ctx):
             pipe = ctx.make_pipe(ctx.vec_core(j))
             q_vals = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * esz)
             q_idx = pipe.init_buffer(buffer=BufferKind.UB, depth=1, slot_bytes=g * 4)

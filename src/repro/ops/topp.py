@@ -11,7 +11,7 @@ Two backends:
   each an MCScan over the radix mask) + one MCScan cumsum + two
   predicate-count passes.  As Section 5 notes, this makes top-p execute
   17 scans per batch.  With ``digit_bits=4`` the sort is 4 digit splits
-  instead, so 5 scans per batch.
+  instead, one launch each, so 5 scans in 7 launches per batch.
 * ``"baseline"`` — the stock PyTorch path: merge-sort ``torch.sort`` and
   the vector-only ``torch.cumsum`` ("the baseline top-p sampling
   implementation scales poorly, mainly because the baseline torch.cumsum

@@ -146,14 +146,14 @@ def test_interpreter_matches_graph_oracle(case, runner):
 @pytest.mark.parametrize(
     "kind, dtype, params, passes, launches",
     [
-        # encode, 4 x (RadixDigit + digit split), decode
-        ("radix_sort", "fp16", {"descending": False}, 4, 10),
-        # + negate in and out
-        ("radix_sort", "fp16", {"descending": True}, 4, 12),
+        # one launch per digit pass: keys are encoded in UB
+        ("radix_sort", "fp16", {"descending": False}, 4, 4),
+        # descending inverts the keys in UB too
+        ("radix_sort", "fp16", {"descending": True}, 4, 4),
         # 8-bit keys: 2 digit passes
-        ("radix_sort", "uint8", {"descending": False}, 2, 6),
+        ("radix_sort", "uint8", {"descending": False}, 2, 2),
         # the descending sort, the MCScan cumsum and two counts
-        ("top_p_sample", "fp16", {"p": 0.8, "theta": 0.3}, 4, 15),
+        ("top_p_sample", "fp16", {"p": 0.8, "theta": 0.3}, 4, 7),
     ],
 )
 def test_sorts_lower_to_validated_digit_passes(

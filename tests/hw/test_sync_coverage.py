@@ -184,8 +184,10 @@ def _lowered_programs(kind: str, dtypes: "tuple[str, ...]", params: dict):
 @pytest.mark.parametrize(
     "kind, dtypes, params",
     [
+        ("radix_sort", ("fp16",), {"s": 32}),
         ("radix_sort", ("fp16",), {"s": 32, "descending": True}),
         ("radix_sort", ("uint8",), {"s": 32}),
+        ("radix_sort", ("int16",), {"s": 32, "descending": True}),
         ("top_p_sample", ("fp16", "int32"), {"s": 32, "p": 0.9}),
         ("split", ("fp16", "int8"), {"s": 32}),
         ("compress", ("int16", "int8"), {"s": 32}),
@@ -194,7 +196,7 @@ def _lowered_programs(kind: str, dtypes: "tuple[str, ...]", params: dict):
 )
 def test_lowered_op_zoo_fully_synchronized(kind, dtypes, params):
     """Every program a lowered op node replays is covered: the served
-    sorts' RadixDigit / DigitSplit passes included."""
+    sorts' one-launch DigitSplit passes included."""
     for traced in _lowered_programs(kind, dtypes, params):
         _assert_covered(traced)
 
@@ -278,6 +280,60 @@ def test_dropped_queue_edge_in_fused_kernel_is_caught():
             if not check_accesses(mutated, traced.audit).ok:
                 return
     pytest.fail("no dropped edge of the fused kernel was reported")
+
+
+def _digit_passes(audit_ctx, x: np.ndarray, descending: bool = False) -> list:
+    """The traced DigitSplit launches of one 4-bit digit sort of ``x``."""
+    from repro.ops import AscendOps
+
+    ops = AscendOps(scan_context=audit_ctx)
+    with audit_ctx.device.capture_launches() as captured:
+        ops.radix_sort(x, s=32, descending=descending, digit_bits=4)
+    assert all("digit split" in t.label for t in captured)
+    return captured
+
+
+@pytest.mark.parametrize(
+    "dtype, descending, passes",
+    [
+        (np.float16, False, 4),
+        (np.float16, True, 4),
+        (np.uint8, False, 2),
+        (np.int8, False, 2),
+    ],
+)
+def test_digit_split_pass_fully_synchronized(audit_ctx, dtype, descending, passes):
+    """One digit pass is one launch: digit one-hot, the two MCScan phases
+    and the gather, a SyncAll between each."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(-100, 100, 3000).astype(dtype)
+    captured = _digit_passes(audit_ctx, x, descending)
+    assert len(captured) == passes
+    for traced in captured:
+        assert sum(op.is_barrier for op in traced.ops) == 3
+        _assert_covered(traced)
+
+
+def test_digit_phase_merged_into_phase1_is_caught(audit_ctx):
+    """Planted mutation: the digit one-hot and MCScan phase I run as one
+    phase, without the SyncAll between them (phase I's ops lose their
+    fence on it); phase I then reads flag rows other cores write, and the
+    checker must report the race."""
+    x = np.random.default_rng(6).integers(-100, 100, 3000).astype(np.float16)
+    traced = _digit_passes(audit_ctx, x)[0]
+    program = traced.program
+    first, second = [op.op_id for op in program.ops if op.is_barrier][:2]
+    assert check_accesses(program, traced.audit).ok
+    mutated = copy.copy(program)
+    mutated.op_deps = [
+        tuple(d for d in deps if d != first) if first < i < second else deps
+        for i, deps in enumerate(program.op_deps)
+    ]
+    report = check_accesses(mutated, traced.audit)
+    assert not report.ok
+    assert any(
+        "store row" in mutated.ops[v.earlier].label for v in report.violations
+    )
 
 
 def test_per_bit_radix_sort_fully_synchronized(audit_ctx):
