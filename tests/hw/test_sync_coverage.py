@@ -184,14 +184,14 @@ def _lowered_programs(kind: str, dtypes: "tuple[str, ...]", params: dict):
 @pytest.mark.parametrize(
     "kind, dtypes, params",
     [
-        ("radix_sort", ("fp16",), {"s": 32}),
         ("radix_sort", ("fp16",), {"s": 32, "descending": True}),
         ("radix_sort", ("uint8",), {"s": 32}),
-        ("radix_sort", ("int16",), {"s": 32, "descending": True}),
         ("top_p_sample", ("fp16", "int32"), {"s": 32, "p": 0.9}),
         ("split", ("fp16", "int8"), {"s": 32}),
         ("compress", ("int16", "int8"), {"s": 32}),
         ("elementwise", ("fp16",), {"fn": "relu"}),
+        ("radix_sort", ("fp16",), {"s": 32}),
+        ("radix_sort", ("int16",), {"s": 32, "descending": True}),
     ],
 )
 def test_lowered_op_zoo_fully_synchronized(kind, dtypes, params):
