@@ -7,7 +7,8 @@ Asserts the graph runtime's serving claims (DESIGN 2.12):
   pipeline once and replays memoized programs per request; calling the
   same operators by hand (top-k, then the sort-free sampler tail the
   served graph lowers) re-traces every kernel per request.  Both
-  cold (build inline) and warm passes must clear 2x, with the served
+  cold (build inline; the median over COLD_RUNS fresh services, each
+  lowering the graph anew) and warm passes must clear 2x, with the served
   tokens bit-identical to the NumPy oracle *and* to the hand-chained
   device path (tie-free inputs).
 * **chaos bit-identity** — ``llm_sample`` and ``sort_graph`` requests
@@ -77,6 +78,9 @@ CHAOS_SORT_N = 1000
 #: about half of its device time, so element counts are a poor proxy
 BALANCE_VOCAB, BALANCE_PIPE_N, BALANCE_SORT_N = 2048, 16384, 4096
 BALANCE_ROUNDS = 4
+#: fresh services the cold pass is timed on (median): one cold pass per
+#: process ranged 2.5-4.4x against the 2.0 bar on a 2-CPU host
+COLD_RUNS = 3
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -106,16 +110,21 @@ def bench_llm_sample_serving() -> dict:
     expected = [
         int(oracle_outputs(graph, {"probs": b})[0][0]) for b in batch
     ]
-    svc = ScanService(config=config)
 
     def serve():
         tickets = [svc.submit_graph(graph, {"probs": b}) for b in batch]
         svc.flush()
         return tickets
 
-    t0 = time.perf_counter()
-    tickets = serve()
-    cold_s = time.perf_counter() - t0
+    # each cold pass lowers the graph on a fresh service; the last one
+    # serves the warm passes
+    cold = []
+    for _ in range(COLD_RUNS):
+        svc = ScanService(config=config)
+        t0 = time.perf_counter()
+        tickets = serve()
+        cold.append(time.perf_counter() - t0)
+    cold_s = float(np.median(cold))
     warm_s = _best_of(serve)
 
     ops = AscendOps(scan_context=ScanContext(config))
@@ -146,6 +155,7 @@ def bench_llm_sample_serving() -> dict:
         "tokens_match_oracle": tokens == expected,
         "tokens_match_handchained": tokens == hand_tokens,
         "cold_ms": cold_s * 1e3,
+        "cold_runs_ms": [c * 1e3 for c in cold],
         "warm_ms": warm_s * 1e3,
         "handchained_ms": hand_s * 1e3,
         "speedup_cold": hand_s / cold_s,
@@ -481,7 +491,8 @@ def test_graph_serving(benchmark, results_dir):
         f"{serving['requests']} requests):",
         f"  hand-chained (re-traced) : {serving['handchained_ms']:8.1f} ms",
         f"  graph-served, cold       : {serving['cold_ms']:8.1f} ms "
-        f"({serving['speedup_cold']:.1f}x)",
+        f"({serving['speedup_cold']:.1f}x, median of "
+        f"{len(serving['cold_runs_ms'])} fresh services)",
         f"  graph-served, warm       : {serving['warm_ms']:8.1f} ms "
         f"({serving['speedup_warm']:.1f}x)",
         "",

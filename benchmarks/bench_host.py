@@ -17,8 +17,10 @@ Asserts the serial host-path performance model (DESIGN 2.11):
   intrinsic, op emission included) beats the int32 matmul formula it
   replaced by >= 10x, best of repeats, with equal int32 results.
 * **cold shard-plan build** — a cold D=2 ``ShardedScanner`` scan of a 1M
-  int8 array (both shard plans traced), recorded with the
-  warm re-scan of the same array.
+  int8 array, recorded with the warm re-scan of the same array.  Both
+  shards share one plan key, so the pool traces once: member 0 traces
+  and member 1 mirrors that trace (2 plans built, 1 traced program), and
+  the mirror builds >= 5x faster than the trace.
 * **pool host curve** — PoolScanService flush wall-clock vs member count
   D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.
 
@@ -161,7 +163,7 @@ def bench_pool_scaling() -> dict:
         for x in fp16:
             svc.submit(x)
         for x in int8:
-            svc.submit(x, algorithm="scanul1", s=16)
+            svc.submit(x, algorithm="scanu", s=16)
         svc.flush()
 
     def warm_to_steady_state(svc):
@@ -286,11 +288,17 @@ def bench_cold_build() -> dict:
     cold_s = time.perf_counter() - t0
     assert np.array_equal(result.values, inclusive_scan(x))
     warm_s = _best_of(lambda: scanner.scan(x))
+    # one shard plan per member, in member order
+    traced, mirror = [plans[0] for _, plans in sorted(scanner._plans.items())]
     return {
         "n": COLD_N,
         "devices": 2,
         "plans_built": scanner.plans_built,
+        "traces": len({id(traced.traced), id(mirror.traced)}),
         "cold_ms": cold_s * 1e3,
+        "trace_ms": traced.build_host_s * 1e3,
+        "mirror_ms": mirror.build_host_s * 1e3,
+        "mirror_speedup": traced.build_host_s / mirror.build_host_s,
         "warm_ms": warm_s * 1e3,
     }
 
@@ -347,8 +355,11 @@ def test_host_path(benchmark, results_dir):
         f"({mmad['speedup']:.1f}x)",
         "",
         f"cold shard-plan build (D={cold['devices']}, {cold['n']:,} int8):",
-        f"  cold scan (plans built x{cold['plans_built']}) : "
-        f"{cold['cold_ms']:8.1f} ms",
+        f"  cold scan (plans built x{cold['plans_built']}, "
+        f"traced x{cold['traces']}) : {cold['cold_ms']:8.1f} ms",
+        f"  member 0 trace           : {cold['trace_ms']:8.1f} ms",
+        f"  member 1 mirror          : {cold['mirror_ms']:8.1f} ms "
+        f"({cold['mirror_speedup']:.0f}x)",
         f"  warm re-scan             : {cold['warm_ms']:8.1f} ms",
     ]
     lines += ["", "pool host wall-clock vs D:"]
@@ -373,3 +384,6 @@ def test_host_path(benchmark, results_dir):
         assert order[direction]["speedup"] >= 3.0
     # float64 BLAS beats NumPy's BLAS-less int32 matmul on one cube tile
     assert mmad["speedup"] >= 10.0
+    # a D=2 pool traces a shard plan once; the other member mirrors it
+    assert cold["plans_built"] == 2 and cold["traces"] == 1
+    assert cold["mirror_speedup"] >= 5.0

@@ -18,7 +18,9 @@ Every caller runs that tracer:
   re-runs only the functional NumPy computation, and the timeline is
   memoized on the traced program (the op DAG's costs are fixed at trace
   time, so replays are deterministic — see :mod:`repro.hw.compiled`).
-  This is the substrate of the request-serving layer in :mod:`repro.serve`;
+  This is the substrate of the request-serving layer in :mod:`repro.serve`.
+  On a device pool only the first member to build a plan traces it; the
+  others build mirrors of that trace (:meth:`ScanContext._mirror`);
 * **one-shot scans** (:meth:`ScanContext.scan`, :meth:`~ScanContext.scan_strategy`,
   :meth:`~ScanContext.batched_scan`) trace a scratch plan on the caller's
   input inside a mark/release scope, launch it once and return the
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -190,6 +192,11 @@ class ScanPlan:
     #: (phase I, phase II) programs of a device-carry MCScan plan, cut
     #: from :attr:`traced` at its ``SyncAll``; empty for every other plan
     phases: "tuple[TracedKernel, ...]" = field(default=())
+    #: this plan's launches served from the memoized timeline / that
+    #: computed it — counted per plan, not on :attr:`traced`, because
+    #: pool members' plans share one trace (cost probes count neither)
+    timeline_hits: int = field(default=0)
+    timeline_misses: int = field(default=0)
 
     @property
     def is_batched(self) -> bool:
@@ -229,15 +236,16 @@ class ScanPlan:
             )
         return self.ctx.device.time_traced(self.traced, engine=engine)
 
-    @property
-    def timeline_hits(self) -> int:
-        """Executions served from the memoized timeline (no scheduling)."""
-        return self.traced.timeline_hits
-
-    @property
-    def timeline_misses(self) -> int:
-        """Executions that had to compute the timeline."""
-        return self.traced.timeline_misses
+    def _replay(self, **kw) -> Trace:
+        """Launch :attr:`traced` on this plan's device: one execution,
+        with the timeline hit or miss it causes counted on this plan."""
+        traced = self.traced
+        hits, misses = traced.timeline_hits, traced.timeline_misses
+        trace = self.ctx.device.replay(traced, **kw)
+        self.timeline_hits += traced.timeline_hits - hits
+        self.timeline_misses += traced.timeline_misses - misses
+        self.executions += 1
+        return trace
 
     @property
     def key(self) -> tuple:
@@ -289,10 +297,7 @@ class ScanPlan:
                 x, engine=engine, audit_timing=audit_timing
             )
         values = self._compute_padded(x)
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
-        self.executions += 1
+        trace = self._replay(engine=engine, audit_timing=audit_timing)
         n = x.size
         io = n * self._io_bytes_per_element()
         return ScanResult(values[:n], trace, n, io)
@@ -352,10 +357,7 @@ class ScanPlan:
             self.algorithm,
             self.in_dtype,
         )
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
-        self.executions += 1
+        trace = self._replay(engine=engine, audit_timing=audit_timing)
         n = rows * row_len
         io = n * self._io_bytes_per_element()
         return ScanResult(values[:rows, :row_len], trace, n, io)
@@ -381,11 +383,7 @@ class ScanPlan:
                 f"plan for {self.algorithm} (padded={self.padded}) has been "
                 f"released; its device tensors are gone — build a new plan"
             )
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
-        self.executions += 1
-        return trace
+        return self._replay(engine=engine, audit_timing=audit_timing)
 
     def _io_bytes_per_element(self) -> int:
         return self.in_dtype.itemsize + self.out_dtype.itemsize
@@ -415,6 +413,9 @@ class ScanContext:
         #: one is :class:`repro.tune.TuneStore` — duck-typed to keep core
         #: free of a tune dependency)
         self.tune_store = None
+        #: trace table shared by a device pool's members (see
+        #: :meth:`_mirror`); None keeps every trace private to this context
+        self.traces = None
 
     # -- constants cache ------------------------------------------------------
 
@@ -778,9 +779,12 @@ class ScanContext:
     # -- plan building (serve-layer substrate) ------------------------------------------
 
     def _finish_plan(
-        self, plan: ScanPlan, expected: "np.ndarray | None", t0: float
+        self, plan: ScanPlan, expected: "np.ndarray | None", t0: float, key: tuple
     ) -> ScanPlan:
-        """Validate the freshly traced plan and stamp its build stats."""
+        """Validate the freshly traced plan, stamp its build stats and
+        offer it to the pool's :attr:`traces` table under ``key``; the
+        table holds it weakly, so other members find the trace while this
+        plan lives."""
         if expected is not None:
             got = plan.y_gm.to_numpy()
             err = float(
@@ -800,7 +804,36 @@ class ScanContext:
                     f"exact validation input"
                 )
         plan.build_host_s = time.perf_counter() - t0
+        if self.traces is not None:
+            self.traces[key] = plan
         return plan
+
+    def _mirror(self, key: tuple, validate: bool, t0: float) -> "ScanPlan | None":
+        """A plan for ``key`` that shares the trace of a live plan in the
+        pool's :attr:`traces` table instead of tracing again: its GM
+        tensors are allocated on this device with the source's names,
+        shapes and dtypes, and it shares the source's traced program,
+        phases and build verdict.  None when this context has no table,
+        no live plan holds the key, or the source skipped the validation
+        asked for here.  A context never mirrors a plan it traced itself:
+        a second build on one device traces at new addresses, as it does
+        without a pool."""
+        source = None if self.traces is None else self.traces.get(key)
+        if (
+            source is None
+            or source.ctx is self
+            or (validate and not source.validated)
+        ):
+            return None
+        tensors = tuple(
+            self.device.alloc(t.name, t.shape, t.dtype) for t in source.gm_tensors
+        )
+        return replace(
+            source, ctx=self, x_gm=tensors[0], y_gm=tensors[1],
+            gm_tensors=tensors, executions=0, released=False,
+            timeline_hits=0, timeline_misses=0,
+            build_host_s=time.perf_counter() - t0,
+        )
 
     def build_plan(
         self,
@@ -854,21 +887,29 @@ class ScanContext:
                 "exclusive scan is implemented on MCScan (as in the paper)"
             )
         carry_slot = device_carry and algorithm == "mcscan"
-        plan, sample = self._trace_1d(
-            self._layout(algorithm, dt, s, (n,)),
-            algorithm=algorithm,
-            s=s,
-            block_dim=block_dim,
-            exclusive=exclusive,
-            carry_slot=carry_slot,
+        layout = self._layout(algorithm, dt, s, (n,))
+        key = (
+            algorithm, layout.shape, layout.pad_unit, dt.name, s, block_dim,
+            exclusive, carry_slot, self.warm_inputs,
         )
+        plan = self._mirror(key, validate, t0)
+        if plan is None:
+            plan, sample = self._trace_1d(
+                layout,
+                algorithm=algorithm,
+                s=s,
+                block_dim=block_dim,
+                exclusive=exclusive,
+                carry_slot=carry_slot,
+            )
+            expected = None
+            if validate:
+                expected = plan_compute(sample, algorithm, dt, exclusive=exclusive)
+                if carry_slot:
+                    expected = expected + expected.dtype.type(PLANTED_CARRY)
+            plan = self._finish_plan(plan, expected, t0, key)
         plan.tuned = was_tuned
-        expected = None
-        if validate:
-            expected = plan_compute(sample, algorithm, dt, exclusive=exclusive)
-            if carry_slot:
-                expected = expected + expected.dtype.type(PLANTED_CARRY)
-        return self._finish_plan(plan, expected, t0)
+        return plan
 
     def build_batched_plan(
         self,
@@ -911,17 +952,22 @@ class ScanContext:
             )
         if batch < 1:
             raise ShapeError(f"batch must be >= 1, got {batch}")
-        plan, sample = self._trace_batched(
-            self._layout(algorithm, dt, s, (batch, row_len)),
-            algorithm=algorithm,
-            s=s,
-            block_dim=block_dim,
+        layout = self._layout(algorithm, dt, s, (batch, row_len))
+        key = (
+            algorithm, layout.shape, layout.pad_unit, dt.name, s, block_dim,
+            False, False, self.warm_inputs,
         )
+        plan = self._mirror(key, validate, t0)
+        if plan is None:
+            plan, sample = self._trace_batched(
+                layout, algorithm=algorithm, s=s, block_dim=block_dim
+            )
+            expected = None
+            if validate:
+                expected = plan_compute_batched(sample, algorithm, dt)
+            plan = self._finish_plan(plan, expected, t0, key)
         plan.tuned = was_tuned
-        expected = None
-        if validate:
-            expected = plan_compute_batched(sample, algorithm, dt)
-        return self._finish_plan(plan, expected, t0)
+        return plan
 
     # -- copy (torch.clone stand-in, Figure 8) --------------------------------------------
 

@@ -251,12 +251,15 @@ class PlanCache:
 
     @property
     def timeline_hits(self) -> int:
-        """Replays served from memoized timelines across all cached plans."""
+        """This cache's replays served from memoized timelines, summed
+        over its plans (a pool member's plan may mirror a trace another
+        member replays too, so the count lives on the plan, not the
+        trace)."""
         return sum(p.timeline_hits for p in self._plans.values())
 
     @property
     def timeline_misses(self) -> int:
-        """Replays that computed a timeline across all cached plans."""
+        """This cache's replays that computed a timeline."""
         return sum(p.timeline_misses for p in self._plans.values())
 
     def stats(self) -> dict:

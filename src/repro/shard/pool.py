@@ -7,12 +7,19 @@ simulated times can be max-reduced (sharded scan) or load-balanced
 (pool serving) without cross-talk.
 
 What members *do* share is host-side: the module-level constant-matrix
-cache (:func:`repro.core.matrices.host_constant_matrices`) and, when given
+cache (:func:`repro.core.matrices.host_constant_matrices`), when given
 one, a single tuned-plan store — the sweep cost of tuning a workload is
-paid once for the whole pool, not once per device.
+paid once for the whole pool, not once per device — and one trace
+table.  Members run one config, so a scan plan's traced program does not
+depend on the member: the first member to build a plan traces it, and
+the others build *mirrors* of it on their own devices
+(:meth:`repro.core.api.ScanContext._mirror`).  The table holds plans
+weakly, so eviction still bounds host memory.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from ..core.api import ScanContext
 from ..errors import ConfigError
@@ -60,6 +67,10 @@ class DevicePool:
             ScanContext(config, device=d, warm_inputs=warm_inputs)
             for d in self.devices
         ]
+        #: plans by trace key, shared by every member (see module doc)
+        self.traces = weakref.WeakValueDictionary()
+        for ctx in self.contexts:
+            ctx.traces = self.traces
         #: tuned-plan store shared by every member (may be None)
         self.tune_store = tune_store
         if tune_store is not None:

@@ -69,6 +69,7 @@ class _Bucket:
         "staged",
         "target",
         "start_ns",
+        "deadline_ns",
     )
 
     def __init__(self, key, capacity):
@@ -80,14 +81,8 @@ class _Bucket:
         self.staged = False
         self.target = -1
         self.start_ns = 0.0
-
-    @property
-    def deadline_ns(self) -> float:
-        """Earliest member deadline — the EDF key."""
-        return min(
-            (r.deadline_ns for r in self.requests if r.deadline_ns is not None),
-            default=float("inf"),
-        )
+        #: earliest member deadline — the EDF key, kept as rows join
+        self.deadline_ns = float("inf")
 
     @property
     def event_ns(self) -> float:
@@ -172,12 +167,12 @@ class TrafficScheduler:
         member is alive to serve.
         """
         self.clock_ns = max(self.clock_ns, arrival.t_ns)
-        # probe cost *before* preparing a ticket: admission must not
-        # track work it is about to refuse
-        probe_req, _ = self.svc.workers[0]._prepare(
+        # prepare untracked: admission must not track work it is about
+        # to refuse
+        req, ticket = self.svc.workers[0]._prepare(
             x, algorithm=algorithm, s=s, req_id=-1
         )
-        solo_ns = self.svc._predict_ns(probe_req, 1)
+        solo_ns = self.svc._predict_ns(req, 1)
         target = self._place(solo_ns)
         if target is None:
             self.stats.record_shed()
@@ -189,10 +184,7 @@ class TrafficScheduler:
         if earliest_start + solo_ns > arrival.deadline_ns:
             self.stats.record_shed()
             return None
-        req, ticket = self.svc._prepare(
-            x, algorithm=algorithm, s=s,
-            t_arrival_ns=arrival.t_ns, deadline_ns=arrival.deadline_ns,
-        )
+        self.svc._track(req, ticket, arrival.t_ns, arrival.deadline_ns)
         self._enqueue(req, ticket)
         return ticket
 
@@ -251,6 +243,8 @@ class TrafficScheduler:
     def _add_to_bucket(self, bucket: _Bucket, req: ScanRequest, ticket) -> None:
         bucket.requests.append(req)
         bucket.tickets.append(ticket)
+        if req.deadline_ns is not None:
+            bucket.deadline_ns = min(bucket.deadline_ns, req.deadline_ns)
         if bucket.staged:
             return  # joined in flight; launch slot is already committed
         # latest start that still meets the bucket's earliest deadline at

@@ -149,22 +149,30 @@ class PoolScanService:
         algorithm: "str | None" = None,
         s: "int | None" = None,
         exclusive: bool = False,
-        t_arrival_ns: "float | None" = None,
-        deadline_ns: "float | None" = None,
     ) -> "tuple[ScanRequest, ScanTicket]":
         """Validate one pool submission and track its ticket without
-        enqueueing — the admission seam the open-loop traffic scheduler
-        (:class:`repro.shard.scheduler.TrafficScheduler`) uses to own
-        batching itself while ids, tickets and routing stay pool-level."""
-        req_id = self._next_id
-        self._next_id += 1
+        enqueueing."""
         req, ticket = self.workers[0]._prepare(
-            x, algorithm=algorithm, s=s, exclusive=exclusive, req_id=req_id
+            x, algorithm=algorithm, s=s, exclusive=exclusive, req_id=-1
         )
+        self._track(req, ticket)
+        return req, ticket
+
+    def _track(
+        self, req: ScanRequest, ticket: ScanTicket,
+        t_arrival_ns: "float | None" = None,
+        deadline_ns: "float | None" = None,
+    ) -> None:
+        """Give a request prepared untracked (``req_id=-1``) the next pool
+        id, its arrival and deadline, and track its ticket — also the
+        admission seam of the open-loop traffic scheduler
+        (:class:`repro.shard.scheduler.TrafficScheduler`), which owns
+        batching while ids, tickets and routing stay pool-level."""
+        req.req_id = ticket.req_id = self._next_id
+        self._next_id += 1
         req.t_arrival_ns = ticket.t_arrival_ns = t_arrival_ns
         req.deadline_ns = ticket.deadline_ns = deadline_ns
-        self._tickets[req_id] = ticket
-        return req, ticket
+        self._tickets[req.req_id] = ticket
 
     def submit(
         self,

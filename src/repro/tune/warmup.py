@@ -11,8 +11,9 @@ workload key, so a fleet bring-up can pay them *up front*:
   function of (config, workload) — independent of which workloads were
   tuned before it (``tests/tune/test_warmup.py`` holds this).
 * :func:`warm_service` then prebuilds the plan cache of one service for
-  those workloads (plans hold traced op DAGs and simulated device
-  allocations, so they are built per member).
+  those workloads (plans hold simulated device allocations, so each
+  member builds its own; on a pool the first member traces and the rest
+  mirror that trace).
 * :func:`warm_pool` does both for every member of a
   :class:`~repro.shard.PoolScanService` behind one call.
 
@@ -194,8 +195,10 @@ def warm_pool(
     log=None,
 ) -> WarmupReport:
     """Warm a whole device pool: one tuning pass into the shared store,
-    then per-member plan prebuilds (plans are device state, so each member
-    traces its own, against its own simulated device).
+    then per-member plan prebuilds.  Plans are device state, so each
+    member allocates its own; the pool traces each plan once, on the
+    first member, and the others mirror that trace
+    (:class:`~repro.shard.DevicePool`).
     """
     _check_serial(workers)
     t0 = time.perf_counter()
