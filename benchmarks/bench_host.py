@@ -21,6 +21,10 @@ Asserts the serial host-path performance model (DESIGN 2.11):
   shards share one plan key, so the pool traces once: member 0 traces
   and member 1 mirrors that trace (2 plans built, 1 traced program), and
   the mirror builds >= 5x faster than the trace.
+* **in-place sharded numerics** — a warm D=2 ``ShardedScanner`` scan of a
+  4M fp16 array (each shard scanned straight into its output slice),
+  recorded (not asserted) with host ms and minor page faults per call
+  next to the allocate-and-copy numerics it replaced, on the same shards.
 * **pool host curve** — PoolScanService flush wall-clock vs member count
   D in {1, 2, 4, 8}, recorded (not asserted) as the scaling curve.
 
@@ -29,6 +33,7 @@ Results (including ``host_cpus``) are committed to
 """
 
 import os
+import resource
 import time
 
 import numpy as np
@@ -303,6 +308,66 @@ def bench_cold_build() -> dict:
     }
 
 
+SHARD_N = 4 << 20
+SHARD_CALLS = 5
+
+
+def _copying_numerics(x, ranges, padded) -> np.ndarray:
+    """The sharded numerics the in-place scan replaced: each shard's local
+    scan is a buffered fp16 -> fp32 ``np.cumsum`` of a zero-padded copy,
+    then copied into a fresh output with its carry added."""
+    local = []
+    for (start, end), pad in zip(ranges, padded):
+        xp = np.zeros(pad, dtype=x.dtype)
+        xp[: end - start] = x[start:end]
+        local.append(np.cumsum(xp, dtype=np.float32)[: end - start])
+    carries = np.cumsum([v[-1] for v in local[:-1]], dtype=np.float32)
+    values = np.empty(x.size, dtype=np.float32)
+    values[: ranges[0][1]] = local[0]
+    for (start, end), v, carry in zip(ranges[1:], local[1:], carries):
+        np.add(v, carry, out=values[start:end])
+    return values
+
+
+def _host_cost(fn) -> "tuple[float, float]":
+    """(best ms, mean minor page faults) per call over ``SHARD_CALLS``."""
+    best = float("inf")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(SHARD_CALLS):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best * 1e3, faults / SHARD_CALLS
+
+
+def bench_sharded_numerics() -> dict:
+    """Warm D=2 4M fp16 sharded scan vs the replaced copying numerics.
+
+    The copying side runs the numerics alone (no phase replays), so the
+    comparison flatters it; both sides are checked bit-identical first."""
+    x = np.random.default_rng(47).standard_normal(SHARD_N).astype(np.float16)
+    scanner = ShardedScanner(DevicePool(2), algorithm="mcscan")
+    result = scanner.scan(x)  # builds the shard plans
+    ranges = [(r.start, r.end) for r in result.shards]
+    padded = [r.padded for r in result.shards]
+    copying = _copying_numerics(x, ranges, padded)
+    assert copying.tobytes() == result.values.tobytes()
+    del result, copying
+    in_place_ms, in_place_faults = _host_cost(lambda: scanner.scan(x))
+    copying_ms, copying_faults = _host_cost(
+        lambda: _copying_numerics(x, ranges, padded)
+    )
+    return {
+        "n": SHARD_N,
+        "devices": 2,
+        "in_place_ms": in_place_ms,
+        "in_place_minor_faults": in_place_faults,
+        "copying_ms": copying_ms,
+        "copying_minor_faults": copying_faults,
+    }
+
+
 def test_host_path(benchmark, results_dir):
     def run_all():
         return {
@@ -311,6 +376,7 @@ def test_host_path(benchmark, results_dir):
             "sort_order": bench_sort_order(),
             "mmad": bench_mmad(),
             "cold_build": bench_cold_build(),
+            "sharded_numerics": bench_sharded_numerics(),
             "pool": bench_pool_scaling(),
         }
 
@@ -322,6 +388,7 @@ def test_host_path(benchmark, results_dir):
     order = report["sort_order"]
     mmad = report["mmad"]
     cold = report["cold_build"]
+    shard = report["sharded_numerics"]
     pool = report["pool"]
 
     lines = [
@@ -361,6 +428,12 @@ def test_host_path(benchmark, results_dir):
         f"  member 1 mirror          : {cold['mirror_ms']:8.1f} ms "
         f"({cold['mirror_speedup']:.0f}x)",
         f"  warm re-scan             : {cold['warm_ms']:8.1f} ms",
+        "",
+        f"warm sharded scan (D={shard['devices']}, {shard['n']:,} fp16, per call):",
+        f"  allocate-and-copy numerics : {shard['copying_ms']:8.1f} ms, "
+        f"{shard['copying_minor_faults']:6.0f} minor faults",
+        f"  in-place scan              : {shard['in_place_ms']:8.1f} ms, "
+        f"{shard['in_place_minor_faults']:6.0f} minor faults",
     ]
     lines += ["", "pool host wall-clock vs D:"]
     for point in pool["curve"]:

@@ -49,11 +49,7 @@ from .batched import batched_kernel_cls, default_batched_block_dim
 from .copykernel import CopyKernel
 from .matrices import ScanConstants, batched_tile_rows, padded_length, upload_constants
 from .mcscan import MCScanKernel
-from .replay import (
-    plan_compute,
-    plan_compute_batched,
-    validation_input,
-)
+from .replay import plan_compute, validation_input
 from .scanu import ScanUKernel
 from .strategies import LookbackScanKernel, RSSScanKernel, SSAScanKernel
 from .scanul1 import ScanUL1Kernel
@@ -296,24 +292,30 @@ class ScanPlan:
             return self._execute_batched(
                 x, engine=engine, audit_timing=audit_timing
             )
-        values = self._compute_padded(x)
+        values = self._compute(x)
         trace = self._replay(engine=engine, audit_timing=audit_timing)
         n = x.size
         io = n * self._io_bytes_per_element()
-        return ScanResult(values[:n], trace, n, io)
+        return ScanResult(values, trace, n, io)
 
-    def compute(self, x: np.ndarray) -> np.ndarray:
+    def compute(
+        self, x: np.ndarray, *, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
         """The functional numerics of a 1-D execution alone: ``x``'s output
         values, with no launch and nothing timed.  A device pool that
-        launches the plan's :attr:`phases` itself pairs them with this."""
+        launches the plan's :attr:`phases` itself pairs them with this.
+
+        ``out``, when given, is filled in place and returned: ``x``'s
+        length, in the plan's output dtype."""
         if self.released or self.is_batched:
             raise KernelError("compute needs an unreleased 1-D plan")
-        x = np.asarray(x)
-        return self._compute_padded(x)[: x.size]
+        return self._compute(np.asarray(x), out)
 
-    def _compute_padded(self, x: np.ndarray) -> np.ndarray:
-        """Check and zero-pad a 1-D input; returns the padded output
-        values."""
+    def _compute(
+        self, x: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Check a 1-D input against the plan and scan its ``n`` logical
+        elements (the pad zeros never reach them)."""
         if x.ndim != 1:
             raise ShapeError(f"1-D plan expects a 1-D array, got shape {x.shape}")
         self._check_dtype(x)
@@ -324,10 +326,7 @@ class ScanPlan:
                 f"(unit {self.pad_unit}); input of {n} does not pad to it"
             )
         return plan_compute(
-            _zero_padded(x, (self.padded,)),
-            self.algorithm,
-            self.in_dtype,
-            exclusive=self.exclusive,
+            x, self.algorithm, self.in_dtype, exclusive=self.exclusive, out=out
         )
 
     def _execute_batched(
@@ -352,15 +351,11 @@ class ScanPlan:
                 f"plan holds rows of up to {self.padded} elements, "
                 f"got rows of {row_len}"
             )
-        values = plan_compute_batched(
-            _zero_padded(x, (self.batch, self.padded)),
-            self.algorithm,
-            self.in_dtype,
-        )
+        values = plan_compute(x, self.algorithm, self.in_dtype)
         trace = self._replay(engine=engine, audit_timing=audit_timing)
         n = rows * row_len
         io = n * self._io_bytes_per_element()
-        return ScanResult(values[:rows, :row_len], trace, n, io)
+        return ScanResult(values, trace, n, io)
 
     def replay_timing(
         self,
@@ -964,7 +959,7 @@ class ScanContext:
             )
             expected = None
             if validate:
-                expected = plan_compute_batched(sample, algorithm, dt)
+                expected = plan_compute(sample, algorithm, dt)
             plan = self._finish_plan(plan, expected, t0, key)
         plan.tuned = was_tuned
         return plan

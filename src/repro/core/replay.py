@@ -4,7 +4,14 @@ A :class:`~repro.core.api.ScanPlan` separates a scan operator into the
 *traced* op DAG (shape-dependent, value-independent — built once) and the
 *functional* computation (value-dependent — re-run per request).  This
 module provides that functional half: the canonical NumPy computation with
-device accumulation semantics, straight from :mod:`repro.core.reference`.
+device accumulation semantics, in one in-place form (:func:`scan_into`).
+Each input row is cast once into the caller's accumulator-dtype buffer
+(fp32 for fp16, int32 for int8) and ``np.cumsum(buf, out=buf)`` then
+accumulates it along the last axis.  That is the same sequence of
+accumulator-dtype additions as :func:`repro.core.reference.inclusive_scan`'s
+buffered ``np.cumsum(x, dtype=acc)`` (the widening casts are exact), so
+the results are bit-identical to the oracle, with no allocation beyond
+the output.
 
 Plan execution therefore returns canonically-accumulated results rather
 than a bit-replay of the kernel's tile-order arithmetic.  The two agree
@@ -23,18 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelError
+from ..errors import DTypeError, KernelError, ShapeError
 from ..hw.datatypes import DType
-from .reference import (
-    batched_inclusive_scan,
-    exact_fp16_scan_input,
-    exclusive_scan,
-    inclusive_scan,
-)
+from .reference import accum_np_dtype, exact_fp16_scan_input
 
 __all__ = [
     "plan_compute",
-    "plan_compute_batched",
+    "scan_into",
     "validation_input",
 ]
 
@@ -43,30 +45,68 @@ __all__ = [
 _VECTOR_ALGORITHMS = ("vector",)
 
 
+def scan_into(out: np.ndarray, rows, *, exclusive: bool = False) -> np.ndarray:
+    """Inclusive (or exclusive) scans of ``rows``, computed in ``out``.
+
+    ``out`` is the caller's accumulator-dtype buffer: 1-D for one row, or
+    one row per element of ``rows``.  Each row is cast once into the
+    leading corner of its row of ``out`` (shifted one place right, behind
+    a zero, for an exclusive scan), then one in-place ``np.cumsum``
+    accumulates along the last axis.  Elements of ``out`` past a row's
+    length are scanned too but never reach the row's own prefix sums;
+    zero them to keep that tail finite.  Returns ``out``.
+    """
+    for dst, x in zip(np.atleast_2d(out), rows):
+        if exclusive:
+            dst[0] = 0
+            dst[1 : x.size] = x[:-1]
+        else:
+            dst[: x.size] = x
+    body = out[..., 1:] if exclusive else out
+    # dtype pins the accumulator: NumPy would add int32 rows in int64
+    np.cumsum(body, axis=-1, dtype=body.dtype, out=body)
+    return out
+
+
 def plan_compute(
-    x_padded: np.ndarray,
+    x: np.ndarray,
     algorithm: str,
     in_dtype: DType,
     *,
     exclusive: bool = False,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Compute the padded output array of a 1-D scan plan."""
-    if exclusive:
-        if algorithm != "mcscan":
-            raise KernelError("exclusive scan is implemented on MCScan")
-        return exclusive_scan(x_padded)
-    if algorithm in _VECTOR_ALGORITHMS:
-        return inclusive_scan(x_padded, out_dtype=in_dtype.np_dtype)
-    return inclusive_scan(x_padded)
+    """The output values of a scan plan on ``x``: one 1-D array, or a 2-D
+    batch scanned row by row.
 
-
-def plan_compute_batched(
-    x_padded: np.ndarray, algorithm: str, in_dtype: DType
-) -> np.ndarray:
-    """Compute the padded output of a batched (2-D, row-wise) scan plan."""
-    if algorithm in _VECTOR_ALGORITHMS:
-        return batched_inclusive_scan(x_padded, out_dtype=in_dtype.np_dtype)
-    return batched_inclusive_scan(x_padded)
+    ``out``, when given, receives the values: ``x``'s shape, in the plan's
+    output dtype (the accumulator dtype; the input dtype for the vector
+    baseline).  ``x`` needs no zero padding: pad zeros never reach its
+    own prefix sums.
+    """
+    if exclusive and algorithm != "mcscan":
+        raise KernelError("exclusive scan is implemented on MCScan")
+    x = np.asarray(x)
+    acc = accum_np_dtype(in_dtype.np_dtype)
+    out_np = in_dtype.np_dtype if algorithm in _VECTOR_ALGORITHMS else acc
+    if out is None:
+        out = np.empty(x.shape, dtype=out_np)
+    elif out.dtype != out_np:
+        raise DTypeError(
+            f"{algorithm} writes {np.dtype(out_np).name} values, "
+            f"got an output buffer of {out.dtype}"
+        )
+    elif out.shape != x.shape:
+        raise ShapeError(
+            f"output buffer of shape {out.shape} does not hold the scan of "
+            f"an input of shape {x.shape}"
+        )
+    rows = np.atleast_2d(x)
+    if out_np == acc:
+        return scan_into(out, rows, exclusive=exclusive)
+    # the vector baseline rounds its accumulator back to the input dtype
+    out[...] = scan_into(np.empty(x.shape, dtype=acc), rows)
+    return out
 
 
 def validation_input(n: int, dtype: DType, *, seed: int = 0) -> np.ndarray:

@@ -633,9 +633,13 @@ class RadixSortOp(OpNode):
         n = specs[0].n
         dt = np_dtype_of(specs[0].dtype)
         if dt == np.dtype(np.float16):
-            # strictly positive integers: exact, no signed-zero hazard;
-            # duplicates exercise the stable-tie contract
-            return [(1 + rng.integers(0, 97, n)).astype(np.float16)]
+            # nonzero integers of both signs: exact, so a key that ignores
+            # the sign bit misorders them, and no +-0 pair, which the
+            # oracle ties but the device keys apart; duplicates exercise
+            # the stable-tie contract
+            magnitude = 1 + rng.integers(0, 97, n)
+            sign = rng.choice(np.array([-1, 1]), n)
+            return [(sign * magnitude).astype(np.float16)]
         lo, hi = (0, 97) if dt.kind == "u" else (-48, 49)
         return [rng.integers(lo, hi, n).astype(dt)]
 

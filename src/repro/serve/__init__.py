@@ -18,7 +18,7 @@ operator integration would use in steady state:
 """
 
 from .batcher import LaunchGroup, RequestBatcher, ScanRequest, bucket_size
-from .numerics import assemble_rows, group_scan_values
+from .numerics import group_scan_values
 from .plan import PlanCache, PlanKey
 from .resilience import DEAD, DEGRADED, HEALTHY, MemberHealth, RetryPolicy
 from .service import ScanService, ScanTicket
@@ -45,7 +45,6 @@ __all__ = [
     "ServiceStats",
     "LaunchRecord",
     "render",
-    "assemble_rows",
     "group_scan_values",
     "RetryPolicy",
     "MemberHealth",

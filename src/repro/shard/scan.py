@@ -18,8 +18,11 @@ combine is untimed (D scalar adds).  A single shard has no carry and
 runs its plan whole.
 
 Numerics: shard-local scans and the carry chain both run in the cube
-accumulator dtype (fp32 / int32), and the host adds each carry to the
-finished local scan, ``fp32(local scan) + carry``.  So for int8 inputs —
+accumulator dtype (fp32 / int32).  Each shard is scanned straight into
+its slice of the assembled output, and the host adds its carry there in
+place, ``fp32(local scan) + carry``: the carry is the output element just
+before the slice, so the chain of shard totals is read from the output
+too.  So for int8 inputs —
 and for fp16 inputs whose partial sums are exactly representable, e.g.
 :func:`repro.core.reference.exact_fp16_scan_input` — the sharded result
 is bit-identical to the single-device oracle regardless of D or shard
@@ -246,30 +249,20 @@ class ShardedScanner:
         # every device launches phase I of its shard concurrently; a
         # single shard has no carry, so it launches its whole plan.  The
         # functional numerics run host-side (the traced programs are
-        # value-independent, so they replay for timing)
-        shard_values: list[np.ndarray] = []
+        # value-independent, so they replay for timing): each shard scans
+        # into its slice of the output, and the host barrier in place of
+        # the SyncAll adds the carry, the running total of the shards
+        # before it (accumulator dtype, untimed: as LightScan's
+        # inter-processor combine, negligible next to the shards), which
+        # is the output element just before the slice
+        values = np.empty(x.size, dtype=plans[0].out_dtype.np_dtype)
         scan_ns: list[float] = []
         for plan, device, (start, end) in zip(plans, devices, ranges):
-            shard_values.append(plan.compute(x[start:end]))
+            shard = plan.compute(x[start:end], out=values[start:end])
+            if start:
+                np.add(shard, values[start - 1], out=shard)
             launch = plan.phases[0] if folded else plan.traced
             scan_ns.append(device.replay(launch).total_ns)
-
-        # host barrier in place of the SyncAll: exclusive-scan the D shard
-        # totals (accumulator dtype, untimed — one length-D cumsum, as
-        # LightScan's inter-processor combine is negligible next to the
-        # shards), then add each carry to its finished local scan,
-        # written straight into the assembled output
-        out_np = shard_values[0].dtype
-        totals = np.array(
-            [vals[-1] for vals in shard_values[:-1]], dtype=out_np
-        )
-        carries = np.cumsum(totals, dtype=out_np)
-        values = np.empty(x.size, dtype=out_np)
-        start0, end0 = ranges[0]
-        values[start0:end0] = shard_values[0]
-        for d in range(1, len(ranges)):
-            start, end = ranges[d]
-            np.add(shard_values[d], carries[d - 1], out=values[start:end])
 
         # every device launches phase II, which reads its carry from the
         # front of r

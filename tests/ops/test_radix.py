@@ -318,6 +318,32 @@ class TestDigitSplitMutations:
         with pytest.raises(KernelError, match="validation failed"):
             runner.lower(sort_graph(self.N, dtype="int16"))
 
+    def test_fp16_sign_ignoring_key_is_caught(self, ops, monkeypatch):
+        """Planted fp16 key that ignores the sign bit: the raw bits sort
+        every negative after every positive.  Positive keys alone sort
+        correctly under it, so the fp16 sort recipe must draw both signs
+        for the served lowering to be refused."""
+        x = np.random.default_rng(5).integers(-300, 300, self.N)
+        x = x.astype(np.float16)
+        reference = ops.radix_sort(x)
+
+        def raw_bit_keys(values, descending=False):
+            if values.dtype == np.float16:
+                keys = values.view(np.uint16)
+                return ~keys if descending else keys
+            return radix_keys_np(values, descending)
+
+        monkeypatch.setattr(split, "radix_keys_np", raw_bit_keys)
+        got = ops.radix_sort(x, digit_bits=4)
+        assert got.values.tobytes() != reference.values.tobytes()
+        positive = np.abs(x) + np.float16(1)
+        assert np.array_equal(
+            ops.radix_sort(positive, digit_bits=4).values, np.sort(positive)
+        )
+        runner = GraphRunner(ASCEND_910B4)
+        with pytest.raises(KernelError, match="validation failed"):
+            runner.lower(sort_graph(1000))
+
     def test_reversed_gather_order_is_caught(self, ops, monkeypatch):
         reference = ops.radix_sort(self._input())
         gather = intrinsics.gather_mask

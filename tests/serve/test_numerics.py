@@ -18,7 +18,7 @@ from repro.core.reference import (
 from repro.core.replay import plan_compute
 from repro.hw.config import toy_config
 from repro.hw.datatypes import FP16, INT8
-from repro.serve import ScanService, assemble_rows, group_scan_values
+from repro.serve import ScanService, group_scan_values
 
 
 def _rows(rng, dtype, sizes):
@@ -30,22 +30,6 @@ def _rows(rng, dtype, sizes):
             x = rng.integers(-20, 21, size=n).astype(np.int8)
         out.append(x)
     return out
-
-
-class TestAssembleRows:
-    def test_same_length_rows_stack(self, rng):
-        xs = [rng.integers(-5, 6, 64).astype(np.int8) for _ in range(4)]
-        xp = assemble_rows(xs, 64, np.int8)
-        assert xp.shape == (4, 64)
-        for i, x in enumerate(xs):
-            assert np.array_equal(xp[i], x)
-
-    def test_ragged_rows_zero_pad(self, rng):
-        xs = [np.ones(5, np.float16), np.ones(9, np.float16)]
-        xp = assemble_rows(xs, 9, np.float16)
-        assert xp.shape == (2, 9)
-        assert np.all(xp[0, 5:] == 0)
-        assert np.array_equal(xp[1], xs[1])
 
 
 class TestGroupScanBitIdentity:
