@@ -11,9 +11,9 @@ Asserts the serve-layer claims:
   on the same block to within 10% (when the batch fills its bucket the
   service issues the identical op DAG, so the match is exact);
 * replaying a cached plan from its memoized timeline is at least 5x
-  cheaper (host wall time) than re-running the reference discrete-event
-  scheduler per execute (the pre-memoization behaviour), with all replay
-  engines producing ns-identical timelines.
+  cheaper (host wall time) than re-running the discrete-event scheduler
+  per execute (the pre-memoization behaviour), and the memoized timeline
+  equals a fresh scheduler run.
 
 Host-timing assertions use best-of repeats to tolerate shared-runner
 noise; the 5x bars are structural (emission dominates the cold cost, and
@@ -61,8 +61,6 @@ def test_serve_layer(benchmark, results_dir):
     assert all(r["timelines_identical"] for r in replay.values())
     assert replay["scanul1"]["replay_cached_speedup"] >= 5.0
     assert all(r["replay_cached_speedup"] >= 5.0 for r in replay.values())
-    # the compiled engine must also beat the reference DES outright
-    assert all(r["replay_compiled_speedup"] >= 1.1 for r in replay.values())
     # end-to-end execute still pays the functional NumPy compute, so the
     # bar is modest — but removing the scheduler must be visible
     assert replay["scanul1"]["execute_speedup"] >= 1.1

@@ -9,7 +9,7 @@ Subcommands:
   print its series table;
 * ``serve-bench`` — measure the plan-cached serving layer (cache-hit
   latency vs trace-every-call, batched-submission throughput, and the
-  DES / compiled / memoized replay-engine comparison);
+  DES vs memoized-timeline replay comparison);
 * ``tune`` — sweep plan configurations per workload shape on the
   simulator and write the persistent tuned-plan store that the serving
   layer consults;

@@ -17,7 +17,8 @@ Every caller runs that tracer:
   kernel against the functional path, and then replay: each execution
   re-runs only the functional NumPy computation, and the timeline is
   memoized on the traced program (the op DAG's costs are fixed at trace
-  time, so replays are deterministic — see :mod:`repro.hw.compiled`).
+  time, so one :func:`~repro.hw.scheduler.simulate` run serves every
+  replay — see :meth:`~repro.hw.device.AscendDevice.replay`).
   This is the substrate of the request-serving layer in :mod:`repro.serve`.
   On a device pool only the first member to build a plan traces it; the
   others build mirrors of that trace (:meth:`ScanContext._mirror`);
@@ -217,7 +218,7 @@ class ScanPlan:
         self.released = True
         return freed
 
-    def time_ns(self, *, engine: str = "cached") -> float:
+    def time_ns(self) -> float:
         """Simulated end-to-end nanoseconds of one launch of this plan
         (device timeline + launch overhead), without executing numerics.
 
@@ -230,14 +231,14 @@ class ScanPlan:
                 f"plan for {self.algorithm} (padded={self.padded}) has been "
                 f"released; its device tensors are gone — build a new plan"
             )
-        return self.ctx.device.time_traced(self.traced, engine=engine)
+        return self.ctx.device.time_traced(self.traced)
 
-    def _replay(self, **kw) -> Trace:
+    def _replay(self) -> Trace:
         """Launch :attr:`traced` on this plan's device: one execution,
         with the timeline hit or miss it causes counted on this plan."""
         traced = self.traced
         hits, misses = traced.timeline_hits, traced.timeline_misses
-        trace = self.ctx.device.replay(traced, **kw)
+        trace = self.ctx.device.replay(traced)
         self.timeline_hits += traced.timeline_hits - hits
         self.timeline_misses += traced.timeline_misses - misses
         self.executions += 1
@@ -264,23 +265,11 @@ class ScanPlan:
                 f"plan is for {self.in_dtype.name} inputs, got {x.dtype}"
             )
 
-    def execute(
-        self,
-        x: np.ndarray,
-        *,
-        engine: str = "cached",
-        audit_timing: "bool | None" = None,
-    ) -> ScanResult:
+    def execute(self, x: np.ndarray) -> ScanResult:
         """Run the plan on new input values (the cache-hit path).
 
-        ``x`` must pad to this plan's padded shape.
-
-        ``engine`` and ``audit_timing`` are forwarded to
-        :meth:`~repro.hw.device.AscendDevice.replay`: the default serves
-        the memoized timeline (ns-identical to rescheduling, since the op
-        DAG's costs are fixed at trace time); ``engine="des"`` forces the
-        reference scheduler and ``audit_timing=True`` cross-checks the
-        served timeline against it.
+        ``x`` must pad to this plan's padded shape.  The timeline is the
+        traced program's memoized one (scheduled on the first launch).
         """
         if self.released:
             raise KernelError(
@@ -289,11 +278,9 @@ class ScanPlan:
             )
         x = np.asarray(x)
         if self.is_batched:
-            return self._execute_batched(
-                x, engine=engine, audit_timing=audit_timing
-            )
+            return self._execute_batched(x)
         values = self._compute(x)
-        trace = self._replay(engine=engine, audit_timing=audit_timing)
+        trace = self._replay()
         n = x.size
         io = n * self._io_bytes_per_element()
         return ScanResult(values, trace, n, io)
@@ -329,13 +316,7 @@ class ScanPlan:
             x, self.algorithm, self.in_dtype, exclusive=self.exclusive, out=out
         )
 
-    def _execute_batched(
-        self,
-        x: np.ndarray,
-        *,
-        engine: str = "cached",
-        audit_timing: "bool | None" = None,
-    ) -> ScanResult:
+    def _execute_batched(self, x: np.ndarray) -> ScanResult:
         if x.ndim != 2:
             raise ShapeError(f"batched plan expects a 2-D array, got {x.shape}")
         self._check_dtype(x)
@@ -352,17 +333,12 @@ class ScanPlan:
                 f"got rows of {row_len}"
             )
         values = plan_compute(x, self.algorithm, self.in_dtype)
-        trace = self._replay(engine=engine, audit_timing=audit_timing)
+        trace = self._replay()
         n = rows * row_len
         io = n * self._io_bytes_per_element()
         return ScanResult(values, trace, n, io)
 
-    def replay_timing(
-        self,
-        *,
-        engine: str = "cached",
-        audit_timing: "bool | None" = None,
-    ):
+    def replay_timing(self):
         """Replay this plan's simulated timeline *without* the numerics.
 
         The serve layer's vectorized path separates a launch into its two
@@ -378,7 +354,7 @@ class ScanPlan:
                 f"plan for {self.algorithm} (padded={self.padded}) has been "
                 f"released; its device tensors are gone — build a new plan"
             )
-        return self._replay(engine=engine, audit_timing=audit_timing)
+        return self._replay()
 
     def _io_bytes_per_element(self) -> int:
         return self.in_dtype.itemsize + self.out_dtype.itemsize

@@ -49,11 +49,6 @@ class DeadlockError(SchedulerError):
     """No runnable operation remains while unfinished operations exist."""
 
 
-class TimingAuditError(SchedulerError):
-    """A compiled/memoized timeline disagreed with the reference discrete-
-    event scheduler (``AscendDevice.replay(..., audit_timing=True)``)."""
-
-
 class DeviceFault(ReproError):
     """A simulated kernel launch failed (fault injection, see
     :mod:`repro.hw.faults`).

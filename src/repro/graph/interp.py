@@ -118,9 +118,6 @@ class LoweredNode:
     validated: "bool | None"
     #: True when a TuneStore entry picked the configuration (scan nodes)
     tuned: bool = False
-    #: True when the captured program's structure depends on the build
-    #: data (quickselect) — replay timing is a steady-state approximation
-    data_dependent: bool = False
     #: the owning scan plan, when the node lowered through the plan cache
     plan: "ScanPlan | None" = None
     replays: int = 0
@@ -271,7 +268,7 @@ class GraphRunner:
             if low is None:
                 return None
             for kernel in low.traced:
-                total += self.device.time_traced(kernel, engine="cached")
+                total += self.device.time_traced(kernel)
         return total
 
     # -- fused regions -------------------------------------------------------
@@ -499,7 +496,6 @@ class GraphRunner:
             traced=list(captured),
             build_host_s=time.perf_counter() - t0,
             validated=validated,
-            data_dependent=op.data_dependent_trace,
         )
 
     def _build_scan(

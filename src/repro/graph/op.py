@@ -152,9 +152,6 @@ class OpNode:
     #: parameter defaults; a default of ``Ellipsis`` marks a required
     #: parameter the node must supply at construction
     param_defaults: "dict[str, object]" = {}
-    #: True when the captured trace's timing is a steady-state
-    #: approximation (data-dependent control flow, e.g. quickselect)
-    data_dependent_trace: bool = False
     #: True for single-input ops that are pure per-element maps preserving
     #: dtype and shape — the fusion pass may chain them (see
     #: :mod:`repro.graph.fuse`); such ops must implement :meth:`map_fns`
@@ -604,7 +601,9 @@ class RadixSortOp(OpNode):
     lowering splits on :data:`SERVED_DIGIT_BITS`-bit digits, one
     :class:`~repro.ops.split.DigitSplitKernel` launch per digit (4 for
     16-bit keys, 2 for 8-bit), with the keys encoded in UB: no encode,
-    decode or negate launch."""
+    decode or negate launch.  Each pass's gather lengths depend on the
+    keys, so the captured timeline is the one for the validation recipe's
+    keys, served for every input (ROADMAP item 7)."""
 
     kind = "radix_sort"
     num_inputs = 1
@@ -664,15 +663,14 @@ class TopKOp(OpNode):
     ``method`` picks the device lowering: the streaming ``baseline``
     kernel (single launch, data-independent trace — the default),
     the paper's ``quickselect`` on SplitInd, or the RadiK-style ``radix``
-    counting selection.  Quickselect/radix traces depend on the data, so
-    their captured timing is a steady-state approximation
-    (:attr:`data_dependent_trace`)."""
+    counting selection.  Quickselect/radix traces depend on the data: the
+    captured timeline is the one for the validation recipe's keys, served
+    for every input (ROADMAP item 7)."""
 
     kind = "topk"
     num_inputs = 1
     output_names = ("values", "indices")
     param_defaults = {"k": Ellipsis, "s": 128, "method": "baseline"}
-    data_dependent_trace = True
 
     @classmethod
     def infer(cls, specs, params):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import KernelError, SchedulerError
 from .cache import L2Cache
-from .compiled import CompiledProgram, assert_timelines_equal
 from .config import ASCEND_910B4, DeviceConfig
 from .isa import CUBE_ENGINES, VECTOR_ENGINES, CostModel, Op
 from .memory import GlobalMemory, GlobalSlice, GlobalTensor
@@ -270,11 +269,11 @@ class TracedKernel:
 
     Because every op's cycles/bytes are fixed at trace time, the timeline
     itself is deterministic per device config.  Replay therefore memoizes
-    both the compiled program (:class:`~repro.hw.compiled.CompiledProgram`)
-    and the first computed :class:`Timeline` on this record; subsequent
-    replays against the same config are a cache hit and skip scheduling
-    entirely.  :attr:`timeline_hits` / :attr:`timeline_misses` count these
-    (the serve layer surfaces them as the timeline-cache hit rate)."""
+    the first :func:`~repro.hw.scheduler.simulate` result on this record;
+    subsequent replays against the same config are a cache hit and skip
+    scheduling entirely.  :attr:`timeline_hits` / :attr:`timeline_misses`
+    count these (the serve layer surfaces them as the timeline-cache hit
+    rate)."""
 
     program: Program
     label: str
@@ -282,11 +281,10 @@ class TracedKernel:
     #: replays served from the memoized timeline / computed fresh
     timeline_hits: int = 0
     timeline_misses: int = 0
-    _compiled: "CompiledProgram | None" = field(default=None, repr=False)
     _timeline: "Timeline | None" = field(default=None, repr=False)
-    #: config the cached timeline/compiled form were built against —
-    #: replaying the same trace on a differently-configured device
-    #: invalidates both rather than serving stale timings
+    #: config the cached timeline was scheduled against — replaying the
+    #: same trace on a differently-configured device invalidates it rather
+    #: than serving stale timings
     _timeline_config: "DeviceConfig | None" = field(default=None, repr=False)
 
     @property
@@ -294,8 +292,7 @@ class TracedKernel:
         return self.program.ops
 
     def invalidate_timeline(self) -> None:
-        """Drop the memoized timeline and compiled form (counters persist)."""
-        self._compiled = None
+        """Drop the memoized timeline (counters persist)."""
         self._timeline = None
         self._timeline_config = None
 
@@ -349,7 +346,6 @@ class AscendDevice:
         *,
         name: "str | None" = None,
         audit_hazards: bool = False,
-        audit_timing: bool = False,
         fault_plan=None,
     ):
         self.config = config
@@ -364,10 +360,6 @@ class AscendDevice:
         #: when True, every emitted op logs its data accesses (HazardAccess)
         #: so tests can independently verify synchronization coverage
         self.audit_hazards = audit_hazards
-        #: when True, every replay re-runs the reference DES alongside the
-        #: compiled/memoized timeline and raises TimingAuditError on any
-        #: ns-level disagreement (per-call override: replay(audit_timing=))
-        self.audit_timing = audit_timing
         self.memory = GlobalMemory(config)
         self.l2 = L2Cache(config)
         self.costs = CostModel(config)
@@ -477,31 +469,11 @@ class AscendDevice:
             audit=emitter.audit,
         )
 
-    def replay(
-        self,
-        traced: TracedKernel,
-        *,
-        label: "str | None" = None,
-        engine: str = "cached",
-        audit_timing: "bool | None" = None,
-    ) -> Trace:
+    def replay(self, traced: TracedKernel, *, label: "str | None" = None) -> Trace:
         """Schedule a previously traced op DAG and wrap the timeline in a
-        fresh :class:`Trace`.
-
-        ``engine`` selects the scheduling path:
-
-        * ``"cached"`` (default) — serve the memoized timeline if one exists
-          for this device config, otherwise compute it with the compiled
-          engine and cache it on ``traced``;
-        * ``"compiled"`` — always run :class:`CompiledProgram` (compiled
-          form is still cached, the timeline is recomputed);
-        * ``"des"`` — always run the reference :func:`simulate` (PR 1
-          behaviour; nothing is cached).
-
-        ``audit_timing`` (default: the device's ``audit_timing`` flag)
-        re-runs the reference DES regardless of path and raises
-        :class:`~repro.errors.TimingAuditError` unless the served timeline
-        is ns-identical — the escape hatch for distrusting the cache.
+        fresh :class:`Trace`.  The timeline is memoized on ``traced`` (see
+        :meth:`_timeline_for`), so only the first replay per device config
+        runs the scheduler.
 
         With a :attr:`fault_plan` attached, the launch may instead raise
         :class:`~repro.errors.DeviceFault` (transient or permanent, on the
@@ -510,18 +482,9 @@ class AscendDevice:
         """
         if self.fault_plan is not None:
             self.fault_plan.on_launch(self.name)
-        audit = self.audit_timing if audit_timing is None else audit_timing
-        timeline = self._timeline_for(traced, engine)
-
-        if audit:
-            reference = simulate(traced.program, self.config)
-            assert_timelines_equal(
-                timeline, reference, label=label or traced.label
-            )
-
         trace = Trace(
             ops=traced.program.ops,
-            timeline=timeline,
+            timeline=self._timeline_for(traced),
             engines=self._trace_engines,
             config=self.config,
             label=label or traced.label,
@@ -534,39 +497,33 @@ class AscendDevice:
             self._capture.append(traced)
         return trace
 
-    def _timeline_for(self, traced: TracedKernel, engine: str) -> Timeline:
-        """Produce ``traced``'s timeline via the selected engine, keeping
-        the per-trace memoization and hit/miss counters consistent."""
-        if engine not in ("cached", "compiled", "des"):
-            raise SchedulerError(f"unknown replay engine {engine!r}")
-        if engine == "des":
-            return simulate(traced.program, self.config)
+    def _timeline_for(self, traced: TracedKernel) -> Timeline:
+        """``traced``'s timeline on this device's config: the memoized one
+        on a hit, otherwise one :func:`simulate` run, memoized.  Hits and
+        misses are counted on ``traced``."""
         if traced._timeline_config is not self.config:
             traced.invalidate_timeline()
             traced._timeline_config = self.config
-        if engine == "cached" and traced._timeline is not None:
+        if traced._timeline is not None:
             traced.timeline_hits += 1
             return traced._timeline
-        if traced._compiled is None:
-            traced._compiled = CompiledProgram(traced.program, self.config)
-        timeline = traced._compiled.run()
-        traced._timeline = timeline
+        traced._timeline = simulate(traced.program, self.config)
         traced.timeline_misses += 1
-        return timeline
+        return traced._timeline
 
-    def time_traced(self, traced: TracedKernel, *, engine: str = "compiled") -> float:
+    def time_traced(self, traced: TracedKernel) -> float:
         """Timing-only evaluation hook: end-to-end simulated nanoseconds of
         one launch of ``traced`` (device timeline + launch overhead),
         without materialising a :class:`Trace` and without touching any
         functional state.
 
-        This is the autotuner's cost probe (:mod:`repro.tune`): candidate
-        plans are traced once and scored through the compiled timeline, so
-        search never executes numerics.  The compiled form and timeline are
-        cached on ``traced`` exactly as :meth:`replay` would cache them.
+        This is the autotuner's and the graph runtime's cost probe
+        (:mod:`repro.tune`, :mod:`repro.graph.interp`): candidate plans are
+        traced once and scored through the memoized timeline, so search
+        never executes numerics and a repeated probe never reschedules.
         """
         return (
-            self._timeline_for(traced, engine).total_ns
+            self._timeline_for(traced).total_ns
             + self.config.costs.kernel_launch_ns
         )
 

@@ -10,7 +10,7 @@ kernels *not* saturate) the 800 GB/s the paper reports against.
 
 from __future__ import annotations
 
-__all__ = ["waterfill", "equal_waterfill"]
+__all__ = ["waterfill"]
 
 
 def waterfill(demands: "list[float]", pool: float) -> "list[float]":
@@ -42,33 +42,3 @@ def waterfill(demands: "list[float]", pool: float) -> "list[float]":
         remaining_flows -= 1
     return rates
 
-
-def equal_waterfill(n: int, cap: float, pool: float) -> "list[float]":
-    """:func:`waterfill` specialised to ``n`` flows sharing one rate cap.
-
-    This is the only case the scheduler ever needs (every DMA flow is
-    capped by the same MTE link width), and it admits a closed form: every
-    flow receives ``min(cap, pool / n)``.  The loop below is that closed
-    form evaluated step by step — with equal demands the general solver's
-    sorted order is the identity, so each step takes ``min(cap,
-    remaining / k)`` — which keeps the result *bit-identical* to
-    ``waterfill([cap] * n, pool)`` (the per-position float ulps of the
-    contended case are reproduced exactly; the compiled replay engine
-    relies on this for ns-identical timelines and memoizes the result per
-    ``n``, making the per-event cost O(1)).
-    """
-    if n == 0:
-        return []
-    if pool <= 0:
-        return [0.0] * n
-    if n == 1:
-        # pool / 1 is exact, so the closed form is too
-        return [min(cap, pool)]
-    rates = []
-    remaining = pool
-    for k in range(n, 0, -1):
-        fair_share = remaining / k
-        rate = cap if cap <= fair_share else fair_share
-        rates.append(rate)
-        remaining -= rate
-    return rates

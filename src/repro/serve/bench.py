@@ -17,12 +17,10 @@ Two claims are measured:
   service issues the identical DAG, so the two agree to within noise; the
   acceptance bar is 10%;
 * **replay engines** — host wall time of re-scheduling one cached plan
-  via the three replay paths: the reference discrete-event scheduler
-  (``engine="des"``, the per-execute cost before timeline memoization),
-  the compiled array-form engine (``"compiled"``) and the memoized
-  timeline (``"cached"``).  All three produce ns-identical timelines
-  (asserted here and in the differential test suite); the acceptance bar
-  is a >= 5x wall-clock win of the memoized path over the DES path.
+  with the discrete-event scheduler (:func:`~repro.hw.scheduler.simulate`,
+  the per-execute cost without timeline memoization) vs serving the
+  memoized timeline.  The two timelines are asserted equal; the
+  acceptance bar is a >= 5x wall-clock win of the memoized path.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ import time
 import numpy as np
 
 from ..core.api import ScanContext
-from ..hw.compiled import assert_timelines_equal
 from ..hw.config import ASCEND_910B4, DeviceConfig
+from ..hw.scheduler import simulate
 from .plan import PlanCache
 from .service import ScanService
 from .stats import render
@@ -158,13 +156,12 @@ def bench_replay_engines(
     config: DeviceConfig = ASCEND_910B4,
     ctx: "ScanContext | None" = None,
 ) -> dict:
-    """Replay-path wall clock for one plan: DES vs compiled vs memoized.
+    """Replay-path wall clock for one plan: DES vs memoized.
 
     The replay timings isolate the scheduling cost (what timeline
-    memoization removes); the execute timings show the same three paths
+    memoization removes); the execute timings show the same two paths
     end-to-end, where the functional NumPy computation is a shared floor.
-    Timelines from all three paths are asserted ns-identical, and one
-    ``audit_timing=True`` replay exercises the self-checking mode.
+    The memoized timeline is asserted equal to a fresh DES run.
     """
     ctx = ctx if ctx is not None else ScanContext(config)
     cache = PlanCache(ctx)
@@ -173,25 +170,18 @@ def bench_replay_engines(
     device = ctx.device
     x = _bench_input(n, dtype)
 
-    des_trace = device.replay(traced, engine="des")
-    compiled_trace = device.replay(traced, engine="compiled")
-    cached_trace = device.replay(traced, engine="cached")
-    assert_timelines_equal(
-        compiled_trace.timeline, des_trace.timeline, label=f"{algorithm} compiled"
+    trace = device.replay(traced)
+    assert trace.timeline == simulate(traced.program, ctx.config), (
+        f"{algorithm}: memoized timeline differs from a fresh DES run"
     )
-    assert_timelines_equal(
-        cached_trace.timeline, des_trace.timeline, label=f"{algorithm} cached"
-    )
-    device.replay(traced, audit_timing=True)  # self-check mode stays live
 
-    replay_des_s = _best_of(lambda: device.replay(traced, engine="des"), repeats)
-    replay_compiled_s = _best_of(
-        lambda: device.replay(traced, engine="compiled"), repeats
-    )
-    replay_cached_s = _best_of(
-        lambda: device.replay(traced, engine="cached"), repeats
-    )
-    execute_des_s = _best_of(lambda: plan.execute(x, engine="des"), repeats)
+    def execute_des():
+        plan.compute(x)
+        simulate(traced.program, ctx.config)
+
+    replay_des_s = _best_of(lambda: simulate(traced.program, ctx.config), repeats)
+    replay_cached_s = _best_of(lambda: device.replay(traced), repeats)
+    execute_des_s = _best_of(execute_des, repeats)
     execute_cached_s = _best_of(lambda: plan.execute(x), repeats)
 
     return {
@@ -201,11 +191,7 @@ def bench_replay_engines(
         "s": s,
         "ops": len(traced.program),
         "replay_des_s": replay_des_s,
-        "replay_compiled_s": replay_compiled_s,
         "replay_cached_s": replay_cached_s,
-        "replay_compiled_speedup": replay_des_s / replay_compiled_s
-        if replay_compiled_s > 0
-        else float("inf"),
         "replay_cached_speedup": replay_des_s / replay_cached_s
         if replay_cached_s > 0
         else float("inf"),
@@ -214,8 +200,8 @@ def bench_replay_engines(
         "execute_speedup": execute_des_s / execute_cached_s
         if execute_cached_s > 0
         else float("inf"),
-        "timelines_identical": True,  # assert_timelines_equal above raised otherwise
-        "device_us": des_trace.total_ns / 1e3,
+        "timelines_identical": True,  # the assert above raised otherwise
+        "device_us": trace.total_ns / 1e3,
     }
 
 
@@ -334,15 +320,14 @@ def format_report(report: dict) -> str:
         lines += [
             "",
             "replay engines: scheduling wall time per execute "
-            "(timelines ns-identical across all three)",
-            f"{'algorithm':>10} {'ops':>5} {'DES':>10} {'compiled':>10} "
-            f"{'memoized':>10} {'cached/DES':>10}",
+            "(memoized timeline equal to a fresh DES run)",
+            f"{'algorithm':>10} {'ops':>5} {'DES':>10} "
+            f"{'memoized':>10} {'DES/cached':>10}",
         ]
         for r in report["replay_engines"]:
             lines.append(
                 f"{r['algorithm']:>10} {r['ops']:>5} "
                 f"{r['replay_des_s'] * 1e3:8.2f}ms "
-                f"{r['replay_compiled_s'] * 1e3:8.2f}ms "
                 f"{r['replay_cached_s'] * 1e3:8.2f}ms "
                 f"{r['replay_cached_speedup']:9.1f}x"
             )

@@ -1,9 +1,9 @@
-"""Candidate cost evaluation: trace once, score on the compiled timeline.
+"""Candidate cost evaluation: trace once, score on the scheduled timeline.
 
 The evaluator never serves numerics during search: each candidate is a
 scratch :class:`~repro.core.api.ScanPlan`, traced on a zero input by the
 same per-layout tracer that builds served plans and one-shot scans, and
-scored by its deterministic compiled-timeline device time
+scored by its deterministic simulated device time
 (:meth:`~repro.core.api.ScanPlan.time_ns`).  The plan's tensors are
 allocated inside a mark/release scope so a long sweep reuses HBM; its
 layout, and with it the shared constant matrices, is resolved *before*

@@ -11,7 +11,7 @@ For each workload the tuner
    incumbent's measured time (the floor is a sound lower bound, so the
    candidate cannot win — and the trace-heavy small-``s`` configs on large
    inputs are exactly the ones whose cube-issue floor blows up);
-4. traces and scores the survivors on the compiled timeline, updating the
+4. traces and scores the survivors on the simulated timeline, updating the
    incumbent as it goes (a falling incumbent prunes ever harder).
 
 The winner is recorded in a :class:`~repro.tune.store.TuneStore` together

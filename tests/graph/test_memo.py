@@ -3,7 +3,8 @@
 The memo is computed once per graph structure, dropped by every mutator,
 never aliased to callers, and untouched by steady-state serving; the
 replay loop relaunches only a faulted kernel and keeps per-launch
-accounting exact."""
+accounting exact; a lowered node's cost probe reads its kernels'
+memoized timelines and never reschedules."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import repro.graph.fuse as fuse
+import repro.hw.device as device_mod
 from repro.errors import ConfigError, DeviceFault
-from repro.graph import Graph, llm_sample, oracle_outputs, scan_pipeline
+from repro.graph import Graph, GraphRunner, llm_sample, oracle_outputs, scan_pipeline
 from repro.graph.op import TensorSpec
 from repro.hw import FaultPlan
 from repro.hw.config import toy_config
@@ -267,3 +269,20 @@ class TestKernelRetry:
         svc.ctx.device.fault_plan = None
         svc.flush()
         assert ticket.done
+
+
+class TestCostProbe:
+    def test_device_ns_serves_memoized_timelines(self, monkeypatch):
+        runner = GraphRunner(toy_config(), fusion="aggressive")
+        g = scan_pipeline(N, pre=("abs",), post=("double",), s=S)
+        ((_, low),) = runner.lower(g)[0]
+        assert low.members  # one fused region
+        misses = [t.timeline_misses for t in low.traced]
+        calls = []
+        monkeypatch.setattr(
+            device_mod, "simulate", _counted(device_mod.simulate, calls)
+        )
+        first = low.device_ns(runner.device)
+        assert low.device_ns(runner.device) == first
+        assert [t.timeline_misses for t in low.traced] == misses
+        assert calls == []

@@ -1,10 +1,8 @@
 """Max-min waterfilling tests."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.hw.hbm import equal_waterfill, waterfill
+from repro.hw.hbm import waterfill
 
 
 class TestWaterfill:
@@ -46,32 +44,3 @@ class TestWaterfill:
         assert rates[1] == pytest.approx(5.0)
         assert rates[0] == pytest.approx(45.0)
 
-
-class TestEqualWaterfill:
-    """The compiled engine's fast path must be *bit-identical* to the
-    general solver on the equal-cap case (ns-identical timelines depend
-    on it), so every comparison here is ==, not approx."""
-
-    def test_empty(self):
-        assert equal_waterfill(0, 100.0, 800.0) == []
-
-    def test_zero_pool(self):
-        assert equal_waterfill(3, 100.0, 0.0) == [0.0, 0.0, 0.0]
-
-    def test_single_flow(self):
-        assert equal_waterfill(1, 30.0, 100.0) == waterfill([30.0], 100.0)
-        assert equal_waterfill(1, 300.0, 100.0) == waterfill([300.0], 100.0)
-
-    def test_contended_case_matches_solver_exactly(self):
-        # 800/3 is inexact: the general solver's sequential remainders
-        # differ per position by ulps, and the fast path must reproduce
-        # exactly those values
-        assert equal_waterfill(3, 460.8, 800.0) == waterfill([460.8] * 3, 800.0)
-
-    @given(
-        n=st.integers(min_value=0, max_value=64),
-        cap=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-        pool=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-    )
-    def test_matches_general_solver_bitwise(self, n, cap, pool):
-        assert equal_waterfill(n, cap, pool) == waterfill([cap] * n, pool)

@@ -1,9 +1,11 @@
-"""Discrete-event scheduler tests (built directly on Program/Op)."""
+"""Discrete-event scheduler tests (built directly on Program/Op), and the
+per-trace timeline memo that serves its result on every replay."""
 
 import pytest
 
 from repro.errors import DeadlockError, SchedulerError
 from repro.hw.config import toy_config
+from repro.hw.device import AscendDevice, TracedKernel
 from repro.hw.isa import Op
 from repro.hw.scheduler import Program, simulate
 
@@ -11,12 +13,13 @@ CFG = toy_config()
 NS = CFG.cycle_ns  # ns per cycle
 
 
-def make_op(op_id, engine, cycles=0.0, deps=(), gm_bytes=0, latency_ns=0.0,
-            kind="vec"):
+def make_op(op_id, engine, cycles=0.0, deps=(), gm_bytes=0, eff_bytes=None,
+            latency_ns=0.0, kind="vec"):
     return Op(
         op_id=op_id, engine=engine, kind=kind, label=f"op{op_id}",
         deps=tuple(deps), cycles=cycles, gm_bytes=gm_bytes,
-        eff_bytes=float(gm_bytes), latency_ns=latency_ns,
+        eff_bytes=float(gm_bytes) if eff_bytes is None else eff_bytes,
+        latency_ns=latency_ns,
     )
 
 
@@ -111,6 +114,26 @@ class TestFlows:
         t = simulate(p, CFG)
         assert t.start_ns[1] >= t.finish_ns[0]
 
+    def test_zero_byte_flow_completes_at_latency(self):
+        # a flow whose effective bytes are below the drain epsilon never
+        # enters the draining set: it completes when its latency elapses
+        p = Program(1)
+        p.add(make_op(0, 0, gm_bytes=4, eff_bytes=1e-9, latency_ns=50.0))
+        t = simulate(p, CFG)
+        assert t.finish_ns[0] == pytest.approx(50.0)
+
+    def test_mixed_flows_and_fixed_ops(self):
+        p = Program(3)
+        p.add(make_op(0, 0, gm_bytes=65536, latency_ns=20.0, kind="mte_in"))
+        p.add(make_op(1, 1, cycles=100))
+        p.add(make_op(2, 2, gm_bytes=32768, latency_ns=5.0, deps=(1,),
+                      kind="mte_in"))
+        p.add(make_op(3, 1, cycles=10, deps=(0, 2)))
+        t = simulate(p, CFG)
+        assert t.start_ns[2] == pytest.approx(t.finish_ns[1])
+        assert t.start_ns[3] == pytest.approx(max(t.finish_ns[0], t.finish_ns[2]))
+        assert t.total_ns == pytest.approx(t.finish_ns[3])
+
     def test_tiny_flow_residue_terminates(self):
         # regression: float residue at large t must not livelock the clock
         p = Program(1)
@@ -131,6 +154,15 @@ class TestBarriers:
         p.add(make_op(3, 0, cycles=10))
         t = simulate(p, CFG)
         assert t.start_ns[3] >= t.finish_ns[1]
+
+    def test_barrier_only_program(self):
+        p = Program(1)
+        p.add(make_op(0, 0, cycles=10, kind="barrier"))
+        p.set_fence(0)
+        p.add(make_op(1, 0, cycles=10, kind="barrier"))
+        t = simulate(p, CFG)
+        assert t.start_ns[1] == pytest.approx(t.finish_ns[0])
+        assert t.total_ns == pytest.approx(20 * NS)
 
     def test_deadlock_detected(self):
         # two ops that (incorrectly) depend on each other's engine order:
@@ -190,3 +222,43 @@ class TestProgramDeps:
         p.set_fence(0)
         p.add(make_op(1, 0, cycles=10, deps=(0,)))
         assert p.deps_of(1) == (0,)
+
+
+# -- the timeline memo on replay ------------------------------------------
+
+
+def _traced():
+    p = Program(1)
+    for i, c in enumerate((10, 20, 30)):
+        p.add(make_op(i, 0, cycles=c))
+    return TracedKernel(program=p, label="synthetic")
+
+
+class TestMemoization:
+    def test_cached_replay_hits_after_first(self):
+        dev = AscendDevice(toy_config())
+        tk = _traced()
+        t1 = dev.replay(tk)
+        assert (tk.timeline_misses, tk.timeline_hits) == (1, 0)
+        t2 = dev.replay(tk)
+        assert (tk.timeline_misses, tk.timeline_hits) == (1, 1)
+        # the very same Timeline object is served, not a recomputation
+        assert t2.timeline is t1.timeline
+
+    def test_config_change_invalidates(self):
+        dev1 = AscendDevice(toy_config())
+        dev2 = AscendDevice(toy_config())  # equal but distinct config object
+        tk = _traced()
+        dev1.replay(tk)
+        dev2.replay(tk)
+        assert (tk.timeline_misses, tk.timeline_hits) == (2, 0)
+        dev2.replay(tk)
+        assert (tk.timeline_misses, tk.timeline_hits) == (2, 1)
+
+    def test_cost_probe_shares_the_memo(self):
+        dev = AscendDevice(toy_config())
+        tk = _traced()
+        assert dev.time_traced(tk) == dev.replay(tk).total_ns
+        assert dev.time_traced(tk) == dev.time_traced(tk)
+        assert (tk.timeline_misses, tk.timeline_hits) == (1, 3)
+

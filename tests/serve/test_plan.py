@@ -9,6 +9,7 @@ from repro.core.api import ScanContext
 from repro.core.matrices import batched_tile_rows, padded_length
 from repro.errors import ConfigError, KernelError, ShapeError
 from repro.hw.config import toy_config
+from repro.hw.scheduler import simulate
 from repro.serve import PlanCache, PlanKey
 
 
@@ -140,13 +141,12 @@ def test_timeline_counters_aggregate(cache):
 def test_plan_execute_des_engine_and_audit(cache):
     plan = cache.get_1d("scanu", 900, "fp16", s=32)
     x = np.ones(900, dtype=np.float16)
-    cached = plan.execute(x, audit_timing=True)
-    des = plan.execute(x, engine="des", audit_timing=True)
-    assert des.trace.total_ns == cached.trace.total_ns
-    # the des path never touches the memoization counters
-    assert (plan.timeline_misses, plan.timeline_hits) == (1, 0)
-    plan.execute(x)
-    assert (plan.timeline_misses, plan.timeline_hits) == (1, 1)
+    cfg = plan.ctx.config
+    # the served timeline is exactly the discrete-event scheduler's, and a
+    # scheduler run outside the device never touches the counters
+    for counts in ((1, 0), (1, 1)):
+        assert plan.execute(x).trace.timeline == simulate(plan.traced.program, cfg)
+        assert (plan.timeline_misses, plan.timeline_hits) == counts
 
 
 class TestLRUEviction:

@@ -13,6 +13,7 @@ import gc
 import numpy as np
 import pytest
 
+import repro.hw.device as device_mod
 from repro.core.api import ScanContext
 from repro.core.mcscan import MCScanKernel
 from repro.core.reference import (
@@ -22,12 +23,11 @@ from repro.core.reference import (
     inclusive_scan,
 )
 from repro.errors import KernelError
-from repro.hw.compiled import assert_timelines_equal
 from repro.hw.config import toy_config
 from repro.hw.device import AscendDevice
 from repro.hw.faults import FaultPlan
 from repro.serve import PlanCache
-from repro.shard import DevicePool, PoolScanService
+from repro.shard import DevicePool, PoolScanService, ShardedScanner
 from repro.tune import TuneStore, WorkloadKey, warm_pool
 from repro.tune.store import TunedEntry
 
@@ -81,6 +81,20 @@ def traces(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def schedules(monkeypatch):
+    """Record the program of every discrete-event scheduler run."""
+    programs = []
+    original = device_mod.simulate
+
+    def counting(program, config, **kw):
+        programs.append(program)
+        return original(program, config, **kw)
+
+    monkeypatch.setattr(device_mod, "simulate", counting)
+    return programs
+
+
 def _tuned_store(cfg):
     store = TuneStore(cfg)
     store.record(
@@ -99,7 +113,7 @@ def _same_timing(a, b):
         ta = a.ctx.device.replay(left)
         tb = b.ctx.device.replay(right)
         assert ta.total_ns == tb.total_ns
-        assert_timelines_equal(ta.timeline, tb.timeline, label=left.label)
+        assert ta.timeline == tb.timeline
     assert len(a.phases) == len(b.phases)
 
 
@@ -310,3 +324,54 @@ class TestTimelineCounters:
         ]
         assert counts == [w.stats.launch_count for w in svc.workers]
         assert all(counts) and sum(counts) == 6
+
+
+class TestOneSchedulePerProgram:
+    """Mirrors share their source's memoized timeline, so a pool runs the
+    scheduler once per traced program, not once per member."""
+
+    def test_sharded_scan(self, rng, schedules):
+        scanner = ShardedScanner(DevicePool(2))
+        x = rng.integers(-2, 3, 256 * 1024).astype(np.float16)
+        scanner.scan(x)
+        plans = [plan for memo in scanner._plans.values() for plan in memo]
+        assert len(plans) == 2 and plans[1].traced is plans[0].traced
+        scheduled = [id(p) for p in schedules]
+        assert len(scheduled) == len(set(scheduled))
+        phases = {id(t.program) for t in plans[0].phases}
+        assert phases <= set(scheduled) <= phases | {id(plans[0].traced.program)}
+        schedules.clear()
+        scanner.scan(x)
+        assert schedules == []
+
+    def test_warm_pool_service(self, rng, schedules):
+        svc = PoolScanService(2, config=toy_config())
+        workloads = [
+            WorkloadKey("1d", 4096, "fp16"),
+            WorkloadKey("1d", 2048, "int8"),
+            WorkloadKey("batched", 256, "fp16", batch=8),
+        ]
+        warm_pool(svc, workloads, buckets=(2, 4))
+
+        def serve():
+            for n, dtype in ((4096, np.float16), (2048, np.int8)):
+                for _ in range(3):
+                    svc.submit(rng.integers(-2, 3, n).astype(dtype))
+            for _ in range(4):
+                svc.submit(rng.integers(-2, 3, 256).astype(np.float16))
+            svc.flush()
+
+        serve()
+        assert len(schedules) == len({id(p) for p in schedules})
+        # each schedule is one traced program's timeline miss, whether a
+        # launch or a placement cost probe caused it
+        traced = {
+            id(plan.traced): plan.traced
+            for w in svc.workers
+            for plan in w.cache._plans.values()
+        }
+        assert len(schedules) == sum(t.timeline_misses for t in traced.values())
+        assert all(w.stats.launch_count for w in svc.workers)
+        schedules.clear()
+        serve()
+        assert schedules == []
