@@ -184,6 +184,7 @@ class ScanPlan:
     #: constant matrices); freed back to the device by :meth:`release`
     gm_tensors: "tuple[GlobalTensor, ...]" = field(default=())
     #: True if the plan's config came from a tuned-plan store entry
+    #: (stamped by the plan's owner: the plan cache, the sharded scanner)
     tuned: bool = field(default=False)
     released: bool = field(default=False)
     #: (phase I, phase II) programs of a device-carry MCScan plan, cut
@@ -379,11 +380,6 @@ class ScanContext:
         #: successful ``_as_plan_dtype`` coercions by argument (the serve
         #: path coerces several times per request)
         self._plan_dtypes: "dict[object, DType]" = {}
-        #: optional tuned-plan store consulted by ``build_plan(tuned=True)``;
-        #: anything with ``lookup_1d`` / ``lookup_batched`` works (the real
-        #: one is :class:`repro.tune.TuneStore` — duck-typed to keep core
-        #: free of a tune dependency)
-        self.tune_store = None
         #: trace table shared by a device pool's members (see
         #: :meth:`_mirror`); None keeps every trace private to this context
         self.traces = None
@@ -801,7 +797,7 @@ class ScanContext:
         )
         return replace(
             source, ctx=self, x_gm=tensors[0], y_gm=tensors[1],
-            gm_tensors=tensors, executions=0, released=False,
+            gm_tensors=tensors, executions=0, tuned=False, released=False,
             timeline_hits=0, timeline_misses=0,
             build_host_s=time.perf_counter() - t0,
         )
@@ -816,7 +812,6 @@ class ScanContext:
         block_dim: "int | None" = None,
         exclusive: bool = False,
         validate: bool = True,
-        tuned: bool = False,
         device_carry: bool = False,
     ) -> ScanPlan:
         """Trace a reusable 1-D scan plan for inputs padding to
@@ -827,10 +822,9 @@ class ScanContext:
         output against the canonical computation the plan will use on
         execution (see :mod:`repro.core.replay`).
 
-        With ``tuned=True`` the context's :attr:`tune_store` (if set) is
-        consulted for this workload; a hit overrides ``algorithm``, ``s``
-        and ``block_dim`` with the tuned configuration and marks the plan
-        :attr:`~ScanPlan.tuned`.  On a miss the explicit arguments stand.
+        The configuration is built as given; which configuration serves a
+        workload (tuned or default) is :func:`repro.tune.resolve_candidate`'s
+        choice, made before the build.
 
         With ``device_carry=True`` an MCScan plan (the only kernel with a
         phase seam) gets a carry slot at the front of ``r`` and its
@@ -840,14 +834,6 @@ class ScanContext:
         """
         t0 = time.perf_counter()
         dt = self._as_plan_dtype(dtype)
-        was_tuned = False
-        if tuned and self.tune_store is not None:
-            entry = self.tune_store.lookup_1d(n=n, dtype=dt.name, exclusive=exclusive)
-            if entry is not None:
-                algorithm = entry.algorithm
-                s = entry.s
-                block_dim = entry.block_dim
-                was_tuned = True
         if algorithm not in PLAN_1D_ALGORITHMS:
             raise KernelError(
                 f"unknown algorithm {algorithm!r}; "
@@ -879,7 +865,6 @@ class ScanContext:
                 if carry_slot:
                     expected = expected + expected.dtype.type(PLANTED_CARRY)
             plan = self._finish_plan(plan, expected, t0, key)
-        plan.tuned = was_tuned
         return plan
 
     def build_batched_plan(
@@ -892,7 +877,6 @@ class ScanContext:
         s: int = 128,
         block_dim: "int | None" = None,
         validate: bool = True,
-        tuned: bool = False,
     ) -> ScanPlan:
         """Trace a reusable batched (row-wise) scan plan holding ``batch``
         rows that pad to ``padded_length(row_len, tile)`` elements each.
@@ -900,22 +884,9 @@ class ScanContext:
         Executions may submit fewer rows (or shorter rows); the remainder
         is zero-padded, exactly as the request batcher in
         :mod:`repro.serve` does when it rounds batches up to bucket sizes.
-
-        With ``tuned=True`` the context's :attr:`tune_store` is consulted
-        (batched-layout entries only) as in :meth:`build_plan`.
         """
         t0 = time.perf_counter()
         dt = self._as_plan_dtype(dtype)
-        was_tuned = False
-        if tuned and self.tune_store is not None:
-            entry = self.tune_store.lookup_batched(
-                batch=batch, row_len=row_len, dtype=dt.name
-            )
-            if entry is not None and getattr(entry, "layout", "batched") == "batched":
-                algorithm = entry.algorithm
-                s = entry.s
-                block_dim = entry.block_dim
-                was_tuned = True
         if algorithm not in BATCHED_ALGORITHMS:
             raise KernelError(
                 f"unknown batched algorithm {algorithm!r}; "
@@ -937,7 +908,6 @@ class ScanContext:
             if validate:
                 expected = plan_compute(sample, algorithm, dt)
             plan = self._finish_plan(plan, expected, t0, key)
-        plan.tuned = was_tuned
         return plan
 
     # -- copy (torch.clone stand-in, Figure 8) --------------------------------------------

@@ -11,9 +11,9 @@ running its real device implementation once on the build device under
 kernels, and differentially checking the device outputs bit-exactly
 against the op's NumPy oracle on exactness-conditioned validation inputs
 (:class:`~repro.errors.KernelError` on divergence).  Scan nodes instead
-go through the plan cache — consulting the TuneStore like
-``ScanService`` — so tuned scan configurations flow into graphs for
-free.
+go through the plan cache and resolve their configuration as
+``ScanService`` does (:func:`repro.tune.resolve_candidate`), so tuned
+scan configurations flow into graphs for free.
 
 Lowered nodes are memoized in :class:`GraphPlanCache` keyed on
 ``(kind, shape_class)``: the steady-state cost of serving a graph
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.api import FOLDABLE_SCAN_ALGORITHMS, ScanContext, ScanPlan
+from ..core.api import FOLDABLE_SCAN_ALGORITHMS, PLAN_1D_ALGORITHMS, ScanContext, ScanPlan
 from ..core.reference import stable_order
 from ..errors import ConfigError, KernelError
 from ..hw.datatypes import as_dtype, cube_accum_dtype
@@ -44,6 +44,7 @@ from ..ops.driver import AscendOps
 from ..ops.elementwise import ElementwiseMapKernel
 from ..ops.topp import TopPSampler
 from ..serve.plan import PlanCache
+from ..tune.space import WorkloadKey, resolve_candidate
 from .fuse import FUSION_MODES, SORTED_INPUT, FusedNode, lowering_units
 from .ir import Graph, Node
 from .op import (
@@ -59,11 +60,12 @@ __all__ = [
     "GraphPlanCache",
     "GraphRunner",
     "top_p_device_sample",
-    "DEFAULT_SCAN_ALGORITHM",
 ]
 
-#: scan algorithm when a scan node neither names one nor has a tuned entry
-DEFAULT_SCAN_ALGORITHM = "scanu"
+#: algorithms a scan node may take from the TuneStore: the graph scan
+#: contract is accumulator-dtype output (see :class:`~repro.graph.op.ScanOp`),
+#: which the in-dtype ``vector`` baseline does not give
+_GRAPH_SCAN_ALGORITHMS = tuple(a for a in PLAN_1D_ALGORITHMS if a != "vector")
 
 
 def top_p_device_sample(
@@ -330,10 +332,10 @@ class GraphRunner:
         """Capture one program for a map-chain / scan / map-chain region.
 
         The scan stage resolves exactly like an unfused scan node
-        (explicit params, then TuneStore, then default — sharing the plan
-        cache, so the standalone plan also prices the scan's share of the
-        fused span).  Post-maps fold into the scan kernel's vector stage
-        when the algorithm exposes that seam
+        (:meth:`_resolve_scan`) and shares the plan cache, so the
+        standalone plan also prices the scan's share of the fused span.
+        Post-maps fold into the scan kernel's vector stage when the
+        algorithm exposes that seam
         (:data:`FOLDABLE_SCAN_ALGORITHMS`); otherwise they trail as one
         in-place multi-fn map pass.  The captured outputs are checked
         bit-exactly against the composition of the member oracles."""
@@ -533,22 +535,13 @@ class GraphRunner:
     def _resolve_scan(
         self, n: int, dtype: str, exclusive: bool, params: dict
     ) -> "tuple[str, int, int | None, bool]":
-        """(algorithm, s, block_dim, tuned) for a scan node — explicit
-        parameters win; otherwise the TuneStore, then the serve default.
-        Tuned ``vector`` entries are skipped: the graph scan contract is
-        accumulator-dtype output (see :class:`~repro.graph.op.ScanOp`)."""
-        algorithm = params["algorithm"]
-        s = params["s"]
-        if algorithm is not None:
-            return algorithm, s or 128, None, False
-        if self.tune_store is not None:
-            entry = self.tune_store.lookup_1d(
-                n=n, dtype=dtype, exclusive=exclusive
-            )
-            if entry is not None and entry.algorithm != "vector":
-                return entry.algorithm, entry.s, entry.block_dim, True
-        default = "mcscan" if exclusive else DEFAULT_SCAN_ALGORITHM
-        return default, s or 128, None, False
+        """(algorithm, s, block_dim, tuned) for a scan node, resolved as
+        :meth:`ScanService.submit` resolves a request, less ``vector``."""
+        cand, tuned = resolve_candidate(
+            WorkloadKey("1d", n, dtype, exclusive), self.tune_store,
+            algorithm=params["algorithm"], s=params["s"], allowed=_GRAPH_SCAN_ALGORITHMS,
+        )
+        return cand.algorithm, cand.s, cand.block_dim, tuned
 
     # -- interpretation -----------------------------------------------------
 

@@ -48,6 +48,7 @@ from ..core.reference import (
 )
 from ..errors import ConfigError
 from ..ops.elementwise import ElementwiseMapKernel
+from ..tune.space import WorkloadKey, resolve_candidate
 
 __all__ = [
     "TensorSpec",
@@ -272,11 +273,11 @@ _SORT_DTYPES = ("fp16", "uint8", "int16", "uint16")
 class ScanOp(OpNode):
     """1-D prefix sum through the serve layer's tuned plan machinery.
 
-    ``algorithm``/``s`` of None defer to the runner's TuneStore (exactly
-    like :meth:`ScanService.submit`); the output is always the accumulator
-    dtype (fp32 for fp16, int32 for int8) — tuned entries that resolve to
-    the in-dtype ``vector`` baseline fall back to the default plan rather
-    than change the node's declared output type."""
+    ``algorithm``/``s`` of None resolve as in :meth:`ScanService.submit`
+    (:func:`repro.tune.resolve_candidate`, the runner's TuneStore).  The
+    output is always the accumulator dtype (fp32 for fp16, int32 for
+    int8) — tuned ``vector`` entries are skipped rather than change the
+    node's declared output type."""
 
     kind = "scan"
     num_inputs = 1
@@ -311,13 +312,16 @@ class ScanOp(OpNode):
 
     @classmethod
     def device_run(cls, ops, inputs, params):
-        algorithm = params["algorithm"] or "scanu"
-        s = params["s"] or 128
+        x = inputs[0]
+        cand, _ = resolve_candidate(
+            WorkloadKey("1d", x.size, dtype_name(x.dtype), params["exclusive"]),
+            algorithm=params["algorithm"], s=params["s"],
+        )
         plan = ops.sc.build_plan(
-            algorithm=algorithm,
-            n=inputs[0].size,
-            dtype=inputs[0].dtype,
-            s=s,
+            algorithm=cand.algorithm,
+            n=x.size,
+            dtype=x.dtype,
+            s=cand.s,
             exclusive=params["exclusive"],
         )
         try:

@@ -15,9 +15,10 @@ GM tensors back to the device allocator's hole list
 long-running service with a drifting shape distribution cannot pin HBM
 without limit.  The plan just built (or just hit) is never evicted.
 
-Key construction refuses ScanUL1 on int8: the kernel stages
-``C1 = A @ 1_s`` through the int8 input dtype, so tile-row sums above
-127 wrap and the served values would not be the kernel's.
+Key construction refuses what no plan can serve: ScanUL1 on int8 (the
+kernel stages ``C1 = A @ 1_s`` through the int8 input dtype, so tile-row
+sums above 127 wrap and the served values would not be the kernel's) and
+an exclusive scan on any algorithm but MCScan.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class PlanCache:
                 f"unknown algorithm {algorithm!r}; "
                 f"pick one of {PLAN_1D_ALGORITHMS}"
             )
+        if exclusive and algorithm != "mcscan":
+            raise KernelError("exclusive scan is implemented on MCScan (as in the paper)")
         dt = self.ctx._as_plan_dtype(dtype)
         _check_servable(algorithm, dt)
         unit = _pad_unit(algorithm, n, s, batched=False)

@@ -30,6 +30,7 @@ import numpy as np
 from ..core.api import ScanContext, ScanPlan
 from ..errors import DeviceFault, KernelError, ShapeError
 from ..hw.config import ASCEND_910B4, DeviceConfig
+from ..tune.space import WorkloadKey, resolve_candidate
 from .batcher import LaunchGroup, RequestBatcher, ScanRequest
 from .numerics import group_scan_values
 from .plan import PlanCache
@@ -149,11 +150,8 @@ class ScanService:
         #: placement weights a unit's predicted cost by this.
         self.observed_slowdown = 1.0
         #: tuned-plan store consulted when submit() is given no explicit
-        #: algorithm/s (see repro.tune.TuneStore); also exposed to the
-        #: context so direct build_plan(tuned=True) calls share it
+        #: algorithm/s (see repro.tune.resolve_candidate)
         self.tune_store = tune_store
-        if tune_store is not None:
-            self.ctx.tune_store = tune_store
         self.cache = PlanCache(self.ctx, gm_budget=gm_budget)
         self.batcher = RequestBatcher(
             self.cache, max_batch=max_batch, min_group=min_group
@@ -190,22 +188,12 @@ class ScanService:
         if x.size == 0:
             raise ShapeError("submit expects a non-empty array")
         x, dt = self._normalize_input(x)
-        tuned = False
-        block_dim: "int | None" = None
-        if algorithm is None and s is None and self.tune_store is not None:
-            entry = self.tune_store.lookup_1d(
-                n=x.size, dtype=dt.name, exclusive=exclusive
-            )
-            if entry is not None:
-                algorithm = entry.algorithm
-                s = entry.s
-                block_dim = entry.block_dim
-                tuned = True
-        if algorithm is None:
-            algorithm = "scanu"
-        if s is None:
-            s = 128
-        # key construction validates algorithm/exclusive combinations early
+        cand, tuned = resolve_candidate(
+            WorkloadKey("1d", x.size, dt.name, exclusive), self.tune_store,
+            algorithm=algorithm, s=s,
+        )
+        algorithm, s, block_dim = cand.algorithm, cand.s, cand.block_dim
+        # key construction refuses what no plan serves before an id exists
         self.cache.key_1d(
             algorithm, x.size, dt, s=s, exclusive=exclusive, block_dim=block_dim
         )
@@ -266,11 +254,12 @@ class ScanService:
     ) -> ScanTicket:
         """Enqueue one 1-D scan; returns an unfilled ticket.
 
-        ``algorithm``/``s`` of None mean *let the service decide*: with a
-        tuned-plan store attached, the workload is looked up there and a
-        hit supplies algorithm, tile size and block_dim; otherwise (and
-        for explicit arguments, which always win) the heuristic default
-        ``scanu``/``s=128`` applies.
+        ``algorithm``/``s`` of None mean *let the service decide*
+        (:func:`repro.tune.resolve_candidate`): a tuned-plan store hit, or
+        else the default (MCScan for an exclusive scan, ScanU otherwise,
+        ``s=128``); an explicit argument skips the store.  A request no
+        plan can serve (ScanU with ``exclusive=True``, say) raises
+        :class:`~repro.errors.KernelError` here, before it has an id.
         """
         req, ticket = self._prepare(
             x, algorithm=algorithm, s=s, exclusive=exclusive

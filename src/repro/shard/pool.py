@@ -73,9 +73,6 @@ class DevicePool:
             ctx.traces = self.traces
         #: tuned-plan store shared by every member (may be None)
         self.tune_store = tune_store
-        if tune_store is not None:
-            for ctx in self.contexts:
-                ctx.tune_store = tune_store
 
     def __len__(self) -> int:
         return len(self.devices)

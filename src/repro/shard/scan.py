@@ -32,13 +32,13 @@ boundaries (integer addition is associative; rounding never enters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ..core.api import ScanPlan
 from ..core.matrices import padded_length
 from ..errors import KernelError, ShapeError
+from ..tune.space import WorkloadKey, resolve_candidate
 from .pool import DevicePool
 
 __all__ = [
@@ -208,21 +208,22 @@ class ShardedScanner:
         for plan in plans:
             if padded_length(length, plan.pad_unit) == plan.padded:
                 return plan, True
-        build = partial(
-            ctx.build_plan,
+        # only MCScan has the phase seam the device carry folds into
+        cand, tuned = resolve_candidate(
+            WorkloadKey("1d", length, dt.name),
+            self.pool.tune_store if self.tuned else None, allowed=("mcscan",),
+        )
+        s, block_dim = (cand.s, cand.block_dim) if tuned else (self.s, None)
+        plan = ctx.build_plan(
             algorithm="mcscan",
             n=length,
             dtype=dt,
-            s=self.s,
+            s=s,
+            block_dim=block_dim,
             validate=self.validate,
             device_carry=True,
         )
-        plan = build(tuned=self.tuned)
-        if plan.algorithm != "mcscan":
-            # a tuned entry for another algorithm has no phase seam to
-            # fold the carry into: the shard gets the untuned MCScan plan
-            plan.release()
-            plan = build(tuned=False)
+        plan.tuned = tuned
         plans.append(plan)
         self.plans_built += 1
         return plan, False

@@ -1,15 +1,18 @@
 """Simulator-guided autotuner with a persistent tuned-plan store.
 
-The serve layer's heuristics (``scanu``, ``s=128``) are a reasonable
-default, but the best plan configuration depends on the workload shape —
-MCScan dominates at large 1-D sizes, small tile sizes lose to Mmad issue
-overhead, and few-long-row batches are sometimes better served row-by-row
+The serve layer's defaults (ScanU, or MCScan for an exclusive scan, at
+``s=128``) are reasonable, but the best plan configuration depends on the
+workload shape — MCScan dominates at large 1-D sizes, small tile sizes
+lose to Mmad issue overhead, and few-long-row batches are sometimes better served row-by-row
 through a multi-core 1-D plan.  This package searches that space *on the
 simulator* (one host-side trace per surviving candidate, never executing
 numerics), prunes with sound roofline lower bounds from
 :mod:`repro.analysis`, and persists the winners in a fingerprinted JSON
-store that :meth:`ScanContext.build_plan(tuned=True)
-<repro.core.api.ScanContext.build_plan>` and the serve layer consult.
+store.  :func:`~repro.tune.space.resolve_candidate` is the one place that
+decides which configuration serves a workload — a store entry the caller
+can serve, else the default — for the scan service, graph scan nodes,
+plan warm-up and the sharded scanner; the core plan builders only build
+the configuration they are given.
 
 See ``repro tune --help`` for the CLI entry point.
 """
@@ -22,6 +25,7 @@ from .space import (
     candidate_floor_ns,
     default_candidate,
     enumerate_candidates,
+    resolve_candidate,
 )
 from .store import STORE_VERSION, TunedEntry, TuneStore, config_fingerprint
 from .tuner import (
@@ -50,6 +54,7 @@ __all__ = [
     "enumerate_candidates",
     "evaluate_candidate",
     "format_result",
+    "resolve_candidate",
     "tune_workload",
     "WarmupReport",
     "warm_tune_store",

@@ -30,12 +30,14 @@ from ..core.vector_baseline import CUMSUM_COLS
 from ..errors import ConfigError
 from ..hw.config import DeviceConfig
 from ..hw.datatypes import as_dtype, cube_accum_dtype
+from .store import store_key_1d
 
 __all__ = [
     "SWEEP_S",
     "WorkloadKey",
     "Candidate",
     "default_candidate",
+    "resolve_candidate",
     "enumerate_candidates",
     "candidate_floor_ns",
 ]
@@ -78,7 +80,7 @@ class WorkloadKey:
     @property
     def store_key(self) -> str:
         if self.kind == "1d":
-            return f"1d:{self.n}:{self.dtype}:{'x' if self.exclusive else 'i'}"
+            return store_key_1d(self.n, self.dtype, self.exclusive)
         return f"batched:{self.batch}x{self.n}:{self.dtype}"
 
 
@@ -104,15 +106,53 @@ class Candidate:
         return f"{self.layout}/{self.algorithm}(s={self.s}, bd={bd})"
 
 
+#: the defaults, built once: every submit without a tuned entry takes one
+_EXCLUSIVE_DEFAULT = Candidate("mcscan", 128)
+_DEFAULTS = {"1d": Candidate("scanu", 128), "batched": Candidate("scanu", 128, None, "batched")}
+
+
 def default_candidate(workload: WorkloadKey) -> Candidate:
-    """The configuration the serve layer falls back to without a store —
-    :meth:`ScanService.submit`'s defaults.  It is always a member of the
-    search space and always evaluated first, which is what guarantees the
-    tuned choice is never slower than the default."""
-    if workload.exclusive:
-        return Candidate("mcscan", 128, None, "1d")
-    layout = "batched" if workload.kind == "batched" else "1d"
-    return Candidate("scanu", 128, None, layout)
+    """The configuration that serves a workload without a tuned entry:
+    MCScan (the paper's only exclusive kernel) for an exclusive scan,
+    ScanU otherwise.  It is always a member of the search space and always
+    evaluated first, which is what guarantees the tuned choice is never
+    slower than the default."""
+    return _EXCLUSIVE_DEFAULT if workload.exclusive else _DEFAULTS[workload.kind]
+
+
+def resolve_candidate(
+    workload: WorkloadKey,
+    store=None,
+    *,
+    algorithm: "str | None" = None,
+    s: "int | None" = None,
+    allowed: "tuple[str, ...]" = PLAN_1D_ALGORITHMS,
+    peek: bool = False,
+) -> "tuple[Candidate, bool]":
+    """The configuration that serves ``workload`` and whether it came
+    from ``store``: the one place every serving path makes that choice.
+
+    An explicit ``algorithm`` or ``s`` skips the store, and the fields
+    left None come from :func:`default_candidate`.  Otherwise a store
+    entry wins if the caller can serve its algorithm (``allowed``).
+    Lookups count through :meth:`TuneStore.lookup_1d
+    <repro.tune.store.TuneStore.lookup_1d>`; ``peek`` reads the entry
+    uncounted (warm-up, the only caller with batched workloads).
+    """
+    default = default_candidate(workload)
+    if algorithm is not None or s is not None:
+        return Candidate(
+            default.algorithm if algorithm is None else algorithm,
+            default.s if s is None else s,
+            None, default.layout,
+        ), False
+    if store is not None:
+        entry = store.entries.get(workload.store_key) if peek else store.lookup_1d(
+            n=workload.n, dtype=workload.dtype, exclusive=workload.exclusive
+        )
+        if entry is not None and entry.algorithm in allowed:
+            return Candidate(entry.algorithm, entry.s, entry.block_dim, entry.layout), True
+    return default, False
 
 
 def _1d_block_dims(config: DeviceConfig, n_tiles: int) -> "list[int | None]":

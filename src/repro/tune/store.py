@@ -24,10 +24,15 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..hw.config import DeviceConfig
 
-__all__ = ["STORE_VERSION", "TunedEntry", "TuneStore", "config_fingerprint"]
+__all__ = ["STORE_VERSION", "TunedEntry", "TuneStore", "config_fingerprint", "store_key_1d"]
 
 #: bump when the on-disk schema changes; older files are discarded
 STORE_VERSION = 1
+
+
+def store_key_1d(n: int, dtype: str, exclusive: bool = False) -> str:
+    """The store key of a 1-D workload: ``1d:{n}:{dtype}:{x|i}``."""
+    return f"1d:{n}:{dtype}:{'x' if exclusive else 'i'}"
 
 
 def config_fingerprint(config: DeviceConfig) -> str:
@@ -70,8 +75,9 @@ class TuneStore:
     """In-memory map of workload key → :class:`TunedEntry`, with JSON
     persistence and device fingerprinting.
 
-    Lookup methods mirror what :meth:`ScanContext.build_plan` needs; hit
-    and miss counters feed the serve layer's stats.
+    Which entry serves a request is
+    :func:`~repro.tune.space.resolve_candidate`'s choice; its serving
+    lookups count hits and misses, which feed the serve layer's stats.
     """
 
     def __init__(self, config: DeviceConfig, *, path: "str | None" = None):
@@ -96,24 +102,16 @@ class TuneStore:
         if old is None or entry.tuned_ns < old.tuned_ns:
             self.entries[store_key] = entry
 
-    def _lookup(self, store_key: str) -> "TunedEntry | None":
-        entry = self.entries.get(store_key)
+    def lookup_1d(
+        self, *, n: int, dtype: str, exclusive: bool = False
+    ) -> "TunedEntry | None":
+        """The entry for a 1-D workload, counted as a hit or a miss."""
+        entry = self.entries.get(store_key_1d(n, dtype, exclusive))
         if entry is None:
             self.lookup_misses += 1
         else:
             self.lookup_hits += 1
         return entry
-
-    def lookup_1d(
-        self, *, n: int, dtype: str, exclusive: bool = False
-    ) -> "TunedEntry | None":
-        key = f"1d:{n}:{dtype}:{'x' if exclusive else 'i'}"
-        return self._lookup(key)
-
-    def lookup_batched(
-        self, *, batch: int, row_len: int, dtype: str
-    ) -> "TunedEntry | None":
-        return self._lookup(f"batched:{batch}x{row_len}:{dtype}")
 
     # -- persistence ---------------------------------------------------------
 

@@ -11,14 +11,15 @@ workload key, so a fleet bring-up can pay them *up front*:
   function of (config, workload) — independent of which workloads were
   tuned before it (``tests/tune/test_warmup.py`` holds this).
 * :func:`warm_service` then prebuilds the plan cache of one service for
-  those workloads (plans hold simulated device allocations, so each
-  member builds its own; on a pool the first member traces and the rest
-  mirror that trace).
+  those workloads and schedules each plan's timeline (plans hold
+  simulated device allocations, so each member builds its own; on a pool
+  the first member traces and the rest mirror that trace and timeline).
 * :func:`warm_pool` does both for every member of a
   :class:`~repro.shard.PoolScanService` behind one call.
 
-Steady-state serving after warm-up never pays trace or tune cost inline:
-every launch is a plan-cache hit.
+Steady-state serving after warm-up never pays trace, tune or schedule
+cost inline: every launch is a plan-cache hit that replays a memoized
+timeline.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from ..core.api import ScanContext
 from ..errors import ConfigError
-from .space import WorkloadKey
+from .space import WorkloadKey, resolve_candidate
 from .store import TuneStore
 from .tuner import tune_workload
 
@@ -97,24 +98,6 @@ def warm_tune_store(
     return report
 
 
-def _resolve_config(
-    service, workload: WorkloadKey
-) -> "tuple[str, int, int | None, str, bool]":
-    """(algorithm, s, block_dim, layout, tuned) a warmed service will use
-    for this workload — the tuned entry when the store has one, otherwise
-    ``submit``'s heuristic defaults.  Reads ``store.entries`` directly so
-    warming never skews the lookup hit/miss counters the service reports.
-    """
-    store = service.tune_store
-    entry = store.entries.get(workload.store_key) if store is not None else None
-    if entry is not None:
-        return entry.algorithm, entry.s, entry.block_dim, entry.layout, True
-    if workload.exclusive:
-        return "mcscan", 128, None, "1d", False
-    layout = "batched" if workload.kind == "batched" else "1d"
-    return "scanu", 128, None, layout, False
-
-
 def warm_service(
     service,
     workloads: "list[WorkloadKey]",
@@ -124,11 +107,15 @@ def warm_service(
     """Prebuild one service's plan cache for ``workloads``; returns the
     number of plans built (0 = everything was already cached).
 
-    For a 1-D workload the exact 1-D plan is built; ``buckets`` lists
-    batch sizes the service should additionally expect that workload to
-    arrive in (each rounded to its power-of-two bucket), so the coalesced
-    batched launches hit too.  Batched workloads warm whichever layout
-    their tuned entry picked.
+    Each workload resolves as its requests will
+    (:func:`~repro.tune.space.resolve_candidate`; peeking, so warming
+    never skews the lookup counters the service reports).  For a 1-D
+    workload the exact 1-D plan is built; ``buckets`` lists batch sizes
+    the service should additionally expect that workload to arrive in
+    (each rounded to its power-of-two bucket), so the coalesced batched
+    launches hit too.  Batched workloads warm whichever layout their
+    tuned entry picked.  Each built plan's timeline is scheduled here, so
+    the first serving pass replays memoized timelines only.
     """
     from ..core.api import BATCHED_ALGORITHMS
     from ..serve.batcher import bucket_size
@@ -146,7 +133,7 @@ def warm_service(
             cache.get_1d(
                 algorithm, n, dtype, s=s, exclusive=exclusive,
                 block_dim=block_dim, tuned=tuned,
-            )
+            ).time_ns()
             built += 1
 
     def build_batched(algorithm, batch, row_len, dtype, s, tuned):
@@ -156,13 +143,12 @@ def warm_service(
         if key not in cache:
             cache.get_batched(
                 algorithm, bucket, row_len, dtype, s=s, tuned=tuned
-            )
+            ).time_ns()
             built += 1
 
     for workload in workloads:
-        algorithm, s, block_dim, layout, tuned = _resolve_config(
-            service, workload
-        )
+        cand, tuned = resolve_candidate(workload, service.tune_store, peek=True)
+        algorithm, s, block_dim = cand.algorithm, cand.s, cand.block_dim
         if workload.kind == "1d":
             build_1d(
                 algorithm, workload.n, workload.dtype, s,
@@ -174,7 +160,7 @@ def warm_service(
                 continue
             for batch in buckets:
                 build_batched(algorithm, batch, workload.n, workload.dtype, s, tuned)
-        elif layout == "batched":
+        elif cand.layout == "batched":
             build_batched(
                 algorithm, workload.batch, workload.n, workload.dtype, s, tuned
             )

@@ -28,7 +28,7 @@ from repro.hw.device import AscendDevice
 from repro.hw.faults import FaultPlan
 from repro.serve import PlanCache
 from repro.shard import DevicePool, PoolScanService, ShardedScanner
-from repro.tune import TuneStore, WorkloadKey, warm_pool
+from repro.tune import TuneStore, WorkloadKey, resolve_candidate, warm_pool
 from repro.tune.store import TunedEntry
 
 N = 5000
@@ -64,7 +64,7 @@ PLANS = {
 
 def _build(ctx, name, **extra):
     method, kw = PLANS[name]
-    return getattr(ctx, method)(**kw, **extra)
+    return getattr(ctx, method)(**{**kw, **extra})
 
 
 @pytest.fixture()
@@ -142,18 +142,18 @@ class TestMirror:
 
     def test_tuned_plan(self, traces):
         cfg = toy_config()
-        pool = DevicePool(2, cfg, tune_store=_tuned_store(cfg))
-        source = _build(pool[0], "scanu", tuned=True)
-        mirror = _build(pool[1], "scanu", tuned=True)
+        cand, tuned = resolve_candidate(
+            WorkloadKey("1d", N, "fp16"), _tuned_store(cfg)
+        )
+        assert tuned and (cand.algorithm, cand.block_dim) == ("mcscan", 1)
+        config = dict(algorithm=cand.algorithm, s=cand.s, block_dim=cand.block_dim)
+        pool = DevicePool(2, cfg)
+        source = _build(pool[0], "scanu", **config)
+        mirror = _build(pool[1], "scanu", **config)
         assert traces == ["dev0"]
-        assert (mirror.algorithm, mirror.block_dim, mirror.tuned) == (
-            "mcscan", 1, True
-        )
+        assert (mirror.algorithm, mirror.block_dim) == ("mcscan", 1)
         assert mirror.traced is source.traced
-        own = _build(
-            DevicePool(2, cfg, tune_store=_tuned_store(cfg))[1],
-            "scanu", tuned=True,
-        )
+        own = _build(DevicePool(2, cfg)[1], "scanu", **config)
         _same_timing(mirror, own)
 
     def test_mirror_serves_exact_values(self, rng):
@@ -349,9 +349,21 @@ class TestOneSchedulePerProgram:
         workloads = [
             WorkloadKey("1d", 4096, "fp16"),
             WorkloadKey("1d", 2048, "int8"),
+            WorkloadKey("1d", 256, "fp16"),
             WorkloadKey("batched", 256, "fp16", batch=8),
         ]
         warm_pool(svc, workloads, buckets=(2, 4))
+        # warm-up schedules each traced program once (mirrors share
+        # their source's memoized timeline) ...
+        traced = {
+            id(plan.traced): plan.traced
+            for w in svc.workers
+            for plan in w.cache._plans.values()
+        }
+        assert sorted(map(id, schedules)) == sorted(
+            id(t.program) for t in traced.values()
+        )
+        schedules.clear()
 
         def serve():
             for n, dtype in ((4096, np.float16), (2048, np.int8)):
@@ -361,17 +373,9 @@ class TestOneSchedulePerProgram:
                 svc.submit(rng.integers(-2, 3, 256).astype(np.float16))
             svc.flush()
 
+        # ... so not even the first serving pass runs the scheduler
         serve()
-        assert len(schedules) == len({id(p) for p in schedules})
-        # each schedule is one traced program's timeline miss, whether a
-        # launch or a placement cost probe caused it
-        traced = {
-            id(plan.traced): plan.traced
-            for w in svc.workers
-            for plan in w.cache._plans.values()
-        }
-        assert len(schedules) == sum(t.timeline_misses for t in traced.values())
+        assert schedules == []
         assert all(w.stats.launch_count for w in svc.workers)
-        schedules.clear()
         serve()
         assert schedules == []

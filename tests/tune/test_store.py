@@ -32,7 +32,7 @@ class TestRecordLookup:
         store.record("1d:4096:fp16:i", entry())
         assert store.lookup_1d(n=4096, dtype="fp16") == entry()
         assert store.lookup_1d(n=4096, dtype="fp16", exclusive=True) is None
-        assert store.lookup_batched(batch=8, row_len=4096, dtype="fp16") is None
+        assert store.lookup_1d(n=8192, dtype="fp16") is None
         assert store.lookup_hits == 1
         assert store.lookup_misses == 2
         assert len(store) == 1

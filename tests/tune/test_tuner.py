@@ -11,6 +11,7 @@ from repro.tune import (
     WorkloadKey,
     default_candidate,
     format_result,
+    resolve_candidate,
     tune_workload,
 )
 
@@ -101,44 +102,42 @@ class TestBatched:
         workload = WorkloadKey("batched", 8192, "int8", batch=8)
         result = tune_workload(ctx, workload, store=store)
         assert result.best.algorithm != "scanul1"
-        ctx.tune_store = store
-        try:
-            plan = ctx.build_batched_plan(
-                batch=8, row_len=8192, dtype="int8", tuned=True
-            )
-        finally:
-            ctx.tune_store = None
-        assert plan.tuned and plan.validated is True
+        cand, tuned = resolve_candidate(workload, store, peek=True)
+        assert tuned and cand == result.best and cand.layout == "batched"
+        plan = ctx.build_batched_plan(
+            algorithm=cand.algorithm, batch=8, row_len=8192, dtype="int8",
+            s=cand.s, block_dim=cand.block_dim,
+        )
+        assert plan.validated is True
         plan.release()
 
 
 class TestTunedPlans:
+    """Resolve a workload against the store, then build the config."""
+
     def test_build_plan_applies_store_entry(self, tuned_64k):
-        ctx, store, _, result = tuned_64k
-        ctx.tune_store = store
-        try:
-            plan = ctx.build_plan(n=65536, dtype="fp16", tuned=True)
-            assert plan.tuned
-            assert plan.algorithm == result.best.algorithm
-            assert plan.s == result.best.s
-            x = np.ones(65536, dtype=np.float16)
-            out = plan.execute(x)
-            np.testing.assert_array_equal(
-                out.values, np.arange(1, 65537, dtype=np.float32)
-            )
-            assert out.trace.total_ns == pytest.approx(result.best_ns)
-        finally:
-            ctx.tune_store = None
+        ctx, store, workload, result = tuned_64k
+        cand, tuned = resolve_candidate(workload, store)
+        assert tuned and cand == result.best
+        plan = ctx.build_plan(
+            algorithm=cand.algorithm, n=65536, dtype="fp16", s=cand.s,
+            block_dim=cand.block_dim,
+        )
+        x = np.ones(65536, dtype=np.float16)
+        out = plan.execute(x)
+        np.testing.assert_array_equal(
+            out.values, np.arange(1, 65537, dtype=np.float32)
+        )
+        assert out.trace.total_ns == pytest.approx(result.best_ns)
 
     def test_build_plan_miss_falls_back_to_default(self, tuned_64k):
         ctx, store, _, _ = tuned_64k
-        ctx.tune_store = store
-        try:
-            plan = ctx.build_plan(n=3333, dtype="fp16", tuned=True)  # miss
-            assert not plan.tuned
-            assert plan.algorithm == "scanul1"  # build_plan's own default
-        finally:
-            ctx.tune_store = None
+        workload = WorkloadKey("1d", 3333, "fp16")
+        cand, tuned = resolve_candidate(workload, store)  # miss
+        assert not tuned and cand == default_candidate(workload)
+        plan = ctx.build_plan(algorithm=cand.algorithm, n=3333, s=cand.s)
+        assert (plan.algorithm, plan.s, plan.tuned) == ("scanu", 128, False)
+        plan.release()
 
     def test_released_plan_frees_gm_and_refuses_execute(self, scan_ctx_module):
         ctx = scan_ctx_module
