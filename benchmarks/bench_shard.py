@@ -24,10 +24,10 @@ serve throughput with device utilisation.
 import numpy as np
 from bench_util import write_bench_json
 
-from repro.core.api import ScanContext
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
+from repro.hw.config import ASCEND_910B4
 from repro.shard import DevicePool, PoolScanService, ShardedScanner
-from repro.tune import TuneStore, WorkloadKey, ensure_tuned
+from repro.tune import TuneStore, WorkloadKey, warm_tune_store
 
 POOL_SIZES = (1, 2, 4, 8)
 SCAN_LENGTHS = (1 << 20, 1 << 24)  # 1M and 16M elements
@@ -41,15 +41,15 @@ MIX_REPEATS = 2
 def _tune_shared_store():
     """One store covering every shard length the latency sweep produces
     (n / D for both lengths and every pool size) — tuned once, shared by
-    every pool member and every pool size."""
-    ctx = ScanContext()
-    store = TuneStore(ctx.config)
+    every pool member and every pool size.  Each length is tuned on a
+    fresh context, so its entry does not depend on the others."""
+    store = TuneStore(ASCEND_910B4)
     workloads = [
         WorkloadKey("1d", n // d, "fp16")
         for n in SCAN_LENGTHS
         for d in POOL_SIZES
     ]
-    ensure_tuned(ctx, workloads, store)
+    warm_tune_store(workloads, store)
     return store
 
 

@@ -166,8 +166,7 @@ def cmd_serve_bench(args) -> int:
 def cmd_tune(args) -> int:
     from .tune import TuneStore, WorkloadKey, format_result, tune_workload
 
-    ctx = ScanContext()
-    store = TuneStore.load(args.store, ctx.config)
+    store = TuneStore.load(args.store, ASCEND_910B4)
     if store.invalidated:
         print(
             f"note: discarding {args.store} "
@@ -194,7 +193,11 @@ def cmd_tune(args) -> int:
         return 1
     say = print if args.verbose else None
     for workload in workloads:
-        result = tune_workload(ctx, workload, store=store, log=say)
+        # a fresh context per workload: an entry must not depend on what
+        # was tuned before it (see repro.tune.warmup.warm_tune_store)
+        result = tune_workload(
+            ScanContext(store.config), workload, store=store, log=say
+        )
         print(format_result(result))
     path = store.save(args.store)
     print(f"wrote {len(store)} tuned entr{'y' if len(store) == 1 else 'ies'} to {path}")

@@ -10,10 +10,13 @@ trace, from which the paper's metrics (time, GB/s, GElems/s) derive.
 A :class:`ScanPlan` is the one way a scan kernel is traced: one private
 tracer per layout (1-D and batched) allocates the plan's tensors, builds
 the kernel, loads a zero-padded input, warms L2 and traces the op DAG.
-Every caller runs that tracer:
+Only this module runs those tracers:
 
 * **plans** (:meth:`ScanContext.build_plan` / :meth:`ScanPlan.execute`)
-  trace once per shape on a deterministic validation input, validate the
+  are built for the configuration the caller gives (algorithm, ``s``,
+  ``block_dim``; the builders have no default for either of the first
+  two — :func:`repro.tune.resolve_candidate` picks one), trace once per
+  shape on a deterministic validation input, validate the
   kernel against the functional path, and then replay: each execution
   re-runs only the functional NumPy computation, and the timeline is
   memoized on the traced program (the op DAG's costs are fixed at trace
@@ -27,8 +30,15 @@ Every caller runs that tracer:
   input inside a mark/release scope, launch it once and return the
   kernel's own output, so the paper figures time exactly the program the
   service launches and a long sweep reuses device memory;
-* the autotuner (:mod:`repro.tune.evaluate`) scores each candidate as a
-  scratch plan's :meth:`ScanPlan.time_ns`.
+* the autotuner (:mod:`repro.tune.evaluate`) builds each candidate
+  through the same builders, unvalidated, reads its
+  :meth:`ScanPlan.time_ns` and releases it.
+
+The rules a plan configuration obeys — its pad unit
+(:func:`plan_pad_unit`), the multi-core ``block_dim`` limit
+(:func:`max_block_dim`) and what may be built or served
+(:func:`check_plan_config`) — are written here once; the plan cache and
+the tuner import them.
 """
 
 from __future__ import annotations
@@ -65,6 +75,9 @@ __all__ = [
     "SCAN_STRATEGIES",
     "PLAN_1D_ALGORITHMS",
     "FOLDABLE_SCAN_ALGORITHMS",
+    "check_plan_config",
+    "max_block_dim",
+    "plan_pad_unit",
 ]
 
 SCAN_ALGORITHMS = ("scanu", "scanul1", "mcscan", "vector")
@@ -75,9 +88,6 @@ SCAN_STRATEGIES = ("mcscan", "ssa", "rss", "lookback")
 #: competitor strategies (all compute the same inclusive scan, so they share
 #: the functional replay path) — the autotuner searches this whole set
 PLAN_1D_ALGORITHMS = SCAN_ALGORITHMS + ("ssa", "rss", "lookback")
-
-#: multi-core 1-D kernels that take a block_dim and an ``r`` array
-_MULTI_CORE_1D = ("mcscan", "ssa", "rss", "lookback")
 
 #: 1-D scan kernels whose vector propagation stage can fold a fused
 #: elementwise epilogue in UB (graph-level fusion); the competitor
@@ -92,6 +102,53 @@ _CUBE_INPUT_NAMES = {np.dtype(np.float16): "fp16", np.dtype(np.int8): "int8"}
 #: nonzero so build-time validation proves phase II adds the slot, and a
 #: small integer so ``fp32(local scan) + carry`` stays exact
 PLANTED_CARRY = 3
+
+
+def plan_pad_unit(algorithm: str, s: int, row_len: "int | None" = None) -> int:
+    """Padding granularity of a plan's (row) length: ``CUMSUM_COLS`` for
+    the vector baseline, an ``s x s`` tile for a 1-D cube plan, and an
+    ``m x s`` tile (``m = batched_tile_rows(row_len, s)``) for the rows of
+    a batched plan, which is what passing ``row_len`` asks for."""
+    if algorithm == "vector":
+        return CUMSUM_COLS
+    if row_len is None:
+        return s * s
+    return batched_tile_rows(row_len, s) * s
+
+
+def max_block_dim(config: DeviceConfig, n_tiles: int) -> int:
+    """The most cube cores a multi-core 1-D plan over ``n_tiles`` tiles
+    uses, and its heuristic ``block_dim``: cores beyond the tile count
+    would idle while still paying synchronisation."""
+    return max(1, min(config.num_ai_cores, n_tiles))
+
+
+def check_plan_config(
+    algorithm: str, dtype: DType, *, batched: bool, exclusive: bool, served: bool
+) -> None:
+    """Refuse a configuration no plan implements: an algorithm outside
+    the layout's set, or an exclusive scan on anything but MCScan.  With
+    ``served``, also refuse what a plan can trace but not serve: ScanUL1
+    on int8, whose ``C1 = A @ 1_s`` staging through the int8 input wraps,
+    so the served values would not be the kernel's.  Allocates nothing
+    on success: the plan cache runs it on every request."""
+    if batched:
+        if algorithm not in BATCHED_ALGORITHMS:
+            raise KernelError(
+                f"unknown batched algorithm {algorithm!r}; "
+                f"pick one of {BATCHED_ALGORITHMS}"
+            )
+    elif algorithm not in PLAN_1D_ALGORITHMS:
+        raise KernelError(
+            f"unknown algorithm {algorithm!r}; pick one of {PLAN_1D_ALGORITHMS}"
+        )
+    if exclusive and algorithm != "mcscan":
+        raise KernelError("exclusive scan is implemented on MCScan (as in the paper)")
+    if served and algorithm == "scanul1" and dtype.name == "int8":
+        raise KernelError(
+            "scanul1 is not served on int8: its int8 L1 staging of "
+            "C1 = A @ 1_s wraps; use scanu or mcscan"
+        )
 
 
 class _Layout(NamedTuple):
@@ -244,19 +301,6 @@ class ScanPlan:
         self.timeline_misses += traced.timeline_misses - misses
         self.executions += 1
         return trace
-
-    @property
-    def key(self) -> tuple:
-        """Canonical cache key (see ``repro.serve.plan.PlanCache``)."""
-        return (
-            self.algorithm,
-            self.padded,
-            self.in_dtype.name,
-            self.batch,
-            self.s,
-            self.exclusive,
-            self.block_dim,
-        )
 
     # -- execution ----------------------------------------------------------
 
@@ -427,7 +471,7 @@ class ScanContext:
         return plan_dtype
 
     def _mcscan_block_dim(self, n_tiles: int, block_dim: "int | None") -> int:
-        limit = max(1, min(self.config.num_ai_cores, n_tiles))
+        limit = max_block_dim(self.config, n_tiles)
         if block_dim is None:
             return limit
         if not isinstance(block_dim, int) or isinstance(block_dim, bool):
@@ -500,12 +544,12 @@ class ScanContext:
         (``(n,)``, or ``(batch, row_len)`` for the batched kernels).  The
         constants are cached on the context and must outlive any scratch
         mark, so callers resolve the layout before taking one."""
-        if algorithm == "vector":
-            consts, pad_unit = None, CUMSUM_COLS
-        else:
-            rows = batched_tile_rows(shape[1], s) if len(shape) == 2 else None
+        row_len = shape[1] if len(shape) == 2 else None
+        consts = None
+        if algorithm != "vector":
+            rows = None if row_len is None else batched_tile_rows(row_len, s)
             consts = self.constants(s, dt, rows=rows)
-            pad_unit = consts.tile_elements
+        pad_unit = plan_pad_unit(algorithm, s, row_len)
         padded = (*shape[:-1], padded_length(shape[-1], pad_unit))
         return _Layout(dt, consts, pad_unit, padded)
 
@@ -727,12 +771,9 @@ class ScanContext:
         x = np.asarray(x)
         if x.ndim != 2:
             raise ShapeError(f"batched_scan expects a 2-D array, got {x.shape}")
-        if algorithm not in BATCHED_ALGORITHMS:
-            raise KernelError(
-                f"unknown batched algorithm {algorithm!r}; "
-                f"pick one of {BATCHED_ALGORITHMS}"
-            )
-        layout = self._layout(algorithm, self._as_plan_dtype(x.dtype), s, x.shape)
+        dt = self._as_plan_dtype(x.dtype)
+        check_plan_config(algorithm, dt, batched=True, exclusive=False, served=False)
+        layout = self._layout(algorithm, dt, s, x.shape)
         label = (
             "batched CumSum"
             if algorithm == "vector"
@@ -805,10 +846,10 @@ class ScanContext:
     def build_plan(
         self,
         *,
-        algorithm: str = "scanul1",
+        algorithm: str,
         n: int,
+        s: int,
         dtype="fp16",
-        s: int = 128,
         block_dim: "int | None" = None,
         exclusive: bool = False,
         validate: bool = True,
@@ -834,15 +875,7 @@ class ScanContext:
         """
         t0 = time.perf_counter()
         dt = self._as_plan_dtype(dtype)
-        if algorithm not in PLAN_1D_ALGORITHMS:
-            raise KernelError(
-                f"unknown algorithm {algorithm!r}; "
-                f"pick one of {PLAN_1D_ALGORITHMS}"
-            )
-        if exclusive and algorithm != "mcscan":
-            raise KernelError(
-                "exclusive scan is implemented on MCScan (as in the paper)"
-            )
+        check_plan_config(algorithm, dt, batched=False, exclusive=exclusive, served=False)
         carry_slot = device_carry and algorithm == "mcscan"
         layout = self._layout(algorithm, dt, s, (n,))
         key = (
@@ -870,16 +903,17 @@ class ScanContext:
     def build_batched_plan(
         self,
         *,
-        algorithm: str = "scanu",
+        algorithm: str,
         batch: int,
         row_len: int,
+        s: int,
         dtype="fp16",
-        s: int = 128,
-        block_dim: "int | None" = None,
         validate: bool = True,
     ) -> ScanPlan:
         """Trace a reusable batched (row-wise) scan plan holding ``batch``
         rows that pad to ``padded_length(row_len, tile)`` elements each.
+        The kernel's ``block_dim`` is its own heuristic: a batched plan
+        key carries none, so no served plan could use another.
 
         Executions may submit fewer rows (or shorter rows); the remainder
         is zero-padded, exactly as the request batcher in
@@ -887,22 +921,18 @@ class ScanContext:
         """
         t0 = time.perf_counter()
         dt = self._as_plan_dtype(dtype)
-        if algorithm not in BATCHED_ALGORITHMS:
-            raise KernelError(
-                f"unknown batched algorithm {algorithm!r}; "
-                f"pick one of {BATCHED_ALGORITHMS}"
-            )
+        check_plan_config(algorithm, dt, batched=True, exclusive=False, served=False)
         if batch < 1:
             raise ShapeError(f"batch must be >= 1, got {batch}")
         layout = self._layout(algorithm, dt, s, (batch, row_len))
         key = (
-            algorithm, layout.shape, layout.pad_unit, dt.name, s, block_dim,
+            algorithm, layout.shape, layout.pad_unit, dt.name, s, None,
             False, False, self.warm_inputs,
         )
         plan = self._mirror(key, validate, t0)
         if plan is None:
             plan, sample = self._trace_batched(
-                layout, algorithm=algorithm, s=s, block_dim=block_dim
+                layout, algorithm=algorithm, s=s, block_dim=None
             )
             expected = None
             if validate:

@@ -23,7 +23,7 @@ from ..errors import KernelError, ShapeError
 from ..hw.config import ASCEND_910B4, DeviceConfig
 from ..hw.datatypes import DType, as_dtype
 from ..hw.memory import GlobalTensor
-from ..core.api import ScanContext
+from ..core.api import ScanContext, max_block_dim
 from ..core.matrices import padded_length
 from ..core.mcscan import MCScanKernel
 from ..core.reference import stable_order
@@ -93,7 +93,7 @@ class AscendOps:
         return max(1, min(self.config.num_vector_cores, -(-n // 16384)))
 
     def _mix_block_dim(self, n_tiles: int) -> int:
-        return max(1, min(self.config.num_ai_cores, n_tiles))
+        return max_block_dim(self.config, n_tiles)
 
     def _alloc_padded(
         self, name: str, values: np.ndarray, pad_to: int, dtype: DType, pad_value=0

@@ -15,10 +15,13 @@ GM tensors back to the device allocator's hole list
 long-running service with a drifting shape distribution cannot pin HBM
 without limit.  The plan just built (or just hit) is never evicted.
 
-Key construction refuses what no plan can serve: ScanUL1 on int8 (the
-kernel stages ``C1 = A @ 1_s`` through the int8 input dtype, so tile-row
-sums above 127 wrap and the served values would not be the kernel's) and
-an exclusive scan on any algorithm but MCScan.
+Keys and plans are built for the configuration the caller gives: every
+``key_*`` / ``get_*`` call names its algorithm and ``s`` (the serving
+paths take them from :func:`repro.tune.resolve_candidate`).  Key
+construction refuses what no plan can serve, by the core's rules
+(:func:`~repro.core.api.check_plan_config`: ScanUL1 on int8, an
+exclusive scan on any algorithm but MCScan) and pads by the core's pad
+unit (:func:`~repro.core.api.plan_pad_unit`).
 """
 
 from __future__ import annotations
@@ -26,15 +29,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import NamedTuple
 
-from ..core.api import (
-    BATCHED_ALGORITHMS,
-    PLAN_1D_ALGORITHMS,
-    ScanContext,
-    ScanPlan,
-)
-from ..core.matrices import batched_tile_rows, padded_length
-from ..core.vector_baseline import CUMSUM_COLS
-from ..errors import ConfigError, KernelError
+from ..core.api import ScanContext, ScanPlan, check_plan_config, plan_pad_unit
+from ..core.matrices import padded_length
+from ..errors import ConfigError
 
 __all__ = ["PlanKey", "PlanCache"]
 
@@ -56,22 +53,6 @@ class PlanKey(NamedTuple):
     exclusive: bool = False
     #: explicit block_dim override; None means the algorithm's heuristic
     block_dim: "int | None" = None
-
-
-def _check_servable(algorithm: str, dtype) -> None:
-    if algorithm == "scanul1" and dtype.name == "int8":
-        raise KernelError(
-            "scanul1 is not served on int8: its int8 L1 staging of "
-            "C1 = A @ 1_s wraps; use scanu or mcscan"
-        )
-
-
-def _pad_unit(algorithm: str, row_len: int, s: int, *, batched: bool) -> int:
-    if algorithm == "vector":
-        return CUMSUM_COLS
-    if batched:
-        return batched_tile_rows(row_len, s) * s
-    return s * s
 
 
 class PlanCache:
@@ -108,20 +89,13 @@ class PlanCache:
         n: int,
         dtype,
         *,
-        s: int = 128,
+        s: int,
         exclusive: bool = False,
         block_dim: "int | None" = None,
     ) -> PlanKey:
-        if algorithm not in PLAN_1D_ALGORITHMS:
-            raise KernelError(
-                f"unknown algorithm {algorithm!r}; "
-                f"pick one of {PLAN_1D_ALGORITHMS}"
-            )
-        if exclusive and algorithm != "mcscan":
-            raise KernelError("exclusive scan is implemented on MCScan (as in the paper)")
         dt = self.ctx._as_plan_dtype(dtype)
-        _check_servable(algorithm, dt)
-        unit = _pad_unit(algorithm, n, s, batched=False)
+        check_plan_config(algorithm, dt, batched=False, exclusive=exclusive, served=True)
+        unit = plan_pad_unit(algorithm, s)
         return PlanKey(
             algorithm,
             padded_length(n, unit),
@@ -133,16 +107,11 @@ class PlanCache:
         )
 
     def key_batched(
-        self, algorithm: str, batch: int, row_len: int, dtype, *, s: int = 128
+        self, algorithm: str, batch: int, row_len: int, dtype, *, s: int
     ) -> PlanKey:
-        if algorithm not in BATCHED_ALGORITHMS:
-            raise KernelError(
-                f"unknown batched algorithm {algorithm!r}; "
-                f"pick one of {BATCHED_ALGORITHMS}"
-            )
         dt = self.ctx._as_plan_dtype(dtype)
-        _check_servable(algorithm, dt)
-        unit = _pad_unit(algorithm, row_len, s, batched=True)
+        check_plan_config(algorithm, dt, batched=True, exclusive=False, served=True)
+        unit = plan_pad_unit(algorithm, s, row_len)
         return PlanKey(algorithm, padded_length(row_len, unit), dt.name, batch, s)
 
     # -- lookup / build -----------------------------------------------------
@@ -176,7 +145,7 @@ class PlanCache:
         n: int,
         dtype,
         *,
-        s: int = 128,
+        s: int,
         exclusive: bool = False,
         block_dim: "int | None" = None,
         tuned: bool = False,
@@ -208,7 +177,7 @@ class PlanCache:
         row_len: int,
         dtype,
         *,
-        s: int = 128,
+        s: int,
         tuned: bool = False,
     ) -> ScanPlan:
         key = self.key_batched(algorithm, batch, row_len, dtype, s=s)

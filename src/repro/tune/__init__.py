@@ -8,11 +8,16 @@ through a multi-core 1-D plan.  This package searches that space *on the
 simulator* (one host-side trace per surviving candidate, never executing
 numerics), prunes with sound roofline lower bounds from
 :mod:`repro.analysis`, and persists the winners in a fingerprinted JSON
-store.  :func:`~repro.tune.space.resolve_candidate` is the one place that
+store.  Each candidate is built through the core's public plan builders
+(unvalidated) and released once its timeline is read, so the tuner
+scores the plans the serve layer builds.
+:func:`~repro.tune.space.resolve_candidate` is the one place that
 decides which configuration serves a workload — a store entry the caller
 can serve, else the default — for the scan service, graph scan nodes,
-plan warm-up and the sharded scanner; the core plan builders only build
-the configuration they are given.
+plan warm-up and the sharded scanner; the core plan builders have no
+algorithm or ``s`` default and build the configuration they are given.
+:func:`~repro.tune.warmup.warm_tune_store` tunes each workload on a
+fresh context, so a store entry does not depend on workload order.
 
 See ``repro tune --help`` for the CLI entry point.
 """
@@ -31,7 +36,6 @@ from .store import STORE_VERSION, TunedEntry, TuneStore, config_fingerprint
 from .tuner import (
     CandidateOutcome,
     TuneResult,
-    ensure_tuned,
     format_result,
     tune_workload,
 )
@@ -50,7 +54,6 @@ __all__ = [
     "candidate_floor_ns",
     "config_fingerprint",
     "default_candidate",
-    "ensure_tuned",
     "enumerate_candidates",
     "evaluate_candidate",
     "format_result",

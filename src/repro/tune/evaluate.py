@@ -1,14 +1,15 @@
-"""Candidate cost evaluation: trace once, score on the scheduled timeline.
+"""Candidate cost evaluation: build once, score on the scheduled timeline.
 
-The evaluator never serves numerics during search: each candidate is a
-scratch :class:`~repro.core.api.ScanPlan`, traced on a zero input by the
-same per-layout tracer that builds served plans and one-shot scans, and
-scored by its deterministic simulated device time
-(:meth:`~repro.core.api.ScanPlan.time_ns`).  The plan's tensors are
-allocated inside a mark/release scope so a long sweep reuses HBM; its
-layout, and with it the shared constant matrices, is resolved *before*
-the mark (they are cached on the context and must outlive the scope, the
-same ordering the one-shot operators use).
+The evaluator never serves numerics during search: each candidate is
+built through the public plan builders
+(:meth:`~repro.core.api.ScanContext.build_plan` /
+:meth:`~repro.core.api.ScanContext.build_batched_plan`) with
+``validate=False``, scored by its deterministic simulated device time
+(:meth:`~repro.core.api.ScanPlan.time_ns`) and released.  The builder
+uploads the shared constant matrices before the plan's own tensors, so
+:meth:`~repro.core.api.ScanPlan.release` frees exactly what the candidate
+allocated and a long sweep reuses HBM while the constants stay cached on
+the context.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.api import ScanContext
+from ..core.api import ScanContext, ScanPlan
 from ..errors import ConfigError
-from ..hw.datatypes import as_dtype
 from .space import Candidate, WorkloadKey
 
 __all__ = ["CandidateCost", "evaluate_candidate"]
@@ -29,42 +27,20 @@ __all__ = ["CandidateCost", "evaluate_candidate"]
 @dataclass(frozen=True)
 class CandidateCost:
     """Measured cost of one candidate: total device ns for the workload
-    (all launches), plus the trace's host cost for the tuner's report."""
+    (all launches), plus the build's host cost for the tuner's report."""
 
     device_ns: float
     launches: int
     trace_host_s: float
 
 
-def _trace_cost(ctx: ScanContext, tracer, layout, **kw) -> CandidateCost:
-    t0 = time.perf_counter()
-    mark = ctx.device.memory.mark()
+def _plan_cost(t0: float, plan: ScanPlan, launches: int = 1) -> CandidateCost:
+    """Score a scratch plan over ``launches`` replays, then release it."""
     try:
-        plan, _ = tracer(layout, np.zeros(layout.shape, layout.dt.np_dtype), **kw)
         ns = plan.time_ns()
     finally:
-        ctx.device.memory.release(mark)
-    return CandidateCost(ns, 1, time.perf_counter() - t0)
-
-
-def _evaluate_1d(
-    ctx: ScanContext, n: int, dtype: str, cand: Candidate, exclusive: bool
-) -> CandidateCost:
-    layout = ctx._layout(cand.algorithm, as_dtype(dtype), cand.s, (n,))
-    return _trace_cost(
-        ctx, ctx._trace_1d, layout,
-        algorithm=cand.algorithm, s=cand.s, block_dim=cand.block_dim, exclusive=exclusive,
-    )
-
-
-def _evaluate_batched(
-    ctx: ScanContext, batch: int, row_len: int, dtype: str, cand: Candidate
-) -> CandidateCost:
-    layout = ctx._layout(cand.algorithm, as_dtype(dtype), cand.s, (batch, row_len))
-    return _trace_cost(
-        ctx, ctx._trace_batched, layout,
-        algorithm=cand.algorithm, s=cand.s, block_dim=cand.block_dim,
-    )
+        plan.release()
+    return CandidateCost(ns * launches, launches, time.perf_counter() - t0)
 
 
 def evaluate_candidate(
@@ -72,18 +48,24 @@ def evaluate_candidate(
 ) -> CandidateCost:
     """Score a candidate for a workload in device nanoseconds.
 
-    For a batched workload served with ``layout="1d"``, one row is traced
+    For a batched workload served with ``layout="1d"``, one row is built
     and the timeline replays per row: total = batch × per-row time (each
     launch pays its own launch overhead — already inside
     :meth:`time_traced`).
     """
-    if workload.kind == "1d":
-        if cand.layout != "1d":
-            raise ConfigError(f"1-D workload cannot use layout {cand.layout!r}")
-        return _evaluate_1d(ctx, workload.n, workload.dtype, cand, workload.exclusive)
+    t0 = time.perf_counter()
+    if workload.kind == "1d" and cand.layout != "1d":
+        raise ConfigError(f"1-D workload cannot use layout {cand.layout!r}")
     if cand.layout == "batched":
-        return _evaluate_batched(ctx, workload.batch, workload.n, workload.dtype, cand)
-    row = _evaluate_1d(ctx, workload.n, workload.dtype, cand, False)
-    return CandidateCost(
-        row.device_ns * workload.batch, workload.batch, row.trace_host_s
+        plan = ctx.build_batched_plan(
+            algorithm=cand.algorithm, batch=workload.batch, row_len=workload.n,
+            dtype=workload.dtype, s=cand.s, validate=False,
+        )
+        return _plan_cost(t0, plan)
+    # a batched workload's rows are inclusive scans
+    exclusive = workload.kind == "1d" and workload.exclusive
+    plan = ctx.build_plan(
+        algorithm=cand.algorithm, n=workload.n, dtype=workload.dtype, s=cand.s,
+        block_dim=cand.block_dim, exclusive=exclusive, validate=False,
     )
+    return _plan_cost(t0, plan, workload.batch or 1)

@@ -4,7 +4,10 @@ A *workload* is what the serve layer sees — a logical shape plus dtype
 (and exclusivity / batch geometry).  A *candidate* is one concrete plan
 configuration that could serve it: algorithm (or competitor strategy) ×
 tile size ``s`` × ``block_dim`` × layout (batched kernel vs one 1-D plan
-replayed per row).
+replayed per row).  Only the multi-core 1-D kernels sweep ``block_dim``:
+a batched plan key carries none, so batched candidates take the
+kernel's own.  Pad units, the ``block_dim`` limit and the int8 rule are
+the core's (:mod:`repro.core.api`).
 
 The expensive part of evaluating a candidate is not device time — it is
 the *host-side Python trace* (op-DAG emission), which grows with the tile
@@ -23,11 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.roofline import cube_issue_floor_ns, link_floor_ns, memory_floor_ns
-from ..core.api import BATCHED_ALGORITHMS, PLAN_1D_ALGORITHMS
+from ..core.api import (
+    BATCHED_ALGORITHMS,
+    PLAN_1D_ALGORITHMS,
+    SCAN_STRATEGIES,
+    check_plan_config,
+    max_block_dim,
+    plan_pad_unit,
+)
 from ..core.batched import default_batched_block_dim
-from ..core.matrices import batched_tile_rows, padded_length
-from ..core.vector_baseline import CUMSUM_COLS
-from ..errors import ConfigError
+from ..core.matrices import padded_length
+from ..errors import ConfigError, KernelError
 from ..hw.config import DeviceConfig
 from ..hw.datatypes import as_dtype, cube_accum_dtype
 from .store import store_key_1d
@@ -45,9 +54,6 @@ __all__ = [
 #: tile sizes the sweep considers (the paper evaluates 16..128; s is the
 #: side of the U_s constant matrix, so tiles hold s*s elements)
 SWEEP_S = (16, 32, 64, 128)
-
-#: algorithms whose 1-D kernels split tiles over block_dim cube cores
-_MULTI_CORE_1D = ("mcscan", "ssa", "rss", "lookback")
 
 
 @dataclass(frozen=True)
@@ -157,21 +163,12 @@ def resolve_candidate(
 
 def _1d_block_dims(config: DeviceConfig, n_tiles: int) -> "list[int | None]":
     """block_dim sweep for the multi-core 1-D kernels: the heuristic
-    (None → min(cores, tiles)) plus a coarse power-of-two ladder below it."""
-    limit = max(1, min(config.num_ai_cores, n_tiles))
+    (None → :func:`~repro.core.api.max_block_dim`) plus a coarse
+    power-of-two ladder below it."""
+    limit = max_block_dim(config, n_tiles)
     dims: "list[int | None]" = [None]
     bd = 1
     while bd < limit:
-        dims.append(bd)
-        bd *= 2
-    return dims
-
-
-def _batched_block_dims(config: DeviceConfig, algorithm: str, batch: int) -> "list[int | None]":
-    default = default_batched_block_dim(config, algorithm, batch)
-    dims: "list[int | None]" = [None]
-    bd = 1
-    while bd < default:
         dims.append(bd)
         bd *= 2
     return dims
@@ -182,15 +179,21 @@ def enumerate_candidates(
 ) -> "list[Candidate]":
     """All candidates for a workload, default first, no duplicates.
 
-    ScanUL1 is never a candidate for int8: its ``C1`` staging through the
-    input dtype wraps (see :mod:`repro.core.replay`), so the device's sums
-    would differ from the served ones."""
+    A candidate the plan cache would refuse to serve
+    (:func:`~repro.core.api.check_plan_config`: ScanUL1 on int8) is never
+    offered."""
     default = default_candidate(workload)
     seen = {default}
     out = [default]
+    dt = as_dtype(workload.dtype)
 
     def add(c: Candidate) -> None:
-        if workload.dtype == "int8" and c.algorithm == "scanul1":
+        try:
+            check_plan_config(
+                c.algorithm, dt, batched=c.layout == "batched",
+                exclusive=False, served=True,
+            )
+        except KernelError:
             return
         if c not in seen:
             seen.add(c)
@@ -204,10 +207,11 @@ def enumerate_candidates(
                 add(Candidate("vector", 0, None, "1d"))
                 continue
             for s in SWEEP_S:
-                n_tiles = padded_length(workload.n, s * s) // (s * s)
+                unit = plan_pad_unit(algorithm, s)
+                n_tiles = padded_length(workload.n, unit) // unit
                 dims = (
                     _1d_block_dims(config, n_tiles)
-                    if algorithm in _MULTI_CORE_1D
+                    if algorithm in SCAN_STRATEGIES
                     else [None]
                 )
                 for bd in dims:
@@ -220,8 +224,7 @@ def enumerate_candidates(
             add(Candidate("vector", 0, None, "batched"))
             continue
         for s in SWEEP_S:
-            for bd in _batched_block_dims(config, algorithm, workload.batch):
-                add(Candidate(algorithm, s, bd, "batched"))
+            add(Candidate(algorithm, s, None, "batched"))
     # ... versus one 1-D plan replayed per row (competitive for few long
     # rows, where per-row multi-core beats row-parallelism)
     row = WorkloadKey("1d", workload.n, workload.dtype)
@@ -230,17 +233,7 @@ def enumerate_candidates(
     return out
 
 
-def _pad_unit(cand: Candidate, row_len: int) -> int:
-    """Padding granularity a candidate imposes on its (row) length."""
-    if cand.algorithm == "vector":
-        return CUMSUM_COLS
-    if cand.layout == "batched":
-        # batched tiles are m x s with m = batched_tile_rows(...) <= s
-        return batched_tile_rows(row_len, cand.s) * cand.s
-    return cand.s * cand.s
-
-
-def _gm_floor_bytes(workload: WorkloadKey, cand: Candidate) -> int:
+def _gm_floor_bytes(workload: WorkloadKey, cand: Candidate, padded: int) -> int:
     """Bytes any execution of this candidate must move through GM: padded
     input read once + padded output written once (a lower bound — real
     kernels add partials/r-array traffic)."""
@@ -248,7 +241,6 @@ def _gm_floor_bytes(workload: WorkloadKey, cand: Candidate) -> int:
     out_itemsize = (
         dt.itemsize if cand.algorithm == "vector" else cube_accum_dtype(dt).itemsize
     )
-    padded = padded_length(workload.n, _pad_unit(cand, workload.n))
     rows = workload.batch if (workload.batch and cand.layout == "batched") else 1
     return rows * padded * (dt.itemsize + out_itemsize)
 
@@ -268,24 +260,22 @@ def candidate_floor_ns(
         per_launch_workload = WorkloadKey("1d", workload.n, workload.dtype)
         launches = workload.batch
 
-    gm = _gm_floor_bytes(per_launch_workload, cand)
+    batched = cand.layout == "batched"
+    unit = plan_pad_unit(cand.algorithm, cand.s, workload.n if batched else None)
+    padded = padded_length(workload.n, unit)
+    gm = _gm_floor_bytes(per_launch_workload, cand, padded)
     floor = memory_floor_ns(config, gm)
 
     if cand.algorithm == "vector":
         lanes = config.num_vector_cores
         floor = max(floor, link_floor_ns(config, gm, lanes))
     else:
-        unit = _pad_unit(cand, per_launch_workload.n)
-        padded = padded_length(per_launch_workload.n, unit)
         n_tiles = padded // unit
-        if cand.layout == "batched":
+        if batched:
             n_tiles *= workload.batch  # tiles across all rows
-        if cand.algorithm in _MULTI_CORE_1D and cand.layout == "1d":
-            bd = cand.block_dim or max(1, min(config.num_ai_cores, n_tiles))
-        elif cand.layout == "batched":
-            bd = cand.block_dim or default_batched_block_dim(
-                config, cand.algorithm, workload.batch or 1
-            )
+            bd = default_batched_block_dim(config, cand.algorithm, workload.batch)
+        elif cand.algorithm in SCAN_STRATEGIES:
+            bd = cand.block_dim or max_block_dim(config, n_tiles)
         else:
             bd = 1  # scanu / scanul1 run their cube stage on one core
         bd = max(1, min(bd, config.num_ai_cores))

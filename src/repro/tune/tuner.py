@@ -37,7 +37,6 @@ __all__ = [
     "CandidateOutcome",
     "TuneResult",
     "tune_workload",
-    "ensure_tuned",
     "format_result",
 ]
 
@@ -148,30 +147,6 @@ def tune_workload(
         f"{result.evaluated} traced, {result.pruned} pruned)"
     )
     return result
-
-
-def ensure_tuned(
-    ctx: ScanContext,
-    workloads: "list[WorkloadKey]",
-    store: TuneStore,
-    *,
-    log=None,
-) -> "list[TuneResult]":
-    """Tune exactly the workloads ``store`` has no entry for; returns the
-    results of the sweeps that actually ran (an already-covered store
-    returns ``[]``).
-
-    The membership test reads :attr:`TuneStore.entries` directly rather
-    than going through ``lookup_1d``, so warming a store does not skew the
-    hit/miss counters the serve layer reports.  This is the device-pool
-    bring-up path: every pool member shares one store, so the sweep cost is
-    paid once no matter how many devices serve the workloads."""
-    results = []
-    for workload in workloads:
-        if workload.store_key in store.entries:
-            continue
-        results.append(tune_workload(ctx, workload, store=store, log=log))
-    return results
 
 
 def format_result(result: TuneResult) -> str:

@@ -147,28 +147,59 @@ def _constants_live(ctx: ScanContext) -> bool:
     )
 
 
+def _allocator(ctx: ScanContext) -> tuple:
+    mem = ctx.device.memory
+    return mem.used_bytes, mem._next_addr, list(mem._holes)
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, uploads",
     [
-        lambda ctx: ctx.scan(_input(5000, "fp16"), algorithm="mcscan", s=16),
-        lambda ctx: ctx.scan_strategy(_input(5000, "int8"), strategy="ssa", s=16),
-        lambda ctx: ctx.batched_scan(_input((3, 700), "fp16"), s=16),
-        lambda ctx: evaluate_candidate(
-            ctx, WorkloadKey("1d", 5000, "fp16"), Candidate("mcscan", 16)
+        (lambda ctx: ctx.scan(_input(5000, "fp16"), algorithm="mcscan", s=16), True),
+        (lambda ctx: ctx.scan_strategy(_input(5000, "int8"), strategy="ssa", s=16), True),
+        (lambda ctx: ctx.batched_scan(_input((3, 700), "fp16"), s=16), True),
+        (
+            lambda ctx: evaluate_candidate(
+                ctx, WorkloadKey("1d", 5000, "fp16"), Candidate("mcscan", 16)
+            ),
+            True,
         ),
-        lambda ctx: evaluate_candidate(
-            ctx,
-            WorkloadKey("batched", 700, "int8", batch=3),
-            Candidate("scanu", 16, None, "batched"),
+        (
+            lambda ctx: evaluate_candidate(
+                ctx,
+                WorkloadKey("batched", 700, "int8", batch=3),
+                Candidate("scanu", 16, None, "batched"),
+            ),
+            True,
+        ),
+        (
+            lambda ctx: evaluate_candidate(
+                ctx, WorkloadKey("1d", 5000, "fp16"), Candidate("vector", 0)
+            ),
+            False,
         ),
     ],
-    ids=["scan", "scan_strategy", "batched_scan", "tune-1d", "tune-batched"],
+    ids=[
+        "scan", "scan_strategy", "batched_scan",
+        "tune-1d", "tune-batched", "tune-vector",
+    ],
 )
-def test_constants_uploaded_by_a_scratch_trace_stay_live(run):
+def test_constants_uploaded_by_a_scratch_trace_stay_live(run, uploads):
     """A new ``s`` uploads constants during the call; the scratch mark
-    must not free them while the context still caches them."""
+    (one-shots) or the scratch plan's release (tuner) must not free them
+    while the context still caches them, and must free everything else
+    the call allocated: the allocator's used bytes, frontier and hole
+    list come back to where the call started."""
     ctx = ScanContext(toy_config())
     run(ctx)
-    assert ctx._consts and _constants_live(ctx)
+    consts = {
+        id(t) for c in ctx._consts.values() for t in (c.u, c.strict_lower, c.ones)
+    }
+    assert bool(consts) == uploads and _constants_live(ctx)
+    assert {id(t) for t in ctx.device.memory.tensors} == consts
+    before = _allocator(ctx)
+    used, frontier, holes = before
+    assert used == frontier and holes == []
     run(ctx)
     assert _constants_live(ctx)
+    assert _allocator(ctx) == before

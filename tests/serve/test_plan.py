@@ -36,9 +36,9 @@ def test_key_accepts_numpy_dtypes(cache):
 
 def test_key_rejects_unknown_algorithm(cache):
     with pytest.raises(KernelError, match="unknown"):
-        cache.key_1d("bogus", 10, "fp16")
+        cache.key_1d("bogus", 10, "fp16", s=128)
     with pytest.raises(KernelError, match="batched"):
-        cache.key_batched("mcscan", 4, 10, "fp16")
+        cache.key_batched("mcscan", 4, 10, "fp16", s=128)
 
 
 def test_batched_key_padded_is_stable(cache):
@@ -127,7 +127,7 @@ def test_exclusive_plan(cache):
 
 def test_timeline_counters_aggregate(cache):
     a = cache.get_1d("scanu", 900, "fp16", s=32)
-    b = cache.get_1d("vector", 900, "fp16")
+    b = cache.get_1d("vector", 900, "fp16", s=128)
     for _ in range(3):
         a.execute(np.ones(900, dtype=np.float16))
     b.execute(np.ones(900, dtype=np.float16))

@@ -13,7 +13,7 @@ from repro.hw.config import ASCEND_910B4, toy_config
 from repro.hw.faults import FaultPlan
 from repro.serve import DEAD, ScanService, render
 from repro.shard import DevicePool, PoolScanService
-from repro.tune import TuneStore, WorkloadKey, ensure_tuned
+from repro.tune import TuneStore, WorkloadKey, warm_tune_store
 
 
 @pytest.fixture()
@@ -416,10 +416,10 @@ class TestSharedTuning:
         store = TuneStore(cfg)
         ctx_pool = DevicePool(2, cfg, tune_store=store)
         workload = WorkloadKey(kind="1d", n=4096, dtype="fp16")
-        ensure_tuned(ctx_pool[0], [workload], store)
+        warm_tune_store([workload], store)
         assert len(store) == 1
-        # a second ensure_tuned is a no-op: the store already covers it
-        assert ensure_tuned(ctx_pool[1], [workload], store) == []
+        # a second warm-up is a no-op: the store already covers it
+        assert warm_tune_store([workload], store).skipped == 1
 
         svc = PoolScanService(pool=ctx_pool, tune_store=store, min_group=1)
         inputs = {}

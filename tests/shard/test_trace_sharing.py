@@ -46,7 +46,7 @@ PLANS = {
         "build_plan",
         dict(algorithm="mcscan", n=N, dtype="int8", s=16, device_carry=True),
     ),
-    "vector": ("build_plan", dict(algorithm="vector", n=N)),
+    "vector": ("build_plan", dict(algorithm="vector", n=N, s=128)),
     "batched-scanu": (
         "build_batched_plan",
         dict(algorithm="scanu", batch=ROWS, row_len=ROW_LEN, s=16),
@@ -57,7 +57,7 @@ PLANS = {
     ),
     "batched-vector": (
         "build_batched_plan",
-        dict(algorithm="vector", batch=ROWS, row_len=ROW_LEN),
+        dict(algorithm="vector", batch=ROWS, row_len=ROW_LEN, s=128),
     ),
 }
 
@@ -240,7 +240,7 @@ class TestTable:
         del probe
         cache = PlanCache(pool[1], gm_budget=budget)
         cache.get_1d("scanu", N, "fp16", s=16)
-        cache.get_1d("vector", N, "fp16")  # evicts the scanu mirror
+        cache.get_1d("vector", N, "fp16", s=128)  # evicts the scanu mirror
         assert cache.evictions == 1
         rebuilt = cache.get_1d("scanu", N, "fp16", s=16)
         assert rebuilt.traced is source.traced

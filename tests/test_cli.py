@@ -3,6 +3,8 @@
 import pytest
 
 from repro.__main__ import _parse_size, main
+from repro.hw.config import ASCEND_910B4
+from repro.tune import TuneStore, WorkloadKey, warm_tune_store
 
 
 class TestParseSize:
@@ -60,6 +62,19 @@ class TestCommands:
             ["experiment", "fig09", "--markdown", "--out", str(out_file)]
         ) == 0
         assert "### fig09" in out_file.read_text()
+
+    def test_tune_entries_do_not_depend_on_order(self, tmp_path, capsys):
+        # each workload is tuned on a fresh context, as warm-up tunes it,
+        # so the CLI's store equals warm-up's for the reversed list
+        path = tmp_path / "tuned.json"
+        assert main(["tune", "--shapes", "4K,64K", "--store", str(path)]) == 0
+        assert "wrote 2 tuned entries" in capsys.readouterr().out
+        ref = TuneStore(ASCEND_910B4)
+        warm_tune_store(
+            [WorkloadKey("1d", 1 << 16, "fp16"), WorkloadKey("1d", 1 << 12, "fp16")],
+            ref,
+        )
+        assert TuneStore.load(path, ASCEND_910B4).entries == ref.entries
 
     def test_shard(self, capsys):
         assert main(["shard", "-n", "256K", "--devices", "2"]) == 0

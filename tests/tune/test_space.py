@@ -79,6 +79,11 @@ class TestEnumerate:
         )
         layouts = {c.layout for c in cands}
         assert layouts == {"batched", "1d"}
+        # a batched plan key carries no block_dim, so no served batched
+        # plan could use anything but the kernel's own: none is searched
+        assert all(c.block_dim is None for c in cands if c.layout == "batched")
+        assert any(c.block_dim is not None for c in cands if c.layout == "1d")
+        assert sum(c.layout == "batched" for c in cands) == 1 + 2 * len(SWEEP_S)
 
     @pytest.mark.parametrize(
         "workload",

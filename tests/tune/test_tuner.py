@@ -104,9 +104,10 @@ class TestBatched:
         assert result.best.algorithm != "scanul1"
         cand, tuned = resolve_candidate(workload, store, peek=True)
         assert tuned and cand == result.best and cand.layout == "batched"
+        assert cand.block_dim is None
         plan = ctx.build_batched_plan(
             algorithm=cand.algorithm, batch=8, row_len=8192, dtype="int8",
-            s=cand.s, block_dim=cand.block_dim,
+            s=cand.s,
         )
         assert plan.validated is True
         plan.release()
@@ -142,7 +143,7 @@ class TestTunedPlans:
     def test_released_plan_frees_gm_and_refuses_execute(self, scan_ctx_module):
         ctx = scan_ctx_module
         before = ctx.device.memory.used_bytes
-        plan = ctx.build_plan(n=4096, dtype="fp16")
+        plan = ctx.build_plan(algorithm="scanul1", n=4096, dtype="fp16", s=128)
         grew = ctx.device.memory.used_bytes - before
         assert grew > 0
         freed = plan.release()

@@ -18,7 +18,7 @@ from repro.shard import PoolScanService
 from repro.tune import (
     TuneStore,
     WorkloadKey,
-    ensure_tuned,
+    tune_workload,
     warm_pool,
     warm_service,
     warm_tune_store,
@@ -45,7 +45,7 @@ class TestWarmTuneStore:
         cfg = serial_store.config
         ref = TuneStore(cfg)
         for workload in WORKLOADS:
-            ensure_tuned(ScanContext(cfg), [workload], ref)
+            tune_workload(ScanContext(cfg), workload, store=ref)
         assert ref.entries == serial_store.entries
 
     @pytest.mark.parametrize(
