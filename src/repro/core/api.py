@@ -592,10 +592,18 @@ class ScanContext:
             kernel = CumSumKernel(x_gm, y_gm)
             resolved_bd = None
         else:
-            kernel = self._cube_1d_kernel(
-                algorithm, x_gm, y_gm, consts, s, block_dim, exclusive,
-                carry_slot=carry_slot,
-            )
+            try:
+                kernel = self._cube_1d_kernel(
+                    algorithm, x_gm, y_gm, consts, s, block_dim, exclusive,
+                    carry_slot=carry_slot,
+                )
+            except Exception:
+                # a refused configuration (block_dim out of range): free
+                # the tensors allocated above, the build returns no plan
+                memory = self.device.memory
+                for tensor in reversed(memory.tensors[owned_from:]):
+                    memory.free(tensor)
+                raise
             resolved_bd = getattr(kernel, "block_dim", None)
         gm_tensors = self.device.memory.tensors[owned_from:]
         loaded = self._load(x_gm, layout, x)

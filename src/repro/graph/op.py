@@ -41,11 +41,10 @@ import numpy as np
 from ..core.reference import (
     accum_np_dtype,
     compress as compress_oracle,
-    exclusive_scan,
-    inclusive_scan,
     stable_order,
     stable_split,
 )
+from ..core.replay import scan_into
 from ..errors import ConfigError
 from ..ops.elementwise import ElementwiseMapKernel
 from ..tune.space import WorkloadKey, resolve_candidate
@@ -297,8 +296,10 @@ class ScanOp(OpNode):
 
     @classmethod
     def oracle(cls, inputs, params):
-        fn = exclusive_scan if params["exclusive"] else inclusive_scan
-        return (fn(inputs[0]),)
+        # the served scan numerics, bit-identical to reference.inclusive_scan
+        x = np.asarray(inputs[0])
+        out = np.empty(x.shape, accum_np_dtype(x.dtype))
+        return (scan_into(out, [x], exclusive=params["exclusive"]),)
 
     @classmethod
     def validation_inputs(cls, specs, params):

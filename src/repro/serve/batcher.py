@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.api import BATCHED_ALGORITHMS
-from .plan import PlanCache, PlanKey
+from .plan import PlanKey
 
 __all__ = ["ScanRequest", "LaunchGroup", "RequestBatcher", "bucket_size"]
 
@@ -60,18 +59,29 @@ class ScanRequest:
     block_dim: "int | None" = None
     #: True when the config came from a tuned-plan store lookup
     tuned: bool = False
-    #: plan dtype name resolved once at submit (``_prepare``); grouping
-    #: keys use it so int64 input and int8 input land in one shape class
+    #: plan dtype name resolved once at submit (``_prepare``); plan keys
+    #: use it so int64 input and int8 input land in one shape class
     dtype: "str | None" = None
     #: simulated-clock arrival time (ns) under open-loop traffic; None for
     #: closed-loop submit/flush callers (no simulated arrival process)
     t_arrival_ns: "float | None" = None
     #: simulated-clock completion deadline (ns); None = no deadline
     deadline_ns: "float | None" = None
+    #: the request's 1-D plan key, built once at submit (``_prepare``)
+    key: "PlanKey | None" = None
+    #: its batched shape class (a 1-row batched key) when the batched
+    #: kernels can serve it, else None; built once at submit
+    row_key: "PlanKey | None" = None
 
     @property
     def n(self) -> int:
         return self.x.size
+
+    @property
+    def shape_key(self) -> PlanKey:
+        """The shape class the request coalesces in: its batched row key
+        when it has one, else its 1-D key."""
+        return self.key if self.row_key is None else self.row_key
 
     @property
     def plan_dtype(self) -> "str | np.dtype":
@@ -118,7 +128,6 @@ class RequestBatcher:
 
     def __init__(
         self,
-        cache: PlanCache,
         *,
         max_batch: int = 64,
         min_group: int = 2,
@@ -126,7 +135,6 @@ class RequestBatcher:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.cache = cache
         self.max_batch = max_batch
         self.min_group = min_group
         #: optional :class:`repro.verify.ScheduleController`; permutes the
@@ -141,11 +149,6 @@ class RequestBatcher:
 
     def add(self, request: ScanRequest) -> None:
         self._pending.append(request)
-
-    def _batchable(self, request: ScanRequest) -> bool:
-        return (
-            request.algorithm in BATCHED_ALGORITHMS and not request.exclusive
-        )
 
     def drain(self) -> "list[LaunchGroup]":
         """Partition and clear the pending queue.
@@ -176,15 +179,7 @@ class RequestBatcher:
                     order.append(group)
                 group.requests.append(req)
                 continue
-            if self._batchable(req):
-                key = self.cache.key_batched(
-                    req.algorithm, 1, req.n, req.plan_dtype, s=req.s
-                )
-            else:
-                key = self.cache.key_1d(
-                    req.algorithm, req.n, req.plan_dtype, s=req.s,
-                    exclusive=req.exclusive, block_dim=req.block_dim,
-                )
+            key = req.shape_key
             group = by_shape.get(key)
             if group is None:
                 group = by_shape[key] = LaunchGroup(key=key)
@@ -208,18 +203,12 @@ class RequestBatcher:
                 if len(chunk) < self.min_group:
                     # too small for a batched launch — a small class, or
                     # the tail of an oversized one: fall back to 1-D plans
-                    out.extend(self._fallback(chunk, group.key.s))
+                    out.extend(self._fallback(chunk))
                     continue
                 bucket = bucket_size(len(chunk), max_batch=self.max_batch)
                 out.append(
                     LaunchGroup(
-                        key=PlanKey(
-                            group.key.algorithm,
-                            group.key.padded,
-                            group.key.dtype,
-                            bucket,
-                            group.key.s,
-                        ),
+                        key=group.key.with_batch(bucket),
                         requests=chunk,
                         batched=True,
                         bucket=bucket,
@@ -227,27 +216,17 @@ class RequestBatcher:
                 )
         return out
 
-    def _fallback(
-        self, requests: "list[ScanRequest]", s: int
-    ) -> "list[LaunchGroup]":
+    def _fallback(self, requests: "list[ScanRequest]") -> "list[LaunchGroup]":
         """1-D fallback groups for batchable requests below ``min_group``.
 
-        The 1-D key must be derived *per request* — requests that share
-        a batched shape class can still differ in 1-D key (e.g. tuned
-        block_dim) — so re-partition instead of keying off requests[0].
+        The 1-D key is each request's own — requests that share a batched
+        shape class can still differ in 1-D key (e.g. tuned block_dim) —
+        so re-partition instead of keying off requests[0].
         """
         groups: dict[PlanKey, LaunchGroup] = {}
         for req in requests:
-            key = self.cache.key_1d(
-                req.algorithm,
-                req.n,
-                req.plan_dtype,
-                s=s,
-                exclusive=req.exclusive,
-                block_dim=req.block_dim,
-            )
-            group = groups.get(key)
+            group = groups.get(req.key)
             if group is None:
-                group = groups[key] = LaunchGroup(key=key)
+                group = groups[req.key] = LaunchGroup(key=req.key)
             group.requests.append(req)
         return list(groups.values())

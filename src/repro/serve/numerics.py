@@ -15,12 +15,17 @@ Functions here are *pure* (input arrays → output arrays): they touch no
 device, no schedule controller and no shared mutable state, so the serve
 layer's schedule depends only on the timeline replay half of a launch.
 
-Casting note: each request row is cast once, straight into the group's
-accumulator-dtype batch (fp32 for fp16, int32 for int8), and one in-place
-row-wise ``np.cumsum`` scans the batch (:func:`repro.core.replay.scan_into`).
-The fp16→fp32 and int8→int32 casts are exact, so this runs the identical
-addition sequence as the buffered ``np.cumsum(x16, dtype=np.float32)``
-while allocating nothing but the batch and keeping the accumulate loop
+Widening note: each request row is widened once, straight into the
+group's accumulator-dtype batch (fp32 for fp16, int32 for int8), and one
+in-place row-wise ``np.cumsum`` scans the batch
+(:func:`repro.core.replay.scan_into`).  fp16 rows widen through a
+65,536-entry fp32 table made from NumPy's own cast and applied by
+``np.take`` over slices of at most 4,096 elements; NumPy's cast branches
+on zero and subnormal inputs, and served payloads are zero-heavy.  int8
+rows keep the cast.  Both widenings are exact and only the widening is
+sliced, so this runs the identical addition sequence as the buffered
+``np.cumsum(x16, dtype=np.float32)`` while allocating nothing but the
+batch (and take's 32 KB index copy) and keeping the accumulate loop
 unbuffered (measurably faster).
 """
 

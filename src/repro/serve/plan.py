@@ -54,6 +54,10 @@ class PlanKey(NamedTuple):
     #: explicit block_dim override; None means the algorithm's heuristic
     block_dim: "int | None" = None
 
+    def with_batch(self, batch: int) -> "PlanKey":
+        """The key of this batched shape class's plan at ``batch`` rows."""
+        return PlanKey(self.algorithm, self.padded, self.dtype, batch, self.s)
+
 
 class PlanCache:
     """Build-once / execute-many store of :class:`ScanPlan` objects,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.api import ScanContext, ScanPlan
+from ..core.api import BATCHED_ALGORITHMS, ScanContext, ScanPlan
 from ..errors import DeviceFault, KernelError, ShapeError
 from ..hw.config import ASCEND_910B4, DeviceConfig
 from ..tune.space import WorkloadKey, resolve_candidate
@@ -153,9 +153,7 @@ class ScanService:
         #: algorithm/s (see repro.tune.resolve_candidate)
         self.tune_store = tune_store
         self.cache = PlanCache(self.ctx, gm_budget=gm_budget)
-        self.batcher = RequestBatcher(
-            self.cache, max_batch=max_batch, min_group=min_group
-        )
+        self.batcher = RequestBatcher(max_batch=max_batch, min_group=min_group)
         self.stats = ServiceStats()
         self._tickets: dict[int, ScanTicket] = {}
         self._next_id = 0
@@ -193,10 +191,15 @@ class ScanService:
             algorithm=algorithm, s=s,
         )
         algorithm, s, block_dim = cand.algorithm, cand.s, cand.block_dim
-        # key construction refuses what no plan serves before an id exists
-        self.cache.key_1d(
+        # key construction refuses what no plan serves before an id exists;
+        # the keys ride on the request, so batching, bucketing and cost
+        # prediction never rebuild them
+        key = self.cache.key_1d(
             algorithm, x.size, dt, s=s, exclusive=exclusive, block_dim=block_dim
         )
+        row_key = None
+        if algorithm in BATCHED_ALGORITHMS and not exclusive:
+            row_key = self.cache.key_batched(algorithm, 1, x.size, dt, s=s)
         if req_id is None:
             req_id = self._next_id
             self._next_id += 1
@@ -210,6 +213,8 @@ class ScanService:
             block_dim=block_dim,
             tuned=tuned,
             dtype=dt.name,
+            key=key,
+            row_key=row_key,
         )
         ticket = ScanTicket(
             req_id=req_id,

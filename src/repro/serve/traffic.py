@@ -189,9 +189,11 @@ def generate_arrivals(spec: TrafficSpec, seed: int) -> "list[Arrival]":
 def make_input(rng, n: int, dtype) -> np.ndarray:
     """One request payload: small integers in [-2, 2] in the serving
     dtype, so fp16 scans stay exact (no rounding ambiguity against the
-    oracle).  Drawn as uint8 digits mapped through a 5-entry table, which
-    costs about half of an int64 draw and cast."""
-    return np.arange(-2, 3, dtype=dtype)[rng.integers(0, 5, n, dtype=np.uint8)]
+    oracle).  Drawn as uint8 digits mapped through a 5-entry table by
+    ``np.take``, which costs about half of an int64 draw and cast, and
+    less than indexing the table with the digits."""
+    digits = rng.integers(0, 5, n, dtype=np.uint8)
+    return np.arange(-2, 3, dtype=dtype).take(digits)
 
 
 def percentile_ns(values: "list[float]", q: float) -> float:

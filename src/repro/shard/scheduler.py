@@ -196,8 +196,7 @@ class TrafficScheduler:
             self._add_to_bucket(bucket, req, ticket)
             self._stage(bucket)
             return
-        batcher = self.svc.batcher
-        capacity = self._capacity if batcher._batchable(req) else 1
+        capacity = self._capacity if req.row_key is not None else 1
         bucket = self._find_bucket(req) if capacity > 1 else None
         if bucket is None:
             bucket = self._open_bucket(req, capacity=capacity)
@@ -209,21 +208,10 @@ class TrafficScheduler:
             # to keep holding the bucket open
             self._stage(bucket)
 
-    def _shape_key(self, req: ScanRequest):
-        batcher = self.svc.batcher
-        if batcher._batchable(req):
-            return batcher.cache.key_batched(
-                req.algorithm, 1, req.n, req.plan_dtype, s=req.s
-            )
-        return batcher.cache.key_1d(
-            req.algorithm, req.n, req.plan_dtype, s=req.s,
-            exclusive=req.exclusive, block_dim=req.block_dim,
-        )
-
     def _find_bucket(self, req: ScanRequest) -> "_Bucket | None":
         """A joinable bucket for this shape class: open, or staged but not
         yet started (join-in-flight), with spare capacity."""
-        key = self._shape_key(req)
+        key = req.shape_key
         candidates = [
             b for b in self.buckets
             if b.key == key and len(b.requests) < b.capacity
@@ -236,7 +224,7 @@ class TrafficScheduler:
         return candidates[0]
 
     def _open_bucket(self, req: ScanRequest, *, capacity: int) -> _Bucket:
-        bucket = _Bucket(key=self._shape_key(req), capacity=capacity)
+        bucket = _Bucket(key=req.shape_key, capacity=capacity)
         self.buckets.append(bucket)
         return bucket
 

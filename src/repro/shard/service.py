@@ -110,13 +110,10 @@ class PoolScanService:
             )
             for ctx in self.pool
         ]
-        # the shared batcher only needs a cache for key construction, and
-        # plan keys are shape classes — device-independent by design
+        # plan keys are shape classes — device-independent by design — so
+        # one batcher groups for every member
         self.batcher = RequestBatcher(
-            self.workers[0].cache,
-            max_batch=max_batch,
-            min_group=min_group,
-            controller=controller,
+            max_batch=max_batch, min_group=min_group, controller=controller
         )
         #: accumulated simulated busy ns per member
         self.busy_ns = [0.0] * len(self.workers)
@@ -229,17 +226,10 @@ class PoolScanService:
         ``min_group``, or unbatchable — one 1-D launch per row.  Builds
         the plan on member 0 when missing."""
         batcher = self.batcher
-        if batcher._batchable(req) and rows >= batcher.min_group:
+        if req.row_key is not None and rows >= batcher.min_group:
             bucket = bucket_size(rows, max_batch=batcher.max_batch)
-            key = batcher.cache.key_batched(
-                req.algorithm, bucket, req.n, req.plan_dtype, s=req.s
-            )
-            return self._launch_ns(key, build=True)
-        key = batcher.cache.key_1d(
-            req.algorithm, req.n, req.plan_dtype, s=req.s,
-            exclusive=req.exclusive, block_dim=req.block_dim,
-        )
-        return self._launch_ns(key, build=True) * rows
+            return self._launch_ns(req.row_key.with_batch(bucket), build=True)
+        return self._launch_ns(req.key, build=True) * rows
 
     def _launch_ns(self, key, *, graph=None, build: bool = False) -> "float | None":
         """Predicted device ns of one fault-free launch of plan ``key`` (its

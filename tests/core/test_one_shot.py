@@ -24,6 +24,7 @@ from repro.core.api import (
 )
 from repro.core.mcscan import MCScanKernel
 from repro.core.replay import plan_compute
+from repro.errors import ConfigError
 from repro.hw.config import toy_config
 from repro.hw.datatypes import as_dtype
 from repro.tune import Candidate, WorkloadKey, evaluate_candidate
@@ -203,3 +204,21 @@ def test_constants_uploaded_by_a_scratch_trace_stay_live(run, uploads):
     run(ctx)
     assert _constants_live(ctx)
     assert _allocator(ctx) == before
+
+
+@pytest.mark.parametrize("algorithm", SCAN_STRATEGIES)
+def test_refused_build_leaves_only_the_constants_live(algorithm):
+    """A multi-core build whose ``block_dim`` is out of range raises
+    after allocating the plan's input and output; it must free them, so
+    only the context's cached constants stay live."""
+    ctx = ScanContext(toy_config())
+    with pytest.raises(ConfigError, match="block_dim=999 out of range"):
+        ctx.build_plan(
+            algorithm=algorithm, n=5000, dtype="fp16", s=16, block_dim=999
+        )
+    consts = {
+        id(t) for c in ctx._consts.values() for t in (c.u, c.strict_lower, c.ones)
+    }
+    assert consts and {id(t) for t in ctx.device.memory.tensors} == consts
+    used, frontier, holes = _allocator(ctx)
+    assert used == frontier and holes == []

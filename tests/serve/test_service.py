@@ -174,6 +174,8 @@ def test_fallback_groups_rekey_per_request():
             exclusive=False,
             t_submit=time.perf_counter(),
             block_dim=bd,
+            key=svc.cache.key_1d("scanu", 600, "fp16", s=32, block_dim=bd),
+            row_key=svc.cache.key_batched("scanu", 1, 600, "fp16", s=32),
         )
         for i, bd in enumerate([None, 1])
     ]

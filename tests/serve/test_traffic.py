@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.serve import (
+    TRAFFIC_SEED0,
     TrafficReport,
     TrafficSpec,
     generate_arrivals,
@@ -98,6 +101,22 @@ class TestGenerator:
         x = make_input(rng, 4096, np.float16)
         assert x.dtype == np.float16
         assert float(np.abs(x).max()) <= 2.0
+
+    def test_payload_bytes_are_pinned(self):
+        """Traffic streams and fuzz replays draw their payloads through
+        ``make_input``: a seeded stream of fp16 and int8 payloads at every
+        traffic size must keep its bytes (the digest of the uint8-digit
+        recipe, ``np.arange(-2, 3)[digits]``)."""
+        rng = np.random.default_rng((TRAFFIC_SEED0, 7, 1))
+        digest = hashlib.sha256()
+        for dtype in (np.float16, np.int8):
+            for n in (1024, 4096, 16384) * 2:
+                x = make_input(rng, n, dtype)
+                assert x.dtype == dtype and x.size == n
+                digest.update(x.tobytes())
+        assert digest.hexdigest() == (
+            "98717bae19362d197ef75fec78172e43be2a8747d53ce6477a7b2e78d7ad6b40"
+        )
 
 
 class TestReport:

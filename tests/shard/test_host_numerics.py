@@ -1,12 +1,15 @@
 """Host scan numerics computed in place.
 
 Each shard of a sharded scan is scanned straight into its slice of the
-output, and each row of a stacked launch group is cast straight into the
-group's accumulator-dtype batch.  These tests pin that the in-place form
-is bit-identical to the formula it replaced, computed here on its own
-terms (every shard's local scan zero-padded and allocated, then
+output, and each row of a stacked launch group is widened straight into
+the group's accumulator-dtype batch.  These tests pin that the in-place
+form is bit-identical to the formula it replaced, computed here on its
+own terms (every shard's local scan zero-padded and allocated, then
 ``fp32(local scan) + carry``), on inexact N(0,1) fp16 data as well as on
-full-range int8; and that a warm scan allocates nothing beyond its output.
+full-range int8; that the fp16 widening table maps every bit pattern as
+NumPy's cast does, and the served scans built on it equal the reference
+scans around its slice boundary; and that a warm scan allocates nothing
+beyond its output.
 """
 
 import tracemalloc
@@ -16,7 +19,14 @@ import pytest
 
 from repro.core.api import ScanContext
 from repro.core.matrices import padded_length
-from repro.core.reference import accum_np_dtype
+from repro.core.reference import accum_np_dtype, exclusive_scan, inclusive_scan
+from repro.core.replay import (
+    _FP16_TO_FP32,
+    _WIDEN_SLICE,
+    _widen,
+    plan_compute,
+    scan_into,
+)
 from repro.errors import DTypeError, ShapeError
 from repro.hw.config import ASCEND_910B4, toy_config
 from repro.hw.datatypes import FP16
@@ -135,6 +145,62 @@ class TestPlanComputeInto:
         x = _inputs()["fp16"]
         with pytest.raises(ShapeError):
             plan.compute(x, out=np.empty(x.size + delta, np.float32))
+
+
+#: lengths around the widening's slice boundary
+WIDEN_LENGTHS = (1, _WIDEN_SLICE - 1, _WIDEN_SLICE, _WIDEN_SLICE + 1,
+                 2 * _WIDEN_SLICE + 3)
+
+
+def _fp16(kind: str, n: int, seed: int = 4) -> np.ndarray:
+    """Inexact N(0,1) fp16, or zero-heavy integers in [-2, 2] (the served
+    traffic payloads: one in five is zero)."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(n).astype(np.float16)
+    return rng.integers(-2, 3, n).astype(np.float16)
+
+
+class TestTableWidening:
+    def test_table_matches_numpy_cast_on_every_bit_pattern(self):
+        patterns = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+        want = patterns.view(np.float16).astype(np.float32)
+        assert _FP16_TO_FP32.dtype == np.float32
+        # bytes, so ±0 and every NaN payload count
+        assert _FP16_TO_FP32.tobytes() == want.tobytes()
+        # and the sliced lookup, across its 16 slices
+        got = np.empty(patterns.size, np.float32)
+        _widen(got, patterns.view(np.float16))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["normal", "zero-heavy"])
+    @pytest.mark.parametrize("n", WIDEN_LENGTHS)
+    def test_served_scans_equal_the_reference(self, kind, n):
+        x = _fp16(kind, n)
+        inc = inclusive_scan(x).tobytes()
+        exc = exclusive_scan(x).tobytes()
+        assert scan_into(np.empty(n, np.float32), [x]).tobytes() == inc
+        assert scan_into(
+            np.empty(n, np.float32), [x], exclusive=True
+        ).tobytes() == exc
+        assert plan_compute(x, "mcscan", FP16).tobytes() == inc
+        assert plan_compute(x, "mcscan", FP16, exclusive=True).tobytes() == exc
+
+    @pytest.mark.parametrize("kind", ["normal", "zero-heavy"])
+    def test_ragged_group_equals_the_reference(self, kind):
+        xs = [_fp16(kind, n, seed=i) for i, n in enumerate(WIDEN_LENGTHS)]
+        values, _ = group_scan_values(xs, algorithm="scanu", in_dtype=FP16)
+        for x, v in zip(xs, values):
+            assert v.tobytes() == inclusive_scan(x).tobytes()
+
+    @pytest.mark.parametrize("kind", ["normal", "zero-heavy"])
+    @pytest.mark.parametrize("n", WIDEN_LENGTHS)
+    def test_sharded_scan_equals_the_reference(self, kind, n):
+        x = _fp16(kind, n)
+        one = ShardedScanner(DevicePool(1, toy_config()), s=S).scan(x).values
+        assert one.tobytes() == inclusive_scan(x).tobytes()
+        two = ShardedScanner(DevicePool(2, toy_config()), s=S).scan(x).values
+        assert two.tobytes() == _sharded_formula(x, 2).tobytes()
 
 
 def _peak_bytes(fn) -> "tuple[int, object]":
