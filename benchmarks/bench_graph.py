@@ -25,7 +25,8 @@ Asserts the graph runtime's serving claims (DESIGN 2.12):
   ``fusion=off`` lowering, with every output bit-identical.
 * **topk-fed sampler skips its sort** — in ``llm_sample`` the
   ``top_p_sample`` reads ``topk``'s descending output, so it lowers
-  without the radix sort: the unit replays in 3 launches and <= 17.4 us,
+  without the radix sort: the unit replays in 3 launches and <= 12.5 us
+  (its cumsum takes the 16 x 16 tile the runner sizes to k=32 inputs),
   the same node lowered standalone (same shapes, sort kept) in 7 launches
   and <= 0.8x its 112.2 us before the sort's digit passes became one
   launch each, and the device tokens of the sort-free program equal the
@@ -570,7 +571,10 @@ def test_graph_serving(benchmark, results_dir):
     # absolute bars: a ratio bar would also demand the standalone sort
     # stay >= 5x the fed unit, so it tightens as the sort gets faster
     assert sampler["fed_launches"] == 3
-    assert sampler["fed_us"] <= 17.4
+    # the unit is 11.8 us: the cumsum on one 16 x 16 tile (5.64) plus two
+    # counts (3.09 each); 12.5 leaves 6 % and fails the 17.3 us of a
+    # cumsum padded to one 128 x 128 tile
+    assert sampler["fed_us"] <= 12.5
     assert sampler["standalone_launches"] == 7
     assert sampler["standalone_us"] <= 0.8 * 112.2
     assert sampler["tokens_match_oracle"] == sampler["requests"]

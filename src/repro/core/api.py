@@ -38,7 +38,9 @@ The rules a plan configuration obeys — its pad unit
 (:func:`plan_pad_unit`), the multi-core ``block_dim`` limit
 (:func:`max_block_dim`) and what may be built or served
 (:func:`check_plan_config`) — are written here once; the plan cache and
-the tuner import them.
+the tuner import them.  So is the tile an operator's internal MCScan
+takes when its caller names none (:func:`op_scan_tile`), which the graph
+runner applies to the op-zoo nodes.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ __all__ = [
     "SCAN_STRATEGIES",
     "PLAN_1D_ALGORITHMS",
     "FOLDABLE_SCAN_ALGORITHMS",
+    "SWEEP_S",
     "check_plan_config",
     "max_block_dim",
+    "op_scan_tile",
     "plan_pad_unit",
 ]
 
@@ -94,6 +98,11 @@ PLAN_1D_ALGORITHMS = SCAN_ALGORITHMS + ("ssa", "rss", "lookback")
 #: strategies and the L1-resident variant keep their published structure,
 #: so fused epilogues fall back to a separate trailing map kernel there
 FOLDABLE_SCAN_ALGORITHMS = ("scanu", "mcscan")
+
+#: tile sizes a plan or an op-internal MCScan may take (the paper
+#: evaluates 16..128; s is the side of the U_s constant matrix, so tiles
+#: hold s*s elements)
+SWEEP_S = (16, 32, 64, 128)
 
 #: NumPy dtypes of the cube scans' inputs, by device dtype name
 _CUBE_INPUT_NAMES = {np.dtype(np.float16): "fp16", np.dtype(np.int8): "int8"}
@@ -121,6 +130,26 @@ def max_block_dim(config: DeviceConfig, n_tiles: int) -> int:
     uses, and its heuristic ``block_dim``: cores beyond the tile count
     would idle while still paying synchronisation."""
     return max(1, min(config.num_ai_cores, n_tiles))
+
+
+def op_scan_tile(config: DeviceConfig, scan_length) -> int:
+    """The tile ``s`` of an operator's internal MCScan (split, compress,
+    the radix sort's digit passes, the top-p cumsum) sized to its input:
+    the ``s`` in :data:`SWEEP_S` with the shortest phase-II row chain on
+    the busiest vector lane, ``ceil(tiles / lanes) * s``, where
+    ``scan_length(s)`` is the op's own padded scan length at ``s`` (so
+    ``tiles = scan_length(s) // s**2``) and ``lanes`` is every vector
+    core of the device.  A tie goes to the larger ``s``.  A fixed
+    ``s=128`` pads a short input to one tile on one lane; a smaller
+    tile spreads it over more lanes, and the tie rule stops the split
+    once every lane is busy, where a smaller ``s`` only adds rows."""
+    lanes = config.num_vector_cores
+
+    def chain(s: int) -> int:
+        tiles = scan_length(s) // (s * s)
+        return -(-tiles // lanes) * s
+
+    return min(reversed(SWEEP_S), key=chain)
 
 
 def check_plan_config(

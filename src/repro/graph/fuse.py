@@ -27,18 +27,21 @@ consumer** and is **not a graph output** — otherwise the edge's value must
 materialise in GM and the region is cut at that point.  ``off`` disables
 the pass entirely (byte-identical lowering to the pre-fusion runner).
 
-:func:`lowering_units` memoizes the pass on the graph, per mode, together
-with each unit's name-free runner cache key, so a served graph is fused
-and keyed once, not once per request.  The key also marks a
-``top_p_sample`` that reads a ``topk`` output directly
-(:func:`sorted_by_topk`): its input is already sorted, so the runner
-lowers it without the sort, in every mode.
+:func:`lowering_units` memoizes the pass on the graph, per mode and
+device config, together with each unit's name-free runner cache key, so
+a served graph is fused and keyed once, not once per request.  A node
+whose internal scan tile ``s`` is None gets the tile sized to its input
+on that config (:func:`~repro.core.api.op_scan_tile`), and the key names
+the resolved tile.  The key also marks a ``top_p_sample`` that reads a
+``topk`` output directly (:func:`sorted_by_topk`): its input is already
+sorted, so the runner lowers it without the sort, in every mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..core.api import SWEEP_S, op_scan_tile
 from ..errors import ConfigError
 from .ir import Graph, Node
 from .op import get_op
@@ -233,39 +236,60 @@ def sorted_by_topk(node: Node, producers: "dict[str, Node]") -> bool:
     )
 
 
-def _unit_key(unit: "Node | FusedNode", specs, producers) -> tuple:
-    """The runner's cache key of one lowering unit.  A node keys on
-    ``(kind, shape_class)``, plus :data:`SORTED_INPUT` when it samples a
-    ``topk`` output (:func:`sorted_by_topk`), so it never shares a program
-    with a sampler that sorts; a fused region on its fn chain(s) plus the
+def _keyed_unit(unit: "Node | FusedNode", specs, producers, config) -> tuple:
+    """``(unit, runner cache key)`` of one lowering unit.  A node whose
+    internal scan tile ``s`` is None (and whose op names a scan length,
+    :meth:`~repro.graph.op.OpNode.scan_length`) first takes the tile
+    :func:`~repro.core.api.op_scan_tile` picks on ``config``, so the unit
+    carries the tile it builds, and keys on ``(kind, shape_class)``: a
+    node whose ``s`` resolves to 64 replays the program of an explicit
+    ``s=64``.  :data:`SORTED_INPUT` is appended when it samples a ``topk``
+    output (:func:`sorted_by_topk`), so it never shares a program with a
+    sampler that sorts.  A fused region keys on its fn chain(s) plus the
     member shape classes, name-free, so two regions with equal keys
     replay the same captured program."""
     if isinstance(unit, Node):
         op = get_op(unit.kind)
         in_specs = [specs[e] for e in unit.inputs]
+        sorted_input = sorted_by_topk(unit, producers)
+
+        def length(s: int) -> "int | None":
+            return op.scan_length(in_specs, s, sorted_input)
+
+        if unit.params.get("s") is None and length(SWEEP_S[-1]) is not None:
+            s = op_scan_tile(config, length)
+            unit = replace(unit, params={**unit.params, "s": s})
         key = (unit.kind, op.shape_class(in_specs, unit.params))
-        return key + (SORTED_INPUT,) if sorted_by_topk(unit, producers) else key
+        if sorted_input:
+            key += (SORTED_INPUT,)
+        return unit, key
     in_spec = specs[unit.inputs[0]]
     if unit.kind == "fused_elementwise":
         op = get_op("fused_elementwise")
         params = op.resolve_params({"fns": unit.pre_fns})
-        return ("fused_elementwise", op.shape_class([in_spec], params))
+        return unit, ("fused_elementwise", op.shape_class([in_spec], params))
     scan = unit.scan_member
     scan_sc = get_op("scan").shape_class([specs[scan.inputs[0]]], scan.params)
-    return ("fused_scan", (unit.pre_fns, scan_sc, unit.post_fns))
+    return unit, ("fused_scan", (unit.pre_fns, scan_sc, unit.post_fns))
 
 
-def lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
+def lowering_units(graph: Graph, mode: str, config) -> "tuple[tuple, ...]":
     """``(unit, cache key)`` pairs of the validated ``graph`` fused under
-    ``mode``, in topological order — memoized on the graph until it next
-    changes."""
-    return graph.memoized(("units", mode), _lowering_units, graph, mode)
+    ``mode`` and lowered on device ``config``, in topological order —
+    memoized on the graph until it next changes.  The memo keys on the
+    config's identity, since hashing a ``DeviceConfig`` costs more than
+    the lookup it serves; the entry holds the config, so no other config
+    can take its id while the entry lives."""
+    return graph.memoized(
+        ("units", mode, id(config)), _lowering_units, graph, mode, config
+    )[1]
 
 
-def _lowering_units(graph: Graph, mode: str) -> "tuple[tuple, ...]":
+def _lowering_units(graph: Graph, mode: str, config) -> tuple:
     specs = graph.valid_specs()
     producers = graph.producers()
-    return tuple(
-        (unit, _unit_key(unit, specs, producers))
+    units = tuple(
+        _keyed_unit(unit, specs, producers, config)
         for unit in fuse_graph(graph, mode)
     )
+    return config, units

@@ -13,7 +13,9 @@ against the op's NumPy oracle on exactness-conditioned validation inputs
 (:class:`~repro.errors.KernelError` on divergence).  Scan nodes instead
 go through the plan cache and resolve their configuration as
 ``ScanService`` does (:func:`repro.tune.resolve_candidate`), so tuned
-scan configurations flow into graphs for free.
+scan configurations flow into graphs for free; an op-zoo node whose
+internal scan tile ``s`` is None lowers at the tile
+:func:`~repro.core.api.op_scan_tile` sizes to its input.
 
 Lowered nodes are memoized in :class:`GraphPlanCache` keyed on
 ``(kind, shape_class)``: the steady-state cost of serving a graph
@@ -36,7 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.api import FOLDABLE_SCAN_ALGORITHMS, PLAN_1D_ALGORITHMS, ScanContext, ScanPlan
+from ..core.api import (
+    FOLDABLE_SCAN_ALGORITHMS,
+    PLAN_1D_ALGORITHMS,
+    ScanContext,
+    ScanPlan,
+    op_scan_tile,
+)
 from ..core.reference import stable_order
 from ..errors import ConfigError, KernelError
 from ..hw.datatypes import as_dtype, cube_accum_dtype
@@ -53,6 +61,7 @@ from .op import (
     OpNode,
     TensorSpec,
     get_op,
+    top_p_scan_length,
 )
 
 __all__ = [
@@ -75,13 +84,20 @@ def top_p_device_sample(
     *,
     p: float,
     theta: float,
-    s: int = 128,
+    s: "int | None" = None,
     presorted: bool = False,
 ) -> np.ndarray:
     """Device top-p pipeline (radix sort + MCScan cumsum + predicate
     counts) with the winner looked up in ``ids`` — the lowering behind the
     ``top_p_sample`` op.  ``presorted`` skips the sort: ``probs`` must
-    already be non-increasing, as a ``topk`` output is."""
+    already be non-increasing, as a ``topk`` output is.  An ``s`` of None
+    takes the tile :func:`~repro.core.api.op_scan_tile` sizes to
+    ``probs``, as the op's lowering does."""
+    if s is None:
+        n = probs.size
+        s = op_scan_tile(
+            ops.config, lambda t: top_p_scan_length(n, t, presorted)
+        )
     sampler = TopPSampler(ops, s=s, digit_bits=SERVED_DIGIT_BITS)
     if presorted:
         return sampler.sample_sorted(probs, ids, p, theta).values
@@ -240,7 +256,7 @@ class GraphRunner:
         served before is one cache lookup per unit."""
         entries = []
         built = False
-        for unit, key in lowering_units(graph, self.fusion):
+        for unit, key in lowering_units(graph, self.fusion, self.config):
             low = self.cache.get(key)
             if low is None:
                 # every build starts from a cold L2, so a lowered
@@ -265,7 +281,7 @@ class GraphRunner:
         serving it charges.  Only peeks: None until every unit is lowered,
         and never a lowering or a counted graph-cache hit."""
         total = 0.0
-        for _, key in lowering_units(graph, self.fusion):
+        for _, key in lowering_units(graph, self.fusion, self.config):
             low = self.cache.peek(key)
             if low is None:
                 return None

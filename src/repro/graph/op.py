@@ -20,7 +20,12 @@ host is a subclass of :class:`OpNode` registered under its ``kind`` via
   <repro.hw.device.AscendDevice.capture_launches>` to harvest the traced
   kernels, and differentially compares the device outputs against the
   oracle on **exactness-conditioned** validation data
-  (:meth:`~OpNode.validation_inputs`) before admitting the lowering.
+  (:meth:`~OpNode.validation_inputs`) before admitting the lowering;
+* **an internal scan tile** — an op whose lowering runs an MCScan takes
+  an ``s`` parameter; left None, the runner sizes it to the input with
+  :func:`~repro.core.api.op_scan_tile` over the op's
+  :meth:`~OpNode.scan_length`, and an explicit ``s`` builds exactly that
+  tile.
 
 Tie/rounding conventions: sorting ops (radix_sort, topk, top_p_sample)
 define ties as *stable on the original index*.  The oracles order keys
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.matrices import padded_length
 from ..core.reference import (
     accum_np_dtype,
     compress as compress_oracle,
@@ -46,6 +52,7 @@ from ..core.reference import (
 )
 from ..core.replay import scan_into
 from ..errors import ConfigError
+from ..ops.driver import radix_scan_length
 from ..ops.elementwise import ElementwiseMapKernel
 from ..tune.space import WorkloadKey, resolve_candidate
 
@@ -57,6 +64,7 @@ __all__ = [
     "get_op",
     "ELEMENTWISE_FNS",
     "SERVED_DIGIT_BITS",
+    "top_p_scan_length",
 ]
 
 #: radix digit width of every served ``radix_sort`` and ``top_p_sample``
@@ -219,6 +227,21 @@ class OpNode:
         the cached timing — does not depend on them)."""
         return tuple(sorted(cls.param_defaults))
 
+    # -- internal scan tile ----------------------------------------------------
+
+    @classmethod
+    def scan_length(
+        cls, specs: "list[TensorSpec]", s: int, sorted_input: bool = False
+    ) -> "int | None":
+        """Elements the lowering's internal MCScan scans at tile ``s`` (its
+        padded length), or None when it runs no MCScan whose tile the op
+        picks.  An ``s`` of None lowers at the tile
+        :func:`~repro.core.api.op_scan_tile` picks over this length
+        (:mod:`repro.graph.fuse`).  ``sorted_input`` marks a
+        ``top_p_sample`` that lowers without its sort
+        (:func:`repro.graph.fuse.sorted_by_topk`)."""
+        return None
+
     # -- numerics ------------------------------------------------------------
 
     @classmethod
@@ -262,6 +285,16 @@ def _distinct_fp16(n: int, rng: np.random.Generator) -> np.ndarray:
             f"the representable supply"
         )
     return (rng.permutation(n).astype(np.uint16) + 1).view(np.float16)
+
+
+def top_p_scan_length(n: int, s: int, presorted: bool) -> int:
+    """Elements the longest MCScan of a top-p sample over ``n``
+    probabilities scans at tile ``s``: each digit pass's flags when it
+    sorts, the cumsum's padded probabilities when a ``topk`` sorted them
+    (one ``s`` serves the sort and the cumsum)."""
+    if presorted:
+        return padded_length(n, s * s)
+    return radix_scan_length(n, s, SERVED_DIGIT_BITS)
 
 
 _SCAN_DTYPES = ("fp16", "int8")
@@ -499,7 +532,11 @@ class SplitOp(OpNode):
     kind = "split"
     num_inputs = 2
     output_names = ("values", "indices")
-    param_defaults = {"s": 128}
+    param_defaults = {"s": None}
+
+    @classmethod
+    def scan_length(cls, specs, s, sorted_input=False):
+        return padded_length(specs[0].n, s * s)
 
     @classmethod
     def infer(cls, specs, params):
@@ -553,7 +590,11 @@ class CompressOp(OpNode):
     kind = "compress"
     num_inputs = 2
     output_names = ("values",)
-    param_defaults = {"s": 128}
+    param_defaults = {"s": None}
+
+    @classmethod
+    def scan_length(cls, specs, s, sorted_input=False):
+        return padded_length(specs[0].n, s * s)
 
     @classmethod
     def infer(cls, specs, params):
@@ -613,7 +654,11 @@ class RadixSortOp(OpNode):
     kind = "radix_sort"
     num_inputs = 1
     output_names = ("values", "indices")
-    param_defaults = {"s": 128, "descending": False}
+    param_defaults = {"s": None, "descending": False}
+
+    @classmethod
+    def scan_length(cls, specs, s, sorted_input=False):
+        return radix_scan_length(specs[0].n, s, SERVED_DIGIT_BITS)
 
     @classmethod
     def infer(cls, specs, params):
@@ -670,7 +715,12 @@ class TopKOp(OpNode):
     the paper's ``quickselect`` on SplitInd, or the RadiK-style ``radix``
     counting selection.  Quickselect/radix traces depend on the data: the
     captured timeline is the one for the validation recipe's keys, served
-    for every input (ROADMAP item 7)."""
+    for every input (ROADMAP item 7).
+
+    ``s`` keeps its fixed default of 128 rather than the input-sized
+    tile of the other scan ops: quickselect splits until a segment fits
+    in ``2 s^2`` elements, so a smaller tile adds split passes, and the
+    tile rule's ``s=16`` is slower than 128 on 1,024 and 2,048 keys."""
 
     kind = "topk"
     num_inputs = 1
@@ -733,19 +783,25 @@ class TopPSampleOp(OpNode):
 
     ``p`` is structural (the nucleus cut); ``theta`` is the runtime draw
     in [0, 1) — neither changes the trace structure, so one captured
-    program serves every (p, theta).  The oracle mirrors the device
-    pipeline expression for expression (fp32 cumsum of the descending
-    stable sort, the same scalar comparisons), so on exactness-conditioned
-    probabilities the two are bit-identical."""
+    program serves every (p, theta).  The oracle takes the device
+    pipeline's steps (the descending stable sort, an fp32 cumsum, the
+    same two scalar comparisons), but its cumsum adds sequentially where
+    the device's MCScan adds in tile order (ROADMAP item 2), so the two
+    are bit-identical only when every partial sum is exact, as on the
+    exactness-conditioned validation probabilities."""
 
     kind = "top_p_sample"
     num_inputs = 2
     output_names = ("token",)
-    param_defaults = {"p": Ellipsis, "theta": 0.5, "s": 128}
+    param_defaults = {"p": Ellipsis, "theta": 0.5, "s": None}
 
     @classmethod
     def trace_params(cls):
         return ("s",)
+
+    @classmethod
+    def scan_length(cls, specs, s, sorted_input=False):
+        return top_p_scan_length(specs[0].n, s, sorted_input)
 
     @classmethod
     def infer(cls, specs, params):

@@ -113,7 +113,7 @@ def llm_sample(
     p: float = 0.9,
     theta: float = 0.5,
     method: str = "baseline",
-    s: int = 128,
+    s: "int | None" = None,
     prep: "tuple[str, ...]" = (),
 ) -> Graph:
     """Top-k → top-p nucleus sampling over a ``vocab``-sized fp16
@@ -121,6 +121,10 @@ def llm_sample(
     sorts/cumsums the survivors and samples at ``theta`` — the
     ``examples/llm_sampling.py`` pipeline as one served graph.  Outputs:
     the sampled token id (int64), plus the top-k values/ids.
+
+    ``s`` is both nodes' scan tile.  Left None, the sampler's cumsum
+    takes the tile the runner sizes to its k inputs and ``topk`` keeps
+    its own default (see :class:`~repro.graph.op.TopKOp`).
 
     ``prep`` prepends a chain of named elementwise maps to the
     probability row (e.g. ``("abs", "double")`` — a stand-in for logit
@@ -132,9 +136,10 @@ def llm_sample(
     probs = g.add_input("probs", "fp16", (vocab,))
     for i, fn in enumerate(prep):
         (probs,) = g.add_node(f"prep{i}", "elementwise", [probs], {"fn": fn})
-    tk_v, tk_i = g.add_node(
-        "topk", "topk", [probs], {"k": k, "method": method, "s": s}
-    )
+    topk = {"k": k, "method": method}
+    if s is not None:
+        topk["s"] = s
+    tk_v, tk_i = g.add_node("topk", "topk", [probs], topk)
     (token,) = g.add_node(
         "sample",
         "top_p_sample",
@@ -147,10 +152,15 @@ def llm_sample(
 
 
 def sort_graph(
-    n: int, *, dtype: str = "fp16", descending: bool = False, s: int = 128
+    n: int,
+    *,
+    dtype: str = "fp16",
+    descending: bool = False,
+    s: "int | None" = None,
 ) -> Graph:
     """Full stable sort of one column — the ``torch.sort`` contract
-    (values + original indices) as a one-node graph."""
+    (values + original indices) as a one-node graph.  An ``s`` of None
+    lets the runner size the digit passes' scan tile to ``n``."""
     g = Graph(name="sort")
     x = g.add_input("x", dtype, (n,))
     vals, idx = g.add_node(
@@ -197,8 +207,12 @@ def scan_pipeline(
 ) -> Graph:
     """Elementwise pre-maps → prefix sum → elementwise post-maps, the
     canonical fusible region: under ``fusion=aggressive`` the whole
-    pipeline lowers to one captured program (pre chain in one UB pass, the
-    post chain folded into the scan kernel's vector stage)."""
+    pipeline is one fused unit.  On a foldable scan algorithm
+    (:data:`~repro.core.api.FOLDABLE_SCAN_ALGORITHMS`) it captures the pre
+    chain as one map pass and the scan with the post chain folded into
+    its vector stage: 2 launches.  Any other algorithm keeps the post
+    chain as a trailing map pass, so a scan tuned to ``lookback`` lowers
+    to 3 launches."""
     g = Graph(name="scan_pipeline")
     edge = g.add_input("x", dtype, (n,))
     for i, fn in enumerate(pre):

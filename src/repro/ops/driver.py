@@ -44,7 +44,7 @@ from .split import DigitSplitKernel, SplitIndKernel, digit_gather_tile
 from .topk_baseline import BaselineTopKKernel
 from .sampling import MultinomialTwoPassKernel
 
-__all__ = ["AscendOps", "MULTINOMIAL_MAX_SUPPORT"]
+__all__ = ["AscendOps", "MULTINOMIAL_MAX_SUPPORT", "radix_scan_length"]
 
 #: torch.multinomial's support-size limit on the baseline (paper Section 5)
 MULTINOMIAL_MAX_SUPPORT = 1 << 24
@@ -53,6 +53,24 @@ _NEG_INF = np.float16(-np.inf)
 
 #: radix digit widths ``radix_sort`` accepts (1 is the paper's per-bit path)
 DIGIT_BITS = (1, 2, 4, 8)
+
+
+def _radix_pad_unit(s: int, digit_bits: int) -> int:
+    """Padding granularity of a radix sort's keys: one ``s x s`` tile per
+    bit split; on the digit path the ``R·m`` digit flags must tile by
+    ``s^2`` for the MCScan, and ``m`` by the digit split's gather tile."""
+    ell = s * s
+    if digit_bits == 1:
+        return ell
+    return math.lcm(ell // math.gcd(ell, 1 << digit_bits), digit_gather_tile(s))
+
+
+def radix_scan_length(n: int, s: int, digit_bits: int) -> int:
+    """Flags each pass of an ``n``-key radix sort's MCScan scans at tile
+    ``s``: the padded keys, times one digit row per radix value on the
+    digit path."""
+    padded = padded_length(n, _radix_pad_unit(s, digit_bits))
+    return padded if digit_bits == 1 else padded << digit_bits
 
 
 def _value_dtype(x: np.ndarray) -> DType:
@@ -263,13 +281,7 @@ class AscendOps:
                 f"{bits}-bit key, got {digit_bits}"
             )
         per_bit = digit_bits == 1
-        radix = 1 << digit_bits
-        if per_bit:
-            unit = ell
-        else:
-            # R·m digit flags must tile by s^2 for the MCScan, and m by
-            # the digit split's gather tile
-            unit = math.lcm(ell // math.gcd(ell, radix), digit_gather_tile(s))
+        unit = _radix_pad_unit(s, digit_bits)
         mark = self.device.memory.mark()
         try:
             traces: list = []
@@ -297,7 +309,7 @@ class AscendOps:
                 self.device.alloc("rs_i0", (padded,), "int32"),
                 self.device.alloc("rs_i1", (padded,), "int32"),
             ]
-            flat = (1 if per_bit else radix) * padded
+            flat = radix_scan_length(n, s, digit_bits)
             flags = self.device.alloc("rs_f", (flat,), "int8")
             bd = self._mix_block_dim(flat // ell)
             scan_gm, r_gm = self._scan_workspace(flat, s, bd)

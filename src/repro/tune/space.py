@@ -30,6 +30,7 @@ from ..core.api import (
     BATCHED_ALGORITHMS,
     PLAN_1D_ALGORITHMS,
     SCAN_STRATEGIES,
+    SWEEP_S,
     check_plan_config,
     max_block_dim,
     plan_pad_unit,
@@ -50,10 +51,6 @@ __all__ = [
     "enumerate_candidates",
     "candidate_floor_ns",
 ]
-
-#: tile sizes the sweep considers (the paper evaluates 16..128; s is the
-#: side of the U_s constant matrix, so tiles hold s*s elements)
-SWEEP_S = (16, 32, 64, 128)
 
 
 @dataclass(frozen=True)

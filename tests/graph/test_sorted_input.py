@@ -42,7 +42,7 @@ def runner() -> GraphRunner:
 def _sample_unit(runner, graph):
     """The lowered ``top_p_sample`` unit of ``graph`` and its cache key."""
     (key,) = [
-        k for u, k in lowering_units(graph, runner.fusion)
+        k for u, k in lowering_units(graph, runner.fusion, runner.config)
         if u.kind == "top_p_sample"
     ]
     (low,) = [low for u, low in runner.lower(graph)[0] if u.kind == "top_p_sample"]
