@@ -89,7 +89,7 @@ def bench_vectorized_numerics() -> dict:
 
     ctx = ScanContext(ASCEND_910B4)
     cache = PlanCache(ctx)
-    plan = cache.get_1d("scanu", ROW_LEN, "fp16", s=128)
+    plan = cache.get_1d(cache.key_1d("scanu", ROW_LEN, "fp16", s=128))
 
     def per_request():
         for x in xs:

@@ -24,7 +24,10 @@ the host oracle numerics — no re-tracing, which is exactly what the
 hand-chained ``AscendOps`` path pays on every call.  A ``top_p_sample``
 fed by ``topk`` keys apart and lowers without its sort
 (:func:`~repro.graph.fuse.sorted_by_topk`).  Every build starts from a
-cold L2, so a lowering's timeline does not depend on build order.
+cold L2.  That does not make build order irrelevant: the build context
+caches its ``(s, dtype)`` scan constants, and where and when they were
+uploaded moves a later program's timeline by a few ns, so a caller that
+needs repeatable timings lowers in a fixed order (the pool flush does).
 
 Build-device residency: all capture-time GM traffic lands on the build
 device, so pool members' GM accounting (and the fuzz harness's GM
@@ -259,9 +262,10 @@ class GraphRunner:
         for unit, key in lowering_units(graph, self.fusion, self.config):
             low = self.cache.get(key)
             if low is None:
-                # every build starts from a cold L2, so a lowered
-                # program's timeline does not depend on what was lowered
-                # before it
+                # every build starts from a cold L2, so no earlier
+                # lowering's L2 residue moves this program's timeline
+                # (the cached scan constants still can; see the module
+                # docstring)
                 self.device.flush_l2()
                 specs = graph.valid_specs()
                 if isinstance(unit, FusedNode):
@@ -348,7 +352,7 @@ class GraphRunner:
         """Capture one program for a map-chain / scan / map-chain region.
 
         The scan stage resolves exactly like an unfused scan node
-        (:meth:`_resolve_scan`) and shares the plan cache, so the
+        (:meth:`_scan_plan`) and shares the plan cache, so the
         standalone plan also prices the scan's share of the fused span.
         Post-maps fold into the scan kernel's vector stage when the
         algorithm exposes that seam
@@ -360,18 +364,10 @@ class GraphRunner:
         n = in_spec.n
         dtype = in_spec.dtype
         exclusive = bool(scan_node.params["exclusive"])
-        algorithm, s, block_dim, tuned = self._resolve_scan(
-            n, dtype, exclusive, scan_node.params
-        )
-        plan = self.plans.get_1d(
-            algorithm,
-            n,
-            dtype,
-            s=s,
-            exclusive=exclusive,
-            block_dim=block_dim,
-            tuned=tuned,
-        )
+        plan, tuned = self._scan_plan(n, dtype, exclusive, scan_node.params)
+        # the program pads to the plan's s x s tiles, so the plan's
+        # resolved block_dim is the one a None would resolve to here
+        algorithm, s, block_dim = plan.algorithm, plan.s, plan.block_dim
 
         pre = tuple(ELEMENTWISE_FNS[f] for f in unit.pre_fns)
         post = tuple(ELEMENTWISE_FNS[f] for f in unit.post_fns)
@@ -526,18 +522,7 @@ class GraphRunner:
         n = in_specs[0].n
         dtype = in_specs[0].dtype
         exclusive = bool(node.params["exclusive"])
-        algorithm, s, block_dim, tuned = self._resolve_scan(
-            n, dtype, exclusive, node.params
-        )
-        plan = self.plans.get_1d(
-            algorithm,
-            n,
-            dtype,
-            s=s,
-            exclusive=exclusive,
-            block_dim=block_dim,
-            tuned=tuned,
-        )
+        plan, tuned = self._scan_plan(n, dtype, exclusive, node.params)
         return LoweredNode(
             kind=node.kind,
             shape_class=key[1],
@@ -548,16 +533,21 @@ class GraphRunner:
             plan=plan,
         )
 
-    def _resolve_scan(
+    def _scan_plan(
         self, n: int, dtype: str, exclusive: bool, params: dict
-    ) -> "tuple[str, int, int | None, bool]":
-        """(algorithm, s, block_dim, tuned) for a scan node, resolved as
-        :meth:`ScanService.submit` resolves a request, less ``vector``."""
+    ) -> "tuple[ScanPlan, bool]":
+        """(plan, tuned) for a scan node: its configuration resolved as
+        :meth:`ScanService.submit` resolves a request, less ``vector``,
+        and its plan from the runner's plan cache."""
         cand, tuned = resolve_candidate(
             WorkloadKey("1d", n, dtype, exclusive), self.tune_store,
             algorithm=params["algorithm"], s=params["s"], allowed=_GRAPH_SCAN_ALGORITHMS,
         )
-        return cand.algorithm, cand.s, cand.block_dim, tuned
+        key = self.plans.key_1d(
+            cand.algorithm, n, dtype, s=cand.s, exclusive=exclusive,
+            block_dim=cand.block_dim,
+        )
+        return self.plans.get_1d(key, tuned=tuned), tuned
 
     # -- interpretation -----------------------------------------------------
 
@@ -580,8 +570,9 @@ class GraphRunner:
         the one-call interpreter used by the example, the CLI demo and the
         differential tests.  Serving does the same steps with batching,
         retry and stats around them: the oracle at submit
-        (`ScanService._prepare_graph`), lowering and replay at flush
-        (`ScanService._serve_graph`)."""
+        (`ScanService._prepare_graph`), lowering and per-kernel replay
+        under retry at flush (`ScanService._serve`, which hands graph
+        groups to `_serve_graph`)."""
         entries, _ = self.lower(graph)
         traces = self.replay(entries, device=device)
         outputs = graph.run_oracle(inputs, params_override)

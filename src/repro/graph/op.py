@@ -743,6 +743,10 @@ class TopKOp(OpNode):
                 f"unknown topk method {params['method']!r}; "
                 f"known: {_TOPK_METHODS}"
             )
+        # unlike the sized-tile ops, topk has no rule that resolves None
+        s = params["s"]
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise ConfigError(f"topk s must be an int tile width, got {s!r}")
         return (TensorSpec("fp16", (k,)), TensorSpec("int32", (k,)))
 
     @classmethod

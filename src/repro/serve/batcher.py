@@ -83,11 +83,6 @@ class ScanRequest:
         when it has one, else its 1-D key."""
         return self.key if self.row_key is None else self.row_key
 
-    @property
-    def plan_dtype(self) -> "str | np.dtype":
-        """Dtype used for plan-cache keys (normalized name if resolved)."""
-        return self.dtype if self.dtype is not None else self.x.dtype
-
 
 @dataclass
 class LaunchGroup:
@@ -101,8 +96,9 @@ class LaunchGroup:
     batched: bool = False
     #: bucket row capacity of the batched launch (0 for fallbacks)
     bucket: int = 0
-    #: True when the requests are operator-graph requests (replayed
-    #: node-by-node by ``ScanService._serve_graph``, one replay each)
+    #: True when the requests are operator-graph requests:
+    #: ``ScanService._serve`` replays each request's lowered kernels one
+    #: by one (``_serve_graph``) instead of one scan launch
     graph: bool = False
 
     @property

@@ -81,7 +81,7 @@ def bench_plan_cache(
 
     cache = PlanCache(ctx)
     t0 = time.perf_counter()
-    plan = cache.get_1d(algorithm, n, dtype, s=s)
+    plan = cache.get_1d(cache.key_1d(algorithm, n, dtype, s=s))
     result = plan.execute(x)
     cold_s = time.perf_counter() - t0  # what the first request pays
     hit_s = _best_of(lambda: plan.execute(x), repeats)
@@ -165,7 +165,7 @@ def bench_replay_engines(
     """
     ctx = ctx if ctx is not None else ScanContext(config)
     cache = PlanCache(ctx)
-    plan = cache.get_1d(algorithm, n, dtype, s=s)
+    plan = cache.get_1d(cache.key_1d(algorithm, n, dtype, s=s))
     traced = plan.traced
     device = ctx.device
     x = _bench_input(n, dtype)

@@ -15,13 +15,15 @@ GM tensors back to the device allocator's hole list
 long-running service with a drifting shape distribution cannot pin HBM
 without limit.  The plan just built (or just hit) is never evicted.
 
-Keys and plans are built for the configuration the caller gives: every
-``key_*`` / ``get_*`` call names its algorithm and ``s`` (the serving
-paths take them from :func:`repro.tune.resolve_candidate`).  Key
-construction refuses what no plan can serve, by the core's rules
+Keys are built for the configuration the caller gives: every ``key_*``
+call names its algorithm and ``s`` (the serving paths take them from
+:func:`repro.tune.resolve_candidate`).  Key construction refuses what no
+plan can serve, by the core's rules
 (:func:`~repro.core.api.check_plan_config`: ScanUL1 on int8, an
 exclusive scan on any algorithm but MCScan) and pads by the core's pad
-unit (:func:`~repro.core.api.plan_pad_unit`).
+unit (:func:`~repro.core.api.plan_pad_unit`).  Lookups take the key
+itself (``get_1d(key)``, ``get_batched(key)``): a request carries its
+keys from submit, so no launch re-runs those rules.
 """
 
 from __future__ import annotations
@@ -143,58 +145,38 @@ class PlanCache:
             self.evicted_gm_bytes += plan.release()
             self.evictions += 1
 
-    def get_1d(
-        self,
-        algorithm: str,
-        n: int,
-        dtype,
-        *,
-        s: int,
-        exclusive: bool = False,
-        block_dim: "int | None" = None,
-        tuned: bool = False,
-    ) -> ScanPlan:
-        key = self.key_1d(
-            algorithm, n, dtype, s=s, exclusive=exclusive, block_dim=block_dim
-        )
+    def get_1d(self, key: PlanKey, *, tuned: bool = False) -> ScanPlan:
+        """The plan of 1-D key ``key`` (from :meth:`key_1d`), built on miss."""
         plan = self._hit(key)
         if plan is not None:
             return plan
         self.misses += 1
         plan = self.ctx.build_plan(
-            algorithm=algorithm,
+            algorithm=key.algorithm,
             n=key.padded,
             dtype=key.dtype,
-            s=s,
-            block_dim=block_dim,
-            exclusive=exclusive,
+            s=key.s,
+            block_dim=key.block_dim,
+            exclusive=key.exclusive,
             validate=self.validate,
         )
         plan.tuned = tuned
         self._admit(key, plan)
         return plan
 
-    def get_batched(
-        self,
-        algorithm: str,
-        batch: int,
-        row_len: int,
-        dtype,
-        *,
-        s: int,
-        tuned: bool = False,
-    ) -> ScanPlan:
-        key = self.key_batched(algorithm, batch, row_len, dtype, s=s)
+    def get_batched(self, key: PlanKey, *, tuned: bool = False) -> ScanPlan:
+        """The plan of batched key ``key`` (from :meth:`key_batched`),
+        built on miss."""
         plan = self._hit(key)
         if plan is not None:
             return plan
         self.misses += 1
         plan = self.ctx.build_batched_plan(
-            algorithm=algorithm,
-            batch=batch,
+            algorithm=key.algorithm,
+            batch=key.batch,
             row_len=key.padded,
             dtype=key.dtype,
-            s=s,
+            s=key.s,
             validate=self.validate,
         )
         plan.tuned = tuned

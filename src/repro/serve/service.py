@@ -402,17 +402,69 @@ class ScanService:
         """Launch one drained group as it stands; returns its finished
         tickets in launch order.
 
+        A batched group is one launch of all its rows; a fallback group
+        (one exact 1-D key) is one launch per request, each with its own
+        replay, fault draws and simulated time.  The group's numerics run
+        once, in one stacked pass, after its first launch succeeds.  Graph
+        groups replay kernel by kernel (:meth:`_serve_graph`).
+
         Each ticket is popped from ``tickets`` — this service's own, or
-        the device pool's when the pool routes the group here — only
-        after the launch that serves it succeeded, so on a fault the
-        unserved requests are exactly those whose tickets are still in
-        ``tickets``.
+        the device pool's — only after the launch that serves it
+        succeeded, so on a fault the unserved requests are exactly those
+        whose tickets are still in ``tickets``.
         """
         if group.graph:
             return self._serve_graph(group, tickets)
-        if group.batched:
-            return self._serve_batched(group, tickets)
-        return self._serve_singles(group, tickets)
+        key = group.key
+        requests = group.requests
+        batched = group.batched
+        get = self.cache.get_batched if batched else self.cache.get_1d
+        values = None
+        served = []
+        for rows in [requests] if batched else [[req] for req in requests]:
+            tuned = any(req.tuned for req in rows)
+            hit = key in self.cache
+            plan = get(key, tuned=tuned)
+            hits_before = plan.timeline_hits
+            trace, retries, faults, backoff_ns = self._replay_with_retry(plan)
+            n = sum(req.n for req in rows)
+            served_ns = trace.total_ns + backoff_ns
+            self.stats.record_launch(
+                LaunchRecord(
+                    kind="batched" if batched else "single",
+                    device_ns=served_ns,
+                    n_elements=n,
+                    io_bytes=n * plan._io_bytes_per_element(),
+                    requests=len(rows),
+                    plan_hit=hit,
+                    timeline_hit=plan.timeline_hits > hits_before,
+                    tuned=tuned,
+                    retries=retries,
+                    faults=faults,
+                    backoff_ns=backoff_ns,
+                )
+            )
+            if values is None:
+                values, _ = group_scan_values(
+                    [req.x for req in requests],
+                    algorithm=key.algorithm,
+                    in_dtype=plan.in_dtype,
+                    exclusive=key.exclusive,
+                )
+            for req in rows:
+                # pop only after the launch succeeded: a fault above leaves
+                # the launch's tickets pending, not silently dropped
+                ticket = tickets.pop(req.req_id)
+                ticket.device_ns = served_ns
+                ticket.plan_hit = hit
+                ticket.batched = batched
+                ticket.batch_size = len(rows)
+                ticket.retries += retries
+                ticket.faults += faults
+                # ``served`` lists the group's requests in order so far
+                self._finish(ticket, req, values[len(served)])
+                served.append(ticket)
+        return served
 
     def _replay_with_retry(self, launch, label: "str | None" = None):
         """Relaunch one scan plan or one captured graph kernel under the
@@ -467,123 +519,11 @@ class ScanService:
                 )
             return trace, attempt - 1, faults, backoff_ns
 
-    def _get_plan(self, group: LaunchGroup) -> "tuple[ScanPlan, bool]":
-        key = group.key
-        hit = key in self.cache
-        plan = self.cache.get_batched(
-            key.algorithm, key.batch, key.padded, key.dtype, s=key.s,
-            tuned=any(r.tuned for r in group.requests),
-        )
-        return plan, hit
-
     def _finish(self, ticket: ScanTicket, req: ScanRequest, values) -> None:
         ticket.values = values
         ticket.done = True
         ticket.host_s = time.perf_counter() - req.t_submit
         self.stats.record_request(ticket.host_s)
-
-    def _group_numerics(
-        self, requests, *, algorithm: str, in_dtype, exclusive: bool
-    ) -> "list[np.ndarray]":
-        """The group's numerics in one stacked pass."""
-        values, _ = group_scan_values(
-            [req.x for req in requests],
-            algorithm=algorithm,
-            in_dtype=in_dtype,
-            exclusive=exclusive,
-        )
-        return values
-
-    def _serve_batched(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
-        plan, hit = self._get_plan(group)
-        hits_before = plan.timeline_hits
-        trace, retries, faults, backoff_ns = self._replay_with_retry(plan)
-        group_tuned = any(r.tuned for r in group.requests)
-        per_launch_n = sum(req.n for req in group.requests)
-        io = per_launch_n * plan._io_bytes_per_element()
-        served_ns = trace.total_ns + backoff_ns
-        self.stats.record_launch(
-            LaunchRecord(
-                kind="batched",
-                device_ns=served_ns,
-                n_elements=per_launch_n,
-                io_bytes=io,
-                requests=len(group.requests),
-                plan_hit=hit,
-                timeline_hit=plan.timeline_hits > hits_before,
-                tuned=group_tuned,
-                retries=retries,
-                faults=faults,
-                backoff_ns=backoff_ns,
-            )
-        )
-        values = self._group_numerics(
-            group.requests,
-            algorithm=plan.algorithm,
-            in_dtype=plan.in_dtype,
-            exclusive=False,
-        )
-        served = []
-        for req, row in zip(group.requests, values):
-            # pop only after the launch succeeded: a fault above leaves
-            # every ticket of the group pending, not silently dropped
-            ticket = tickets.pop(req.req_id)
-            ticket.device_ns = served_ns
-            ticket.plan_hit = hit
-            ticket.batched = True
-            ticket.batch_size = len(group.requests)
-            ticket.retries += retries
-            ticket.faults += faults
-            self._finish(ticket, req, row)
-            served.append(ticket)
-        return served
-
-    def _serve_singles(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
-        # every request in a fallback group shares one exact 1-D plan key
-        # (the batcher re-partitions per request), so the whole group's
-        # numerics ride one stacked pass; each request still gets its own
-        # launch — its own replay, fault draws and simulated time
-        key = group.key
-        values = self._group_numerics(
-            group.requests,
-            algorithm=key.algorithm,
-            in_dtype=self.ctx._as_plan_dtype(key.dtype),
-            exclusive=key.exclusive,
-        )
-        served = []
-        for idx, req in enumerate(group.requests):
-            hit = key in self.cache
-            plan = self.cache.get_1d(
-                req.algorithm, req.n, req.plan_dtype, s=req.s,
-                exclusive=req.exclusive, block_dim=req.block_dim,
-                tuned=req.tuned,
-            )
-            hits_before = plan.timeline_hits
-            trace, retries, faults, backoff_ns = self._replay_with_retry(plan)
-            served_ns = trace.total_ns + backoff_ns
-            self.stats.record_launch(
-                LaunchRecord(
-                    kind="single",
-                    device_ns=served_ns,
-                    n_elements=req.n,
-                    io_bytes=req.n * plan._io_bytes_per_element(),
-                    requests=1,
-                    plan_hit=hit,
-                    timeline_hit=plan.timeline_hits > hits_before,
-                    tuned=req.tuned,
-                    retries=retries,
-                    faults=faults,
-                    backoff_ns=backoff_ns,
-                )
-            )
-            ticket = tickets.pop(req.req_id)
-            ticket.device_ns = served_ns
-            ticket.plan_hit = hit
-            ticket.retries += retries
-            ticket.faults += faults
-            self._finish(ticket, req, values[idx])
-            served.append(ticket)
-        return served
 
     def _serve_graph(self, group: LaunchGroup, tickets) -> "list[ScanTicket]":
         """Serve a group of same-signature graph requests: lower once per
@@ -655,7 +595,7 @@ class ScanService:
                     backoff_ns=backoff_ns,
                 )
             )
-            # pop only after the launch succeeded (see _serve_batched)
+            # pop only after the launch succeeded (see _serve)
             ticket = tickets.pop(req.req_id)
             ticket.device_ns = served_ns
             ticket.plan_hit = not built

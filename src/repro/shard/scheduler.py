@@ -23,10 +23,10 @@ closed-loop whole-queue ``flush``:
   ``max(now, free_at[m]) + ScanPlan.time_ns() * observed_slowdown[m]``:
   the pool's cost model and placement rule, shared with ``flush``.
 
-Serving reuses the pool's failover (:meth:`PoolScanService._dispatch`):
-a member fault recalls the unserved remainder and the scheduler
-re-places it; with every member dead, remaining work is *failed
-explicitly* (tickets retained on the report) so the generator drains.
+Serving reuses the pool's failover loop (:meth:`PoolScanService._serve_unit`):
+a member fault recalls the unserved remainder and the scheduler re-places
+it; what the pool cannot serve is *failed explicitly* (tickets retained
+on the report) so the generator drains.
 
 Everything runs on the simulated clock: per-request arrival, admission
 (staging) and completion timestamps land on the tickets, and p50/p99/p999
@@ -252,7 +252,8 @@ class TrafficScheduler:
         predicted = self.svc._predict_ns(bucket.requests[0], len(bucket.requests))
         target = self._place(predicted)
         if target is None:
-            self._fail_bucket(bucket)
+            self.buckets.remove(bucket)
+            self._fail_requests(bucket.requests)
             return
         bucket.staged = True
         bucket.target = target
@@ -291,45 +292,32 @@ class TrafficScheduler:
         groups = svc.batcher.drain()
         for ticket in bucket.tickets:
             ticket.t_admit_ns = self.clock_ns
-        start_floor = bucket.start_ns
         for group in groups:
-            self._serve_group(group, bucket.target, start_floor)
+            self._serve_group(group, bucket.target, bucket.start_ns)
 
     def _serve_group(self, group, target: int, start_floor: float) -> None:
-        """Serve one launch group, rerouting on member faults along the
-        cost-model preference order until served or the pool is dead."""
+        """Serve one launch group on its staged member; a faulted
+        remainder re-places by predicted completion."""
         svc = self.svc
-        failovers = 0
-        while True:
-            if target is None or svc._dead[target]:
-                target = self._place(
-                    svc._predict_ns(group.requests[0], len(group.requests))
-                )
-                if target is None:
-                    self._fail_requests(group.requests)
-                    return
-            before = svc.busy_ns[target]
-            completed, leftover, fault = svc._dispatch(group, target)
-            served_delta = svc.busy_ns[target] - before
+        place = lambda unit: self._place(
+            svc._predict_ns(unit.requests[0], len(unit.requests)))
+
+        def charge(target, unit, served, busy_ns, fault):
             start = max(start_floor, self.done_at_ns[target])
-            end = start + served_delta
-            if served_delta > 0:
+            end = start + busy_ns
+            if busy_ns > 0:
                 self.done_at_ns[target] = end
                 self.free_at_ns[target] = max(self.free_at_ns[target], end)
-            self._complete(completed, group, start, end)
+            self._complete(served, unit, start, end)
             if fault is not None:
                 self.stats.record_fault()
-            if leftover is None:
-                svc._served_ns(target, group, completed, svc._launch_ns(group.key))
-                return
-            failovers += 1
-            if failovers > svc._max_group_failovers:
-                # leftover tickets never left pool custody; fail them
-                # explicitly rather than looping forever
-                self._fail_requests(leftover.requests)
-                return
-            group = leftover
-            target = None  # re-place on the surviving members
+            else:
+                svc._served_ns(target, unit, served, svc._launch_ns(unit.key))
+
+        _, unserved, _ = svc._serve_unit(group, place, charge, target)
+        if unserved is not None:
+            # pool dead or reroute budget spent: fail what is left
+            self._fail_requests(unserved.requests)
 
     def _complete(self, tickets, group, start_ns, end_ns) -> None:
         """Stamp completion times and record simulated latencies.
@@ -353,10 +341,6 @@ class TrafficScheduler:
                     deadline_met=ticket.deadline_met,
                 )
             self._served_tickets.append(ticket)
-
-    def _fail_bucket(self, bucket: _Bucket) -> None:
-        self.buckets.remove(bucket)
-        self._fail_requests(bucket.requests)
 
     def _fail_requests(self, requests) -> None:
         """Fail admitted requests that no member can serve (pool dead or

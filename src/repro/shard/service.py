@@ -125,9 +125,9 @@ class PoolScanService:
         #: launch groups recalled from each member after a terminal fault
         self.failovers = [0] * len(self.workers)
         self._dead = [False] * len(self.workers)
-        #: per-unit re-placement budget before flush gives up and
-        #: re-raises; generous — a unit only burns one when a member
-        #: exhausts its whole retry policy on it
+        #: per-unit re-placement budget of :meth:`_serve_unit`; generous —
+        #: a unit only burns one when a member exhausts its whole retry
+        #: policy on it
         self._max_group_failovers = 3 * len(self.workers)
         #: memoized launch costs (simulated ns) per plan or graph key
         self._predictions: dict = {}
@@ -244,15 +244,9 @@ class PoolScanService:
         if graph is not None:
             launch_ns = self.workers[0].graph_runner.replay_ns(graph)
         elif build:
-            # a key's padded length re-pads to itself: this builds ``key``
             cache = self.workers[0].cache
-            launch_ns = (
-                cache.get_1d(key.algorithm, key.padded, key.dtype, s=key.s,
-                             exclusive=key.exclusive, block_dim=key.block_dim)
-                if key.batch is None
-                else cache.get_batched(key.algorithm, key.batch, key.padded,
-                                       key.dtype, s=key.s)
-            ).time_ns()
+            get = cache.get_1d if key.batch is None else cache.get_batched
+            launch_ns = get(key).time_ns()
         else:
             plans = (w.cache.peek(key) for w in self.workers)
             plan = next((p for p in plans if p is not None), None)
@@ -279,12 +273,11 @@ class PoolScanService:
         return tied[0]
 
     def _served_ns(self, target, unit, served, launch_ns) -> float:
-        """Device ns a cleanly served unit took on member ``target`` (one
-        launch for a batched group, else one per request); when the
-        predicted ``launch_ns`` is given, scores the cost model."""
-        served_ns = served[0].device_ns
-        if not unit.batched and len(served) > 1:
-            served_ns = sum(t.device_ns for t in served)
+        """Device ns a cleanly served unit took on member ``target``;
+        scores the cost model when the predicted ``launch_ns`` is given."""
+        served_ns = (
+            served[0].device_ns if unit.batched else sum(t.device_ns for t in served)
+        )
         if launch_ns is not None:
             predicted = launch_ns if unit.batched else launch_ns * len(served)
             self.workers[target].stats.record_prediction(predicted, served_ns)
@@ -299,20 +292,18 @@ class PoolScanService:
         lifetime history cannot perturb it.  Units go in the order of
         their source group's padded elements (LPT by that proxy; a stable
         sort, so a group's requests stay together in drain order).  That
-        order is also the lowering order of a cold flush, and a graph's
-        lowered timeline depends on the L2 state earlier lowerings left,
-        so it must not follow predictions.  A unit with a predicted cost (a
-        built plan, a lowered graph) places on the member minimising
-        ``load + predicted × observed slowdown``; one without places by
-        load alone, and is not scored against the cost model.
+        order is also the lowering order of a cold flush, which can move
+        lowered timelines, so it must not follow predictions.  A unit with
+        a predicted cost (a built plan, a lowered graph) places on the
+        member minimising ``load + predicted × observed slowdown``; one
+        without places by load alone, and is not scored against the cost
+        model.
 
-        Failover: after a terminal member fault the unit's unserved
-        remainder is re-placed by the same rule (a permanently lost member
-        is dead to all later placement) and re-served bit-identical.
-        Flush re-raises only when every member is dead, a unit exceeds its
-        re-placement budget, or a member raises anything but a
-        ``DeviceFault`` — and then every unserved request is back in the
-        pool queue with its ticket tracked, as in :meth:`ScanService.flush`.
+        A faulted unit's remainder re-places at once by the same rule
+        (:meth:`_serve_unit`).  When the pool cannot serve it, or a member
+        raises anything but a ``DeviceFault``, flush re-raises with every
+        unserved request back in the pool queue, its ticket tracked, as in
+        :meth:`ScanService.flush`.
         """
         groups = self.batcher.drain()
         groups.sort(key=lambda g: g.padded_elements, reverse=True)
@@ -320,13 +311,23 @@ class PoolScanService:
         for group in groups:
             graph = group.requests[0].graph if group.graph else None
             cost = self._launch_ns(group.key, graph=graph)
-            queue += [(unit, cost, 0) for unit in _launch_units(group)]
+            queue += [(unit, cost) for unit in _launch_units(group)]
         load = [0.0] * len(self.workers)
         completed: list[ScanTicket] = []
         busy_before = list(self.busy_ns)
-        # the unit in hand: popped from ``queue`` and not yet served or
-        # requeued (after a member fault, its recalled remainder)
-        group = None
+        # placement and accounting of the unit in hand, priced at ``cost``
+        place = lambda _unit: self._place(
+            cost or 0.0, load, point="pool.route", controller=self.controller)
+
+        def charge(target, unit, served, busy_ns, fault):
+            # a faulted attempt charges the member the time it burned
+            load[target] += (
+                busy_ns if fault is not None
+                else self._served_ns(target, unit, served, cost)
+            )
+
+        # the unit in hand, or the remainder the pool gave up on
+        unit = None
         try:
             while queue:
                 # the schedule controller picks which queued unit goes
@@ -335,34 +336,20 @@ class PoolScanService:
                 pick = 0
                 if self.controller is not None and len(queue) > 1:
                     pick = self.controller.choose("pool.group", len(queue))
-                group, cost, failovers = queue.pop(pick)
-                target = self._place(cost or 0.0, load, point="pool.route",
-                                     controller=self.controller)
-                if target is None:
-                    raise DeviceFault(
+                unit, cost = queue.pop(pick)
+                served, unit, fault = self._serve_unit(unit, place, charge)
+                completed.extend(served)
+                if unit is not None:
+                    raise fault or DeviceFault(
                         "every pool member is dead; no device left to serve on",
                         permanent=True,
                     )
-                before = self.busy_ns[target]
-                served, leftover, fault = self._dispatch(group, target)
-                completed.extend(served)
-                if leftover is None:
-                    load[target] += self._served_ns(target, group, served, cost)
-                    group = None
-                    continue
-                # faulted: charge the member the time it burned
-                load[target] += self.busy_ns[target] - before
-                group = leftover
-                if failovers + 1 > self._max_group_failovers:
-                    raise fault
-                queue.append((group, cost, failovers + 1))
-                group = None
         except Exception:
             # give up on this flush: every drained request whose ticket is
             # still tracked goes back on the pool batcher — the unit in
             # hand first, then the queue — so a later flush can serve it
-            unserved = [] if group is None else [group]
-            unserved += [later for later, _, _ in queue]
+            unserved = [] if unit is None else [unit]
+            unserved += [later for later, _ in queue]
             for parked in unserved:
                 for req in parked.requests:
                     if req.req_id in self._tickets:
@@ -377,15 +364,41 @@ class PoolScanService:
             )
         return _sorted_by_submit_sequence(completed)
 
+    def _serve_unit(self, unit: LaunchGroup, place, charge, target=None):
+        """Serve one launch unit with failover: the one loop under
+        :meth:`flush` and the traffic scheduler.
+
+        Each attempt dispatches the unit on ``target`` (when that is None
+        or dead, on ``place(unit)``), then ``charge(target, unit, served,
+        busy_ns, fault)`` accounts it (``fault`` None on success).  A
+        recalled remainder re-places at once, at most
+        ``_max_group_failovers`` times.  Returns the tickets served, in
+        launch order, plus what the pool could not serve and the last
+        fault (None, None when all served; fault None with no member
+        alive)."""
+        completed: list[ScanTicket] = []
+        for _ in range(1 + self._max_group_failovers):
+            if target is None or self._dead[target]:
+                target = place(unit)
+                if target is None:
+                    return completed, unit, None
+            before = self.busy_ns[target]
+            served, leftover, fault = self._dispatch(unit, target)
+            completed += served
+            charge(target, unit, served, self.busy_ns[target] - before, fault)
+            if leftover is None:
+                return completed, None, None
+            unit, target = leftover, None
+        return completed, unit, fault
+
     def _dispatch(
         self, group: LaunchGroup, target: int
     ) -> "tuple[list[ScanTicket], LaunchGroup | None, DeviceFault | None]":
-        """Serve one launch group on pool member ``target`` — the serving
-        step under ``flush`` and the traffic scheduler — and account its
-        busy time.  Returns ``(completed, leftover, fault)``: tickets in
-        launch order; after a terminal member fault, the recalled unserved
-        remainder ready to re-place and the fault (else None, None).  A
-        permanent fault marks the member dead; tickets are never lost."""
+        """Serve one launch group on pool member ``target`` (one attempt of
+        :meth:`_serve_unit`) and account its busy time.  Returns
+        ``(completed, leftover, fault)``: tickets in launch order; after a
+        terminal member fault, the recalled remainder and the fault (else
+        None, None).  A permanent fault marks the member dead."""
         worker = self.workers[target]
         tickets = [self._tickets[req.req_id] for req in group.requests]
         for ticket in tickets:

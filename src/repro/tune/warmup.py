@@ -130,10 +130,7 @@ def warm_service(
             algorithm, n, dtype, s=s, exclusive=exclusive, block_dim=block_dim
         )
         if key not in cache:
-            cache.get_1d(
-                algorithm, n, dtype, s=s, exclusive=exclusive,
-                block_dim=block_dim, tuned=tuned,
-            ).time_ns()
+            cache.get_1d(key, tuned=tuned).time_ns()
             built += 1
 
     def build_batched(algorithm, batch, row_len, dtype, s, tuned):
@@ -141,9 +138,7 @@ def warm_service(
         bucket = bucket_size(batch, max_batch=max_batch)
         key = cache.key_batched(algorithm, bucket, row_len, dtype, s=s)
         if key not in cache:
-            cache.get_batched(
-                algorithm, bucket, row_len, dtype, s=s, tuned=tuned
-            ).time_ns()
+            cache.get_batched(key, tuned=tuned).time_ns()
             built += 1
 
     for workload in workloads:

@@ -167,9 +167,9 @@ class TestPlanDifferential:
         x = _exact_values(n, dtype, seed)
         if _refused(algorithm, dtype):
             with pytest.raises(KernelError, match="not served on int8"):
-                _SERVICE.cache.get_1d(algorithm, n, dtype, s=32)
+                _SERVICE.cache.get_1d(_SERVICE.cache.key_1d(algorithm, n, dtype, s=32))
             return
-        plan = _SERVICE.cache.get_1d(algorithm, n, dtype, s=32)
+        plan = _SERVICE.cache.get_1d(_SERVICE.cache.key_1d(algorithm, n, dtype, s=32))
         planned = plan.execute(x)
         oneshot = _CTX.scan(x, algorithm=algorithm, s=32)
         assert np.array_equal(planned.values, oneshot.values)

@@ -119,6 +119,16 @@ class TestValidationErrors:
         with pytest.raises(ConfigError):
             g.validate()
 
+    def test_topk_without_a_tile_is_config_error(self):
+        # topk has no input-sized tile rule, so s=None would reach the
+        # device driver unresolved; validation refuses it by name
+        g = Graph(name="topk")
+        g.add_input("x", "fp16", (64,))
+        g.add_node("t", "topk", ["x"], {"k": 8, "s": None, "method": "quickselect"})
+        g.set_outputs(["t.values"])
+        with pytest.raises(ConfigError, match="topk s"):
+            g.validate()
+
     def test_data_dependent_edge_cannot_feed_a_node(self):
         # compress output length is only known at run time; a downstream
         # node cannot be lowered against it

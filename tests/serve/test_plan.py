@@ -53,9 +53,9 @@ def test_batched_key_padded_is_stable(cache):
 
 
 def test_hit_miss_accounting_and_reuse(cache):
-    p1 = cache.get_1d("scanu", 100, "fp16", s=32)
-    p2 = cache.get_1d("scanu", 1000, "fp16", s=32)  # same padded class
-    p3 = cache.get_1d("scanu", 2000, "fp16", s=32)  # different class
+    p1 = cache.get_1d(cache.key_1d("scanu", 100, "fp16", s=32))
+    p2 = cache.get_1d(cache.key_1d("scanu", 1000, "fp16", s=32))  # same padded class
+    p3 = cache.get_1d(cache.key_1d("scanu", 2000, "fp16", s=32))  # different class
     assert p1 is p2 and p1 is not p3
     assert (cache.hits, cache.misses) == (1, 2)
     assert len(cache) == 2
@@ -65,28 +65,28 @@ def test_hit_miss_accounting_and_reuse(cache):
 
 
 def test_separate_plans_per_algorithm_dtype_exclusive(cache):
-    a = cache.get_1d("scanu", 100, "fp16", s=32)
-    b = cache.get_1d("scanu", 100, "int8", s=32)
-    c = cache.get_1d("mcscan", 100, "fp16", s=32)
-    d = cache.get_1d("mcscan", 100, "fp16", s=32, exclusive=True)
+    a = cache.get_1d(cache.key_1d("scanu", 100, "fp16", s=32))
+    b = cache.get_1d(cache.key_1d("scanu", 100, "int8", s=32))
+    c = cache.get_1d(cache.key_1d("mcscan", 100, "fp16", s=32))
+    d = cache.get_1d(cache.key_1d("mcscan", 100, "fp16", s=32, exclusive=True))
     assert len({id(p) for p in (a, b, c, d)}) == 4
     assert cache.misses == 4
 
 
 def test_build_validates_against_oracle(cache):
-    plan = cache.get_1d("scanu", 500, "fp16", s=32)
+    plan = cache.get_1d(cache.key_1d("scanu", 500, "fp16", s=32))
     assert plan.validated is True
     assert plan.build_max_err == 0.0
     # scanul1's int8 L1 staging of C1 wraps: the serve layer refuses it
     with pytest.raises(KernelError, match="scanul1 is not served on int8"):
-        cache.get_1d("scanul1", 500, "int8", s=32)
+        cache.get_1d(cache.key_1d("scanul1", 500, "int8", s=32))
     with pytest.raises(KernelError, match="scanul1 is not served on int8"):
-        cache.get_batched("scanul1", 2, 500, "int8", s=32)
+        cache.get_batched(cache.key_batched("scanul1", 2, 500, "int8", s=32))
     assert len(cache) == 1
 
 
 def test_plan_execute_checks_shape_and_dtype(cache):
-    plan = cache.get_1d("scanu", 1024, "fp16", s=32)
+    plan = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
     with pytest.raises(KernelError, match="fp16"):
         plan.execute(np.zeros(1024, dtype=np.int8))
     with pytest.raises(ShapeError):
@@ -96,7 +96,7 @@ def test_plan_execute_checks_shape_and_dtype(cache):
 
 
 def test_plan_execute_counts_and_replays(cache):
-    plan = cache.get_1d("scanu", 100, "fp16", s=32)
+    plan = cache.get_1d(cache.key_1d("scanu", 100, "fp16", s=32))
     x = np.ones(100, dtype=np.float16)
     r1 = plan.execute(x)
     r2 = plan.execute(x)
@@ -109,7 +109,7 @@ def test_plan_execute_counts_and_replays(cache):
 
 
 def test_batched_plan_serves_smaller_batches(cache):
-    plan = cache.get_batched("scanu", 8, 600, "fp16", s=32)
+    plan = cache.get_batched(cache.key_batched("scanu", 8, 600, "fp16", s=32))
     x = np.ones((3, 600), dtype=np.float16)
     res = plan.execute(x)
     assert res.values.shape == (3, 600)
@@ -120,14 +120,14 @@ def test_batched_plan_serves_smaller_batches(cache):
 
 
 def test_exclusive_plan(cache):
-    plan = cache.get_1d("mcscan", 64, "fp16", s=32, exclusive=True)
+    plan = cache.get_1d(cache.key_1d("mcscan", 64, "fp16", s=32, exclusive=True))
     res = plan.execute(np.ones(64, dtype=np.float16))
     assert np.array_equal(res.values, np.arange(0, 64, dtype=np.float32))
 
 
 def test_timeline_counters_aggregate(cache):
-    a = cache.get_1d("scanu", 900, "fp16", s=32)
-    b = cache.get_1d("vector", 900, "fp16", s=128)
+    a = cache.get_1d(cache.key_1d("scanu", 900, "fp16", s=32))
+    b = cache.get_1d(cache.key_1d("vector", 900, "fp16", s=128))
     for _ in range(3):
         a.execute(np.ones(900, dtype=np.float16))
     b.execute(np.ones(900, dtype=np.float16))
@@ -139,7 +139,7 @@ def test_timeline_counters_aggregate(cache):
 
 
 def test_plan_execute_des_engine_and_audit(cache):
-    plan = cache.get_1d("scanu", 900, "fp16", s=32)
+    plan = cache.get_1d(cache.key_1d("scanu", 900, "fp16", s=32))
     x = np.ones(900, dtype=np.float16)
     cfg = plan.ctx.config
     # the served timeline is exactly the discrete-event scheduler's, and a
@@ -163,18 +163,18 @@ class TestLRUEviction:
 
     def test_unbounded_cache_never_evicts(self, cache):
         for n in (100, 2000, 5000):
-            cache.get_1d("scanu", n, "fp16", s=32)
+            cache.get_1d(cache.key_1d("scanu", n, "fp16", s=32))
         assert cache.evictions == 0
 
     def test_eviction_frees_gm_and_counts(self):
         probe = PlanCache(ScanContext(toy_config()))
-        probe_bytes = probe.get_1d("scanu", 1024, "fp16", s=32).gm_bytes
+        probe_bytes = probe.get_1d(probe.key_1d("scanu", 1024, "fp16", s=32)).gm_bytes
 
         cache = self._bounded(probe_bytes)
         mem = cache.ctx.device.memory
-        a = cache.get_1d("scanu", 1024, "fp16", s=32)
+        a = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
         used_with_a = mem.used_bytes
-        b = cache.get_1d("scanu", 4096, "fp16", s=32)  # evicts a
+        b = cache.get_1d(cache.key_1d("scanu", 4096, "fp16", s=32))  # evicts a
         assert cache.evictions == 1
         assert cache.evicted_gm_bytes == a.gm_bytes
         assert a.released and not b.released
@@ -190,20 +190,20 @@ class TestLRUEviction:
         # least-recently-used plan (b), not the oldest-inserted (a)
         probe = PlanCache(ScanContext(toy_config()))
         probe_bytes = (
-            probe.get_1d("scanu", 1024, "fp16", s=32).gm_bytes
-            + probe.get_1d("scanu", 4096, "fp16", s=32).gm_bytes
+            probe.get_1d(probe.key_1d("scanu", 1024, "fp16", s=32)).gm_bytes
+            + probe.get_1d(probe.key_1d("scanu", 4096, "fp16", s=32)).gm_bytes
         )
 
         cache = PlanCache(ScanContext(toy_config()), gm_budget=probe_bytes + 512)
-        a = cache.get_1d("scanu", 1024, "fp16", s=32)
-        b = cache.get_1d("scanu", 2048, "fp16", s=32)
-        cache.get_1d("scanu", 1024, "fp16", s=32)  # touch a: b becomes LRU
-        cache.get_1d("scanu", 4096, "fp16", s=32)  # needs room
+        a = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
+        b = cache.get_1d(cache.key_1d("scanu", 2048, "fp16", s=32))
+        cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))  # touch a: b becomes LRU
+        cache.get_1d(cache.key_1d("scanu", 4096, "fp16", s=32))  # needs room
         assert b.released and not a.released
 
     def test_most_recent_plan_survives_even_over_budget(self):
         cache = PlanCache(ScanContext(toy_config()), gm_budget=1)
-        plan = cache.get_1d("scanu", 1024, "fp16", s=32)
+        plan = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
         assert not plan.released  # never evict the plan just requested
         assert len(cache) == 1
         res = plan.execute(np.ones(1024, dtype=np.float16))
@@ -211,9 +211,9 @@ class TestLRUEviction:
 
     def test_evicted_shape_rebuilds_on_next_request(self):
         cache = PlanCache(ScanContext(toy_config()), gm_budget=1)
-        a = cache.get_1d("scanu", 1024, "fp16", s=32)
-        cache.get_1d("scanu", 4096, "fp16", s=32)  # evicts a
-        again = cache.get_1d("scanu", 1024, "fp16", s=32)  # rebuild, not hit
+        a = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
+        cache.get_1d(cache.key_1d("scanu", 4096, "fp16", s=32))  # evicts a
+        again = cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))  # rebuild, not hit
         assert again is not a
         assert cache.misses == 3
         res = again.execute(np.ones(1024, dtype=np.float16))
@@ -221,8 +221,8 @@ class TestLRUEviction:
 
     def test_stats_expose_eviction_counters(self):
         cache = PlanCache(ScanContext(toy_config()), gm_budget=1)
-        cache.get_1d("scanu", 1024, "fp16", s=32)
-        cache.get_1d("scanu", 4096, "fp16", s=32)
+        cache.get_1d(cache.key_1d("scanu", 1024, "fp16", s=32))
+        cache.get_1d(cache.key_1d("scanu", 4096, "fp16", s=32))
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["evicted_gm_bytes"] > 0

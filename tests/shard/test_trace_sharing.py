@@ -239,10 +239,10 @@ class TestTable:
         probe.release()
         del probe
         cache = PlanCache(pool[1], gm_budget=budget)
-        cache.get_1d("scanu", N, "fp16", s=16)
-        cache.get_1d("vector", N, "fp16", s=128)  # evicts the scanu mirror
+        cache.get_1d(cache.key_1d("scanu", N, "fp16", s=16))
+        cache.get_1d(cache.key_1d("vector", N, "fp16", s=128))  # evicts the scanu mirror
         assert cache.evictions == 1
-        rebuilt = cache.get_1d("scanu", N, "fp16", s=16)
+        rebuilt = cache.get_1d(cache.key_1d("scanu", N, "fp16", s=16))
         assert rebuilt.traced is source.traced
         x, _ = exact_fp16_scan_input(N, rng)
         assert np.array_equal(rebuilt.execute(x).values, inclusive_scan(x))
@@ -299,7 +299,7 @@ class TestTimelineCounters:
         x = np.ones(N, dtype=np.float16)
         launches = (3, 2)
         for cache, count in zip(caches, launches):
-            plan = cache.get_1d("scanu", N, "fp16", s=16)
+            plan = cache.get_1d(cache.key_1d("scanu", N, "fp16", s=16))
             for _ in range(count):
                 plan.execute(x)
         stats = [c.stats() for c in caches]
