@@ -57,6 +57,7 @@ from .core.api import (
     SCAN_STRATEGIES,
     ScanContext,
 )
+from .graph.fuse import FUSION_MODES
 from .hw.config import ASCEND_910B4
 from .hw.traceview import render_timeline
 from .ops.driver import AscendOps
@@ -671,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-launch transient fault probability")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--fusion", default="conservative",
-                    choices=("off", "conservative", "aggressive"),
+                    choices=FUSION_MODES,
                     help="graph-fusion mode: collapse map chains (and, "
                     "aggressively, pre->scan->post regions) into one "
                     "captured program per region")

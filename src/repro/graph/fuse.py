@@ -14,13 +14,19 @@ Two region shapes are recognised, controlled by the ``fusion`` knob:
 * ``conservative`` — chains of spec-preserving elementwise maps
   (``fusable_map`` ops whose input and output :class:`TensorSpec` are
   equal and statically shaped).  Lowered through
-  :class:`~repro.graph.op.FusedElementwiseOp` as one multi-fn
+  :class:`~repro.graph.op.FusedElementwiseOp` (the same
+  :class:`~repro.graph.op.MapOp` implementation an ``elementwise`` node
+  has) as one multi-fn
   :class:`~repro.ops.elementwise.ElementwiseMapKernel` pass.
 * ``aggressive`` — additionally absorbs a ``scan`` node between a map
   chain and a trailing map chain (``elementwise→scan``,
   ``scan→elementwise``, or both), folding the epilogue into the scan
   kernel's vector stage where the algorithm exposes that seam
   (:data:`~repro.core.api.FOLDABLE_SCAN_ALGORITHMS`).
+
+Both region kinds are captured, checked bit for bit against the
+composition of their member oracles and admitted by the runner's one
+build step, the step every unfused op node goes through too.
 
 An intermediate edge may be fused over only when it has **exactly one
 consumer** and is **not a graph output** — otherwise the edge's value must

@@ -10,8 +10,11 @@ running its real device implementation once on the build device under
 <repro.hw.device.AscendDevice.capture_launches>`, harvesting the traced
 kernels, and differentially checking the device outputs bit-exactly
 against the op's NumPy oracle on exactness-conditioned validation inputs
-(:class:`~repro.errors.KernelError` on divergence).  Scan nodes instead
-go through the plan cache and resolve their configuration as
+(:class:`~repro.errors.KernelError` on divergence).  One build step,
+:meth:`GraphRunner._capture`, does this for every captured unit: op
+nodes, the topk-fed sampler, fused map chains and fused scan regions
+(checked against the composition of their member oracles).  Scan nodes
+instead go through the plan cache and resolve their configuration as
 ``ScanService`` does (:func:`repro.tune.resolve_candidate`), so tuned
 scan configurations flow into graphs for free; an op-zoo node whose
 internal scan tile ``s`` is None lowers at the tile
@@ -132,11 +135,11 @@ class LoweredNode:
     shape_class: tuple
     #: captured device programs, in launch order
     traced: "list"
-    #: host seconds the capture + differential validation cost (cold)
-    build_host_s: float
     #: True when the build-time device-vs-oracle check ran bit-exactly;
     #: None when delegated (scan plans validate inside build_plan)
     validated: "bool | None"
+    #: host seconds the capture + differential validation cost (cold)
+    build_host_s: float = 0.0
     #: True when a TuneStore entry picked the configuration (scan nodes)
     tuned: bool = False
     #: the owning scan plan, when the node lowered through the plan cache
@@ -267,13 +270,7 @@ class GraphRunner:
                 # (the cached scan constants still can; see the module
                 # docstring)
                 self.device.flush_l2()
-                specs = graph.valid_specs()
-                if isinstance(unit, FusedNode):
-                    low = self._build_fused(unit, key, specs)
-                else:
-                    op = get_op(unit.kind)
-                    in_specs = [specs[e] for e in unit.inputs]
-                    low = self._build(op, key, unit, in_specs)
+                low = self._build(unit, key, graph.valid_specs())
                 self.cache.put(key, low)
                 built = True
             entries.append((unit, low))
@@ -293,28 +290,100 @@ class GraphRunner:
                 total += self.device.time_traced(kernel)
         return total
 
-    # -- fused regions -------------------------------------------------------
+    # -- building -----------------------------------------------------------
 
-    def _build_fused(
-        self, unit: FusedNode, key: tuple, specs
+    def _build(
+        self, unit: "Node | FusedNode", key: tuple, specs
     ) -> LoweredNode:
-        in_spec = specs[unit.inputs[0]]
-        if unit.kind == "fused_elementwise":
-            # lower through the registered FusedElementwiseOp: the generic
-            # capture path differentially validates the one-pass kernel
-            # against the composed member oracles bit-exactly
-            op = get_op("fused_elementwise")
-            node = Node(
-                name=unit.name,
-                kind="fused_elementwise",
-                inputs=unit.inputs,
-                params=op.resolve_params({"fns": unit.pre_fns}),
+        """Lower one unit: a scan node through the plan cache, a fused
+        scan region through :meth:`_build_fused_scan`, any other node or a
+        fused map chain as its registered op's ``device_run``; the last
+        two through :meth:`_capture`."""
+        t0 = time.perf_counter()
+        in_specs = [specs[e] for e in unit.inputs]
+        if any(s.n is None for s in in_specs):
+            raise ConfigError(
+                f"node {unit.name!r} ({unit.kind}) consumes a data-dependent"
+                f"-length edge; such edges can only be graph outputs"
             )
-            low = self._build(op, key, node, [in_spec])
+        if unit.kind == "scan":
+            # through the plan cache, which validates the plan itself;
+            # the LoweredNode keeps the plan alive so its program replays
+            plan, tuned = self._scan_plan(in_specs[0], unit.params)
+            low = LoweredNode(
+                kind="scan",
+                shape_class=key[1],
+                traced=[plan.traced],
+                validated=plan.validated,
+                tuned=tuned,
+                plan=plan,
+            )
+        elif unit.kind == "fused_scan":
+            low = self._build_fused_scan(key, unit, in_specs[0])
         else:
-            low = self._build_fused_scan(key, unit, in_spec)
-        low.members = self._member_weights(unit, low)
+            op = get_op(unit.kind)
+            params = (
+                op.resolve_params({"fns": unit.pre_fns})
+                if isinstance(unit, FusedNode)
+                else unit.params
+            )
+            low = self._build_op(op, key, params, in_specs)
+        if isinstance(unit, FusedNode):
+            low.members = self._member_weights(unit, low)
+        low.build_host_s = time.perf_counter() - t0
         return low
+
+    def _capture(
+        self, key: tuple, run, expected, names, *, tuned=False, plan=None
+    ) -> LoweredNode:
+        """The build step of every captured unit: run ``run()`` once on
+        the build device under ``capture_launches``, refuse an empty
+        capture, check each output bit for bit against ``expected()``
+        (output names ``names``) when :attr:`validate` is set, and wrap
+        the captured kernels in a :class:`LoweredNode`."""
+        kind = key[0]
+        with self.device.capture_launches() as captured:
+            got = run()
+        if not captured:
+            raise KernelError(f"lowering {kind} captured no device launches")
+        validated = None
+        if self.validate:
+            for name, g, e in zip(names, got, expected()):
+                if g.dtype != e.dtype or not np.array_equal(g, e):
+                    raise KernelError(
+                        f"graph lowering validation failed for {kind} "
+                        f"output {name!r}: device and oracle diverge on "
+                        f"the exactness-conditioned build input"
+                    )
+            validated = True
+        return LoweredNode(
+            kind=kind,
+            shape_class=key[1],
+            traced=list(captured),
+            validated=validated,
+            tuned=tuned,
+            plan=plan,
+        )
+
+    def _build_op(
+        self, op: "type[OpNode]", key: tuple, params: dict, in_specs
+    ) -> LoweredNode:
+        """An op's ``device_run`` on its exactness-conditioned
+        validation inputs, checked against its oracle."""
+        inputs = op.validation_inputs(in_specs, params)
+        device_run = op.device_run
+        if key[-1] == SORTED_INPUT:
+            # a sampler fed by topk lowers without its sort; it validates
+            # on the op's own recipe sorted the way the oracle sorts it
+            order = stable_order(inputs[0], descending=True)
+            inputs = [x[order] for x in inputs]
+            device_run = _presorted_top_p
+        return self._capture(
+            key,
+            lambda: device_run(self.ops, inputs, params),
+            lambda: op.oracle(inputs, params),
+            op.output_names,
+        )
 
     def _member_weights(self, unit: FusedNode, low: LoweredNode) -> tuple:
         """Positional ``(kind, weight)`` pairs attributing the fused
@@ -357,14 +426,11 @@ class GraphRunner:
         Post-maps fold into the scan kernel's vector stage when the
         algorithm exposes that seam
         (:data:`FOLDABLE_SCAN_ALGORITHMS`); otherwise they trail as one
-        in-place multi-fn map pass.  The captured outputs are checked
-        bit-exactly against the composition of the member oracles."""
-        t0 = time.perf_counter()
-        scan_node = unit.scan_member
+        in-place multi-fn map pass.  The captured output is checked
+        against the composition of the member oracles."""
         n = in_spec.n
         dtype = in_spec.dtype
-        exclusive = bool(scan_node.params["exclusive"])
-        plan, tuned = self._scan_plan(n, dtype, exclusive, scan_node.params)
+        plan, tuned = self._scan_plan(in_spec, unit.scan_member.params)
         # the program pads to the plan's s x s tiles, so the plan's
         # resolved block_dim is the one a None would resolve to here
         algorithm, s, block_dim = plan.algorithm, plan.s, plan.block_dim
@@ -383,23 +449,23 @@ class GraphRunner:
         ell = s * s
         # exactness-conditioned build input (the ScanOp family): small
         # integers keep every map stage and the accumulator cumsum exact,
-        # so the differential check below can demand bit equality
+        # so the differential check can demand bit equality
         rng = np.random.default_rng((0xC0FFEE, 11, n))
         if dtype == "fp16":
             x = rng.integers(-2, 3, n).astype(np.float16)
         else:
             x = rng.integers(-20, 21, n).astype(np.int8)
 
-        mark = device.memory.mark()
-        try:
-            with device.capture_launches() as captured:
+        def run():
+            mark = device.memory.mark()
+            try:
                 x_gm, padded = ctx._upload_padded("fused_x", x, ell, dt)
+                vbd = self.ops._vec_block_dim(padded)
                 scan_in = x_gm
                 if pre:
                     t_gm = device.alloc("fused_t", (padded,), dt)
                     if ctx.warm_inputs:
                         device.warm_l2(x_gm)
-                    vbd = self.ops._vec_block_dim(padded)
                     device.launch(
                         ElementwiseMapKernel(
                             x_gm, t_gm, pre, vbd, label="fused pre"
@@ -411,134 +477,39 @@ class GraphRunner:
                 if ctx.warm_inputs:
                     device.warm_l2(scan_in, y_gm)
                 kernel = ctx._cube_1d_kernel(
-                    algorithm,
-                    scan_in,
-                    y_gm,
-                    consts,
-                    s,
-                    block_dim,
-                    exclusive,
-                    post_fns=folded,
+                    algorithm, scan_in, y_gm, consts, s, block_dim,
+                    plan.exclusive, post_fns=folded,
                 )
-                device.launch(
-                    kernel, label=f"fused {algorithm}(s={s})"
-                )
+                device.launch(kernel, label=f"fused {algorithm}(s={s})")
                 if trailing:
-                    vbd = self.ops._vec_block_dim(padded)
                     device.launch(
                         ElementwiseMapKernel(
                             y_gm, y_gm, trailing, vbd, label="fused post"
                         ),
                         label="fused post",
                     )
-                got = y_gm.to_numpy()[:n]
-        finally:
-            device.memory.release(mark)
-        if not captured:
-            raise KernelError(
-                "lowering fused_scan captured no device launches"
-            )
+                return (y_gm.to_numpy()[:n],)
+            finally:
+                device.memory.release(mark)
 
-        validated = None
-        if self.validate:
-            expected = x
+        def expected():
+            out = x
             for m in unit.members:
-                expected = get_op(m.kind).oracle([expected], m.params)[0]
-            if got.dtype != expected.dtype or not np.array_equal(
-                got, expected
-            ):
-                raise KernelError(
-                    f"graph lowering validation failed for fused_scan "
-                    f"{unit.name!r}: the captured program and the "
-                    f"composition of its member oracles diverge on the "
-                    f"exactness-conditioned build input"
-                )
-            validated = True
-        return LoweredNode(
-            kind="fused_scan",
-            shape_class=key[1],
-            traced=list(captured),
-            build_host_s=time.perf_counter() - t0,
-            validated=validated,
-            tuned=tuned,
-            plan=plan,
-        )
+                out = get_op(m.kind).oracle([out], m.params)[0]
+            return (out,)
 
-    def _build(
-        self,
-        op: "type[OpNode]",
-        key: tuple,
-        node: Node,
-        in_specs: "list[TensorSpec]",
-    ) -> LoweredNode:
-        if any(s.n is None for s in in_specs):
-            raise ConfigError(
-                f"node {node.name!r} ({node.kind}) consumes a data-dependent"
-                f"-length edge; such edges can only be graph outputs"
-            )
-        if node.kind == "scan":
-            return self._build_scan(key, node, in_specs)
-        t0 = time.perf_counter()
-        inputs = op.validation_inputs(in_specs, node.params)
-        device_run = op.device_run
-        if key[-1] == SORTED_INPUT:
-            # a sampler fed by topk lowers without its sort; it validates
-            # on the op's own recipe sorted the way the oracle sorts it
-            order = stable_order(inputs[0], descending=True)
-            inputs = [x[order] for x in inputs]
-            device_run = _presorted_top_p
-        with self.device.capture_launches() as captured:
-            got = device_run(self.ops, inputs, node.params)
-        if not captured:
-            raise KernelError(
-                f"lowering {node.kind} captured no device launches"
-            )
-        validated = None
-        if self.validate:
-            expected = op.oracle(inputs, node.params)
-            for i, (g, e) in enumerate(zip(got, expected)):
-                if g.dtype != e.dtype or not np.array_equal(g, e):
-                    raise KernelError(
-                        f"graph lowering validation failed for {node.kind} "
-                        f"output {op.output_names[i]!r}: device and oracle "
-                        f"diverge on the exactness-conditioned build input"
-                    )
-            validated = True
-        return LoweredNode(
-            kind=node.kind,
-            shape_class=key[1],
-            traced=list(captured),
-            build_host_s=time.perf_counter() - t0,
-            validated=validated,
-        )
-
-    def _build_scan(
-        self, key: tuple, node: Node, in_specs: "list[TensorSpec]"
-    ) -> LoweredNode:
-        """Scan nodes lower through the plan cache (TuneStore-aware,
-        plan-level exact validation), keeping the plan alive so its traced
-        program stays replayable."""
-        t0 = time.perf_counter()
-        n = in_specs[0].n
-        dtype = in_specs[0].dtype
-        exclusive = bool(node.params["exclusive"])
-        plan, tuned = self._scan_plan(n, dtype, exclusive, node.params)
-        return LoweredNode(
-            kind=node.kind,
-            shape_class=key[1],
-            traced=[plan.traced],
-            build_host_s=time.perf_counter() - t0,
-            validated=plan.validated,
-            tuned=tuned,
-            plan=plan,
+        return self._capture(
+            key, run, expected, ("values",), tuned=tuned, plan=plan
         )
 
     def _scan_plan(
-        self, n: int, dtype: str, exclusive: bool, params: dict
+        self, spec: TensorSpec, params: dict
     ) -> "tuple[ScanPlan, bool]":
-        """(plan, tuned) for a scan node: its configuration resolved as
-        :meth:`ScanService.submit` resolves a request, less ``vector``,
-        and its plan from the runner's plan cache."""
+        """(plan, tuned) for a scan node reading ``spec``: its
+        configuration resolved as :meth:`ScanService.submit` resolves a
+        request, less ``vector``, and its plan from the runner's plan
+        cache."""
+        n, dtype, exclusive = spec.n, spec.dtype, bool(params["exclusive"])
         cand, tuned = resolve_candidate(
             WorkloadKey("1d", n, dtype, exclusive), self.tune_store,
             algorithm=params["algorithm"], s=params["s"], allowed=_GRAPH_SCAN_ALGORITHMS,

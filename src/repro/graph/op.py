@@ -16,7 +16,9 @@ host is a subclass of :class:`OpNode` registered under its ``kind`` via
   layer's ``plan_compute`` numerics *are* the checker oracle);
 * **a device lowering** — :meth:`~OpNode.device_run` executes the op once
   through :class:`~repro.ops.driver.AscendOps` on the build device; the
-  interpreter runs it under :meth:`AscendDevice.capture_launches
+  interpreter's one build step (``GraphRunner._capture``, which fused
+  scan regions go through too) runs it under
+  :meth:`AscendDevice.capture_launches
   <repro.hw.device.AscendDevice.capture_launches>` to harvest the traced
   kernels, and differentially compares the device outputs against the
   oracle on **exactness-conditioned** validation data
@@ -26,6 +28,11 @@ host is a subclass of :class:`OpNode` registered under its ``kind`` via
   :func:`~repro.core.api.op_scan_tile` over the op's
   :meth:`~OpNode.scan_length`, and an explicit ``s`` builds exactly that
   tile.
+
+Elementwise maps are one implementation, :class:`MapOp`, over the
+op's :meth:`~OpNode.map_fns`: the ``elementwise`` node applies one fn and
+the ``fused_elementwise`` op the fusion pass lowers a map chain through
+applies several, in one kernel pass either way.
 
 Tie/rounding conventions: sorting ops (radix_sort, topk, top_p_sample)
 define ties as *stable on the original index*.  The oracles order keys
@@ -52,6 +59,7 @@ from ..core.reference import (
 )
 from ..core.replay import scan_into
 from ..errors import ConfigError
+from ..hw.datatypes import as_dtype
 from ..ops.driver import radix_scan_length
 from ..ops.elementwise import ElementwiseMapKernel
 from ..tune.space import WorkloadKey, resolve_candidate
@@ -59,6 +67,7 @@ from ..tune.space import WorkloadKey, resolve_candidate
 __all__ = [
     "TensorSpec",
     "OpNode",
+    "MapOp",
     "OP_REGISTRY",
     "register_op",
     "get_op",
@@ -365,41 +374,46 @@ class ScanOp(OpNode):
         return (result.values,)
 
 
-@register_op
-class ElementwiseOp(OpNode):
-    """Tiled elementwise map ``y = fn(x)`` (fn named in
-    :data:`ELEMENTWISE_FNS`; kernel and oracle share the callable)."""
+_MAP_DTYPES = ("fp16", "int8", "int16", "fp32", "int32")
 
-    kind = "elementwise"
-    num_inputs = 1
-    output_names = ("values",)
-    param_defaults = {"fn": Ellipsis}
+
+class MapOp(OpNode):
+    """A chain of :data:`ELEMENTWISE_FNS` maps (its :meth:`map_fns`),
+    lowered as one :class:`~repro.ops.elementwise.ElementwiseMapKernel`
+    pass over UB tiles.  Kernel and oracle apply the same callables with
+    the dtype re-applied after every stage, so a chain is bit-identical
+    to its maps run one node at a time — which makes the build-time
+    differential check the fused-vs-composed validation the fusion pass
+    needs."""
+
     fusable_map = True
-
-    @classmethod
-    def map_fns(cls, params):
-        return (params["fn"],)
 
     @classmethod
     def infer(cls, specs, params):
         cls.check_arity(specs)
-        if params["fn"] not in ELEMENTWISE_FNS:
+        fns = cls.map_fns(params)
+        if not fns:
+            raise ConfigError(f"{cls.kind} needs at least one fn")
+        unknown = [f for f in fns if f not in ELEMENTWISE_FNS]
+        if unknown:
             raise ConfigError(
-                f"unknown elementwise fn {params['fn']!r}; "
+                f"unknown elementwise fn(s) {unknown}; "
                 f"known: {sorted(ELEMENTWISE_FNS)}"
             )
         (x,) = specs
-        if x.dtype not in ("fp16", "int8", "int16", "fp32", "int32"):
+        if x.dtype not in _MAP_DTYPES:
             raise ConfigError(
-                f"elementwise does not support dtype {x.dtype!r}"
+                f"{cls.kind} does not support dtype {x.dtype!r}"
             )
         return (TensorSpec(x.dtype, x.shape),)
 
     @classmethod
     def oracle(cls, inputs, params):
-        fn = ELEMENTWISE_FNS[params["fn"]]
         x = inputs[0]
-        return (np.asarray(fn(x)).astype(x.dtype),)
+        dt = x.dtype
+        for name in cls.map_fns(params):
+            x = np.asarray(ELEMENTWISE_FNS[name](x)).astype(dt)
+        return (x,)
 
     @classmethod
     def validation_inputs(cls, specs, params):
@@ -411,20 +425,19 @@ class ElementwiseOp(OpNode):
     @classmethod
     def device_run(cls, ops, inputs, params):
         x = inputs[0]
-        fn = ELEMENTWISE_FNS[params["fn"]]
-        from ..hw.datatypes import as_dtype
-
+        names = cls.map_fns(params)
         dt = as_dtype(dtype_name(x.dtype))
         mark = ops.device.memory.mark()
         try:
-            x_gm = ops._alloc_padded("ew_x", x, 1, dt)
-            y_gm = ops.device.alloc("ew_y", (x.size,), dt)
+            x_gm = ops._alloc_padded("map_x", x, 1, dt)
+            y_gm = ops.device.alloc("map_y", (x.size,), dt)
             if ops.sc.warm_inputs:
                 ops.device.warm_l2(x_gm)
             vbd = ops._vec_block_dim(x.size)
-            label = f"elementwise {params['fn']}"
+            label = f"{cls.kind} {'+'.join(names)}"
+            fns = tuple(ELEMENTWISE_FNS[name] for name in names)
             ops.device.launch(
-                ElementwiseMapKernel(x_gm, y_gm, fn, vbd, label=label),
+                ElementwiseMapKernel(x_gm, y_gm, fns, vbd, label=label),
                 label=label,
             )
             values = y_gm.to_numpy()
@@ -434,20 +447,25 @@ class ElementwiseOp(OpNode):
 
 
 @register_op
-class FusedElementwiseOp(OpNode):
+class ElementwiseOp(MapOp):
+    """Tiled elementwise map ``y = fn(x)``."""
+
+    kind = "elementwise"
+    param_defaults = {"fn": Ellipsis}
+
+    @classmethod
+    def map_fns(cls, params):
+        return (params["fn"],)
+
+
+@register_op
+class FusedElementwiseOp(MapOp):
     """A chain of elementwise maps executed in one UB pass (graph-level
-    fusion).  ``fns`` is the ordered tuple of :data:`ELEMENTWISE_FNS`
-    names; the oracle composes the member oracles stage by stage (with the
-    dtype re-applied after every stage), so it is bit-identical to running
-    the chain as separate :class:`ElementwiseOp` nodes — which makes the
-    generic build-time differential check *the* fused-vs-composed
-    validation required by the fusion pass."""
+    fusion); ``fns`` is the ordered tuple of :data:`ELEMENTWISE_FNS`
+    names."""
 
     kind = "fused_elementwise"
-    num_inputs = 1
-    output_names = ("values",)
     param_defaults = {"fns": Ellipsis}
-    fusable_map = True
 
     @classmethod
     def map_fns(cls, params):
@@ -464,64 +482,6 @@ class FusedElementwiseOp(OpNode):
             )
         out["fns"] = tuple(fns)
         return out
-
-    @classmethod
-    def infer(cls, specs, params):
-        cls.check_arity(specs)
-        fns = tuple(params["fns"])
-        if not fns:
-            raise ConfigError("fused_elementwise needs at least one fn")
-        unknown = [f for f in fns if f not in ELEMENTWISE_FNS]
-        if unknown:
-            raise ConfigError(
-                f"unknown elementwise fn(s) {unknown}; "
-                f"known: {sorted(ELEMENTWISE_FNS)}"
-            )
-        (x,) = specs
-        if x.dtype not in ("fp16", "int8", "int16", "fp32", "int32"):
-            raise ConfigError(
-                f"fused_elementwise does not support dtype {x.dtype!r}"
-            )
-        return (TensorSpec(x.dtype, x.shape),)
-
-    @classmethod
-    def oracle(cls, inputs, params):
-        x = inputs[0]
-        dt = x.dtype
-        for name in params["fns"]:
-            x = np.asarray(ELEMENTWISE_FNS[name](x)).astype(dt)
-        return (x,)
-
-    @classmethod
-    def validation_inputs(cls, specs, params):
-        rng = _rng(specs, 2)
-        n = specs[0].n
-        dt = np_dtype_of(specs[0].dtype)
-        return [rng.integers(-3, 4, n).astype(dt)]
-
-    @classmethod
-    def device_run(cls, ops, inputs, params):
-        x = inputs[0]
-        fns = tuple(ELEMENTWISE_FNS[name] for name in params["fns"])
-        from ..hw.datatypes import as_dtype
-
-        dt = as_dtype(dtype_name(x.dtype))
-        mark = ops.device.memory.mark()
-        try:
-            x_gm = ops._alloc_padded("few_x", x, 1, dt)
-            y_gm = ops.device.alloc("few_y", (x.size,), dt)
-            if ops.sc.warm_inputs:
-                ops.device.warm_l2(x_gm)
-            vbd = ops._vec_block_dim(x.size)
-            label = f"fused elementwise x{len(fns)}"
-            ops.device.launch(
-                ElementwiseMapKernel(x_gm, y_gm, fns, vbd, label=label),
-                label=label,
-            )
-            values = y_gm.to_numpy()
-        finally:
-            ops.device.memory.release(mark)
-        return (values,)
 
 
 @register_op

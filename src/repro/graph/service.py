@@ -44,8 +44,8 @@ __all__ = [
 @dataclass(frozen=True)
 class GraphKey:
     """Batcher coalescing key for graph requests (hashable; equal keys =
-    same lowered programs).  Field layout mirrors ``PlanKey`` where the
-    shared serving code peeks (``batch``/``padded``/``s``)."""
+    same lowered programs).  It has the two ``PlanKey`` fields the shared
+    serving code reads of any group key: ``batch`` and ``padded``."""
 
     graph: str
     #: Graph.signature() — per-node (kind, shape-class, inputs) + output
@@ -55,10 +55,6 @@ class GraphKey:
     padded: int
     #: None keeps graph groups on the batcher's pass-through-whole path
     batch: "None" = None
-    s: int = 0
-    exclusive: bool = False
-    algorithm: str = "graph"
-    dtype: str = ""
 
 
 @dataclass

@@ -9,10 +9,10 @@ batched kernels (:class:`~repro.core.batched.BatchedScanUKernel` /
 Batch sizes are rounded up to power-of-two *buckets* (rows beyond the
 real batch are zero-padded), so the plan cache needs only ``log2``
 distinct batched plans per shape class instead of one per observed batch
-size.  Chunks smaller than ``min_group`` (a small class, or the tail of
-one larger than the bucket cap) — and requests the batched kernels
-cannot serve (``mcscan``, exclusive scans) — fall back to 1-D plans, one
-launch per request.
+size.  Chunks of fewer than :data:`MIN_GROUP` rows (a lone request, or
+the 1-row tail of a class larger than the bucket cap) — and requests the
+batched kernels cannot serve (``mcscan``, exclusive scans) — fall back
+to 1-D plans, one launch per request.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ import numpy as np
 
 from .plan import PlanKey
 
-__all__ = ["ScanRequest", "LaunchGroup", "RequestBatcher", "bucket_size"]
+__all__ = ["MIN_GROUP", "ScanRequest", "LaunchGroup", "RequestBatcher", "bucket_size"]
+
+#: fewest rows a batched launch carries; a smaller chunk falls back to
+#: one 1-D launch per request
+MIN_GROUP = 2
 
 
 def bucket_size(batch: int, *, max_batch: int = 64) -> int:
@@ -46,22 +50,16 @@ def bucket_size(batch: int, *, max_batch: int = 64) -> int:
 
 @dataclass
 class ScanRequest:
-    """One queued 1-D scan request (internal to the service)."""
+    """One queued 1-D scan request (internal to the service).  Its plan
+    configuration (algorithm, s, dtype, exclusive, block_dim) lives in
+    its keys, resolved once at submit."""
 
     req_id: int
     x: np.ndarray
-    algorithm: str
-    s: int
-    exclusive: bool
     #: host clock (perf_counter) at submit, for per-request latency
     t_submit: float
-    #: explicit block_dim (only set by tuned configs; None = heuristic)
-    block_dim: "int | None" = None
     #: True when the config came from a tuned-plan store lookup
     tuned: bool = False
-    #: plan dtype name resolved once at submit (``_prepare``); plan keys
-    #: use it so int64 input and int8 input land in one shape class
-    dtype: "str | None" = None
     #: simulated-clock arrival time (ns) under open-loop traffic; None for
     #: closed-loop submit/flush callers (no simulated arrival process)
     t_arrival_ns: "float | None" = None
@@ -126,13 +124,11 @@ class RequestBatcher:
         self,
         *,
         max_batch: int = 64,
-        min_group: int = 2,
         controller=None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        self.min_group = min_group
         #: optional :class:`repro.verify.ScheduleController`; permutes the
         #: pending-queue order seen by ``drain`` so the fuzzer can exercise
         #: every coalescing interleaving (results must be
@@ -153,8 +149,8 @@ class RequestBatcher:
         splitting oversized groups at the bucket cap (the largest power of
         two <= ``max_batch``).  This is the only place a request is
         grouped: a device-pool member serves the routed group as it
-        stands, so every chunk smaller than ``min_group`` — including the
-        tail of an oversized class — goes to the 1-D fallback here.
+        stands, so every chunk smaller than :data:`MIN_GROUP` — including
+        the tail of an oversized class — goes to the 1-D fallback here.
         """
         pending, self._pending = self._pending, []
         if self.controller is not None and len(pending) > 1:
@@ -192,11 +188,11 @@ class RequestBatcher:
                 out.append(group)
                 continue
             rows = group.requests
-            # a class below min_group falls back whole, not chunk by chunk
-            step = chunk_rows if len(rows) >= self.min_group else len(rows)
+            # a class below MIN_GROUP falls back whole, not chunk by chunk
+            step = chunk_rows if len(rows) >= MIN_GROUP else len(rows)
             for lo in range(0, len(rows), step):
                 chunk = rows[lo : lo + step]
-                if len(chunk) < self.min_group:
+                if len(chunk) < MIN_GROUP:
                     # too small for a batched launch — a small class, or
                     # the tail of an oversized one: fall back to 1-D plans
                     out.extend(self._fallback(chunk))
@@ -213,7 +209,7 @@ class RequestBatcher:
         return out
 
     def _fallback(self, requests: "list[ScanRequest]") -> "list[LaunchGroup]":
-        """1-D fallback groups for batchable requests below ``min_group``.
+        """1-D fallback groups for batchable requests below :data:`MIN_GROUP`.
 
         The 1-D key is each request's own — requests that share a batched
         shape class can still differ in 1-D key (e.g. tuned block_dim) —

@@ -136,7 +136,6 @@ class ScanService:
         *,
         config: DeviceConfig = ASCEND_910B4,
         max_batch: int = 64,
-        min_group: int = 2,
         gm_budget: "int | None" = None,
         tune_store=None,
         retry: "RetryPolicy | None" = None,
@@ -153,7 +152,7 @@ class ScanService:
         #: algorithm/s (see repro.tune.resolve_candidate)
         self.tune_store = tune_store
         self.cache = PlanCache(self.ctx, gm_budget=gm_budget)
-        self.batcher = RequestBatcher(max_batch=max_batch, min_group=min_group)
+        self.batcher = RequestBatcher(max_batch=max_batch)
         self.stats = ServiceStats()
         self._tickets: dict[int, ScanTicket] = {}
         self._next_id = 0
@@ -206,13 +205,8 @@ class ScanService:
         req = ScanRequest(
             req_id=req_id,
             x=x,
-            algorithm=algorithm,
-            s=s,
-            exclusive=exclusive,
             t_submit=time.perf_counter(),
-            block_dim=block_dim,
             tuned=tuned,
-            dtype=dt.name,
             key=key,
             row_key=row_key,
         )

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError, DeviceFault
 from ..hw.config import ASCEND_910B4, DeviceConfig
-from ..serve.batcher import LaunchGroup, RequestBatcher, ScanRequest, bucket_size
+from ..serve.batcher import MIN_GROUP, LaunchGroup, RequestBatcher, ScanRequest, bucket_size
 from ..serve.resilience import (
     DEAD,
     DEGRADED,
@@ -73,7 +73,6 @@ class PoolScanService:
         pool: "DevicePool | None" = None,
         tune_store=None,
         max_batch: int = 64,
-        min_group: int = 2,
         gm_budget: "int | None" = None,
         retry: "RetryPolicy | None" = None,
         controller=None,
@@ -102,7 +101,6 @@ class PoolScanService:
             ScanService(
                 ctx,
                 max_batch=max_batch,
-                min_group=min_group,
                 gm_budget=gm_budget,
                 tune_store=self.tune_store,
                 retry=retry,
@@ -113,7 +111,7 @@ class PoolScanService:
         # plan keys are shape classes — device-independent by design — so
         # one batcher groups for every member
         self.batcher = RequestBatcher(
-            max_batch=max_batch, min_group=min_group, controller=controller
+            max_batch=max_batch, controller=controller
         )
         #: accumulated simulated busy ns per member
         self.busy_ns = [0.0] * len(self.workers)
@@ -223,10 +221,10 @@ class PoolScanService:
     def _predict_ns(self, req: ScanRequest, rows: int) -> float:
         """Predicted launch ns of ``rows`` same-class requests like ``req``
         (open-loop admission): one batched launch, or — below
-        ``min_group``, or unbatchable — one 1-D launch per row.  Builds
-        the plan on member 0 when missing."""
+        :data:`MIN_GROUP` rows, or unbatchable — one 1-D launch per row.
+        Builds the plan on member 0 when missing."""
         batcher = self.batcher
-        if req.row_key is not None and rows >= batcher.min_group:
+        if req.row_key is not None and rows >= MIN_GROUP:
             bucket = bucket_size(rows, max_batch=batcher.max_batch)
             return self._launch_ns(req.row_key.with_batch(bucket), build=True)
         return self._launch_ns(req.key, build=True) * rows

@@ -410,7 +410,7 @@ def _warm(spec: WorkloadSpec, svc: PoolScanService) -> None:
     for worker in svc.workers:
         for size in spec.sizes:
             warm = (np.arange(size) % 5 - 2).astype(dt)
-            for _ in range(2):  # min_group=2: warm the batched path too
+            for _ in range(2):  # MIN_GROUP rows: warm the batched path too
                 worker.submit(warm, algorithm="scanu", s=spec.s)
             worker.flush()
             worker.submit(warm, algorithm="scanu", s=spec.s)

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import ScanContext
+from repro.graph import Graph, GraphRunner, llm_sample, scan_pipeline
 from repro.hw.config import toy_config
 from repro.ops.driver import AscendOps
 
@@ -96,6 +97,52 @@ def _op(name: str) -> str:
     return _digest(ops.device, list(captured), outputs)
 
 
+def _map_chain() -> Graph:
+    g = Graph(name="chain")
+    edge = g.add_input("x", "fp16", (5000,))
+    for i, fn in enumerate(("abs", "double", "negate")):
+        (edge,) = g.add_node(f"m{i}", "elementwise", [edge], {"fn": fn})
+    g.set_outputs([edge])
+    g.validate()
+    return g
+
+
+def _lowered(graph: Graph, fusion: str) -> str:
+    """Every unit of ``graph`` as a fresh runner lowers it: the captured
+    programs plus each unit's kind, launches, validation, tuning and
+    member weights."""
+    runner = GraphRunner(toy_config(), fusion=fusion)
+    entries, _ = runner.lower(graph)
+    traced = [t for _, low in entries for t in low.traced]
+    meta = [
+        (low.kind, low.launches, low.validated, low.tuned, low.members)
+        for _, low in entries
+    ]
+    digest = _digest(runner.device, traced, [])
+    return hashlib.sha256(f"{digest}{meta!r}".encode()).hexdigest()
+
+
+GRAPHS = {
+    "graph-elementwise-fp16": lambda: _lowered(_map_chain(), "off"),
+    "graph-fused-map-fp16": lambda: _lowered(_map_chain(), "conservative"),
+    **{
+        f"graph-fused-scan-{algorithm}-{dtype}": (
+            lambda a=algorithm, d=dtype: _lowered(
+                scan_pipeline(
+                    5000, dtype=d, pre=("abs", "double"), post=("negate",),
+                    algorithm=a, s=32,
+                ),
+                "aggressive",
+            )
+        )
+        for algorithm, dtype in (("scanu", "fp16"), ("lookback", "int8"))
+    },
+    "graph-topk-sampler-fp16": lambda: _lowered(
+        llm_sample(2048, k=32, s=16), "conservative"
+    ),
+}
+
+
 PROGRAMS = {
     **{
         f"{algorithm}-{dtype}": (lambda a=algorithm, d=dtype: _plan(a, d))
@@ -111,6 +158,7 @@ PROGRAMS = {
         f"{name}-uint8": (lambda n=name: _op(n))
         for name in ("split", "compress", "radix_sort")
     },
+    **GRAPHS,
 }
 
 

@@ -112,13 +112,13 @@ class TestServiceLevelBitIdentity:
         assert any(t.batched for t in done)
 
     def test_unbatched_service_matches_oracle(self, rng):
-        inputs, done = self._serve(rng, min_group=65)
+        inputs, done = self._serve(rng, max_batch=1)
         self._assert_oracle(inputs, done)
         assert not any(t.batched for t in done)
 
     def test_batching_modes_are_bit_identical(self, rng):
         _, batched = self._serve(rng)
-        _, single = self._serve(rng, min_group=65)
+        _, single = self._serve(rng, max_batch=1)
         for a, b in zip(batched, single):
             assert a.req_id == b.req_id
             assert np.array_equal(a.result(), b.result())

@@ -16,7 +16,7 @@ from repro.errors import KernelError, ShapeError
 from repro.hw.config import toy_config
 from repro.hw.faults import FaultPlan
 from repro.serve import ScanService, bucket_size, render
-from repro.serve.batcher import RequestBatcher
+from repro.serve.batcher import MIN_GROUP, RequestBatcher
 
 
 @pytest.fixture()
@@ -133,13 +133,19 @@ def test_singletons_fall_back_to_1d_plans(service):
 
 
 def test_min_group_and_batching_toggle():
-    svc = ScanService(config=toy_config(), min_group=3)
-    ts = [svc.submit(_x(600, i), algorithm="scanu", s=32) for i in range(2)]
+    svc = ScanService(config=toy_config())
+    lone = svc.submit(_x(600), algorithm="scanu", s=32)
     svc.flush()
-    assert not any(t.batched for t in ts)  # below min_group
+    assert not lone.batched  # below MIN_GROUP
+    ts = [
+        svc.submit(_x(600, i), algorithm="scanu", s=32)
+        for i in range(MIN_GROUP)
+    ]
+    svc.flush()
+    assert all(t.batched and t.batch_size == MIN_GROUP for t in ts)
 
-    # min_group above the 64-row bucket cap: nothing coalesces
-    svc2 = ScanService(config=toy_config(), min_group=65)
+    # a 1-row bucket cap: nothing coalesces
+    svc2 = ScanService(config=toy_config(), max_batch=1)
     ts2 = [svc2.submit(_x(600, i), algorithm="scanu", s=32) for i in range(4)]
     svc2.flush()
     assert not any(t.batched for t in ts2)
@@ -156,24 +162,23 @@ def test_oversized_groups_split_at_max_batch():
     assert svc.stats.launch_count == 2
 
 
-def test_fallback_groups_rekey_per_request():
-    """Regression: sub-min_group batchable groups were re-keyed from
-    requests[0] only, so requests differing in block_dim (or exclusive)
-    silently shared one wrong 1-D plan key."""
+def test_fallback_groups_rekey_per_request(monkeypatch):
+    """Regression: fallback chunks of a batchable class were re-keyed
+    from requests[0] only, so requests differing in block_dim (or
+    exclusive) silently shared one wrong 1-D plan key."""
     import time
 
     from repro.serve.batcher import ScanRequest
 
-    svc = ScanService(config=toy_config(), min_group=8)
+    # a batching threshold above the class size sends both rows of the
+    # class to the fallback as one chunk
+    monkeypatch.setattr("repro.serve.batcher.MIN_GROUP", 8)
+    svc = ScanService(config=toy_config())
     reqs = [
         ScanRequest(
             req_id=i,
             x=_x(600, i),
-            algorithm="scanu",
-            s=32,
-            exclusive=False,
             t_submit=time.perf_counter(),
-            block_dim=bd,
             key=svc.cache.key_1d("scanu", 600, "fp16", s=32, block_dim=bd),
             row_key=svc.cache.key_batched("scanu", 1, 600, "fp16", s=32),
         )
@@ -190,8 +195,8 @@ def test_fallback_groups_rekey_per_request():
 
 
 def test_fallback_groups_thread_exclusive_through(service):
-    """End-to-end: a lone mcscan pair (inclusive + exclusive) below
-    min_group must keep both exclusive flags in their 1-D keys."""
+    """End-to-end: a lone mcscan pair (inclusive + exclusive), which the
+    batched kernels cannot serve, must keep both exclusive flags in their 1-D keys."""
     x = _x(800)
     inc = service.submit(x, algorithm="mcscan", s=32)
     exc = service.submit(x, algorithm="mcscan", s=32, exclusive=True)
@@ -323,7 +328,7 @@ class TestTunedServing:
                 tuned_ns=1.0, default_ns=2.0,
             ),
         )
-        return ScanService(config=config, tune_store=store, min_group=65)
+        return ScanService(config=config, tune_store=store, max_batch=1)
 
     def test_store_hit_supplies_config(self, tuned_service):
         x = _x(1024)

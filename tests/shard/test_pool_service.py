@@ -118,7 +118,7 @@ class TestRoutingAndCorrectness:
         assert len(inputs) == 6
 
     def test_lpt_prefers_least_loaded(self, rng):
-        svc = PoolScanService(2, config=toy_config(), min_group=65)
+        svc = PoolScanService(2, config=toy_config(), max_batch=1)
         # one heavy group and several light ones: LPT places the heavy one
         # first, lights fill the other member
         heavy, _ = exact_fp16_scan_input(65_536, rng)
@@ -328,7 +328,7 @@ class TestFlushInvariants:
             assert r["busy_ns"] == svc.busy_ns[r["member"]]
 
     def test_utilisation_sums_and_bounds_under_skewed_mix(self, rng):
-        svc = PoolScanService(3, config=toy_config(), min_group=65)
+        svc = PoolScanService(3, config=toy_config(), max_batch=1)
         heavy, _ = exact_fp16_scan_input(65_536, rng)
         svc.submit(heavy, algorithm="mcscan", s=16)
         for _ in range(5):
@@ -363,10 +363,7 @@ class TestRouterCostModel:
         from repro.serve import LaunchGroup, PlanKey, ScanRequest
 
         reqs = [
-            ScanRequest(
-                req_id=i, x=np.zeros(100, np.float16), algorithm="scanu",
-                s=16, exclusive=False, t_submit=0.0, dtype="fp16",
-            )
+            ScanRequest(req_id=i, x=np.zeros(100, np.float16), t_submit=0.0)
             for i in range(5)
         ]
         group = LaunchGroup(
@@ -424,7 +421,7 @@ class TestSharedTuning:
         # a second warm-up is a no-op: the store already covers it
         assert warm_tune_store([workload], store).skipped == 1
 
-        svc = PoolScanService(pool=ctx_pool, tune_store=store, min_group=1)
+        svc = PoolScanService(pool=ctx_pool, tune_store=store)
         inputs = {}
         for _ in range(4):
             x, _e = exact_fp16_scan_input(4096, rng)
@@ -545,7 +542,7 @@ class TestSingleQueue:
 
     def test_tail_chunk_parity_across_pool_sizes(self):
         # 5 same-shape requests at max_batch=4: one 4-row batched launch
-        # plus the 1-row tail, which is below min_group and so goes to
+        # plus the 1-row tail, which is below MIN_GROUP and so goes to
         # the 1-D fallback (a single launch) everywhere
         rng = np.random.default_rng(8)
         xs = [exact_fp16_scan_input(512, rng)[0] for _ in range(5)]

@@ -136,9 +136,11 @@ class TestLaunchOrder:
         from repro.verify import ScheduleController
 
         controller = None if seed is None else ScheduleController(seed)
-        # min_group above the 8-row bucket: every group serves as 1-D
-        # singles
-        svc = pool(min_group=9, controller=controller)
+        # a batching threshold above the 8-row bucket: every group serves
+        # as 1-D singles, several to a group
+        for module in ("repro.serve.batcher", "repro.shard.service"):
+            monkeypatch.setattr(f"{module}.MIN_GROUP", 9)
+        svc = pool(controller=controller)
         dispatched = []
         real_dispatch = svc._dispatch
 
@@ -280,20 +282,23 @@ class TestAdmissionEdgeCases:
         assert t is None and sched.stats.shed_requests == 1
 
     def test_multi_row_probe_keeps_the_solo_cost(self):
-        """Below ``min_group`` a k-row prediction is k one-row launches;
-        it must not overwrite the memoized one-row cost that admission
-        probes, or a feasible solo request is shed."""
-        svc = pool(min_group=9)
-        req, _ = svc.workers[0]._prepare(_x(256), s=S, req_id=-1)
+        """An unbatchable request's k-row prediction is k one-row
+        launches; it must not overwrite the memoized one-row cost that
+        admission probes, or a feasible solo request is shed."""
+        svc = pool()
+        req, _ = svc.workers[0]._prepare(
+            _x(256), algorithm="mcscan", s=S, req_id=-1
+        )
+        assert req.row_key is None
         # the solo cost from another pool, so the k-row probe below is
         # the first entry in this pool's cost memo
-        solo = pool(min_group=9)._predict_ns(req, 1)
+        solo = pool()._predict_ns(req, 1)
         sched = TrafficScheduler(svc)
         assert svc._predict_ns(req, 3) == solo * 3
         assert svc._predict_ns(req, 1) == solo
         t = sched.offer(
             Arrival(index=0, t_ns=0.0, n=256, deadline_ns=1.5 * solo),
-            _x(256), s=S,
+            _x(256), algorithm="mcscan", s=S,
         )
         assert t is not None and sched.stats.shed_requests == 0
 

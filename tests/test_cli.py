@@ -113,6 +113,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "served          : 3/3 graph requests (3 bit-identical" in out
 
+    def test_graph_fusion_choices_are_the_fusion_modes(self):
+        from repro.__main__ import build_parser
+        from repro.graph import FUSION_MODES
+
+        sub = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices["graph"]
+        (fusion,) = [a for a in sub._actions if a.dest == "fusion"]
+        assert tuple(fusion.choices) == FUSION_MODES
+
     def test_smoke_mode_is_gone(self):
         # the self-checks live in the test suite; the CLI only demos
         with pytest.raises(SystemExit):
