@@ -127,7 +127,7 @@ def stable_order(x: np.ndarray, *, descending: bool = False) -> np.ndarray:
     O(n log n) timsort."""
     x = np.asarray(x)
     ranks = _rank_table(x.dtype, bool(descending))
-    return np.argsort(ranks[x.view(ranks.dtype)], kind="stable")
+    return np.argsort(ranks.take(x.view(ranks.dtype)), kind="stable")
 
 
 def compress(x: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -61,26 +61,40 @@ _FP16_TO_FP32 = (
     np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
     .view(np.float16).astype(np.float32)
 )
+#: the unsigned dtype whose values are an 8- or 16-bit input's bit
+#: patterns, by itemsize
+_PATTERN_DTYPES = {1: np.dtype(np.uint8), 2: np.dtype(np.uint16)}
 #: most elements one table lookup widens: ``np.take`` copies its uint16
 #: indices to intp first, 8 bytes each
 _WIDEN_SLICE = 4096
 
 
-def _widen(dst: np.ndarray, x: np.ndarray) -> None:
-    """``dst[...] = x`` for a 1-D ``dst`` of ``x``'s length: fp16 into
-    (fp32) ``dst`` through :data:`_FP16_TO_FP32`, anything else by
+def _widen(
+    dst: np.ndarray, x: np.ndarray, table: "np.ndarray | None" = None
+) -> None:
+    """``dst[...] = table[x]`` for a 1-D ``dst`` of ``x``'s length, ``x``'s
+    bit patterns indexing ``table``.  Without a table, fp16 widens into
+    (fp32) ``dst`` through :data:`_FP16_TO_FP32` and anything else by
     NumPy's cast."""
-    if x.dtype != np.float16:
-        dst[...] = x
-        return
-    bits = x.view(np.uint16)
-    take = _FP16_TO_FP32.take
+    if table is None:
+        if x.dtype != np.float16:
+            dst[...] = x
+            return
+        table = _FP16_TO_FP32
+    bits = x.view(_PATTERN_DTYPES[x.itemsize])
+    take = table.take
     for lo in range(0, x.size, _WIDEN_SLICE):
         hi = lo + _WIDEN_SLICE
         take(bits[lo:hi], out=dst[lo:hi], mode="clip")
 
 
-def scan_into(out: np.ndarray, rows, *, exclusive: bool = False) -> np.ndarray:
+def scan_into(
+    out: np.ndarray,
+    rows,
+    *,
+    exclusive: bool = False,
+    table: "np.ndarray | None" = None,
+) -> np.ndarray:
     """Inclusive (or exclusive) scans of ``rows``, computed in ``out``.
 
     ``out`` is the caller's accumulator-dtype buffer: 1-D for one row, or
@@ -89,14 +103,17 @@ def scan_into(out: np.ndarray, rows, *, exclusive: bool = False) -> np.ndarray:
     a zero, for an exclusive scan), then one in-place ``np.cumsum``
     accumulates along the last axis.  Elements of ``out`` past a row's
     length are scanned too but never reach the row's own prefix sums;
-    zero them to keep that tail finite.  Returns ``out``.
+    zero them to keep that tail finite.  ``table``, when given, is the
+    accumulator-dtype value of every input bit pattern and widens in
+    place of the cast (see :func:`_widen`): a graph's map chain feeding
+    the scan folds into it.  Returns ``out``.
     """
     for dst, x in zip(np.atleast_2d(out), rows):
         if exclusive:
             dst[0] = 0
-            _widen(dst[1 : x.size], x[:-1])
+            _widen(dst[1 : x.size], x[:-1], table)
         else:
-            _widen(dst[: x.size], x)
+            _widen(dst[: x.size], x, table)
     body = out[..., 1:] if exclusive else out
     # dtype pins the accumulator: NumPy would add int32 rows in int64
     np.cumsum(body, axis=-1, dtype=body.dtype, out=body)

@@ -1,11 +1,13 @@
 """Graph-level fusion: group fusible regions into :class:`FusedNode`\\ s.
 
 The pass runs after toposort/type inference and *only* changes how the
-interpreter lowers the graph — the IR, its signature, and the host oracle
-(:meth:`Graph.run_oracle`) are untouched, so served numerics are identical
-with fusion on or off by construction.  What changes is the captured
-device program: a fused region becomes **one** program (one launch chain,
-intermediates kept in UB) instead of one program per node.
+interpreter lowers the graph — the IR, its signature, the host oracle
+(:meth:`Graph.run_oracle`) and the served host numerics compiled from
+the graph alone (:func:`~repro.graph.numerics.host_numerics`) are
+untouched, so served numerics are identical with fusion on or off by
+construction.  What changes is the captured device program: a fused
+region becomes **one** program (one launch chain, intermediates kept in
+UB) instead of one program per node.
 
 Regions and legality
 --------------------
@@ -56,6 +58,7 @@ __all__ = [
     "FUSION_MODES",
     "SORTED_INPUT",
     "FusedNode",
+    "chain_successors",
     "fuse_graph",
     "lowering_units",
     "sorted_by_topk",
@@ -152,28 +155,7 @@ def fuse_graph(graph: Graph, mode: str = "conservative"):
     if mode == "off":
         return list(order)
     specs = graph.infer()
-
-    # consumer multiplicity per edge: every node-input occurrence plus
-    # every graph-output occurrence pins the edge (it must materialise)
-    consumers: "dict[str, int]" = {}
-    sole_consumer: "dict[str, Node]" = {}
-    for node in graph.nodes:
-        for edge in node.inputs:
-            consumers[edge] = consumers.get(edge, 0) + 1
-            sole_consumer[edge] = node
-    for edge in graph.outputs:
-        consumers[edge] = consumers.get(edge, 0) + 1
-
-    def fusible_edge(edge: str) -> bool:
-        return consumers.get(edge, 0) == 1 and edge in sole_consumer
-
-    def next_member(node: Node) -> "Node | None":
-        """The sole consumer of ``node``'s single output edge, or None
-        when the edge is pinned (multi-consumer or a graph output)."""
-        edges = node.output_edges()
-        if len(edges) != 1 or not fusible_edge(edges[0]):
-            return None
-        return sole_consumer[edges[0]]
+    successors = chain_successors(graph)
 
     def scan_fusible(node: Node) -> bool:
         # the competitor "vector" baseline has no cube/vector split to
@@ -195,7 +177,7 @@ def fuse_graph(graph: Graph, mode: str = "conservative"):
         has_scan = starts_scan
         cursor = node
         while True:
-            nxt = next_member(cursor)
+            nxt = successors.get(cursor.name)
             if nxt is None or nxt.name in used:
                 break
             if _is_spec_preserving_map(nxt, specs):
@@ -224,6 +206,28 @@ def fuse_graph(graph: Graph, mode: str = "conservative"):
             )
         )
     return result
+
+
+def chain_successors(graph: Graph) -> "dict[str, Node]":
+    """Node name -> the sole consumer of the node's single output edge,
+    for every node whose one output edge has exactly one consumer and is
+    not a graph output: the edges a chain may run over without the value
+    materialising.  Every node-input occurrence and every graph-output
+    occurrence counts as a use."""
+    uses: "dict[str, int]" = {}
+    consumer: "dict[str, Node]" = {}
+    for node in graph.nodes:
+        for edge in node.inputs:
+            uses[edge] = uses.get(edge, 0) + 1
+            consumer[edge] = node
+    for edge in graph.outputs:
+        uses[edge] = uses.get(edge, 0) + 1
+    successors = {}
+    for node in graph.nodes:
+        edges = node.output_edges()
+        if len(edges) == 1 and uses.get(edges[0]) == 1 and edges[0] in consumer:
+            successors[node.name] = consumer[edges[0]]
+    return successors
 
 
 def sorted_by_topk(node: Node, producers: "dict[str, Node]") -> bool:

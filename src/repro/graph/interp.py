@@ -23,9 +23,10 @@ internal scan tile ``s`` is None lowers at the tile
 Lowered nodes are memoized in :class:`GraphPlanCache` keyed on
 ``(kind, shape_class)``: the steady-state cost of serving a graph
 request is replaying the captured kernels (O(1) memoized timelines) plus
-the host oracle numerics — no re-tracing, which is exactly what the
-hand-chained ``AscendOps`` path pays on every call.  A ``top_p_sample``
-fed by ``topk`` keys apart and lowers without its sort
+the host numerics compiled once per graph
+(:func:`~repro.graph.numerics.host_numerics`) — no re-tracing, which is
+exactly what the hand-chained ``AscendOps`` path pays on every call.  A
+``top_p_sample`` fed by ``topk`` keys apart and lowers without its sort
 (:func:`~repro.graph.fuse.sorted_by_topk`).  Every build starts from a
 cold L2.  That does not make build order irrelevant: the build context
 caches its ``(s, dtype)`` scan constants, and where and when they were
@@ -61,6 +62,7 @@ from ..serve.plan import PlanCache
 from ..tune.space import WorkloadKey, resolve_candidate
 from .fuse import FUSION_MODES, SORTED_INPUT, FusedNode, lowering_units
 from .ir import Graph, Node
+from .numerics import host_numerics
 from .op import (
     ELEMENTWISE_FNS,
     SERVED_DIGIT_BITS,
@@ -537,16 +539,17 @@ class GraphRunner:
     def execute(
         self, graph: Graph, inputs, *, params_override=None, device=None
     ) -> "GraphRunResult":
-        """Lower (or hit the cache), replay, and evaluate the oracle —
-        the one-call interpreter used by the example, the CLI demo and the
+        """Lower (or hit the cache), replay, and evaluate the served
+        numerics (:func:`~repro.graph.numerics.host_numerics`) — the
+        one-call interpreter used by the example, the CLI demo and the
         differential tests.  Serving does the same steps with batching,
-        retry and stats around them: the oracle at submit
+        retry and stats around them: the numerics at submit
         (`ScanService._prepare_graph`), lowering and per-kernel replay
         under retry at flush (`ScanService._serve`, which hands graph
         groups to `_serve_graph`)."""
         entries, _ = self.lower(graph)
         traces = self.replay(entries, device=device)
-        outputs = graph.run_oracle(inputs, params_override)
+        outputs = host_numerics(graph)(graph.bind(inputs), params_override)
         per_node = {}
         i = 0
         for unit, low in entries:
@@ -568,7 +571,7 @@ class GraphRunner:
 
 @dataclass
 class GraphRunResult:
-    """Oracle outputs + replayed device accounting of one graph run."""
+    """Served outputs + replayed device accounting of one graph run."""
 
     outputs: "tuple[np.ndarray, ...]"
     traces: "list"

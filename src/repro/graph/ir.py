@@ -300,9 +300,12 @@ class Graph:
         return bound
 
     def run_oracle(self, inputs, params_override=None) -> "tuple[np.ndarray, ...]":
-        """Evaluate the graph on host with every op's NumPy oracle — the
-        served numerics.  ``params_override`` maps node name -> dict of
-        runtime parameter values (e.g. a per-request sampling ``theta``)."""
+        """Evaluate the graph on host with every op's NumPy oracle, node by
+        node — the reference served outputs are compared against (serving
+        runs the graph's compiled form,
+        :func:`~repro.graph.numerics.host_numerics`, bit-identical to
+        this).  ``params_override`` maps node name -> dict of runtime
+        parameter values (e.g. a per-request sampling ``theta``)."""
         values = self.bind(inputs)
         overrides = params_override or {}
         for node, op, out_edges in self._steps():

@@ -13,7 +13,9 @@ host is a subclass of :class:`OpNode` registered under its ``kind`` via
   classes replay the same captured device program;
 * **a NumPy oracle** — :meth:`~OpNode.oracle` defines the op's served
   numerics (the graph layer serves oracle bits, exactly as the scan serve
-  layer's ``plan_compute`` numerics *are* the checker oracle);
+  layer's ``plan_compute`` numerics *are* the checker oracle; a graph's
+  compiled host numerics, :mod:`repro.graph.numerics`, call it or
+  reproduce its bits in fewer passes);
 * **a device lowering** — :meth:`~OpNode.device_run` executes the op once
   through :class:`~repro.ops.driver.AscendOps` on the build device; the
   interpreter's one build step (``GraphRunner._capture``, which fused
@@ -46,6 +48,7 @@ the device's fp16 key encoding orders ``-0.0 < +0.0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -752,7 +755,11 @@ class TopPSampleOp(OpNode):
     same two scalar comparisons), but its cumsum adds sequentially where
     the device's MCScan adds in tile order (ROADMAP item 2), so the two
     are bit-identical only when every partial sum is exact, as on the
-    exactness-conditioned validation probabilities."""
+    exactness-conditioned validation probabilities.  ``presorted`` skips
+    the sort, as the sort-free lowering does: the probabilities must
+    already be in the sort's order, as a ``topk`` output is (its values
+    come out in ``stable_order``, so the stable re-sort is the
+    identity)."""
 
     kind = "top_p_sample"
     num_inputs = 2
@@ -799,13 +806,15 @@ class TopPSampleOp(OpNode):
         return (TensorSpec("int64", (1,)),)
 
     @classmethod
-    def oracle(cls, inputs, params):
+    def oracle(cls, inputs, params, *, presorted: bool = False):
         probs, ids = inputs
         n = probs.size
-        order = stable_order(probs, descending=True)
-        cum = np.cumsum(probs[order], dtype=np.float32)
+        if not presorted:
+            order = stable_order(probs, descending=True)
+            probs, ids = probs[order], ids[order]
+        cum = np.cumsum(probs, dtype=np.float32)
         total = float(cum[-1])
-        if not (np.isfinite(total) and total > 0):
+        if not (math.isfinite(total) and total > 0):
             raise ConfigError(
                 f"top_p_sample probabilities must sum to a finite positive "
                 f"total, got {total}"
@@ -814,8 +823,7 @@ class TopPSampleOp(OpNode):
         mass = float(cum[k_nucleus - 1])
         cut = params["theta"] * mass
         pos = min(int(np.count_nonzero(cum < cut)), k_nucleus - 1)
-        token = ids[order[pos]]
-        return (np.asarray([token], dtype=np.int64),)
+        return (np.asarray([ids[pos]], dtype=np.int64),)
 
     @classmethod
     def validation_inputs(cls, specs, params):

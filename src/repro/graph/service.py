@@ -8,8 +8,16 @@ lowered-program signature — shaped like a
 :class:`~repro.serve.plan.PlanKey` with ``batch=None`` so graph groups
 pass through the batcher whole.  :class:`GraphTicket` extends
 :class:`~repro.serve.service.ScanTicket`: ``values`` holds the tuple of
-output arrays in ``graph.outputs`` order (oracle numerics, computed
-at submit and attached once the request's replay succeeds).
+output arrays in ``graph.outputs`` order, computed at submit and
+attached once the request's replay succeeds.
+
+Served numerics are the graph's compiled host numerics
+(:func:`~repro.graph.numerics.host_numerics`, reached through
+:func:`graph_oracle_job`): map chains as table lookups, the sampler
+without a re-sort after ``topk``, every other node its op's oracle.
+They are bit-identical to :meth:`Graph.run_oracle`
+(:func:`oracle_outputs`), which stays the reference the tests and the
+benchmark compare served outputs against.
 
 The canned graphs are the repo's two first-class graph workloads:
 :func:`llm_sample` (top-k → top-p nucleus sampling, the
@@ -27,6 +35,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..serve.service import ScanTicket
 from .ir import Graph
+from .numerics import host_numerics
 
 __all__ = [
     "GraphKey",
@@ -68,7 +77,8 @@ class GraphRequest:
     #: node name -> runtime parameter overrides (e.g. sampling theta)
     params: "dict | None"
     graph_key: GraphKey
-    #: oracle outputs in ``graph.outputs`` order, computed at submit
+    #: served outputs in ``graph.outputs`` order, computed at submit by
+    #: the compiled host numerics (bit-identical to ``run_oracle``)
     outputs: "tuple[np.ndarray, ...]"
     #: host clock (perf_counter) at submit, for per-request latency
     t_submit: float = field(default_factory=time.perf_counter)
@@ -239,6 +249,8 @@ def oracle_outputs(
 def graph_oracle_job(
     graph: Graph, inputs: "dict[str, np.ndarray]", params: "dict | None"
 ) -> "tuple[np.ndarray, ...]":
-    """One served graph request's numerics: the oracle outputs, in
-    ``graph.outputs`` order."""
-    return graph.run_oracle(inputs, params)
+    """One served graph request's numerics, in ``graph.outputs`` order:
+    the graph's compiled :func:`~repro.graph.numerics.host_numerics` on
+    ``inputs`` already bound by :meth:`Graph.bind`, bit-identical to
+    :func:`oracle_outputs`."""
+    return host_numerics(graph)(inputs, params)

@@ -291,7 +291,7 @@ class ScanService:
     def _prepare_graph(
         self, graph, inputs, *, params=None, req_id: "int | None" = None
     ):
-        """Validate one graph submission, compute its oracle numerics and
+        """Validate one graph submission, compute its served numerics and
         materialise its request + ticket without enqueueing (the pool
         front end's routing seam, mirroring :meth:`_prepare`).
 

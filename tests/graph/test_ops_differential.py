@@ -7,8 +7,9 @@ Two layers of differential:
   bit for bit (this is also what :class:`GraphRunner` enforces at
   lowering time — a divergence raises KernelError there).
 * **interpreter vs oracle** — executing a one-node graph through the
-  runner returns exactly ``Graph.run_oracle``'s bits (served numerics
-  are the oracle by construction; the check pins the wiring).
+  runner returns exactly ``Graph.run_oracle``'s bits (``execute`` runs
+  the served numerics, the graph's compiled host numerics, so the check
+  pins them against the oracle).
 
 Sizes cover a sub-tile length (40 < s*s = 256), an exact tile (256) and
 a non-divisible length (300) at the toy device's s=16.
